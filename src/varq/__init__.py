@@ -5,7 +5,8 @@ The pipeline: amplitude-encode feature vectors, store a balanced batch in
 a superposition-addressed register, run a shared parameterized circuit on
 the data qubits, and score the whole batch with one swap test against an
 address-correlated label state. Training is plain gradient descent on
-numerical gradients of that batched loss.
+numerical gradients of that batched loss, evaluated for all gradient
+probes of a batch in one stacked circuit pass.
 """
 
 from .ansatz import (
@@ -14,6 +15,7 @@ from .ansatz import (
     apply_ansatz,
     default_ansatz,
     init_parameters,
+    run_ansatz,
 )
 from .costmodel import cost_table, forward_pass_cost, sequential_baseline
 from .dataset import BinaryTask, IrisRecord, default_data_path, load_iris, make_task
@@ -33,6 +35,7 @@ from .loss import (
     SwapTestResult,
     batched_loss,
     prepare_label_state,
+    stacked_loss,
     swap_test,
 )
 from .qram import QramStore, QueryCost, build_store, load_store, query_cost, query_superposed, save_store
@@ -51,9 +54,11 @@ from .trainer import (
     EpochMetrics,
     TrainConfig,
     accuracy,
+    batch_loss_and_gradient,
     classify,
     make_batches,
     numerical_gradient,
+    probe_angles,
     train,
 )
 
@@ -88,6 +93,7 @@ __all__ = [
     "apply_ansatz",
     "apply_gate",
     "apply_gates",
+    "batch_loss_and_gradient",
     "batched_loss",
     "build_store",
     "classify",
@@ -108,10 +114,13 @@ __all__ = [
     "numerical_gradient",
     "partial_trace",
     "prepare_label_state",
+    "probe_angles",
     "query_cost",
     "query_superposed",
+    "run_ansatz",
     "save_store",
     "sequential_baseline",
+    "stacked_loss",
     "swap_test",
     "train",
     "__version__",

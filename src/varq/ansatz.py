@@ -3,20 +3,26 @@
 The default template, "ry_cz_ring", repeats per layer: one RY rotation
 per data qubit (trainable angles, layer-major / qubit-minor order), then
 a ring of CZ entanglers. Rotations and entanglers are all real, so real
-input amplitudes stay real. The trainer and loss code treat the template
-opaquely through apply_ansatz; swapping templates requires no changes
-there.
+input amplitudes stay real.
+
+The circuit runs on a stack of states with a leading stack axis: each
+stack row may carry its own angle vector, so the 2P+1 probes of a
+central-difference gradient, or every sample of an accuracy pass, take
+one kernel call per gate. apply_ansatz is the one-row case. The trainer
+and loss code treat the template opaquely through run_ansatz; swapping
+templates requires no changes there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .statevector import GateOp, StateVector, _apply_op, _check_qubits
+from .statevector import GateOp, StateVector
 
 DEFAULT_TEMPLATE = "ry_cz_ring"
 DEFAULT_LAYERS = 4
@@ -58,26 +64,37 @@ class AnsatzSpec:
     @property
     def gate_count(self) -> int:
         """Gates per application: rotations plus entanglers, all layers."""
-        return self.layers * (self.k + len(self.entangler_pairs))
+        return len(self.schedule)
+
+    @cached_property
+    def schedule(self) -> tuple[tuple[str, int, int], ...]:
+        """The gate sequence on data-qubit positions 0..k-1: ("RY", qubit,
+        angle index) and ("CZ", a, b) entries, in application order."""
+        gates = []
+        for layer in range(self.layers):
+            base = layer * self.k
+            gates += [("RY", q, base + q) for q in range(self.k)]
+            gates += [("CZ", a, b) for a, b in self.entangler_pairs]
+        return tuple(gates)
 
     def operations(self, theta: "ParameterVector", data_qubits: Sequence[int]) -> tuple[GateOp, ...]:
         """The concrete gate sequence on the given qubits for angles theta."""
-        if len(data_qubits) != self.k:
+        self._check_shapes(len(theta.values), len(data_qubits))
+        return tuple(
+            GateOp.ry(data_qubits[a], theta.values[b]) if kind == "RY"
+            else GateOp.cz(data_qubits[a], data_qubits[b])
+            for kind, a, b in self.schedule
+        )
+
+    def _check_shapes(self, num_angles: int, num_data_qubits: int) -> None:
+        if num_data_qubits != self.k:
             raise ConfigurationError(
-                f"ansatz spans {self.k} qubits, got {len(data_qubits)} data qubits"
+                f"ansatz spans {self.k} qubits, got {num_data_qubits} data qubits"
             )
-        if len(theta.values) != self.parameter_count:
+        if num_angles != self.parameter_count:
             raise ConfigurationError(
-                f"theta has {len(theta.values)} angles, spec needs {self.parameter_count}"
+                f"theta has {num_angles} angles, spec needs {self.parameter_count}"
             )
-        ops = []
-        for layer in range(self.layers):
-            base = layer * self.k
-            for q in range(self.k):
-                ops.append(GateOp.ry(data_qubits[q], theta.values[base + q]))
-            for a, b in self.entangler_pairs:
-                ops.append(GateOp.cz(data_qubits[a], data_qubits[b]))
-        return tuple(ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +126,60 @@ def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVecto
     return ParameterVector(rng.uniform(0.0, 2.0 * np.pi, size=spec.parameter_count))
 
 
+def _ry_rows(psi: np.ndarray, q: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    # psi is (rows, 2^num_qubits); the view puts qubit q on axis 2.
+    v = psi.reshape(psi.shape[0], 1 << q, 2, -1)
+    a, b = v[:, :, 0], v[:, :, 1]
+    upper = cos * a - sin * b
+    v[:, :, 1] = sin * a + cos * b
+    v[:, :, 0] = upper
+
+
+def _cz_rows(psi: np.ndarray, a: int, b: int) -> None:
+    a, b = min(a, b), max(a, b)
+    v = psi.reshape(psi.shape[0], 1 << a, 2, 1 << (b - a - 1), 2, -1)
+    v[:, :, 1, :, 1] *= -1.0
+
+
+def run_ansatz(
+    spec: AnsatzSpec,
+    thetas: np.ndarray,
+    amplitudes: np.ndarray,
+    data_qubits: Sequence[int],
+) -> np.ndarray:
+    """Apply the circuit to a stack of states, one angle vector per row.
+
+    thetas is (T, P) and amplitudes is (A, 2^q); T and A are equal, or
+    one of them is 1 and is broadcast over the other. Returns a new
+    (max(T, A), 2^q) complex array; `data_qubits` index the q-qubit
+    register, identity elsewhere.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    num_qubits = amplitudes.shape[1].bit_length() - 1
+    data_qubits = tuple(data_qubits)
+    for q in data_qubits:
+        if not 0 <= q < num_qubits:
+            raise ConfigurationError(
+                f"qubit index {q} out of range for {num_qubits}-qubit state"
+            )
+    if len(set(data_qubits)) != len(data_qubits):
+        raise ConfigurationError(f"repeated qubit index in {data_qubits}")
+    spec._check_shapes(thetas.shape[1], len(data_qubits))
+    if not np.all(np.isfinite(thetas)):
+        raise ConfigurationError("parameter vector contains non-finite values")
+    rows = max(thetas.shape[0], amplitudes.shape[0])
+    psi = np.array(np.broadcast_to(amplitudes, (rows, amplitudes.shape[1])), dtype=np.complex128)
+    # One cos/sin column per angle, shaped to broadcast over a kernel view.
+    cos = np.cos(thetas / 2.0)[:, :, None, None]
+    sin = np.sin(thetas / 2.0)[:, :, None, None]
+    for kind, a, b in spec.schedule:
+        if kind == "RY":
+            _ry_rows(psi, data_qubits[a], cos[:, b], sin[:, b])
+        else:
+            _cz_rows(psi, data_qubits[a], data_qubits[b])
+    return psi
+
+
 def apply_ansatz(
     spec: AnsatzSpec,
     theta: ParameterVector,
@@ -116,10 +187,5 @@ def apply_ansatz(
     data_qubits: Sequence[int],
 ) -> StateVector:
     """Apply the parameterized circuit to `data_qubits`, identity elsewhere."""
-    data_qubits = tuple(data_qubits)
-    _check_qubits(state, data_qubits)
-    ops = spec.operations(theta, data_qubits)
-    psi = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    for op in ops:
-        _apply_op(psi, op)
-    return StateVector(state.num_qubits, psi.reshape(-1))
+    out = run_ansatz(spec, theta.values[None, :], state.amplitudes[None, :], data_qubits)
+    return StateVector(state.num_qubits, out[0])

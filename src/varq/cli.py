@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -58,6 +59,8 @@ DEFAULTS = {
 def _parse_task(task: str | None) -> tuple[str, str]:
     if not task:
         raise ConfigurationError("no task given; use --task CLASS0-vs-CLASS1")
+    if not isinstance(task, str):
+        raise ConfigurationError(f"task must be a string like 'setosa-vs-versicolor', got {task!r}")
     parts = task.lower().split("-vs-")
     if len(parts) != 2:
         raise ConfigurationError(
@@ -74,6 +77,8 @@ def _load_config_file(path: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -95,31 +100,59 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _cast(opts: dict, key: str, kind: type):
+    """opts[key] checked against its type: an int option takes an integer,
+    a float option any number, a str option a string. Config-file values
+    of another type are a configuration error, not a crash."""
+    value = opts[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return kind(value)
+    raise ConfigurationError(f"option {key} must be {kind.__name__}, got {value!r}")
+
+
 def _build_run(opts: dict):
     """Validate every option up front and assemble the run ingredients."""
     class0, class1 = _parse_task(opts["task"])
-    data_path = default_data_path(opts["data"])
+    data_path = default_data_path(None if opts["data"] is None else _cast(opts, "data", str))
     records = load_iris(data_path)
-    task = make_task(records, class0, class1, test_fraction=0.2, seed=int(opts["seed_split"]))
+    task = make_task(records, class0, class1, test_fraction=0.2, seed=_cast(opts, "seed_split", int))
     train_enc = encode_dataset(task.train)
     test_enc = encode_dataset(task.test)
     if not train_enc:
         raise ConfigurationError("training split is empty")
     k = train_enc[0].state.num_qubits
-    spec = AnsatzSpec(k=k, layers=int(opts["layers"]), template=opts["template"])
-    mode = EXACT if opts["shots"] is None else Shots(int(opts["shots"]), int(opts["seed_shots"]))
+    spec = AnsatzSpec(k=k, layers=_cast(opts, "layers", int), template=opts["template"])
+    mode = EXACT
+    if opts["shots"] is not None:
+        mode = Shots(_cast(opts, "shots", int), _cast(opts, "seed_shots", int))
     config = TrainConfig(
-        n=int(opts["n"]),
-        epochs=int(opts["epochs"]),
-        learning_rate=float(opts["lr"]),
-        fd_epsilon=float(opts["fd_eps"]),
+        n=_cast(opts, "n", int),
+        epochs=_cast(opts, "epochs", int),
+        learning_rate=_cast(opts, "lr", float),
+        fd_epsilon=_cast(opts, "fd_eps", float),
         update_cadence=opts["cadence"],
-        seed=int(opts["seed_batch"]),
+        seed=_cast(opts, "seed_batch", int),
         mode=mode,
-        decision_threshold=float(opts["decision_threshold"]),
-        readout_qubit=int(opts["readout_qubit"]),
+        decision_threshold=_cast(opts, "decision_threshold", float),
+        readout_qubit=_cast(opts, "readout_qubit", int),
     )
     return task, train_enc, test_enc, spec, config, str(data_path)
+
+
+def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
+    """The three artifact paths, checked for writability before training."""
+    paths = []
+    for key in ("out_metrics", "out_summary", "out_params"):
+        path = Path(_cast(opts, key, str))
+        if not path.parent.is_dir():
+            raise ConfigurationError(f"option {key}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ConfigurationError(f"option {key}: {path} is a directory")
+        if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
+            raise ConfigurationError(f"option {key}: {path} is not writable")
+        paths.append(path)
+    return tuple(paths)
 
 
 def _config_echo(opts: dict, data_path: str, k: int) -> dict:
@@ -140,13 +173,13 @@ def _print_results_table(rows: list[tuple[str, str, float, float | None]]) -> No
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
-    theta0 = init_parameters(spec, int(opts["seed_init"]))
+    metrics_path, summary_path, params_path = _output_paths(opts)
+    theta0 = init_parameters(spec, _cast(opts, "seed_init", int))
 
     start = time.perf_counter()
     theta, metrics = train(train_enc, test_enc, spec, config, initial_theta=theta0)
     wall = time.perf_counter() - start
 
-    metrics_path = Path(opts["out_metrics"])
     with open(metrics_path, "w") as f:
         for m in metrics:
             f.write(
@@ -161,7 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 + "\n"
             )
 
-    Path(opts["out_params"]).write_text(json.dumps(list(theta.values)) + "\n")
+    params_path.write_text(json.dumps(list(theta.values)) + "\n")
 
     final = metrics[-1]
     summary = {
@@ -175,11 +208,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         "wall_time_s": wall,
         "config": _config_echo(opts, data_path, spec.k),
     }
-    Path(opts["out_summary"]).write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
     _print_results_table([(task.class0, task.class1, final.train_accuracy, final.test_accuracy)])
     print(
-        f"wrote {metrics_path}, {opts['out_summary']}, {opts['out_params']} "
+        f"wrote {metrics_path}, {summary_path}, {params_path} "
         f"({wall:.1f}s, {len(metrics)} epochs)"
     )
     return EXIT_OK
@@ -189,11 +222,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
 
-    params_path = getattr(args, "params", None) or opts["out_params"]
+    params_path = getattr(args, "params", None) or _cast(opts, "out_params", str)
     try:
         values = json.loads(Path(params_path).read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"parameter file not found: {params_path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read parameter file {params_path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"parameter file {params_path} is not valid JSON: {exc}")
     if not isinstance(values, list) or len(values) != spec.parameter_count:
@@ -201,6 +236,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"parameter file holds {len(values) if isinstance(values, list) else 'non-list'}"
             f" values, ansatz needs {spec.parameter_count}"
         )
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigurationError(f"parameter file {params_path} must hold a list of numbers")
     theta = ParameterVector(values)
 
     report = {
@@ -223,7 +260,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     n_max = int(args.n_max if args.n_max is not None else 12)
     if not (1 <= n_min <= n_max <= 20):
         raise ConfigurationError(f"n range must satisfy 1 <= min <= max <= 20, got {n_min}..{n_max}")
-    spec = AnsatzSpec(k=2, layers=int(opts["layers"]), template=opts["template"])
+    spec = AnsatzSpec(k=2, layers=_cast(opts, "layers", int), template=opts["template"])
     rows = cost_table(n_min, n_max, spec)
     cols = ["N", "hadamards", "qram_routing", "ansatz_gates", "swap_test_gates", "total", "sequential_baseline"]
     print(" ".join(f"{c:>19}" for c in cols))

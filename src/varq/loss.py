@@ -7,15 +7,21 @@ for the upper half. Training minimizes
     loss = 1 - overlap,   overlap = Tr(rho_sub |label><label|)
 
 where rho_sub is the reduced state of the batched circuit output on the
-readout qubit plus the control qubits. The overlap is measured by the
-standard ancilla swap test (H, one CSWAP per compared pair, H, readout):
-p(ancilla=0) = (1 + overlap) / 2. Since the compared subsystems differ
-only when the data register has more than one qubit, this reduces to the
-pure-state overlap |<data|label>|^2 for a single data qubit.
+readout qubit plus the control qubits. On hardware the overlap is read
+by the ancilla swap test (H, one CSWAP per compared pair, H, readout),
+whose ancilla-zero probability is p0 = (1 + overlap) / 2 (Buhrman et
+al., "Quantum fingerprinting", quant-ph/0102001). The label state is
+pure, so the simulator evaluates that probability in closed form:
 
-Exact mode reads the ancilla probability from the statevector; shots
-mode draws Bernoulli outcomes at that probability and reports the
-empirical frequency.
+    overlap = || (<label| (x) I_env) psi ||^2
+
+contracting the label with the compared qubits of the (k+n)-qubit output
+psi and summing over the remaining data qubits. No joint register is
+built; the working set is 2^(k+n) amplitudes per stack row. The
+gate-level CSWAP circuit lives in the test oracles as the reference.
+
+Exact mode reports p0 itself; shots mode draws Bernoulli outcomes at p0
+and reports the empirical frequency.
 """
 
 from __future__ import annotations
@@ -26,17 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, apply_ansatz
+from .ansatz import AnsatzSpec, ParameterVector, run_ansatz
 from .errors import ConfigurationError
 from .qram import QramStore, query_superposed
-from .statevector import (
-    GateOp,
-    StateVector,
-    _apply_cnot,
-    _apply_cswap,
-    _apply_h,
-    _axis_slices,
-)
+from .statevector import GateOp, StateVector, _apply_cnot, _apply_h
 
 EXACT = "exact"
 
@@ -115,6 +114,62 @@ def swap_test_gate_count(n: int) -> int:
     return 2 + (n + 1)
 
 
+def _check_compared(
+    num_qubits: int, n: int, readout_qubit: int, control_qubits: tuple[int, ...]
+) -> None:
+    """Validate the qubits a swap test compares against an n-control label."""
+    if len(control_qubits) != n:
+        raise ConfigurationError(
+            f"label expects {n} control qubits, got {len(control_qubits)}"
+        )
+    k = num_qubits - n
+    if k < 1:
+        raise ConfigurationError(
+            f"data state has {num_qubits} qubits, too few for {n} controls plus a readout"
+        )
+    compared = (readout_qubit,) + control_qubits
+    if len(set(compared)) != len(compared):
+        raise ConfigurationError(f"readout/control qubits overlap: {compared}")
+    if not 0 <= readout_qubit < k:
+        raise ConfigurationError(
+            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
+        )
+    for q in control_qubits:
+        if not 0 <= q < num_qubits:
+            raise ConfigurationError(f"control qubit {q} out of range for {num_qubits}-qubit state")
+
+
+def _p_zero(
+    psi: np.ndarray, label: LabelState, readout_qubit: int, control_qubits: tuple[int, ...]
+) -> np.ndarray:
+    """Closed-form ancilla-zero probability for each row of psi (rows, 2^q).
+
+    The compared qubits (readout, then controls) become one axis of size
+    2^(n+1) and the other qubits the environment axis; contracting the
+    label over the first leaves one amplitude per environment index.
+    """
+    rows, dim = psi.shape
+    num_qubits = dim.bit_length() - 1
+    compared = (readout_qubit,) + control_qubits
+    env = [q for q in range(num_qubits) if q not in compared]
+    axes = [0] + [1 + q for q in compared] + [1 + q for q in env]
+    grouped = psi.reshape((rows,) + (2,) * num_qubits).transpose(axes)
+    grouped = grouped.reshape(rows, 1 << len(compared), 1 << len(env))
+    amps = label.state.amplitudes.conj() @ grouped
+    overlap = np.sum(np.abs(amps) ** 2, axis=1)
+    return 0.5 * (1.0 + overlap)
+
+
+def _read_out(p_zero: float, mode: str | Shots) -> SwapTestResult:
+    if mode == EXACT:
+        return SwapTestResult(p_zero=p_zero, shots=None)
+    if isinstance(mode, Shots):
+        rng = np.random.default_rng(mode.seed)
+        hits = int(np.count_nonzero(rng.random(mode.count) < p_zero))
+        return SwapTestResult(p_zero=hits / mode.count, shots=mode.count)
+    raise ConfigurationError(f"unknown swap-test mode {mode!r}")
+
+
 def swap_test(
     data_state: StateVector,
     label: LabelState,
@@ -125,56 +180,41 @@ def swap_test(
     """Ancilla swap test between the label state and the subsystem
     (readout qubit + control qubits) of the data state.
 
-    The joint register is ancilla (qubit 0), the data state, then the
-    label state. CSWAPs pair the readout qubit with the label's data
-    qubit and each control with its label counterpart.
+    The readout qubit is paired with the label's data qubit and each
+    control with its label counterpart, as the CSWAPs of the circuit
+    would pair them.
     """
-    n = label.n
     control_qubits = tuple(control_qubits)
-    if len(control_qubits) != n:
+    _check_compared(data_state.num_qubits, label.n, readout_qubit, control_qubits)
+    p_zero = _p_zero(data_state.amplitudes[None, :], label, readout_qubit, control_qubits)
+    return _read_out(float(p_zero[0]), mode)
+
+
+def stacked_loss(
+    store: QramStore,
+    spec: AnsatzSpec,
+    thetas: np.ndarray,
+    modes: list[str | Shots],
+    readout_qubit: int = 0,
+) -> np.ndarray:
+    """1 - overlap for one batch at each row of thetas (rows, P).
+
+    The batch is retrieved once, the ansatz runs on all rows in one
+    stacked pass, and row i is read out in modes[i].
+    """
+    if store.k != spec.k:
         raise ConfigurationError(
-            f"label expects {n} control qubits, got {len(control_qubits)}"
+            f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
-    dq = data_state.num_qubits
-    k = dq - n
-    if k < 1:
-        raise ConfigurationError(
-            f"data state has {dq} qubits, too few for {n} controls plus a readout"
-        )
-    compared = (readout_qubit,) + control_qubits
-    if len(set(compared)) != len(compared):
-        raise ConfigurationError(f"readout/control qubits overlap: {compared}")
-    if not 0 <= readout_qubit < k:
-        raise ConfigurationError(
-            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
-        )
-    for q in control_qubits:
-        if not 0 <= q < dq:
-            raise ConfigurationError(f"control qubit {q} out of range for {dq}-qubit state")
-
-    total = 1 + dq + (n + 1)
-    joint = np.kron(
-        np.kron(np.array([1.0, 0.0], dtype=np.complex128), data_state.amplitudes),
-        label.state.amplitudes,
-    ).reshape([2] * total)
-    data_off, label_off = 1, 1 + dq
-
-    _apply_h(joint, 0)
-    _apply_cswap(joint, 0, data_off + readout_qubit, label_off + 0)
-    for j, q in enumerate(control_qubits):
-        _apply_cswap(joint, 0, data_off + q, label_off + 1 + j)
-    _apply_h(joint, 0)
-
-    sel = joint[_axis_slices(total, [(0, 0)])]
-    p_zero = float(np.sum(np.abs(sel) ** 2))
-
-    if mode == EXACT:
-        return SwapTestResult(p_zero=p_zero, shots=None)
-    if isinstance(mode, Shots):
-        rng = np.random.default_rng(mode.seed)
-        hits = int(np.count_nonzero(rng.random(mode.count) < p_zero))
-        return SwapTestResult(p_zero=hits / mode.count, shots=mode.count)
-    raise ConfigurationError(f"unknown swap-test mode {mode!r}")
+    if len(modes) != len(thetas):
+        raise ConfigurationError(f"{len(thetas)} angle vectors but {len(modes)} readout modes")
+    controls = tuple(range(store.k, store.k + store.n))
+    _check_compared(store.k + store.n, store.n, readout_qubit, controls)
+    label = prepare_label_state(store.n)
+    state = query_superposed(store)
+    psi = run_ansatz(spec, thetas, state.amplitudes[None, :], range(spec.k))
+    p_zero = _p_zero(psi, label, readout_qubit, controls)
+    return np.array([1.0 - _read_out(float(p), mode).overlap for p, mode in zip(p_zero, modes)])
 
 
 def batched_loss(
@@ -186,13 +226,4 @@ def batched_loss(
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n."""
-    if store.k != spec.k:
-        raise ConfigurationError(
-            f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
-        )
-    state = query_superposed(store)
-    state = apply_ansatz(spec, theta, state, tuple(range(spec.k)))
-    label = prepare_label_state(store.n)
-    controls = tuple(range(store.k, store.k + store.n))
-    result = swap_test(state, label, readout_qubit, controls, mode)
-    return 1.0 - result.overlap
+    return float(stacked_loss(store, spec, theta.values[None, :], [mode], readout_qubit)[0])

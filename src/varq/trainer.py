@@ -2,28 +2,34 @@
 
 Each epoch partitions the training set into balanced 2^n-sample batches
 (per-class shuffle seeded by seed+epoch, leftovers dropped for that
-epoch), builds one store per batch, and walks theta down the numerical
-gradient of the batched loss. Updates happen after every batch
-("per_batch", the default) or once per epoch on the mean gradient
-("per_epoch"). Everything is deterministic for a fixed config and seed
-in exact mode.
+epoch), builds one store per batch, and walks theta down the
+central-difference gradient of the batched loss. A batch's loss and
+gradient come from one stacked pass over 2P+1 angle vectors: theta,
+then theta + eps*e_j and theta - eps*e_j for each j. Updates happen
+after every batch ("per_batch", the default) or once per epoch on the
+mean gradient ("per_epoch"). Accuracy classifies samples through the
+same stacked circuit, CLASSIFY_CHUNK samples per pass. Everything is
+deterministic for a fixed config and seed in exact mode; in shots mode
+each loss evaluation draws its own sub-seed, in probe order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, apply_ansatz, init_parameters
+from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
 from .encoding import EncodedSample
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, batched_loss
+from .loss import EXACT, Shots, stacked_loss
 from .qram import QramStore, build_store
-from .statevector import measure_probability
 
 _CADENCES = ("per_batch", "per_epoch")
+# Samples per stacked classification pass: bounds accuracy's working set.
+CLASSIFY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,11 +49,14 @@ class TrainConfig:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        # 0 is allowed so the null-update sanity case stays constructible.
-        if self.learning_rate < 0:
+        # 0 is allowed so the null-update sanity case stays constructible;
+        # +inf is allowed and ends the run as a divergence.
+        if not self.learning_rate >= 0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.fd_epsilon <= 0:
-            raise ConfigurationError(f"fd_epsilon must be > 0, got {self.fd_epsilon}")
+        if not (math.isfinite(self.fd_epsilon) and self.fd_epsilon > 0):
+            raise ConfigurationError(
+                f"fd_epsilon must be finite and > 0, got {self.fd_epsilon}"
+            )
         if self.update_cadence not in _CADENCES:
             raise ConfigurationError(
                 f"update_cadence must be one of {_CADENCES}, got {self.update_cadence!r}"
@@ -73,9 +82,12 @@ def numerical_gradient(
     theta: ParameterVector,
     fd_epsilon: float,
 ) -> np.ndarray:
-    """Central differences per coordinate: (L(t+e) - L(t-e)) / 2e."""
-    if fd_epsilon <= 0:
-        raise ConfigurationError(f"fd_epsilon must be > 0, got {fd_epsilon}")
+    """Central differences per coordinate: (L(t+e) - L(t-e)) / 2e.
+
+    The per-coordinate reference for batch_loss_and_gradient.
+    """
+    if not (math.isfinite(fd_epsilon) and fd_epsilon > 0):
+        raise ConfigurationError(f"fd_epsilon must be finite and > 0, got {fd_epsilon}")
     base = theta.values
     grad = np.empty(base.shape[0], dtype=np.float64)
     for j in range(base.shape[0]):
@@ -85,12 +97,42 @@ def numerical_gradient(
         down[j] -= fd_epsilon
         lp = loss_fn(ParameterVector(up))
         lm = loss_fn(ParameterVector(down))
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise OptimizationError(
-                f"non-finite loss while probing parameter {j}: {lp}, {lm}"
-            )
+        _check_probe(j, lp, lm)
         grad[j] = (lp - lm) / (2.0 * fd_epsilon)
     return grad
+
+
+def _check_probe(j: int, lp: float, lm: float) -> None:
+    if not (np.isfinite(lp) and np.isfinite(lm)):
+        raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
+
+
+def probe_angles(theta: ParameterVector, fd_epsilon: float) -> np.ndarray:
+    """The 2P+1 angle vectors of one central-difference gradient, as rows:
+    theta, then theta + eps*e_j and theta - eps*e_j for j = 0..P-1."""
+    count = len(theta)
+    probes = np.tile(theta.values, (2 * count + 1, 1))
+    j = np.arange(count)
+    probes[1 + 2 * j, j] += fd_epsilon
+    probes[2 + 2 * j, j] -= fd_epsilon
+    return probes
+
+
+def batch_loss_and_gradient(
+    store: QramStore,
+    spec: AnsatzSpec,
+    theta: ParameterVector,
+    fd_epsilon: float,
+    modes: list[str | Shots],
+    readout_qubit: int = 0,
+) -> tuple[float, np.ndarray]:
+    """Loss at theta and its central-difference gradient for one batch,
+    from one stacked pass over probe_angles; probe i is read in modes[i]."""
+    losses = stacked_loss(store, spec, probe_angles(theta, fd_epsilon), modes, readout_qubit)
+    up, down = losses[1::2], losses[2::2]
+    for j in np.flatnonzero(~(np.isfinite(up) & np.isfinite(down))):
+        _check_probe(int(j), up[j], down[j])
+    return float(losses[0]), (up - down) / (2.0 * fd_epsilon)
 
 
 def make_batches(
@@ -122,6 +164,31 @@ def make_batches(
     return stores
 
 
+def _predict(
+    samples: Sequence[EncodedSample],
+    spec: AnsatzSpec,
+    theta: ParameterVector,
+    readout_qubit: int,
+    threshold: float,
+) -> np.ndarray:
+    """Class decisions for samples, in one stacked pass: p(readout=1) at
+    or above the threshold is class 1."""
+    for s in samples:
+        if s.state.num_qubits != spec.k:
+            raise ConfigurationError(
+                f"sample has {s.state.num_qubits} qubits, ansatz spans {spec.k}"
+            )
+    if not 0 <= readout_qubit < spec.k:
+        raise ConfigurationError(
+            f"readout qubit {readout_qubit} out of range for {spec.k}-qubit state"
+        )
+    amplitudes = np.array([s.state.amplitudes for s in samples])
+    out = run_ansatz(spec, theta.values[None, :], amplitudes, range(spec.k))
+    ones = out.reshape(len(samples), 1 << readout_qubit, 2, -1)[:, :, 1]
+    p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
+    return (p_one >= threshold).astype(int)
+
+
 def classify(
     sample: EncodedSample,
     spec: AnsatzSpec,
@@ -133,13 +200,7 @@ def classify(
 
     Ties at the threshold go to class 1.
     """
-    if sample.state.num_qubits != spec.k:
-        raise ConfigurationError(
-            f"sample has {sample.state.num_qubits} qubits, ansatz spans {spec.k}"
-        )
-    out = apply_ansatz(spec, theta, sample.state, tuple(range(spec.k)))
-    p_one = measure_probability(out, readout_qubit, 1)
-    return 1 if p_one >= threshold else 0
+    return int(_predict([sample], spec, theta, readout_qubit, threshold)[0])
 
 
 def accuracy(
@@ -152,11 +213,11 @@ def accuracy(
     """Fraction classified correctly; None for an empty sample list."""
     if not samples:
         return None
-    hits = sum(
-        1
-        for s in samples
-        if classify(s, spec, theta, readout_qubit, threshold) == s.label
-    )
+    hits = 0
+    for start in range(0, len(samples), CLASSIFY_CHUNK):
+        chunk = samples[start : start + CLASSIFY_CHUNK]
+        labels = np.array([s.label for s in chunk])
+        hits += int(np.count_nonzero(_predict(chunk, spec, theta, readout_qubit, threshold) == labels))
     return hits / len(samples)
 
 
@@ -199,9 +260,10 @@ def train(
         # Fresh sub-seed per evaluation, deterministic in sequence.
         return Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
 
-    def loss_at(store: QramStore, th: ParameterVector) -> float:
-        return batched_loss(
-            store, spec, th, mode=eval_mode(), readout_qubit=config.readout_qubit
+    def loss_and_gradient(store: QramStore) -> tuple[float, np.ndarray]:
+        modes = [eval_mode() for _ in range(2 * len(theta) + 1)]
+        return batch_loss_and_gradient(
+            store, spec, theta, config.fd_epsilon, modes, config.readout_qubit
         )
 
     metrics: list[EpochMetrics] = []
@@ -210,17 +272,15 @@ def train(
         batch_losses = []
         if config.update_cadence == "per_batch":
             for store in stores:
-                value = loss_at(store, theta)
-                grad = numerical_gradient(lambda th: loss_at(store, th), theta, config.fd_epsilon)
+                value, grad = loss_and_gradient(store)
                 theta = _step(theta, config.learning_rate * grad, epoch)
                 batch_losses.append(value)
         else:
             grad_sum = np.zeros(len(theta))
             for store in stores:
-                batch_losses.append(loss_at(store, theta))
-                grad_sum += numerical_gradient(
-                    lambda th: loss_at(store, th), theta, config.fd_epsilon
-                )
+                value, grad = loss_and_gradient(store)
+                batch_losses.append(value)
+                grad_sum += grad
             theta = _step(theta, config.learning_rate * grad_sum / len(stores), epoch)
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):

@@ -163,3 +163,59 @@ def random_state(rng, n):
 def random_real_state(rng, n):
     v = rng.standard_normal(1 << n)
     return (v / np.linalg.norm(v)).astype(complex)
+
+
+def swap_test_circuit_p_zero(data_amps, data_qubits, readout, controls, label_amps):
+    """Ancilla-zero probability of the gate-level swap test.
+
+    The joint register is the ancilla (qubit 0), the data state, then the
+    label state, built as a Kronecker product. H on the ancilla, one CSWAP
+    per compared pair (the readout with label qubit 0, control j with
+    label qubit 1 + j), H again, then read the ancilla. A CSWAP controlled
+    by the ancilla exchanges the two qubit axes in its |1> branch.
+    """
+    label_qubits = len(label_amps).bit_length() - 1
+    total = 1 + data_qubits + label_qubits
+    joint = np.kron(np.kron([1.0, 0.0], data_amps), label_amps).reshape([2] * total)
+
+    def hadamard_on_ancilla(t):
+        return np.stack([t[0] + t[1], t[0] - t[1]]) / np.sqrt(2.0)
+
+    joint = hadamard_on_ancilla(joint)
+    pairs = [(readout, data_qubits)] + [
+        (c, data_qubits + 1 + j) for j, c in enumerate(controls)
+    ]
+    for a, b in pairs:
+        # Axes of joint[1] are the joint qubits shifted down by the ancilla.
+        joint[1] = np.swapaxes(joint[1], a, b).copy()
+    joint = hadamard_on_ancilla(joint)
+    return float(np.sum(np.abs(joint[0]) ** 2))
+
+
+def apply_gates_local(amps, n, gates):
+    """Apply package GateOp values one at a time to an n-qubit state.
+
+    Each gate's matrix is built over its own qubits only (controls first)
+    and contracted with those axes, so no 2^n x 2^n matrix is formed.
+    """
+    psi = np.asarray(amps, dtype=complex).reshape([2] * n)
+    for g in gates:
+        qubits = list(g.controls) + list(g.targets)
+        m = len(qubits)
+        local = dense_gate_matrix(
+            m, g.kind, tuple(range(len(g.controls), m)), tuple(range(len(g.controls))), g.angle
+        ).reshape([2] * (2 * m))
+        psi = np.tensordot(local, psi, axes=(list(range(m, 2 * m)), qubits))
+        psi = np.moveaxis(psi, list(range(m)), qubits)
+    return psi.reshape(-1)
+
+
+def gate_level_loss(cells, n, gates, readout):
+    """1 - overlap of one batch, gate by gate: place the 2^n cells by index
+    arithmetic, apply the ansatz gates, run the CSWAP swap-test circuit
+    against the label state."""
+    k = len(cells[0]).bit_length() - 1
+    state = apply_gates_local(amplitude_placement(cells, n), k + n, gates)
+    controls = list(range(k, k + n))
+    p_zero = swap_test_circuit_p_zero(state, k + n, readout, controls, label_state_vector(n))
+    return 2.0 - 2.0 * p_zero

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from varq import cli
 from varq.cli import main
 
 TRAIN_ARGS = ["train", "--task", "setosa-vs-versicolor", "--epochs", "3"]
@@ -112,6 +113,25 @@ class TestTrainCommand:
         assert code == 3
         assert "optimization" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--fd-eps"])
+    def test_nan_step_settings_exit_2(self, tmp_path, capsys, flag):
+        code = run_train(tmp_path, extra=[flag, "nan"], epochs=1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_unwritable_output_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        code = run_train(tmp_path, extra=["--out-metrics", str(tmp_path / "absent" / "m.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "absent" in err
+        assert not (tmp_path / "summary.json").exists()
+        assert not (tmp_path / "params.json").exists()
+
     def test_shots_mode_completes(self, tmp_path):
         code = run_train(tmp_path, extra=["--shots", "64", "--seed-shots", "11"], epochs=1)
         assert code == 0
@@ -163,6 +183,16 @@ class TestConfigFile:
         config.write_text("{not json")
         assert main(["train", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [{"n": "abc"}, {"task": 5}, {"lr": [1]}, {"n": 2.7}, {"out_params": 5}]
+    )
+    def test_mistyped_config_values_exit_2(self, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"task": "setosa-vs-versicolor", **content}))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -202,6 +232,19 @@ class TestEvalCommand:
             ["eval", "--task", "setosa-vs-versicolor", "--params", str(params)]
         )
         assert code == 2
+
+    def test_non_numeric_parameters_exit_2(self, tmp_path, capsys):
+        params = tmp_path / "strings.json"
+        params.write_text(json.dumps(["a"] * 8))
+        code = main(["eval", "--task", "setosa-vs-versicolor", "--params", str(params)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "numbers" in err
+
+    def test_parameter_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        code = main(["eval", "--task", "setosa-vs-versicolor", "--params", str(tmp_path)])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_missing_parameter_file_exits_2(self, tmp_path):
         code = main(

@@ -114,6 +114,24 @@ class TestSwapTest:
             )
             assert_allclose(result.p_zero, expected, atol=1e-10)
 
+    def test_closed_form_matches_cswap_circuit(self):
+        # Random widths, readouts and control placements, including
+        # controls interleaved with the data qubits.
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 4))
+            amps = oracles.random_state(rng, k + n)
+            readout = int(rng.integers(k))
+            others = [q for q in range(k + n) if q != readout]
+            controls = tuple(int(q) for q in rng.permutation(others)[:n])
+            label = prepare_label_state(n)
+            got = swap_test(StateVector(k + n, amps), label, readout, controls, EXACT).p_zero
+            want = oracles.swap_test_circuit_p_zero(
+                amps, k + n, readout, controls, label.state.amplitudes
+            )
+            assert abs(got - want) < 1e-12
+
     def test_p_zero_never_below_half_in_exact_mode(self):
         label = prepare_label_state(2)
         for _ in range(50):

@@ -31,6 +31,7 @@ from varq import (
     numerical_gradient,
     train,
 )
+from varq.trainer import CLASSIFY_CHUNK, batch_loss_and_gradient, probe_angles
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
@@ -65,6 +66,15 @@ class TestTrainConfig:
     def test_non_positive_fd_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(fd_epsilon=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fd_epsilon_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(fd_epsilon=value)
+
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=float("nan"))
 
     def test_unknown_cadence_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -119,6 +129,75 @@ class TestNumericalGradient:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             numerical_gradient(lambda th: 0.0, ParameterVector([0.0]), 0.0)
+
+
+class TestStackedPass:
+    def test_probe_order_is_base_then_plus_minus_per_coordinate(self):
+        probes = probe_angles(ParameterVector([0.5, -1.0]), 0.25)
+        assert_allclose(
+            probes,
+            [[0.5, -1.0], [0.75, -1.0], [0.25, -1.0], [0.5, -0.75], [0.5, -1.25]],
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_loss_and_gradient_match_per_probe_gate_level_circuit(self, n):
+        # The reference runs each probe alone through the gate list and
+        # the CSWAP swap-test circuit. Its joint register has 2^(2n+k+2)
+        # amplitudes, so the large-n cases use one layer to stay fast.
+        rng = np.random.default_rng(300 + n)
+        for k, readout in ((2, 0), (2, 1), (1, 0)):
+            spec = default_ansatz(k, layers=4 if n <= 6 else 1)
+            store = build_store(random_samples(rng, n, k))
+            theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+            cells = [c.state.amplitudes for c in store.cells]
+
+            def reference(th):
+                ops = spec.operations(th, tuple(range(k)))
+                return oracles.gate_level_loss(cells, n, ops, readout)
+
+            modes = ["exact"] * (2 * len(theta) + 1)
+            loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, modes, readout)
+            assert abs(loss - reference(theta)) < 1e-12
+            assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
+            assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
+
+    def test_non_finite_probe_loss_names_the_parameter(self, monkeypatch):
+        spec = default_ansatz(1, layers=2)
+        store = build_store(random_samples(RNG, 1, 1))
+
+        def poisoned(*args):
+            losses = np.zeros(5)
+            losses[3] = np.nan  # theta + eps * e_1
+            return losses
+
+        monkeypatch.setattr("varq.trainer.stacked_loss", poisoned)
+        with pytest.raises(OptimizationError, match="parameter 1"):
+            batch_loss_and_gradient(store, spec, ParameterVector([0.1, 0.2]), 1e-3, ["exact"] * 5)
+
+    def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
+        rng = np.random.default_rng(31)
+        spec = default_ansatz(2, layers=3)
+        theta = init_parameters(spec, seed=4)
+        ops = spec.operations(theta, (0, 1))
+        samples = [
+            sample_from_amps(oracles.random_real_state(rng, 2), int(rng.integers(2)))
+            for _ in range(CLASSIFY_CHUNK + 1)
+        ]
+        hits = 0
+        for s in samples:
+            evolved = oracles.apply_gates_local(s.state.amplitudes, 2, ops)
+            p_one = float(np.sum(np.abs(evolved[2:]) ** 2))
+            decision = 1 if p_one >= 0.5 else 0
+            assert classify(s, spec, theta) == decision
+            hits += decision == s.label
+        assert accuracy(samples, spec, theta) == hits / len(samples)
+
+    def test_accuracy_rejects_a_sample_of_the_wrong_width(self):
+        spec = default_ansatz(2, layers=1)
+        samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([1, 0], 1)]
+        with pytest.raises(ConfigurationError):
+            accuracy(samples, spec, ParameterVector([0.0, 0.0]))
 
 
 class TestMakeBatches:
