@@ -17,7 +17,7 @@ from .ansatz import (
     init_parameters,
     run_ansatz,
 )
-from .costmodel import cost_table, forward_pass_cost, sequential_baseline
+from .costmodel import QueryCost, cost_table, forward_pass_cost, sequential_baseline
 from .dataset import BinaryTask, IrisRecord, default_data_path, load_iris, make_task
 from .encoding import EncodedSample, FeatureVector, amplitude_encode, encode_dataset, num_qubits_for
 from .errors import (
@@ -38,18 +38,8 @@ from .loss import (
     stacked_loss,
     swap_test,
 )
-from .qram import QramStore, QueryCost, build_store, load_store, query_cost, query_superposed, save_store
-from .statevector import (
-    DensityMatrix,
-    GateOp,
-    StateVector,
-    apply_gate,
-    apply_gates,
-    hadamard_layer,
-    inner_product,
-    measure_probability,
-    partial_trace,
-)
+from .qram import QramStore, build_store, query_superposed
+from .statevector import GateOp, StateVector
 from .trainer import (
     EpochMetrics,
     TrainConfig,
@@ -69,7 +59,6 @@ __all__ = [
     "BinaryTask",
     "ConfigurationError",
     "DataError",
-    "DensityMatrix",
     "EXACT",
     "EncodedSample",
     "EncodingError",
@@ -91,8 +80,6 @@ __all__ = [
     "accuracy",
     "amplitude_encode",
     "apply_ansatz",
-    "apply_gate",
-    "apply_gates",
     "batch_loss_and_gradient",
     "batched_loss",
     "build_store",
@@ -102,23 +89,16 @@ __all__ = [
     "default_data_path",
     "encode_dataset",
     "forward_pass_cost",
-    "hadamard_layer",
     "init_parameters",
-    "inner_product",
     "load_iris",
-    "load_store",
     "make_batches",
     "make_task",
-    "measure_probability",
     "num_qubits_for",
     "numerical_gradient",
-    "partial_trace",
     "prepare_label_state",
     "probe_angles",
-    "query_cost",
     "query_superposed",
     "run_ansatz",
-    "save_store",
     "sequential_baseline",
     "stacked_loss",
     "swap_test",

@@ -74,11 +74,13 @@ def _parse_task(task: str | None) -> tuple[str, str]:
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -224,11 +226,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     params_path = getattr(args, "params", None) or _cast(opts, "out_params", str)
     try:
-        values = json.loads(Path(params_path).read_text())
+        values = json.loads(Path(params_path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"parameter file not found: {params_path}")
     except OSError as exc:
         raise ConfigurationError(f"cannot read parameter file {params_path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"parameter file {params_path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"parameter file {params_path} is not valid JSON: {exc}")
     if not isinstance(values, list) or len(values) != spec.parameter_count:
@@ -256,10 +260,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    n_min = int(args.n_min if args.n_min is not None else 1)
-    n_max = int(args.n_max if args.n_max is not None else 12)
-    if not (1 <= n_min <= n_max <= 20):
-        raise ConfigurationError(f"n range must satisfy 1 <= min <= max <= 20, got {n_min}..{n_max}")
+    n_min = 1 if args.n_min is None else args.n_min
+    n_max = 12 if args.n_max is None else args.n_max
     spec = AnsatzSpec(k=2, layers=_cast(opts, "layers", int), template=opts["template"])
     rows = cost_table(n_min, n_max, spec)
     cols = ["N", "hadamards", "qram_routing", "ansatz_gates", "swap_test_gates", "total", "sequential_baseline"]

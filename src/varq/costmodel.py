@@ -19,10 +19,48 @@ state, hence linear in N.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .ansatz import AnsatzSpec
-from .errors import ConfigurationError
-from .loss import swap_test_gate_count
-from .qram import ROUTING_STEPS_PER_LEVEL, QueryCost
+from .errors import ConfigurationError, QramError
+
+# Routing steps charged per level of the address tree: one activation
+# plus one routing step. Any fixed constant preserves the scaling story;
+# this one makes the cost tables reproducible.
+ROUTING_STEPS_PER_LEVEL = 2
+
+
+@dataclass(frozen=True)
+class QueryCost:
+    """Primitive-operation tally for one forward pass, by circuit block."""
+
+    hadamards: int
+    qram_routing: int
+    ansatz_gates: int
+    swap_test_gates: int
+
+    def __post_init__(self):
+        for name, count in self.breakdown.items():
+            if count < 0:
+                raise QramError(f"negative {name} count: {count}")
+
+    @property
+    def breakdown(self) -> dict[str, int]:
+        return {
+            "hadamards": self.hadamards,
+            "qram_routing": self.qram_routing,
+            "ansatz_gates": self.ansatz_gates,
+            "swap_test_gates": self.swap_test_gates,
+        }
+
+    @property
+    def primitive_ops(self) -> int:
+        return sum(self.breakdown.values())
+
+
+def swap_test_gate_count(n: int) -> int:
+    """2 Hadamards plus (n+1) CSWAPs, one per compared qubit pair."""
+    return 2 + (n + 1)
 
 
 def forward_pass_cost(n: int, spec: AnsatzSpec) -> QueryCost:

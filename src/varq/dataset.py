@@ -74,29 +74,34 @@ def load_iris(path: str | os.PathLike) -> list[IrisRecord]:
     """Parse an iris CSV: 4 numeric columns plus species, optional header.
 
     Species names match case-insensitively, with or without an "Iris-"
-    prefix. Malformed rows raise DataError with their line number.
+    prefix. Malformed rows raise DataError with their line number, and
+    so does a path that cannot be read as UTF-8 text.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     records: list[IrisRecord] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
-            try:
-                feats = [float(cell) for cell in row[:4]]
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise DataError(f"{path}:{line_no}: non-numeric feature in {row[:4]}")
-            try:
-                records.append(IrisRecord(np.array(feats), _normalize_species(row[4])))
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}")
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            for line_no, row in enumerate(csv.reader(f), start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != 5:
+                    raise DataError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
+                try:
+                    feats = [float(cell) for cell in row[:4]]
+                except ValueError:
+                    if line_no == 1:
+                        continue  # header row
+                    raise DataError(f"{path}:{line_no}: non-numeric feature in {row[:4]}")
+                try:
+                    records.append(IrisRecord(np.array(feats), _normalize_species(row[4])))
+                except DataError as exc:
+                    raise DataError(f"{path}:{line_no}: {exc}")
+    except FileNotFoundError:
+        raise DataError(f"dataset file not found: {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
     if not records:
         raise DataError(f"{path}: no data rows")
     return records

@@ -40,7 +40,8 @@ class FeatureVector:
 class EncodedSample:
     """A feature vector as a quantum state, plus its label and origin.
 
-    `source` is None for samples reconstructed from a serialized store.
+    `source` is the encoded FeatureVector, or None for a state built
+    directly from amplitudes.
     """
 
     state: StateVector

@@ -18,7 +18,8 @@ class EncodingError(VarqError):
 
 
 class QramError(VarqError):
-    """Bad batch for store construction, or a corrupt/incomplete store."""
+    """Bad batch for store construction, an inconsistent store, or a
+    negative query-cost count."""
 
 
 class DataError(VarqError):

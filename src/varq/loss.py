@@ -20,8 +20,8 @@ psi and summing over the remaining data qubits. No joint register is
 built; the working set is 2^(k+n) amplitudes per stack row. The
 gate-level CSWAP circuit lives in the test oracles as the reference.
 
-Exact mode reports p0 itself; shots mode draws Bernoulli outcomes at p0
-and reports the empirical frequency.
+Exact mode reports p0 itself; shots mode draws the number of ancilla-zero
+outcomes from Binomial(shots, p0) and reports the empirical frequency.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParameterVector, run_ansatz
 from .errors import ConfigurationError
 from .qram import QramStore, query_superposed
-from .statevector import GateOp, StateVector, _apply_cnot, _apply_h
+from .statevector import StateVector
 
 EXACT = "exact"
 
@@ -77,22 +77,11 @@ class SwapTestResult:
 
 @functools.lru_cache(maxsize=None)
 def prepare_label_state(n: int) -> LabelState:
-    """Circuit construction: H on every control, CNOT from control 0 to
-    the data qubit. Control 0 is the address MSB, so the data qubit ends
-    up 0 exactly on the lower address half."""
-    if n < 1:
-        raise ConfigurationError(f"label state needs n >= 1 control qubits, got {n}")
-    state = StateVector.zero(n + 1)
-    psi = state.amplitudes.copy().reshape([2] * (n + 1))
-    for q in range(1, n + 1):
-        _apply_h(psi, q)
-    # Control 0 of the address register is register qubit 1 (the address MSB).
-    _apply_cnot(psi, 1, 0)
-    return LabelState(StateVector(n + 1, psi.reshape(-1)))
-
-
-def label_state_closed_form(n: int) -> StateVector:
-    """Direct amplitude placement; serves as the oracle for the circuit route."""
+    """Label state on 1+n qubits, amplitudes placed directly: weight
+    1/sqrt(2^n) on data bit 0 over the lower address half and on data
+    bit 1 over the upper half. This is the output of H on every control
+    followed by a CNOT from control 0 (the address MSB) to the data
+    qubit; the tests check it against that circuit."""
     if n < 1:
         raise ConfigurationError(f"label state needs n >= 1 control qubits, got {n}")
     size = 1 << n
@@ -101,17 +90,7 @@ def label_state_closed_form(n: int) -> StateVector:
     scale = 1.0 / math.sqrt(size)
     amps[0:half] = scale            # data bit 0, addresses 0 .. half-1
     amps[size + half : 2 * size] = scale  # data bit 1, upper addresses
-    return StateVector(n + 1, amps)
-
-
-def label_circuit_gates(n: int) -> tuple[GateOp, ...]:
-    """Gate sequence of the preparation circuit, for cost accounting."""
-    return tuple(GateOp.h(q) for q in range(1, n + 1)) + (GateOp.cnot(1, 0),)
-
-
-def swap_test_gate_count(n: int) -> int:
-    """2 Hadamards plus (n+1) CSWAPs, one per compared qubit pair."""
-    return 2 + (n + 1)
+    return LabelState(StateVector(n + 1, amps))
 
 
 def _check_compared(
@@ -165,7 +144,9 @@ def _read_out(p_zero: float, mode: str | Shots) -> SwapTestResult:
         return SwapTestResult(p_zero=p_zero, shots=None)
     if isinstance(mode, Shots):
         rng = np.random.default_rng(mode.seed)
-        hits = int(np.count_nonzero(rng.random(mode.count) < p_zero))
+        # One binomial draw: O(1) memory in the shot count. Rounding can
+        # put p_zero a few ulps above 1.
+        hits = int(rng.binomial(mode.count, min(p_zero, 1.0)))
         return SwapTestResult(p_zero=hits / mode.count, shots=mode.count)
     raise ConfigurationError(f"unknown swap-test mode {mode!r}")
 

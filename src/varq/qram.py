@@ -7,30 +7,21 @@ returns the address-correlated superposition
     (1/sqrt(2^n)) * sum_i |psi_i>|i>
 
 over k data qubits (0..k-1, most significant) and n control qubits
-(k..k+n-1). The simulator places amplitudes directly; the hardware cost
-of a query is represented by an explicit per-level routing model rather
-than by simulating bucket-brigade internals.
+(k..k+n-1). The simulator places amplitudes directly rather than
+simulating bucket-brigade internals; the modeled hardware cost of a
+query (an H layer plus per-level routing) lives in `costmodel`.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .encoding import EncodedSample
 from .errors import QramError
 from .statevector import StateVector
-
-# Routing steps charged per level of the address tree: one activation
-# plus one routing step. Any fixed constant preserves the scaling story;
-# this one makes the cost tables reproducible.
-ROUTING_STEPS_PER_LEVEL = 2
-
-_MAGIC = b"QRAM"
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,34 +58,6 @@ class QramStore:
         return 1 << self.n
 
 
-@dataclass(frozen=True)
-class QueryCost:
-    """Primitive-operation tally for one forward pass, by circuit block."""
-
-    hadamards: int
-    qram_routing: int
-    ansatz_gates: int
-    swap_test_gates: int
-
-    def __post_init__(self):
-        for name, count in self.breakdown.items():
-            if count < 0:
-                raise QramError(f"negative {name} count: {count}")
-
-    @property
-    def breakdown(self) -> dict[str, int]:
-        return {
-            "hadamards": self.hadamards,
-            "qram_routing": self.qram_routing,
-            "ansatz_gates": self.ansatz_gates,
-            "swap_test_gates": self.swap_test_gates,
-        }
-
-    @property
-    def primitive_ops(self) -> int:
-        return sum(self.breakdown.values())
-
-
 def build_store(batch: list[EncodedSample]) -> QramStore:
     """Lay out a balanced batch: label 0 at low addresses, label 1 high.
 
@@ -125,49 +88,3 @@ def query_superposed(store: QramStore) -> StateVector:
     for addr, cell in enumerate(store.cells):
         out[addr :: 1 << n] = cell.state.amplitudes * scale
     return StateVector(k + n, out)
-
-
-def query_cost(store: QramStore) -> QueryCost:
-    """Modeled cost of one batched retrieval: H layer plus tree routing."""
-    return QueryCost(
-        hadamards=store.n,
-        qram_routing=ROUTING_STEPS_PER_LEVEL * store.n,
-        ansatz_gates=0,
-        swap_test_gates=0,
-    )
-
-
-def save_store(store: QramStore, path) -> None:
-    """Serialize: magic, n and k as little-endian uint32, then each cell's
-    amplitudes as little-endian float64 (re, im) pairs in address order."""
-    payload = [_MAGIC, struct.pack("<II", store.n, store.k)]
-    for cell in store.cells:
-        re_im = np.ascontiguousarray(cell.state.amplitudes).view(np.float64)
-        payload.append(re_im.astype("<f8", copy=False).tobytes())
-    Path(path).write_bytes(b"".join(payload))
-
-
-def load_store(path) -> QramStore:
-    """Read a store written by save_store. Labels come from the address
-    half; source feature vectors are not stored, so samples carry None."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise QramError(f"{path}: cannot read store file ({exc})")
-    if len(raw) < 12 or raw[:4] != _MAGIC:
-        raise QramError(f"{path}: not a qRAM store file")
-    n, k = struct.unpack("<II", raw[4:12])
-    cell_bytes = (1 << k) * 16
-    expected = 12 + (1 << n) * cell_bytes
-    if len(raw) != expected:
-        raise QramError(f"{path}: truncated store ({len(raw)} bytes, expected {expected})")
-    half = (1 << n) // 2
-    cells = []
-    for addr in range(1 << n):
-        start = 12 + addr * cell_bytes
-        flat = np.frombuffer(raw[start : start + cell_bytes], dtype="<f8")
-        amps = flat.astype(np.float64).view(np.complex128)
-        cells.append(
-            EncodedSample(StateVector(k, amps), label=0 if addr < half else 1)
-        )
-    return QramStore(int(n), int(k), tuple(cells))

@@ -1,30 +1,23 @@
-"""Dense complex statevector core: states, gates, subsystem operations.
+"""Dense complex statevector and the gate record type.
 
 Conventions used everywhere in this package:
 
 * Qubit 0 is the MOST significant bit of the basis index. A q-qubit
   amplitude array reshaped to [2]*q therefore has qubit j on axis j.
-* Amplitudes are complex128. Public operations return new StateVector
-  values and preserve the L2 norm to ~1e-15 per gate; callers may treat
-  states as immutable.
-* Gates are applied by slice arithmetic on the reshaped amplitude
-  array. No 2^q x 2^q matrix is ever materialized here; dense matrices
-  exist only in the test oracles.
+* Amplitudes are complex128; callers may treat states as immutable.
+* Circuits run on stacks of amplitude arrays through the kernels in
+  `ansatz`. A GateOp list (`AnsatzSpec.operations`) names the same
+  circuit gate by gate; only the test oracles execute such lists, as
+  the reference the stacked path is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-NORM_ATOL = 1e-10
-
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 _GATE_ARITY = {
     # kind: (n_targets, n_controls, takes_angle)
@@ -72,43 +65,8 @@ class StateVector:
         amps[index] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "StateVector":
-        """Wrap a raw amplitude array, inferring the qubit count."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        n = int(round(math.log2(amps.shape[0]))) if amps.shape[0] else -1
-        if n < 0 or (1 << n) != amps.shape[0]:
-            raise ConfigurationError(f"amplitude length {amps.shape[0]} is not a power of two")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ConfigurationError(f"amplitudes are not normalized (norm {norm:.3e})")
-        return cls(n, amps)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix over a qubit subset."""
-
-    num_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128)
-        dim = 1 << self.num_qubits
-        if mat.shape != (dim, dim):
-            raise ConfigurationError(f"density matrix shape {mat.shape}, expected {(dim, dim)}")
-        if not np.allclose(mat, mat.conj().T, atol=NORM_ATOL):
-            raise ConfigurationError("density matrix is not Hermitian")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > NORM_ATOL:
-            raise ConfigurationError(f"density matrix trace {tr} != 1")
-        object.__setattr__(self, "entries", mat)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -153,10 +111,6 @@ class GateOp:
         return GateOp("RY", (q,), angle=float(angle))
 
     @staticmethod
-    def rz(q: int, angle: float) -> "GateOp":
-        return GateOp("RZ", (q,), angle=float(angle))
-
-    @staticmethod
     def cnot(control: int, target: int) -> "GateOp":
         return GateOp("CNOT", (target,), (control,))
 
@@ -167,180 +121,3 @@ class GateOp:
     @staticmethod
     def cswap(control: int, a: int, b: int) -> "GateOp":
         return GateOp("CSWAP", (a, b), (control,))
-
-    def inverse(self) -> "GateOp":
-        """H, X, CNOT, CZ, CSWAP are involutions; rotations negate the angle."""
-        if self.kind in ("RY", "RZ"):
-            return GateOp(self.kind, self.targets, self.controls, -self.angle)
-        return self
-
-
-# In-place kernels. `psi` is the amplitude buffer reshaped to [2]*n; the
-# caller owns the buffer. Slice reads below produce fresh arrays before
-# any write, so aliasing is safe.
-
-def _axis_slices(n: int, assignments: Sequence[tuple[int, int]]):
-    idx: list = [slice(None)] * n
-    for axis, value in assignments:
-        idx[axis] = value
-    return tuple(idx)
-
-
-def _apply_h(psi: np.ndarray, q: int) -> None:
-    n = psi.ndim
-    i0 = _axis_slices(n, [(q, 0)])
-    i1 = _axis_slices(n, [(q, 1)])
-    a = psi[i0] + psi[i1]
-    b = psi[i0] - psi[i1]
-    psi[i0] = a * _SQRT2_INV
-    psi[i1] = b * _SQRT2_INV
-
-
-def _apply_x(psi: np.ndarray, q: int) -> None:
-    n = psi.ndim
-    i0 = _axis_slices(n, [(q, 0)])
-    i1 = _axis_slices(n, [(q, 1)])
-    tmp = psi[i0].copy()
-    psi[i0] = psi[i1]
-    psi[i1] = tmp
-
-
-def _apply_ry(psi: np.ndarray, q: int, angle: float) -> None:
-    n = psi.ndim
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    i0 = _axis_slices(n, [(q, 0)])
-    i1 = _axis_slices(n, [(q, 1)])
-    a = c * psi[i0] - s * psi[i1]
-    b = s * psi[i0] + c * psi[i1]
-    psi[i0] = a
-    psi[i1] = b
-
-
-def _apply_rz(psi: np.ndarray, q: int, angle: float) -> None:
-    n = psi.ndim
-    phase = np.exp(-0.5j * angle)
-    psi[_axis_slices(n, [(q, 0)])] *= phase
-    psi[_axis_slices(n, [(q, 1)])] *= np.conj(phase)
-
-
-def _apply_cnot(psi: np.ndarray, control: int, target: int) -> None:
-    n = psi.ndim
-    i10 = _axis_slices(n, [(control, 1), (target, 0)])
-    i11 = _axis_slices(n, [(control, 1), (target, 1)])
-    tmp = psi[i10].copy()
-    psi[i10] = psi[i11]
-    psi[i11] = tmp
-
-
-def _apply_cz(psi: np.ndarray, a: int, b: int) -> None:
-    n = psi.ndim
-    psi[_axis_slices(n, [(a, 1), (b, 1)])] *= -1.0
-
-
-def _apply_cswap(psi: np.ndarray, control: int, a: int, b: int) -> None:
-    n = psi.ndim
-    i01 = _axis_slices(n, [(control, 1), (a, 0), (b, 1)])
-    i10 = _axis_slices(n, [(control, 1), (a, 1), (b, 0)])
-    tmp = psi[i01].copy()
-    psi[i01] = psi[i10]
-    psi[i10] = tmp
-
-
-def _apply_op(psi: np.ndarray, gate: GateOp) -> None:
-    kind = gate.kind
-    if kind == "H":
-        _apply_h(psi, gate.targets[0])
-    elif kind == "X":
-        _apply_x(psi, gate.targets[0])
-    elif kind == "RY":
-        _apply_ry(psi, gate.targets[0], gate.angle)
-    elif kind == "RZ":
-        _apply_rz(psi, gate.targets[0], gate.angle)
-    elif kind == "CNOT":
-        _apply_cnot(psi, gate.controls[0], gate.targets[0])
-    elif kind == "CZ":
-        _apply_cz(psi, gate.controls[0], gate.targets[0])
-    elif kind == "CSWAP":
-        _apply_cswap(psi, gate.controls[0], gate.targets[0], gate.targets[1])
-    else:  # pragma: no cover - guarded by GateOp validation
-        raise ConfigurationError(f"unknown gate kind {kind!r}")
-
-
-def _check_qubits(state: StateVector, qubits: Iterable[int]) -> None:
-    for q in qubits:
-        if not 0 <= q < state.num_qubits:
-            raise ConfigurationError(
-                f"qubit index {q} out of range for {state.num_qubits}-qubit state"
-            )
-
-
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate and return the resulting state."""
-    _check_qubits(state, gate.qubits)
-    psi = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    _apply_op(psi, gate)
-    return StateVector(state.num_qubits, psi.reshape(-1))
-
-
-def apply_gates(state: StateVector, gates: Iterable[GateOp]) -> StateVector:
-    """Apply a gate sequence with a single buffer copy."""
-    gates = tuple(gates)
-    for g in gates:
-        _check_qubits(state, g.qubits)
-    psi = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    for g in gates:
-        _apply_op(psi, g)
-    return StateVector(state.num_qubits, psi.reshape(-1))
-
-
-def hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVector:
-    """H on each listed qubit (distinct indices), in order."""
-    qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ConfigurationError(f"repeated qubit index in {qubits}")
-    _check_qubits(state, qubits)
-    psi = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    for q in qubits:
-        _apply_h(psi, q)
-    return StateVector(state.num_qubits, psi.reshape(-1))
-
-
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix over `keep`, rows/columns ordered as given."""
-    keep = tuple(keep)
-    if not keep:
-        raise ConfigurationError("keep must name at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise ConfigurationError(f"repeated qubit index in {keep}")
-    _check_qubits(state, keep)
-    n = state.num_qubits
-    rest = [q for q in range(n) if q not in keep]
-    psi = state.amplitudes.reshape([2] * n)
-    # Rows index the kept qubits (in caller order), columns the traced-out rest.
-    mat = np.transpose(psi, list(keep) + rest).reshape(1 << len(keep), -1)
-    if not rest:
-        # Pure projector, formed directly so keep-all is bit-exact.
-        vec = mat.reshape(-1)
-        rho = np.outer(vec, vec.conj())
-    else:
-        rho = mat @ mat.conj().T
-    return DensityMatrix(len(keep), rho)
-
-
-def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
-    """Probability that a Z-basis measurement of `qubit` yields `outcome`."""
-    if outcome not in (0, 1):
-        raise ConfigurationError(f"outcome must be 0 or 1, got {outcome}")
-    _check_qubits(state, (qubit,))
-    psi = state.amplitudes.reshape([2] * state.num_qubits)
-    sel = psi[_axis_slices(state.num_qubits, [(qubit, outcome)])]
-    return float(np.sum(np.abs(sel) ** 2))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise ConfigurationError(
-            f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

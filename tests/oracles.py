@@ -155,6 +155,15 @@ def swap_test_p_zero(data_amps, data_qubits, readout, controls, label_amps):
     return 0.5 * (1.0 + fidelity)
 
 
+def probability(amps, qubit, outcome):
+    """Probability that a Z measurement of `qubit` reads `outcome`: the
+    squared norm of the amplitudes whose index has that bit value."""
+    amps = np.asarray(amps)
+    n = len(amps).bit_length() - 1
+    bits = (np.arange(len(amps)) >> (n - 1 - qubit)) & 1
+    return float(np.sum(np.abs(amps[bits == outcome]) ** 2))
+
+
 def random_state(rng, n):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return v / np.linalg.norm(v)

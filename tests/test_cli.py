@@ -102,6 +102,22 @@ class TestTrainCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["data-dir", "data-bytes", "config-bytes", "params-bytes"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, case):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff" + np.random.default_rng(0).bytes(200))
+        flag, path = {
+            "data-dir": ("--data", tmp_path),
+            "data-bytes": ("--data", binary),
+            "config-bytes": ("--config", binary),
+            "params-bytes": ("--params", binary),
+        }[case]
+        command = "eval" if flag == "--params" else "train"
+        code = main([command, "--task", "setosa-vs-versicolor", flag, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_unknown_species_exits_2(self, tmp_path):
         assert run_train(tmp_path, task="setosa-vs-slugs") == 2
 

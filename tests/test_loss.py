@@ -12,16 +12,14 @@ from varq import (
     Shots,
     StateVector,
     apply_ansatz,
-    apply_gate,
     batched_loss,
     build_store,
     default_ansatz,
-    measure_probability,
     prepare_label_state,
     query_superposed,
     swap_test,
 )
-from varq.loss import EXACT, label_circuit_gates, label_state_closed_form, swap_test_gate_count
+from varq.loss import EXACT
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -53,10 +51,12 @@ class TestPrepareLabelState:
         assert_allclose(state.amplitudes, expected, atol=1e-15)
 
     def test_circuit_route_matches_closed_form(self):
+        # The preparation circuit: H on every control, then a CNOT from
+        # control 0 (register qubit 1, the address MSB) to the data qubit.
         for n in range(1, 7):
-            circuit = prepare_label_state(n).state.amplitudes
-            closed = label_state_closed_form(n).amplitudes
-            assert_allclose(circuit, closed, atol=1e-12)
+            gates = [GateOp.h(q) for q in range(1, n + 1)] + [GateOp.cnot(1, 0)]
+            circuit = oracles.circuit_matrix(n + 1, gates)[:, 0]
+            assert_allclose(prepare_label_state(n).state.amplitudes, circuit, atol=1e-12)
 
     def test_matches_basis_sum_oracle(self):
         for n in range(1, 6):
@@ -69,17 +69,11 @@ class TestPrepareLabelState:
     def test_data_qubit_is_unbiased(self):
         for n in range(1, 6):
             state = prepare_label_state(n).state
-            assert_allclose(measure_probability(state, 0, 1), 0.5, atol=1e-12)
+            assert_allclose(oracles.probability(state.amplitudes, 0, 1), 0.5, atol=1e-12)
 
     def test_zero_controls_rejected(self):
         with pytest.raises(ConfigurationError):
             prepare_label_state(0)
-
-    def test_circuit_gate_list_is_hadamards_then_one_cnot(self):
-        gates = label_circuit_gates(3)
-        assert [g.kind for g in gates] == ["H", "H", "H", "CNOT"]
-        assert gates[-1].controls == (1,)
-        assert gates[-1].targets == (0,)
 
 
 class TestSwapTest:
@@ -96,7 +90,8 @@ class TestSwapTest:
     def test_orthogonal_states_read_half(self):
         for n in (1, 2):
             label = prepare_label_state(n)
-            flipped = apply_gate(embedded_label_state(n), GateOp.x(0))
+            flipped = StateVector(n + 1, oracles.apply_gates_local(
+                embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
             result = swap_test(flipped, label, 0, tuple(range(1, n + 1)), EXACT)
             assert_allclose(result.p_zero, 0.5, atol=1e-10)
             assert_allclose(result.overlap, 0.0, atol=1e-10)
@@ -154,11 +149,6 @@ class TestSwapTest:
         with pytest.raises(ConfigurationError):
             swap_test(StateVector.zero(4), label, 3, (1, 2), EXACT)
 
-    def test_gate_count_is_affine_in_controls(self):
-        assert swap_test_gate_count(2) == 5
-        counts = [swap_test_gate_count(n) for n in range(1, 8)]
-        assert np.all(np.diff(counts) == 1)
-
 
 class TestShotsMode:
     def test_shot_count_validated(self):
@@ -196,6 +186,14 @@ class TestShotsMode:
         ]
         stderr = np.sqrt(exact * (1 - exact) / 1024)
         assert abs(np.mean(estimates) - exact) < 3 * stderr
+
+    def test_huge_shot_count_needs_no_per_shot_memory(self):
+        label = prepare_label_state(1)
+        state = StateVector(3, oracles.random_state(RNG, 3))
+        exact = swap_test(state, label, 0, (2,), EXACT).p_zero
+        result = swap_test(state, label, 0, (2,), Shots(10**11, seed=0))
+        assert result.shots == 10**11
+        assert abs(result.p_zero - exact) < 1e-4
 
 
 class TestBatchedLoss:
@@ -240,7 +238,8 @@ class TestBatchedLoss:
         label = prepare_label_state(1)
         losses, fidelities = [], []
         for angle in np.linspace(0.0, np.pi, 7):
-            state = apply_gate(embedded_label_state(1), GateOp.ry(0, angle))
+            state = StateVector(2, oracles.apply_gates_local(
+                embedded_label_state(1).amplitudes, 2, [GateOp.ry(0, angle)]))
             result = swap_test(state, label, 0, (1,), EXACT)
             fidelities.append(result.overlap)
             losses.append(1.0 - result.overlap)
@@ -261,7 +260,7 @@ class TestBatchedLoss:
             errors = []
             for cell in store.cells:
                 out = apply_ansatz(spec, theta, cell.state, (0,))
-                errors.append(measure_probability(out, 0, 1 - cell.label))
+                errors.append(oracles.probability(out.amplitudes, 0, 1 - cell.label))
             assert_allclose(value, np.mean(errors), atol=1e-10)
 
     def test_store_and_spec_width_must_agree(self):

@@ -1,4 +1,4 @@
-"""Superposition-addressed sample store: layout, retrieval, cost, persistence."""
+"""Superposition-addressed sample store: layout and retrieval."""
 
 import numpy as np
 import pytest
@@ -10,22 +10,18 @@ from varq import (
     FeatureVector,
     QramError,
     QramStore,
-    QueryCost,
     StateVector,
     amplitude_encode,
     build_store,
-    load_store,
-    partial_trace,
-    query_cost,
     query_superposed,
-    save_store,
 )
 
 RNG = np.random.default_rng(13)
 
 
 def sample_from_amps(amps, label):
-    return EncodedSample(StateVector.from_amplitudes(amps), label)
+    amps = np.asarray(amps, dtype=complex)
+    return EncodedSample(StateVector(len(amps).bit_length() - 1, amps), label)
 
 
 def random_samples(rng, n, k):
@@ -125,7 +121,7 @@ class TestQuerySuperposed:
         batch = random_samples(RNG, 2, 2)
         store = build_store(batch)
         out = query_superposed(store)
-        rho = partial_trace(out, [0, 1]).entries
+        rho = oracles.brute_force_partial_trace(out.amplitudes, 4, [0, 1])
         expected = np.zeros((4, 4), dtype=complex)
         for cell in store.cells:
             a = cell.state.amplitudes
@@ -139,78 +135,3 @@ class TestQuerySuperposed:
         for addr, cell in enumerate(store.cells):
             recovered = oracles.project_controls(out.amplitudes, store.k, store.n, addr)
             assert_allclose(recovered, cell.state.amplitudes, atol=1e-10)
-
-
-class TestQueryCost:
-    def test_breakdown_for_two_controls(self):
-        store = build_store(random_samples(RNG, 2, 2))
-        cost = query_cost(store)
-        assert cost.hadamards == 2
-        assert cost.qram_routing == 4
-        assert cost.ansatz_gates == 0
-        assert cost.swap_test_gates == 0
-
-    def test_cost_increment_is_constant_per_doubling(self):
-        totals = {}
-        for n in range(1, 6):
-            store = build_store(random_samples(RNG, n, 1))
-            totals[n] = query_cost(store).primitive_ops
-        increments = {totals[n + 1] - totals[n] for n in range(1, 5)}
-        assert increments == {3}
-
-    def test_routing_ratio_between_1024_and_4_cells(self):
-        big = build_store(random_samples(RNG, 10, 1))
-        small = build_store(random_samples(RNG, 2, 1))
-        ratio = query_cost(big).qram_routing / query_cost(small).qram_routing
-        assert ratio == 5
-
-    def test_primitive_ops_is_sum_of_breakdown(self):
-        cost = QueryCost(hadamards=3, qram_routing=6, ansatz_gates=12, swap_test_gates=6)
-        assert cost.primitive_ops == 27
-        assert cost.primitive_ops == sum(cost.breakdown.values())
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(QramError):
-            QueryCost(hadamards=-1, qram_routing=0, ansatz_gates=0, swap_test_gates=0)
-
-
-class TestPersistence:
-    def test_round_trip_preserves_amplitudes_exactly(self, tmp_path):
-        batch = random_samples(RNG, 2, 2)
-        store = build_store(batch)
-        path = tmp_path / "store.qram"
-        save_store(store, path)
-        loaded = load_store(path)
-        assert loaded.n == store.n
-        assert loaded.k == store.k
-        for orig, back in zip(store.cells, loaded.cells):
-            assert np.array_equal(orig.state.amplitudes, back.state.amplitudes)
-            assert back.label == orig.label
-            assert back.source is None
-
-    def test_loaded_store_queries_identically(self, tmp_path):
-        store = build_store(random_samples(RNG, 1, 2))
-        path = tmp_path / "store.qram"
-        save_store(store, path)
-        out_a = query_superposed(store)
-        out_b = query_superposed(load_store(path))
-        assert np.array_equal(out_a.amplitudes, out_b.amplitudes)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "store.qram"
-        path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(QramError):
-            load_store(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        store = build_store(random_samples(RNG, 2, 2))
-        path = tmp_path / "store.qram"
-        save_store(store, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(QramError):
-            load_store(path)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(QramError):
-            load_store(tmp_path / "absent.qram")

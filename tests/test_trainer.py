@@ -27,7 +27,6 @@ from varq import (
     load_iris,
     make_batches,
     make_task,
-    measure_probability,
     numerical_gradient,
     train,
 )
@@ -254,7 +253,7 @@ class TestClassify:
         theta = ParameterVector(np.zeros(2))
         sample = sample_from_amps([0.6, 0.8], 1)
         out = apply_ansatz(spec, theta, sample.state, (0,))
-        p_one = measure_probability(out, 0, 1)
+        p_one = oracles.probability(out.amplitudes, 0, 1)
         assert classify(sample, spec, theta, threshold=p_one) == 1
         assert classify(sample, spec, theta, threshold=p_one + 1e-12) == 0
 
