@@ -95,6 +95,8 @@ def brute_force_partial_trace(amps, n, keep):
     positions, one bit at a time.
     """
     keep = list(keep)
+    if not keep or len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
+        raise ValueError(f"keep must list distinct qubits in 0..{n - 1}, got {keep}")
     rest = [q for q in range(n) if q not in keep]
     dim_keep, dim_rest = 1 << len(keep), 1 << len(rest)
 
@@ -158,6 +160,8 @@ def swap_test_p_zero(data_amps, data_qubits, readout, controls, label_amps):
 def probability(amps, qubit, outcome):
     """Probability that a Z measurement of `qubit` reads `outcome`: the
     squared norm of the amplitudes whose index has that bit value."""
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     amps = np.asarray(amps)
     n = len(amps).bit_length() - 1
     bits = (np.arange(len(amps)) >> (n - 1 - qubit)) & 1
@@ -210,6 +214,8 @@ def apply_gates_local(amps, n, gates):
     psi = np.asarray(amps, dtype=complex).reshape([2] * n)
     for g in gates:
         qubits = list(g.controls) + list(g.targets)
+        if not all(0 <= q < n for q in qubits):
+            raise ValueError(f"gate {g} acts outside qubits 0..{n - 1}")
         m = len(qubits)
         local = dense_gate_matrix(
             m, g.kind, tuple(range(len(g.controls), m)), tuple(range(len(g.controls))), g.angle

@@ -11,7 +11,7 @@ from varq import (
     default_ansatz,
     sequential_baseline,
 )
-from varq.costmodel import per_sample_cost, swap_test_gate_count
+from varq.costmodel import per_sample_cost
 from varq.errors import ConfigurationError
 
 
@@ -41,15 +41,6 @@ class TestForwardPassCost:
     def test_total_is_affine_in_n_with_constant_increment(self):
         totals = [forward_pass_cost(n, SPEC).primitive_ops for n in range(1, 13)]
         assert len(set(np.diff(totals))) == 1
-
-    def test_routing_ratio_between_1024_and_4_cells(self):
-        ratio = forward_pass_cost(10, SPEC).qram_routing / forward_pass_cost(2, SPEC).qram_routing
-        assert ratio == 5
-
-    def test_swap_test_gate_count_is_affine_in_controls(self):
-        assert swap_test_gate_count(2) == 5
-        counts = [swap_test_gate_count(n) for n in range(1, 8)]
-        assert np.all(np.diff(counts) == 1)
 
     def test_ansatz_share_does_not_grow_with_n(self):
         shares = {forward_pass_cost(n, SPEC).ansatz_gates for n in range(1, 13)}

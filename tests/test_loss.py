@@ -19,6 +19,7 @@ from varq import (
     query_superposed,
     swap_test,
 )
+from varq.costmodel import swap_test_gate_count
 from varq.loss import EXACT
 from test_qram import random_samples, sample_from_amps
 
@@ -28,6 +29,13 @@ RNG = np.random.default_rng(19)
 def embedded_label_state(n):
     """The label state viewed as a data state with k=1 data qubit."""
     return prepare_label_state(n).state
+
+
+def label_circuit_gates(n):
+    """The label-state preparation circuit: H on every control, then a
+    CNOT from control 0 (register qubit 1, the address MSB) to the data
+    qubit."""
+    return [GateOp.h(q) for q in range(1, n + 1)] + [GateOp.cnot(1, 0)]
 
 
 def init_theta(spec):
@@ -51,11 +59,8 @@ class TestPrepareLabelState:
         assert_allclose(state.amplitudes, expected, atol=1e-15)
 
     def test_circuit_route_matches_closed_form(self):
-        # The preparation circuit: H on every control, then a CNOT from
-        # control 0 (register qubit 1, the address MSB) to the data qubit.
         for n in range(1, 7):
-            gates = [GateOp.h(q) for q in range(1, n + 1)] + [GateOp.cnot(1, 0)]
-            circuit = oracles.circuit_matrix(n + 1, gates)[:, 0]
+            circuit = oracles.circuit_matrix(n + 1, label_circuit_gates(n))[:, 0]
             assert_allclose(prepare_label_state(n).state.amplitudes, circuit, atol=1e-12)
 
     def test_matches_basis_sum_oracle(self):
@@ -74,6 +79,12 @@ class TestPrepareLabelState:
     def test_zero_controls_rejected(self):
         with pytest.raises(ConfigurationError):
             prepare_label_state(0)
+
+    def test_circuit_gate_list_is_hadamards_then_one_cnot(self):
+        gates = label_circuit_gates(3)
+        assert [g.kind for g in gates] == ["H", "H", "H", "CNOT"]
+        assert gates[-1].controls == (1,)
+        assert gates[-1].targets == (0,)
 
 
 class TestSwapTest:
@@ -148,6 +159,11 @@ class TestSwapTest:
         label = prepare_label_state(2)
         with pytest.raises(ConfigurationError):
             swap_test(StateVector.zero(4), label, 3, (1, 2), EXACT)
+
+    def test_gate_count_is_affine_in_controls(self):
+        assert swap_test_gate_count(2) == 5
+        counts = [swap_test_gate_count(n) for n in range(1, 8)]
+        assert np.all(np.diff(counts) == 1)
 
 
 class TestShotsMode:

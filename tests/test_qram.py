@@ -13,6 +13,8 @@ from varq import (
     StateVector,
     amplitude_encode,
     build_store,
+    default_ansatz,
+    forward_pass_cost,
     query_superposed,
 )
 
@@ -135,3 +137,15 @@ class TestQuerySuperposed:
         for addr, cell in enumerate(store.cells):
             recovered = oracles.project_controls(out.amplitudes, store.k, store.n, addr)
             assert_allclose(recovered, cell.state.amplitudes, atol=1e-10)
+
+
+class TestQueryCost:
+    def test_routing_ratio_between_1024_and_4_cells(self):
+        spec = default_ansatz(1, layers=1)
+        big = build_store(random_samples(RNG, 10, 1))
+        small = build_store(random_samples(RNG, 2, 1))
+        ratio = (
+            forward_pass_cost(big.n, spec).qram_routing
+            / forward_pass_cost(small.n, spec).qram_routing
+        )
+        assert ratio == 5

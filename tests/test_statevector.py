@@ -105,6 +105,12 @@ class TestApplyGate:
             assert_allclose(out, expected, atol=1e-12)
             assert_allclose(out.real, [np.cos(theta / 2), np.sin(theta / 2)], atol=1e-12)
 
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(ValueError):
+            oracles.apply_gates_local(StateVector.zero(2).amplitudes, 2, [GateOp.h(2)])
+        with pytest.raises(ValueError):
+            oracles.apply_gates_local(StateVector.zero(2).amplitudes, 2, [GateOp.cnot(0, 5)])
+
     def test_every_gate_matches_dense_oracle_up_to_6_qubits(self):
         for n in range(1, 7):
             for _ in range(30):
@@ -174,6 +180,15 @@ class TestPartialTrace:
         assert_allclose(rho_10, rho_01[np.ix_(swap, swap)], atol=1e-12)
         assert not np.allclose(rho_01, rho_10, atol=1e-3)
 
+    def test_duplicate_or_invalid_indices_rejected(self):
+        amps = StateVector.zero(2).amplitudes
+        with pytest.raises(ValueError):
+            oracles.brute_force_partial_trace(amps, 2, [0, 0])
+        with pytest.raises(ValueError):
+            oracles.brute_force_partial_trace(amps, 2, [5])
+        with pytest.raises(ValueError):
+            oracles.brute_force_partial_trace(amps, 2, [])
+
     def test_reduced_state_satisfies_density_matrix_invariants(self):
         for _ in range(10):
             amps = oracles.random_state(RNG, 5)
@@ -208,3 +223,7 @@ class TestMeasureProbability:
             proj = oracles.kron_place(3, {q: oracles.P1})
             expected = np.real(np.conj(amps) @ proj @ amps)
             assert_allclose(oracles.probability(amps, q, 1), expected, atol=1e-12)
+
+    def test_invalid_outcome_rejected(self):
+        with pytest.raises(ValueError):
+            oracles.probability(StateVector.zero(1).amplitudes, 0, 2)
