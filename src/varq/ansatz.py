@@ -1,16 +1,14 @@
 """Layered parameterized circuit applied to the data qubits.
 
-The default template, "ry_cz_ring", repeats per layer: one RY rotation
-per data qubit (trainable angles, layer-major / qubit-minor order), then
-a ring of CZ entanglers. Rotations and entanglers are all real, so real
-input amplitudes stay real.
+Each layer applies one RY rotation per data qubit (trainable angles,
+layer-major / qubit-minor order), then a ring of CZ entanglers.
+Rotations and entanglers are all real, so real input amplitudes stay
+real.
 
 The circuit runs on a stack of states with a leading stack axis: each
 stack row may carry its own angle vector, so the 2P+1 probes of a
 central-difference gradient, or every sample of an accuracy pass, take
-one kernel call per gate. apply_ansatz is the one-row case. The trainer
-and loss code treat the template opaquely through run_ansatz; swapping
-templates requires no changes there.
+one kernel call per gate. apply_ansatz is the one-row case.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .statevector import GateOp, StateVector
 
-DEFAULT_TEMPLATE = "ry_cz_ring"
 DEFAULT_LAYERS = 4
 
 
@@ -39,19 +36,16 @@ def _ring_pairs(k: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Circuit skeleton: data-qubit count, layer count, template name."""
+    """Circuit skeleton: data-qubit count and layer count."""
 
     k: int
     layers: int
-    template: str = DEFAULT_TEMPLATE
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError(f"ansatz needs k >= 1 data qubits, got {self.k}")
         if self.layers < 1:
             raise ConfigurationError(f"ansatz needs layers >= 1, got {self.layers}")
-        if self.template != DEFAULT_TEMPLATE:
-            raise ConfigurationError(f"unknown ansatz template {self.template!r}")
 
     @property
     def parameter_count(self) -> int:
@@ -116,7 +110,7 @@ class ParameterVector:
 
 
 def default_ansatz(k: int, layers: int = DEFAULT_LAYERS) -> AnsatzSpec:
-    """The stock RY-rotation / CZ-ring template."""
+    """The RY-rotation / CZ-ring circuit on k qubits."""
     return AnsatzSpec(k=k, layers=layers)
 
 

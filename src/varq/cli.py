@@ -6,8 +6,10 @@ a complete config echo, and the final angles as a JSON array. `eval`
 recomputes accuracies from a saved angle file. `cost` prints the
 batched-vs-sequential cost table.
 
-Flag values override config-file values, which override the defaults
-below. Exit codes: 0 success, 2 configuration or input error, 3
+Every option's name, type, default and flag help is declared once, in
+OPTIONS. Flag values override config-file values, which override those
+defaults. Each artifact is written to a temporary file beside it and then
+moved into place. Exit codes: 0 success, 2 configuration or input error, 3
 optimization failure.
 """
 
@@ -19,48 +21,56 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from .ansatz import AnsatzSpec, ParameterVector, init_parameters
+from .ansatz import DEFAULT_LAYERS, AnsatzSpec, ParameterVector, init_parameters
 from .costmodel import cost_table
 from .dataset import SPECIES, default_data_path, load_iris, make_task
 from .encoding import encode_dataset
 from .errors import ConfigurationError, OptimizationError, VarqError
 from .loss import EXACT, Shots
-from .trainer import TrainConfig, accuracy, train
+from .trainer import CADENCES, TrainConfig, accuracy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OPTIMIZATION = 3
 
-DEFAULTS = {
-    "task": None,
-    "data": None,
-    "n": 2,
-    "template": "ry_cz_ring",
-    "layers": 4,
-    "epochs": 100,
-    "lr": 0.05,
-    "fd_eps": 1e-3,
-    "cadence": "per_batch",
-    "seed_split": 0,
-    "seed_init": 1,
-    "seed_batch": 2,
-    "seed_shots": 3,
-    "shots": None,
-    "decision_threshold": 0.5,
-    "readout_qubit": 0,
-    "out_metrics": "metrics.jsonl",
-    "out_summary": "summary.json",
-    "out_params": "params.json",
+
+class Option(NamedTuple):
+    kind: type  # int, float or str
+    default: object
+    help: str | None = None  # None: a config-file key with no flag
+    choices: tuple[str, ...] | None = None
+
+
+# Every option, in --help order. A flag is "--" plus the name with "_"
+# turned into "-"; a config-file key is the name itself.
+OPTIONS = {
+    "task": Option(str, None, "species pair, e.g. setosa-vs-versicolor"),
+    "data": Option(str, None, "iris CSV path (default: $VARQ_DATA_DIR or packaged copy)"),
+    "n": Option(int, TrainConfig.n, "control qubits per batch (batch size 2^n)"),
+    "layers": Option(int, DEFAULT_LAYERS, "ansatz layers"),
+    "epochs": Option(int, TrainConfig.epochs, "training epochs"),
+    "lr": Option(float, TrainConfig.learning_rate, "gradient-descent step size"),
+    "fd_eps": Option(float, TrainConfig.fd_epsilon, "finite-difference step"),
+    "cadence": Option(str, TrainConfig.update_cadence, "update cadence", CADENCES),
+    "seed_split": Option(int, 0, "seed of the train/test split"),
+    "seed_init": Option(int, 1, "seed of the initial angles"),
+    "seed_batch": Option(int, 2, "seed of the per-epoch batch shuffle"),
+    "seed_shots": Option(int, 3, "seed of the shot sampling"),
+    "shots": Option(int, None, "ancilla shots per readout (default: exact)"),
+    "decision_threshold": Option(float, TrainConfig.decision_threshold),
+    "readout_qubit": Option(int, TrainConfig.readout_qubit),
+    "out_metrics": Option(str, "metrics.jsonl", "per-epoch metrics file (JSON lines)"),
+    "out_summary": Option(str, "summary.json", "run summary file"),
+    "out_params": Option(str, "params.json", "final angles file"),
 }
 
 
 def _parse_task(task: str | None) -> tuple[str, str]:
     if not task:
         raise ConfigurationError("no task given; use --task CLASS0-vs-CLASS1")
-    if not isinstance(task, str):
-        raise ConfigurationError(f"task must be a string like 'setosa-vs-versicolor', got {task!r}")
     parts = task.lower().split("-vs-")
     if len(parts) != 2:
         raise ConfigurationError(
@@ -72,72 +82,77 @@ def _parse_task(task: str | None) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value in a UTF-8 file; failing to read it is a ConfigurationError."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
+        raise ConfigurationError(f"{what} not found: {path}")
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}")
+        raise ConfigurationError(f"cannot read {what} {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc.reason}")
+        raise ConfigurationError(f"{what} {path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(DEFAULTS)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    """Each option's value, flag over config file over default, checked:
+    an int option takes an integer, a float option any number a float can
+    hold, a str option a string; no bools, None only where the default is
+    None, and no seed below 0."""
+    config = _read_json(args.config, "config file") if args.config else {}
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+    unknown = set(config) - set(OPTIONS)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    merged = {}
+    for name, opt in OPTIONS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = config.get(name, opt.default)
+        if value is not None or opt.default is not None:
+            accepted = (int, float) if opt.kind is float else opt.kind
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"option {name} must be {opt.kind.__name__}, got {value!r}"
+                )
+            if name.startswith("seed_") and value < 0:
+                raise ConfigurationError(f"option {name} must be >= 0, got {value}")
+            try:
+                value = opt.kind(value)
+            except OverflowError:
+                raise ConfigurationError(f"option {name} is out of range for a float")
+        merged[name] = value
     return merged
-
-
-def _cast(opts: dict, key: str, kind: type):
-    """opts[key] checked against its type: an int option takes an integer,
-    a float option any number, a str option a string. Config-file values
-    of another type are a configuration error, not a crash."""
-    value = opts[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, accepted) and not isinstance(value, bool):
-        return kind(value)
-    raise ConfigurationError(f"option {key} must be {kind.__name__}, got {value!r}")
 
 
 def _build_run(opts: dict):
     """Validate every option up front and assemble the run ingredients."""
     class0, class1 = _parse_task(opts["task"])
-    data_path = default_data_path(None if opts["data"] is None else _cast(opts, "data", str))
+    data_path = default_data_path(opts["data"])
     records = load_iris(data_path)
-    task = make_task(records, class0, class1, test_fraction=0.2, seed=_cast(opts, "seed_split", int))
+    task = make_task(records, class0, class1, test_fraction=0.2, seed=opts["seed_split"])
     train_enc = encode_dataset(task.train)
     test_enc = encode_dataset(task.test)
     if not train_enc:
         raise ConfigurationError("training split is empty")
     k = train_enc[0].state.num_qubits
-    spec = AnsatzSpec(k=k, layers=_cast(opts, "layers", int), template=opts["template"])
+    spec = AnsatzSpec(k=k, layers=opts["layers"])
     mode = EXACT
     if opts["shots"] is not None:
-        mode = Shots(_cast(opts, "shots", int), _cast(opts, "seed_shots", int))
+        mode = Shots(opts["shots"], opts["seed_shots"])
     config = TrainConfig(
-        n=_cast(opts, "n", int),
-        epochs=_cast(opts, "epochs", int),
-        learning_rate=_cast(opts, "lr", float),
-        fd_epsilon=_cast(opts, "fd_eps", float),
+        n=opts["n"],
+        epochs=opts["epochs"],
+        learning_rate=opts["lr"],
+        fd_epsilon=opts["fd_eps"],
         update_cadence=opts["cadence"],
-        seed=_cast(opts, "seed_batch", int),
+        seed=opts["seed_batch"],
         mode=mode,
-        decision_threshold=_cast(opts, "decision_threshold", float),
-        readout_qubit=_cast(opts, "readout_qubit", int),
+        decision_threshold=opts["decision_threshold"],
+        readout_qubit=opts["readout_qubit"],
     )
     return task, train_enc, test_enc, spec, config, str(data_path)
 
@@ -146,7 +161,7 @@ def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
     """The three artifact paths, checked for writability before training."""
     paths = []
     for key in ("out_metrics", "out_summary", "out_params"):
-        path = Path(_cast(opts, key, str))
+        path = Path(opts[key])
         if not path.parent.is_dir():
             raise ConfigurationError(f"option {key}: directory {path.parent} does not exist")
         if path.is_dir():
@@ -157,12 +172,14 @@ def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
     return tuple(paths)
 
 
-def _config_echo(opts: dict, data_path: str, k: int) -> dict:
-    echo = {key: opts[key] for key in DEFAULTS}
-    echo["data"] = data_path
-    echo["k"] = k
-    echo["version"] = __version__
-    return echo
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text beside path, then move it over path: never a partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _print_results_table(rows: list[tuple[str, str, float, float | None]]) -> None:
@@ -176,27 +193,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
     metrics_path, summary_path, params_path = _output_paths(opts)
-    theta0 = init_parameters(spec, _cast(opts, "seed_init", int))
+    theta0 = init_parameters(spec, opts["seed_init"])
 
     start = time.perf_counter()
     theta, metrics = train(train_enc, test_enc, spec, config, initial_theta=theta0)
     wall = time.perf_counter() - start
 
-    with open(metrics_path, "w") as f:
-        for m in metrics:
-            f.write(
-                json.dumps(
-                    {
-                        "epoch": m.epoch,
-                        "loss": m.train_loss,
-                        "train_acc": m.train_accuracy,
-                        "test_acc": m.test_accuracy,
-                    }
-                )
-                + "\n"
-            )
-
-    params_path.write_text(json.dumps(list(theta.values)) + "\n")
+    records = [
+        {
+            "epoch": m.epoch,
+            "loss": m.train_loss,
+            "train_acc": m.train_accuracy,
+            "test_acc": m.test_accuracy,
+        }
+        for m in metrics
+    ]
+    _write_atomic(metrics_path, "".join(json.dumps(r) + "\n" for r in records))
+    _write_atomic(params_path, json.dumps(list(theta.values)) + "\n")
 
     final = metrics[-1]
     summary = {
@@ -208,9 +221,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_loss": final.train_loss,
         "epochs_run": len(metrics),
         "wall_time_s": wall,
-        "config": _config_echo(opts, data_path, spec.k),
+        "config": {**opts, "data": data_path, "k": spec.k, "version": __version__},
     }
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
 
     _print_results_table([(task.class0, task.class1, final.train_accuracy, final.test_accuracy)])
     print(
@@ -224,17 +237,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
 
-    params_path = getattr(args, "params", None) or _cast(opts, "out_params", str)
-    try:
-        values = json.loads(Path(params_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"parameter file not found: {params_path}")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read parameter file {params_path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"parameter file {params_path} is not UTF-8 text: {exc.reason}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"parameter file {params_path} is not valid JSON: {exc}")
+    params_path = args.params or opts["out_params"]
+    values = _read_json(params_path, "parameter file")
     if not isinstance(values, list) or len(values) != spec.parameter_count:
         raise ConfigurationError(
             f"parameter file holds {len(values) if isinstance(values, list) else 'non-list'}"
@@ -260,10 +264,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    n_min = 1 if args.n_min is None else args.n_min
-    n_max = 12 if args.n_max is None else args.n_max
-    spec = AnsatzSpec(k=2, layers=_cast(opts, "layers", int), template=opts["template"])
-    rows = cost_table(n_min, n_max, spec)
+    spec = AnsatzSpec(k=2, layers=opts["layers"])
+    rows = cost_table(args.n_min, args.n_max, spec)
     cols = ["N", "hadamards", "qram_routing", "ansatz_gates", "swap_test_gates", "total", "sequential_baseline"]
     print(" ".join(f"{c:>19}" for c in cols))
     for row in rows:
@@ -281,22 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--task", help="species pair, e.g. setosa-vs-versicolor")
-        p.add_argument("--data", help="iris CSV path (default: $VARQ_DATA_DIR or packaged copy)")
-        p.add_argument("--n", type=int, help="control qubits per batch (batch size 2^n)")
-        p.add_argument("--layers", type=int, help="ansatz layers")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float, help="gradient-descent step size")
-        p.add_argument("--fd-eps", type=float, dest="fd_eps", help="finite-difference step")
-        p.add_argument("--cadence", choices=["per_batch", "per_epoch"], help="update cadence")
-        p.add_argument("--seed-split", type=int, dest="seed_split")
-        p.add_argument("--seed-init", type=int, dest="seed_init")
-        p.add_argument("--seed-batch", type=int, dest="seed_batch")
-        p.add_argument("--seed-shots", type=int, dest="seed_shots")
-        p.add_argument("--shots", type=int, help="ancilla shots per readout (default: exact)")
-        p.add_argument("--out-metrics", dest="out_metrics")
-        p.add_argument("--out-summary", dest="out_summary")
-        p.add_argument("--out-params", dest="out_params")
+        for name, opt in OPTIONS.items():
+            if opt.help is not None:
+                flag = "--" + name.replace("_", "-")
+                p.add_argument(flag, type=opt.kind, choices=opt.choices, help=opt.help)
 
     p_train = sub.add_parser("train", help="train one task and write artifacts")
     add_common(p_train)
@@ -309,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="print the batched vs sequential cost table")
     add_common(p_cost)
-    p_cost.add_argument("--n-min", type=int, dest="n_min", help="smallest n (default 1)")
-    p_cost.add_argument("--n-max", type=int, dest="n_max", help="largest n (default 12)")
+    p_cost.add_argument("--n-min", type=int, default=1, help="smallest n (default %(default)s)")
+    p_cost.add_argument("--n-max", type=int, default=12, help="largest n (default %(default)s)")
     p_cost.set_defaults(func=cmd_cost)
 
     return parser

@@ -48,8 +48,9 @@ class Shots:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigurationError(f"shot count must be >= 1, got {self.count}")
+        # numpy's binomial draw takes a count below 2^63.
+        if not 1 <= self.count < 2**63:
+            raise ConfigurationError(f"shot count must be in [1, 2^63), got {self.count}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, stacked_loss
 from .qram import QramStore, build_store
 
-_CADENCES = ("per_batch", "per_epoch")
+CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
 CLASSIFY_CHUNK = 1024
 
@@ -57,9 +57,9 @@ class TrainConfig:
             raise ConfigurationError(
                 f"fd_epsilon must be finite and > 0, got {self.fd_epsilon}"
             )
-        if self.update_cadence not in _CADENCES:
+        if self.update_cadence not in CADENCES:
             raise ConfigurationError(
-                f"update_cadence must be one of {_CADENCES}, got {self.update_cadence!r}"
+                f"update_cadence must be one of {CADENCES}, got {self.update_cadence!r}"
             )
         if not 0.0 <= self.decision_threshold <= 1.0:
             raise ConfigurationError(

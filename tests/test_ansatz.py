@@ -57,8 +57,6 @@ class TestAnsatzSpec:
             AnsatzSpec(k=0, layers=1)
         with pytest.raises(ConfigurationError):
             AnsatzSpec(k=2, layers=0)
-        with pytest.raises(ConfigurationError):
-            AnsatzSpec(k=2, layers=1, template="xx_cascade")
 
     def test_zero_angles_even_layers_pin_to_identity(self):
         # Two CZ per pair cancel, RY(0) is the identity rotation.

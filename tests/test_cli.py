@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, config precedence, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -148,6 +149,38 @@ class TestTrainCommand:
         assert not (tmp_path / "summary.json").exists()
         assert not (tmp_path / "params.json").exists()
 
+    def test_artifacts_replace_old_files_and_leave_no_temporary_file(self, tmp_path):
+        names = ["metrics.jsonl", "params.json", "summary.json"]
+        for name in names:
+            (tmp_path / name).write_text("stale")
+        assert run_train(tmp_path, epochs=1) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        assert len(read_metrics(tmp_path)) == 1
+        assert len(json.loads((tmp_path / "params.json").read_text())) == 8
+
+    @pytest.mark.parametrize(
+        "extra, config, named",
+        [
+            (["--seed-split", "-1"], None, "seed_split"),
+            (["--seed-init", "-1"], None, "seed_init"),
+            (["--seed-batch", "-5"], None, "seed_batch"),
+            (["--seed-shots", "-1", "--shots", "10"], None, "seed_shots"),
+            ([], {"seed_batch": -1}, "seed_batch"),
+            (["--shots", str(2**63)], None, "shot count"),
+        ],
+        ids=["seed-split", "seed-init", "seed-batch", "seed-shots", "config-seed", "shots-2^63"],
+    )
+    def test_negative_seed_or_oversized_shot_count_exits_2(
+        self, tmp_path, capsys, extra, config, named
+    ):
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            extra = [*extra, "--config", str(tmp_path / "run.json")]
+        assert run_train(tmp_path, extra=extra, epochs=1) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert named in err
+
     def test_shots_mode_completes(self, tmp_path):
         code = run_train(tmp_path, extra=["--shots", "64", "--seed-shots", "11"], epochs=1)
         assert code == 0
@@ -200,7 +233,8 @@ class TestConfigFile:
         assert main(["train", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize(
-        "content", [{"n": "abc"}, {"task": 5}, {"lr": [1]}, {"n": 2.7}, {"out_params": 5}]
+        "content",
+        [{"n": "abc"}, {"task": 5}, {"lr": [1]}, {"n": 2.7}, {"out_params": 5}, {"lr": 10**400}],
     )
     def test_mistyped_config_values_exit_2(self, tmp_path, capsys, content):
         config = tmp_path / "run.json"
@@ -211,6 +245,115 @@ class TestConfigFile:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+# Bytes that make any JSON text invalid wherever they land: control
+# characters other than JSON whitespace, and bytes that are not UTF-8
+# next to ASCII.
+POISON_BYTES = [b for b in range(0x20) if b not in b"\t\n\r"] + list(range(0x80, 0x100))
+
+
+def broken_json(rng, value):
+    """The JSON text of value, truncated or with one byte poisoned."""
+    text = json.dumps(value).encode()
+    if rng.random() < 0.5:
+        return text[: rng.randrange(len(text))]
+    flipped = bytearray(text)
+    flipped[rng.randrange(len(text))] = rng.choice(POISON_BYTES)
+    return bytes(flipped)
+
+
+def malformed_config(rng, base):
+    """One malformed config file: its bytes, and whether it must run under
+    eval, the command that rejects it before any classification."""
+    kind = rng.choice(["broken", "top-level", "unknown", "type", "range"])
+    if kind == "broken":
+        return broken_json(rng, base), False
+    if kind == "top-level":
+        return json.dumps(rng.choice([[], [base], 1, 2.5, "x", None, True])).encode(), False
+    if kind == "unknown":
+        key = rng.choice(
+            ["template", "learning_rate", "seed", "Task", "fd-eps", "x" * rng.randint(1, 9)]
+        )
+        assert key not in cli.OPTIONS
+        return json.dumps({**base, key: 1}).encode(), False
+    if kind == "type":
+        name = rng.choice(sorted(cli.OPTIONS))
+        option = cli.OPTIONS[name]
+        wrong = [[1], {"a": 1}, True, False]
+        wrong += [5] if option.kind is str else ["abc"]
+        wrong += [2.0, 2.5] if option.kind is int else []
+        wrong += [None] if option.default is not None else []
+        return json.dumps({**base, name: rng.choice(wrong)}).encode(), False
+    name, value = rng.choice(
+        [
+            ("n", rng.randint(-5, 0)),
+            ("epochs", rng.randint(-5, 0)),
+            ("lr", float("nan")),
+            ("fd_eps", -rng.random()),
+            ("shots", rng.randint(-5, 0)),
+            ("shots", 2**63 + rng.randint(0, 10**6)),
+            ("seed_" + rng.choice(["split", "init", "batch", "shots"]), -rng.randint(1, 99)),
+            ("decision_threshold", 1.0 + rng.uniform(1e-9, 5.0)),
+            ("readout_qubit", rng.randint(2, 6)),
+        ]
+    )
+    # An out-of-range readout qubit is caught when the run first reads a
+    # qubit out; eval does that before it classifies any sample.
+    return json.dumps({**base, name: value}).encode(), name == "readout_qubit"
+
+
+def malformed_params(rng):
+    """One malformed parameter file for the 8-angle default ansatz."""
+    good = [rng.uniform(0.0, 6.0) for _ in range(8)]
+    kind = rng.choice(["broken", "top-level", "length", "entry"])
+    if kind == "broken":
+        return broken_json(rng, good)
+    if kind == "top-level":
+        return json.dumps(rng.choice([{"theta": good}, 1.5, "x", None, [good]])).encode()
+    if kind == "length":
+        return json.dumps([0.5] * rng.choice([0, 1, 7, 9, 16, 32])).encode()
+    bad = list(good)
+    bad[rng.randrange(8)] = rng.choice(
+        ["0.5", "a", True, False, None, float("nan"), float("inf"), [0.5], {"x": 1}]
+    )
+    return json.dumps(bad).encode()
+
+
+class TestMalformedFileFuzz:
+    def test_every_malformed_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        rng = random.Random(20201)
+        good_params = tmp_path / "good.json"
+        good_params.write_text(json.dumps([0.0] * 8))
+        base = {
+            "task": "setosa-vs-versicolor",
+            "epochs": 1,
+            "out_metrics": str(tmp_path / "m.jsonl"),
+            "out_summary": str(tmp_path / "s.json"),
+            "out_params": str(tmp_path / "p.json"),
+        }
+        case_file = tmp_path / "case.json"
+        for case in range(200):
+            if case % 3 == 2:
+                case_file.write_bytes(malformed_params(rng))
+                argv = ["eval", "--task", "setosa-vs-versicolor", "--params", str(case_file)]
+            else:
+                content, eval_only = malformed_config(rng, base)
+                case_file.write_bytes(content)
+                command = "eval" if eval_only or rng.random() < 0.3 else "train"
+                argv = [command, "--config", str(case_file)]
+                if command == "eval":
+                    argv += ["--params", str(good_params)]
+            code = main(argv)
+            err = capsys.readouterr().err
+            detail = f"case {case}: {argv[0]} {case_file.read_bytes()!r}: {err!r}"
+            assert code == 2, detail
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, detail
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["case.json", "good.json"]
 
 
 class TestEvalCommand:

@@ -172,6 +172,8 @@ class TestShotsMode:
             Shots(0)
         with pytest.raises(ConfigurationError):
             Shots(-5)
+        with pytest.raises(ConfigurationError):
+            Shots(2**63)
 
     def test_same_seed_reproduces_estimate(self):
         label = prepare_label_state(1)
@@ -210,6 +212,8 @@ class TestShotsMode:
         result = swap_test(state, label, 0, (2,), Shots(10**11, seed=0))
         assert result.shots == 10**11
         assert abs(result.p_zero - exact) < 1e-4
+        largest = swap_test(state, label, 0, (2,), Shots(2**63 - 1, seed=0))
+        assert abs(largest.p_zero - exact) < 1e-4
 
 
 class TestBatchedLoss:
