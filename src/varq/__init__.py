@@ -18,8 +18,16 @@ from .ansatz import (
     run_ansatz,
 )
 from .costmodel import QueryCost, cost_table, forward_pass_cost, sequential_baseline
-from .dataset import BinaryTask, IrisRecord, default_data_path, load_iris, make_task
-from .encoding import EncodedSample, FeatureVector, amplitude_encode, encode_dataset, num_qubits_for
+from .dataset import BinaryTask, IrisTable, default_data_path, load_iris, make_task
+from .encoding import (
+    EncodedSample,
+    EncodedSet,
+    FeatureSet,
+    FeatureVector,
+    amplitude_encode,
+    encode_dataset,
+    num_qubits_for,
+)
 from .errors import (
     ConfigurationError,
     DataError,
@@ -61,11 +69,13 @@ __all__ = [
     "DataError",
     "EXACT",
     "EncodedSample",
+    "EncodedSet",
     "EncodingError",
     "EpochMetrics",
+    "FeatureSet",
     "FeatureVector",
     "GateOp",
-    "IrisRecord",
+    "IrisTable",
     "LabelState",
     "OptimizationError",
     "ParameterVector",

@@ -132,14 +132,17 @@ def _build_run(opts: dict):
     """Validate every option up front and assemble the run ingredients."""
     class0, class1 = _parse_task(opts["task"])
     data_path = default_data_path(opts["data"])
-    records = load_iris(data_path)
-    task = make_task(records, class0, class1, test_fraction=0.2, seed=opts["seed_split"])
+    table = load_iris(data_path)
+    task = make_task(table, class0, class1, test_fraction=0.2, seed=opts["seed_split"])
     train_enc = encode_dataset(task.train)
     test_enc = encode_dataset(task.test)
     if not train_enc:
         raise ConfigurationError("training split is empty")
-    k = train_enc[0].state.num_qubits
-    spec = AnsatzSpec(k=k, layers=opts["layers"])
+    spec = AnsatzSpec(k=train_enc.num_qubits, layers=opts["layers"])
+    if not 0 <= opts["readout_qubit"] < spec.k:
+        raise ConfigurationError(
+            f"readout qubit {opts['readout_qubit']} out of range for {spec.k}-qubit state"
+        )
     mode = EXACT
     if opts["shots"] is not None:
         mode = Shots(opts["shots"], opts["seed_shots"])
@@ -191,7 +194,9 @@ def _print_results_table(rows: list[tuple[str, str, float, float | None]]) -> No
 
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
+    start = time.perf_counter()
     task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
+    prepare_s = time.perf_counter() - start
     metrics_path, summary_path, params_path = _output_paths(opts)
     theta0 = init_parameters(spec, opts["seed_init"])
 
@@ -208,8 +213,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
         for m in metrics
     ]
+    start = time.perf_counter()
     _write_atomic(metrics_path, "".join(json.dumps(r) + "\n" for r in records))
     _write_atomic(params_path, json.dumps(list(theta.values)) + "\n")
+    write_s = time.perf_counter() - start
 
     final = metrics[-1]
     summary = {
@@ -221,6 +228,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_loss": final.train_loss,
         "epochs_run": len(metrics),
         "wall_time_s": wall,
+        # Seconds per phase: load + split + encode, training, and writing
+        # metrics.jsonl and params.json (this file is written last).
+        "timings": {"prepare_s": prepare_s, "train_s": wall, "write_s": write_s},
         "config": {**opts, "data": data_path, "k": spec.k, "version": __version__},
     }
     _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")

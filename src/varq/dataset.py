@@ -1,9 +1,11 @@
 """Fisher Iris ingestion and binary-task construction.
 
 The canonical 150-row file ships with the package (data/iris.csv), so
-tests and default runs are hermetic. A task picks two species, labels
-them 0/1, and makes a seeded stratified split: exactly the test fraction
-of each class is held out.
+tests and default runs are hermetic. The file is read into one
+IrisTable (a feature matrix plus each row's species). A task picks two
+species, labels them 0/1, and makes a seeded stratified split by row
+index: exactly the test fraction of each class is held out. Each split
+is a FeatureSet.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import FeatureVector
+from .encoding import FeatureSet
 from .errors import DataError
 
 SPECIES = ("setosa", "versicolor", "virginica")
@@ -25,19 +27,15 @@ DATA_DIR_ENV = "VARQ_DATA_DIR"
 
 
 @dataclass(frozen=True, eq=False)
-class IrisRecord:
-    """One flower: sepal length/width, petal length/width (cm), species."""
+class IrisTable:
+    """Parsed iris rows: an (N, 4) feature matrix of sepal length/width and
+    petal length/width (cm), and each row's normalized species name."""
 
     features: np.ndarray
-    species: str
+    species: np.ndarray
 
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.shape != (4,):
-            raise DataError(f"iris record needs 4 features, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)) or np.any(feats <= 0):
-            raise DataError(f"iris features must be finite and positive, got {feats}")
-        object.__setattr__(self, "features", feats)
+    def __len__(self) -> int:
+        return self.species.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +44,8 @@ class BinaryTask:
 
     class0: str
     class1: str
-    train: list[FeatureVector]
-    test: list[FeatureVector]
+    train: FeatureSet
+    test: FeatureSet
 
 
 def _normalize_species(raw: str) -> str:
@@ -70,45 +68,76 @@ def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
     return Path(str(resources.files("varq").joinpath("data/iris.csv")))
 
 
-def load_iris(path: str | os.PathLike) -> list[IrisRecord]:
+def _line_of(row: int, skipped: list[int]) -> int:
+    """File line of data row `row` (0-based), given the ascending line
+    numbers of the skipped header and blank rows."""
+    line = row + 1
+    for skipped_line in skipped:
+        if skipped_line <= line:
+            line += 1
+    return line
+
+
+def load_iris(path: str | os.PathLike) -> IrisTable:
     """Parse an iris CSV: 4 numeric columns plus species, optional header.
 
     Species names match case-insensitively, with or without an "Iris-"
-    prefix. Malformed rows raise DataError with their line number, and
-    so does a path that cannot be read as UTF-8 text.
+    prefix. The rows are read in one streaming pass and checked as one
+    array. The first malformed row in file order raises DataError with
+    its line number, and so does a path that cannot be read as UTF-8 text.
     """
     path = Path(path)
-    records: list[IrisRecord] = []
+    rows: list[tuple[float, float, float, float]] = []
+    names: list[str] = []
+    skipped: list[int] = []
+    problem = None
     try:
         with open(path, newline="", encoding="utf-8") as f:
             for line_no, row in enumerate(csv.reader(f), start=1):
+                if len(row) == 5:
+                    try:
+                        rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
+                    except ValueError:
+                        pass
+                    else:
+                        names.append(row[4])
+                        continue
                 if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 5:
-                    raise DataError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
-                try:
-                    feats = [float(cell) for cell in row[:4]]
-                except ValueError:
-                    if line_no == 1:
-                        continue  # header row
-                    raise DataError(f"{path}:{line_no}: non-numeric feature in {row[:4]}")
-                try:
-                    records.append(IrisRecord(np.array(feats), _normalize_species(row[4])))
-                except DataError as exc:
-                    raise DataError(f"{path}:{line_no}: {exc}")
+                    skipped.append(line_no)
+                elif len(row) != 5:
+                    problem = f"{path}:{line_no}: expected 5 columns, got {len(row)}"
+                    break
+                elif line_no == 1:
+                    skipped.append(line_no)  # header row
+                else:
+                    problem = f"{path}:{line_no}: non-numeric feature in {row[:4]}"
+                    break
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
-    if not records:
+    features = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    # Every row read so far precedes the structural problem, if any.
+    bad = np.flatnonzero(~np.all(np.isfinite(features) & (features > 0), axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(
+            f"{path}:{_line_of(row, skipped)}: iris features must be finite and positive, "
+            f"got {features[row]}"
+        )
+    if problem is not None:
+        raise DataError(problem)
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    return records
+    raw, inverse = np.unique(np.array(names), return_inverse=True)
+    species = np.array([_normalize_species(name) for name in raw])[inverse]
+    return IrisTable(features, species)
 
 
 def make_task(
-    records: list[IrisRecord],
+    table: IrisTable,
     class0: str,
     class1: str,
     test_fraction: float = 0.2,
@@ -116,8 +145,9 @@ def make_task(
 ) -> BinaryTask:
     """Label class0 as 0 and class1 as 1, then split stratified by class.
 
-    Each class is shuffled with default_rng(seed); round(test_fraction *
-    class size) samples are held out per class.
+    Each class's rows, in file order, are shuffled with default_rng(seed);
+    the first round(test_fraction * class size) go to the test set. Each
+    split lists class 0's rows, then class 1's, in shuffled order.
     """
     class0, class1 = _normalize_species(class0), _normalize_species(class1)
     for name in (class0, class1):
@@ -128,26 +158,25 @@ def make_task(
     if not 0.0 <= test_fraction < 1.0:
         raise DataError(f"test_fraction must be in [0, 1), got {test_fraction}")
 
-    groups = {class0: [], class1: []}
-    for rec in records:
-        if rec.species in groups:
-            groups[rec.species].append(rec)
-    if not groups[class0] or not groups[class1]:
+    members = [np.flatnonzero(table.species == name) for name in (class0, class1)]
+    if not members[0].size or not members[1].size:
         raise DataError(f"species missing from records: {class0} or {class1}")
-    if len(groups[class0]) != len(groups[class1]):
+    if members[0].size != members[1].size:
         raise DataError(
-            f"unequal class counts: {len(groups[class0])} {class0} vs "
-            f"{len(groups[class1])} {class1}"
+            f"unequal class counts: {members[0].size} {class0} vs "
+            f"{members[1].size} {class1}"
         )
 
     rng = np.random.default_rng(seed)
-    train: list[FeatureVector] = []
-    test: list[FeatureVector] = []
-    for label, name in ((0, class0), (1, class1)):
-        group = groups[name]
-        order = rng.permutation(len(group))
-        n_test = int(round(test_fraction * len(group)))
-        for pos, idx in enumerate(order):
-            fv = FeatureVector(group[idx].features, label)
-            (test if pos < n_test else train).append(fv)
-    return BinaryTask(class0=class0, class1=class1, train=train, test=test)
+    train_rows, test_rows = [], []
+    for rows in members:
+        rows = rows[rng.permutation(rows.size)]
+        n_test = int(round(test_fraction * rows.size))
+        test_rows.append(rows[:n_test])
+        train_rows.append(rows[n_test:])
+
+    def split(parts: list[np.ndarray]) -> FeatureSet:
+        labels = np.repeat([0, 1], [part.size for part in parts])
+        return FeatureSet(table.features[np.concatenate(parts)], labels)
+
+    return BinaryTask(class0, class1, split(train_rows), split(test_rows))

@@ -4,15 +4,23 @@ A d-dimensional vector becomes the amplitudes of a ceil(log2 d)-qubit
 state: normalize to unit L2 norm, zero-pad to the next power of two.
 The map is scale-invariant and injects no phases (negative entries stay
 negative real amplitudes).
+
+A dataset travels as arrays: a FeatureSet holds an (N, d) feature
+matrix and an EncodedSet an (N, 2^k) amplitude matrix, each with one
+0/1 label per row, and encode_dataset maps the one to the other in a
+single normalization. Item i of either set is a FeatureVector or
+EncodedSample view of row i; the views are built once per set, on
+first access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingError
+from .errors import ConfigurationError, EncodingError
 from .statevector import StateVector
 
 
@@ -38,15 +46,107 @@ class FeatureVector:
 
 @dataclass(frozen=True, eq=False)
 class EncodedSample:
-    """A feature vector as a quantum state, plus its label and origin.
-
-    `source` is the encoded FeatureVector, or None for a state built
-    directly from amplitudes.
-    """
+    """A feature vector as a quantum state, plus its label."""
 
     state: StateVector
     label: int
-    source: FeatureVector | None = None
+
+
+class _LabeledRows(Sequence):
+    """Rows of a 2-D array with one 0/1 label each; item i is a view of
+    row i, and all views are built together on first access."""
+
+    def __init__(self, rows: np.ndarray, labels):
+        labels = np.asarray(labels)
+        if rows.ndim != 2 or labels.shape != rows.shape[:1]:
+            raise EncodingError(
+                f"need a 2-D array with one label per row, got shapes {rows.shape} and {labels.shape}"
+            )
+        if not np.all((labels == 0) | (labels == 1)):
+            raise EncodingError("labels must be 0 or 1")
+        self._rows = rows
+        self.labels = labels.astype(np.int64)
+        self._items = None
+
+    def _item(self, row: np.ndarray, label: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def _views(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(map(self._item, self._rows, self.labels.tolist()))
+        return self._items
+
+    def __getitem__(self, index):
+        return self._views()[index]
+
+    def __iter__(self):
+        return iter(self._views())
+
+
+class FeatureSet(_LabeledRows):
+    """Feature vectors as one (N, d) float array plus N labels."""
+
+    def __init__(self, values, labels):
+        values = np.asarray(values, dtype=np.float64)
+        super().__init__(values, labels)
+        if values.shape[1] < 1:
+            raise EncodingError(f"feature vectors must be nonempty, got shape {values.shape}")
+        self.values = values
+
+    @property
+    def dimension(self) -> int:
+        return self.values.shape[1]
+
+    def _item(self, row: np.ndarray, label: int) -> FeatureVector:
+        return FeatureVector(row, label)
+
+    @classmethod
+    def of(cls, samples: Sequence[FeatureVector]) -> "FeatureSet":
+        """samples as a FeatureSet: itself if it is one, else stacked."""
+        if isinstance(samples, cls):
+            return samples
+        if not samples:
+            return cls(np.zeros((0, 1)), [])
+        d = samples[0].dimension
+        for i, x in enumerate(samples):
+            if x.dimension != d:
+                raise EncodingError(f"sample {i} has dimension {x.dimension}, expected {d}")
+        return cls([x.values for x in samples], [x.label for x in samples])
+
+
+class EncodedSet(_LabeledRows):
+    """Encoded samples as one (N, 2^k) complex amplitude array plus N labels."""
+
+    def __init__(self, amplitudes, labels):
+        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        super().__init__(amplitudes, labels)
+        width = amplitudes.shape[1]
+        if width < 1 or width & (width - 1):
+            raise EncodingError(f"amplitude rows must have power-of-two length, got {width}")
+        self.amplitudes = amplitudes
+        self.num_qubits = width.bit_length() - 1
+
+    def _item(self, row: np.ndarray, label: int) -> EncodedSample:
+        return EncodedSample(StateVector(self.num_qubits, row), label)
+
+    @classmethod
+    def of(cls, samples: Sequence[EncodedSample]) -> "EncodedSet":
+        """samples as an EncodedSet: itself if it is one, else stacked.
+        All samples must span the same number of qubits."""
+        if isinstance(samples, cls):
+            return samples
+        if not samples:
+            return cls(np.zeros((0, 1)), [])
+        k = samples[0].state.num_qubits
+        for i, s in enumerate(samples):
+            if s.state.num_qubits != k:
+                raise ConfigurationError(
+                    f"sample {i} has {s.state.num_qubits} qubits, sample 0 has {k}"
+                )
+        return cls([s.state.amplitudes for s in samples], [s.label for s in samples])
 
 
 def num_qubits_for(dimension: int) -> int:
@@ -56,30 +156,27 @@ def num_qubits_for(dimension: int) -> int:
     return max(0, (dimension - 1).bit_length())
 
 
+def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
+    """Encode each feature vector x as the unit state x / ||x||, zero-padded,
+    preserving order. A FeatureSet is encoded without per-row work."""
+    features = FeatureSet.of(samples)
+    values = features.values
+    finite = np.all(np.isfinite(values), axis=1)
+    # Row-wise dot products: the kernel np.linalg.norm uses for one vector,
+    # so each norm is bit-identical to the norm of that row alone.
+    norms = np.sqrt((values[:, None, :] @ values[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(~finite | (norms == 0.0))
+    if bad.size:
+        i = int(bad[0])
+        if not finite[i]:
+            raise EncodingError(f"sample {i}: feature vector contains non-finite entries")
+        raise EncodingError(f"sample {i}: all-zero feature vector cannot be amplitude-encoded")
+    d = features.dimension
+    amps = np.zeros((len(features), 1 << num_qubits_for(d)), dtype=np.complex128)
+    amps[:, :d] = values / norms[:, None]
+    return EncodedSet(amps, features.labels)
+
+
 def amplitude_encode(x: FeatureVector) -> EncodedSample:
     """Encode x as a unit state with amplitudes x / ||x||, zero-padded."""
-    vals = x.values
-    if not np.all(np.isfinite(vals)):
-        raise EncodingError("feature vector contains non-finite entries")
-    norm = float(np.linalg.norm(vals))
-    if norm == 0.0:
-        raise EncodingError("all-zero feature vector cannot be amplitude-encoded")
-    k = num_qubits_for(x.dimension)
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    amps[: x.dimension] = vals / norm
-    return EncodedSample(StateVector(k, amps), x.label, x)
-
-
-def encode_dataset(samples: list[FeatureVector]) -> list[EncodedSample]:
-    """Encode a homogeneous list of feature vectors, preserving order."""
-    if not samples:
-        return []
-    d = samples[0].dimension
-    encoded = []
-    for i, x in enumerate(samples):
-        if x.dimension != d:
-            raise EncodingError(
-                f"sample {i} has dimension {x.dimension}, expected {d}"
-            )
-        encoded.append(amplitude_encode(x))
-    return encoded
+    return encode_dataset([x])[0]

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
-from .encoding import EncodedSample
+from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, stacked_loss
 from .qram import QramStore, build_store
@@ -165,26 +165,24 @@ def make_batches(
 
 
 def _predict(
-    samples: Sequence[EncodedSample],
+    amplitudes: np.ndarray,
     spec: AnsatzSpec,
     theta: ParameterVector,
     readout_qubit: int,
     threshold: float,
 ) -> np.ndarray:
-    """Class decisions for samples, in one stacked pass: p(readout=1) at
-    or above the threshold is class 1."""
-    for s in samples:
-        if s.state.num_qubits != spec.k:
-            raise ConfigurationError(
-                f"sample has {s.state.num_qubits} qubits, ansatz spans {spec.k}"
-            )
+    """Class decisions for a stack of states, one per row of amplitudes, in
+    one stacked pass: p(readout=1) at or above the threshold is class 1."""
+    if amplitudes.shape[1] != 1 << spec.k:
+        raise ConfigurationError(
+            f"samples have {amplitudes.shape[1].bit_length() - 1} qubits, ansatz spans {spec.k}"
+        )
     if not 0 <= readout_qubit < spec.k:
         raise ConfigurationError(
             f"readout qubit {readout_qubit} out of range for {spec.k}-qubit state"
         )
-    amplitudes = np.array([s.state.amplitudes for s in samples])
     out = run_ansatz(spec, theta.values[None, :], amplitudes, range(spec.k))
-    ones = out.reshape(len(samples), 1 << readout_qubit, 2, -1)[:, :, 1]
+    ones = out.reshape(amplitudes.shape[0], 1 << readout_qubit, 2, -1)[:, :, 1]
     p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
     return (p_one >= threshold).astype(int)
 
@@ -200,7 +198,7 @@ def classify(
 
     Ties at the threshold go to class 1.
     """
-    return int(_predict([sample], spec, theta, readout_qubit, threshold)[0])
+    return int(_predict(sample.state.amplitudes[None, :], spec, theta, readout_qubit, threshold)[0])
 
 
 def accuracy(
@@ -210,15 +208,20 @@ def accuracy(
     readout_qubit: int = 0,
     threshold: float = 0.5,
 ) -> float | None:
-    """Fraction classified correctly; None for an empty sample list."""
+    """Fraction classified correctly; None for an empty sample list.
+
+    An EncodedSet is classified straight from its amplitude array, in
+    slices of CLASSIFY_CHUNK rows; any other sequence is stacked first.
+    """
     if not samples:
         return None
+    encoded = EncodedSet.of(samples)
     hits = 0
-    for start in range(0, len(samples), CLASSIFY_CHUNK):
-        chunk = samples[start : start + CLASSIFY_CHUNK]
-        labels = np.array([s.label for s in chunk])
-        hits += int(np.count_nonzero(_predict(chunk, spec, theta, readout_qubit, threshold) == labels))
-    return hits / len(samples)
+    for start in range(0, len(encoded), CLASSIFY_CHUNK):
+        rows = slice(start, start + CLASSIFY_CHUNK)
+        decisions = _predict(encoded.amplitudes[rows], spec, theta, readout_qubit, threshold)
+        hits += int(np.count_nonzero(decisions == encoded.labels[rows]))
+    return hits / len(encoded)
 
 
 def _step(theta: ParameterVector, delta: np.ndarray, epoch: int) -> ParameterVector:

@@ -149,6 +149,34 @@ class TestTrainCommand:
         assert not (tmp_path / "summary.json").exists()
         assert not (tmp_path / "params.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_of_range_readout_qubit_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "train", no_work)
+        monkeypatch.setattr(cli, "accuracy", no_work)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"readout_qubit": 5}))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([0.0] * 8))
+        argv = [command, "--task", "setosa-vs-versicolor", "--config", str(config),
+                "--params" if command == "eval" else "--out-params", str(params)]
+        # Checked before the output paths, so the absent directory goes unreported.
+        code = main(argv + ["--out-metrics", str(tmp_path / "absent" / "m.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: readout qubit 5 out of range for 2-qubit state\n"
+
+    def test_summary_reports_phase_timings(self, tmp_path):
+        assert run_train(tmp_path, epochs=1) == 0
+        timings = json.loads((tmp_path / "summary.json").read_text())["timings"]
+        assert sorted(timings) == ["prepare_s", "train_s", "write_s"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert set(read_metrics(tmp_path)[0]) == {"epoch", "loss", "train_acc", "test_acc"}
+
     def test_artifacts_replace_old_files_and_leave_no_temporary_file(self, tmp_path):
         names = ["metrics.jsonl", "params.json", "summary.json"]
         for name in names:
@@ -264,19 +292,18 @@ def broken_json(rng, value):
 
 
 def malformed_config(rng, base):
-    """One malformed config file: its bytes, and whether it must run under
-    eval, the command that rejects it before any classification."""
+    """The bytes of one malformed config file."""
     kind = rng.choice(["broken", "top-level", "unknown", "type", "range"])
     if kind == "broken":
-        return broken_json(rng, base), False
+        return broken_json(rng, base)
     if kind == "top-level":
-        return json.dumps(rng.choice([[], [base], 1, 2.5, "x", None, True])).encode(), False
+        return json.dumps(rng.choice([[], [base], 1, 2.5, "x", None, True])).encode()
     if kind == "unknown":
         key = rng.choice(
             ["template", "learning_rate", "seed", "Task", "fd-eps", "x" * rng.randint(1, 9)]
         )
         assert key not in cli.OPTIONS
-        return json.dumps({**base, key: 1}).encode(), False
+        return json.dumps({**base, key: 1}).encode()
     if kind == "type":
         name = rng.choice(sorted(cli.OPTIONS))
         option = cli.OPTIONS[name]
@@ -284,7 +311,7 @@ def malformed_config(rng, base):
         wrong += [5] if option.kind is str else ["abc"]
         wrong += [2.0, 2.5] if option.kind is int else []
         wrong += [None] if option.default is not None else []
-        return json.dumps({**base, name: rng.choice(wrong)}).encode(), False
+        return json.dumps({**base, name: rng.choice(wrong)}).encode()
     name, value = rng.choice(
         [
             ("n", rng.randint(-5, 0)),
@@ -298,9 +325,7 @@ def malformed_config(rng, base):
             ("readout_qubit", rng.randint(2, 6)),
         ]
     )
-    # An out-of-range readout qubit is caught when the run first reads a
-    # qubit out; eval does that before it classifies any sample.
-    return json.dumps({**base, name: value}).encode(), name == "readout_qubit"
+    return json.dumps({**base, name: value}).encode()
 
 
 def malformed_params(rng):
@@ -342,9 +367,8 @@ class TestMalformedFileFuzz:
                 case_file.write_bytes(malformed_params(rng))
                 argv = ["eval", "--task", "setosa-vs-versicolor", "--params", str(case_file)]
             else:
-                content, eval_only = malformed_config(rng, base)
-                case_file.write_bytes(content)
-                command = "eval" if eval_only or rng.random() < 0.3 else "train"
+                case_file.write_bytes(malformed_config(rng, base))
+                command = "eval" if rng.random() < 0.3 else "train"
                 argv = [command, "--config", str(case_file)]
                 if command == "eval":
                     argv += ["--params", str(good_params)]

@@ -5,7 +5,6 @@ import pytest
 
 from varq import (
     DataError,
-    IrisRecord,
     default_data_path,
     load_iris,
     make_task,
@@ -18,26 +17,74 @@ def records():
     return load_iris(default_data_path())
 
 
+def load_text(tmp_path, text):
+    path = tmp_path / "iris.csv"
+    path.write_text(text)
+    return load_iris(path)
+
+
 class TestIrisRecord:
-    def test_valid_record(self):
-        r = IrisRecord([5.1, 3.5, 1.4, 0.2], "setosa")
-        assert r.features.shape == (4,)
+    """One record is one data row of the CSV."""
 
-    def test_wrong_feature_count_rejected(self):
-        with pytest.raises(DataError):
-            IrisRecord([5.1, 3.5], "setosa")
+    def test_valid_record(self, tmp_path):
+        table = load_text(tmp_path, "5.1,3.5,1.4,0.2,setosa\n")
+        assert table.features.shape == (1, 4)
+        assert table.features.dtype == np.float64
+        assert table.species.tolist() == ["setosa"]
 
-    def test_non_positive_feature_rejected(self):
-        with pytest.raises(DataError):
-            IrisRecord([5.1, 3.5, 1.4, 0.0], "setosa")
-        with pytest.raises(DataError):
-            IrisRecord([5.1, 3.5, 1.4, np.nan], "setosa")
+    def test_wrong_feature_count_rejected(self, tmp_path):
+        with pytest.raises(DataError, match=":1: expected 5 columns, got 3"):
+            load_text(tmp_path, "5.1,3.5,setosa\n")
+
+    def test_non_positive_feature_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="finite and positive"):
+            load_text(tmp_path, "5.1,3.5,1.4,0.0,setosa\n")
+        with pytest.raises(DataError, match="finite and positive"):
+            load_text(tmp_path, "5.1,3.5,1.4,nan,setosa\n")
+
+
+GOOD_ROW = "5.1,3.5,1.4,0.2,setosa\n"
+HEADER = "sepal_length,sepal_width,petal_length,petal_width,species\n"
+
+
+class TestLoadErrorLines:
+    """Each malformed row is reported with its CSV line, in file order."""
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            (GOOD_ROW + "5.0,3.6,1.4,setosa\n", "2: expected 5 columns, got 4"),
+            (HEADER + GOOD_ROW + "4.9,x,1.4,0.2,setosa\n",
+             "3: non-numeric feature in ['4.9', 'x', '1.4', '0.2']"),
+            (GOOD_ROW + "4.9,3.0,0,0.2,setosa\n",
+             "2: iris features must be finite and positive, got [4.9 3.  0.  0.2]"),
+            (GOOD_ROW + GOOD_ROW + "4.9,3.0,nan,0.2,setosa\n",
+             "3: iris features must be finite and positive, got [4.9 3.  nan 0.2]"),
+            (GOOD_ROW + "4.9,inf,1.4,0.2,setosa\n",
+             "2: iris features must be finite and positive, got [4.9 inf 1.4 0.2]"),
+            (GOOD_ROW + HEADER, "2: non-numeric feature in "
+             "['sepal_length', 'sepal_width', 'petal_length', 'petal_width']"),
+            # Header and blank lines count toward the line number.
+            (HEADER + "\n" + GOOD_ROW + ",,,,\n" + "4.9,3.0,1.4,-0.2,setosa\n",
+             "5: iris features must be finite and positive, got [ 4.9  3.   1.4 -0.2]"),
+            # A bad value is reported before a later malformed row.
+            (GOOD_ROW + "4.9,3.0,nan,0.2,setosa\n5.0,3.6,setosa\n",
+             "2: iris features must be finite and positive, got [4.9 3.  nan 0.2]"),
+            (GOOD_ROW + "5.0,3.6,setosa\n4.9,3.0,nan,0.2,setosa\n",
+             "2: expected 5 columns, got 3"),
+        ],
+    )
+    def test_message_names_the_line(self, tmp_path, text, detail):
+        with pytest.raises(DataError) as info:
+            load_text(tmp_path, text)
+        assert str(info.value) == f"{tmp_path / 'iris.csv'}:{detail}"
 
 
 class TestLoadIris:
     def test_canonical_file_has_150_records_50_per_species(self, records):
         assert len(records) == 150
-        counts = {s: sum(1 for r in records if r.species == s) for s in SPECIES}
+        assert records.features.shape == (150, 4)
+        counts = {s: int(np.count_nonzero(records.species == s)) for s in SPECIES}
         assert counts == {"setosa": 50, "versicolor": 50, "virginica": 50}
 
     def test_prefixed_species_name_is_normalized(self, tmp_path):
@@ -45,13 +92,13 @@ class TestLoadIris:
         path.write_text("5.1,3.5,1.4,0.2,Iris-setosa\n")
         out = load_iris(path)
         assert len(out) == 1
-        assert out[0].species == "setosa"
-        assert np.array_equal(out[0].features, [5.1, 3.5, 1.4, 0.2])
+        assert out.species.tolist() == ["setosa"]
+        assert np.array_equal(out.features[0], [5.1, 3.5, 1.4, 0.2])
 
     def test_case_insensitive_species(self, tmp_path):
         path = tmp_path / "iris.csv"
         path.write_text("6.0,2.9,4.5,1.5,VERSICOLOR\n")
-        assert load_iris(path)[0].species == "versicolor"
+        assert load_iris(path).species.tolist() == ["versicolor"]
 
     def test_header_row_is_skipped(self, tmp_path):
         path = tmp_path / "iris.csv"
@@ -122,18 +169,19 @@ class TestMakeTask:
     def test_zero_test_fraction_keeps_everything_in_train(self, records):
         task = make_task(records, "setosa", "virginica", test_fraction=0.0, seed=0)
         assert len(task.train) == 100
-        assert task.test == []
+        assert len(task.test) == 0
+        assert task.test.values.shape == (0, 4)
 
     def test_split_is_a_partition(self, records):
         task = make_task(records, "setosa", "versicolor", seed=3)
         train_ids = {id(s) for s in task.train}
         test_ids = {id(s) for s in task.test}
         assert not train_ids & test_ids
-        as_tuples = {tuple(s.values) for s in task.train + task.test}
+        as_tuples = {tuple(s.values) for s in [*task.train, *task.test]}
         originals = {
-            tuple(r.features)
-            for r in records
-            if r.species in ("setosa", "versicolor")
+            tuple(features)
+            for features, species in zip(records.features, records.species)
+            if species in ("setosa", "versicolor")
         }
         assert as_tuples == originals
 

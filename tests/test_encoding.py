@@ -5,7 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varq import (
+    ConfigurationError,
+    EncodedSample,
+    EncodedSet,
     EncodingError,
+    FeatureSet,
     FeatureVector,
     amplitude_encode,
     encode_dataset,
@@ -100,16 +104,16 @@ class TestAmplitudeEncode:
         enc = amplitude_encode(FeatureVector([-1.0, 1.0], 0))
         assert_allclose(enc.state.amplitudes, [-np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
-    def test_label_and_source_carried_through(self):
-        x = FeatureVector([1.0, 2.0], 1)
-        enc = amplitude_encode(x)
+    def test_label_carried_through(self):
+        enc = amplitude_encode(FeatureVector([1.0, 2.0], 1))
         assert enc.label == 1
-        assert enc.source is x
 
 
 class TestEncodeDataset:
     def test_empty_list(self):
-        assert encode_dataset([]) == []
+        out = encode_dataset([])
+        assert len(out) == 0
+        assert list(out) == []
 
     def test_basis_aligned_vectors_map_to_basis_states(self):
         samples = [
@@ -123,7 +127,9 @@ class TestEncodeDataset:
     def test_order_preserving(self):
         samples = [FeatureVector(RNG.uniform(0.1, 9, 4), i % 2) for i in range(6)]
         out = encode_dataset(samples)
-        assert [e.source for e in out] == samples
+        assert [e.label for e in out] == [x.label for x in samples]
+        for enc, x in zip(out, samples):
+            assert np.array_equal(enc.state.amplitudes, amplitude_encode(x).state.amplitudes)
 
     def test_mixed_dimensions_rejected_with_index(self):
         samples = [
@@ -140,3 +146,60 @@ class TestEncodeDataset:
         for enc in out:
             assert enc.state.num_qubits == 2
             assert abs(enc.state.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ([0.0, 0.0, 0.0, 0.0], "all-zero"),
+            ([1.0, np.nan, 2.0, 3.0], "non-finite"),
+            ([1.0, 2.0, -np.inf, 3.0], "non-finite"),
+        ],
+    )
+    def test_rejected_row_is_named_by_index(self, bad, reason):
+        samples = [FeatureVector(RNG.uniform(0.1, 9, 4), i % 2) for i in range(30)]
+        samples[17] = FeatureVector(bad, 1)
+        samples[23] = FeatureVector([0.0] * 4, 0)
+        with pytest.raises(EncodingError, match=f"^sample 17: .*{reason}"):
+            encode_dataset(samples)
+        with pytest.raises(EncodingError, match=f"^sample 17: .*{reason}"):
+            encode_dataset(FeatureSet([x.values for x in samples], [x.label for x in samples]))
+
+
+class TestSets:
+    def test_items_are_row_views_built_once(self):
+        features = FeatureSet(RNG.uniform(0.1, 9, (5, 4)), [0, 1, 0, 1, 1])
+        encoded = encode_dataset(features)
+        assert isinstance(encoded, EncodedSet)
+        assert encoded.amplitudes.shape == (5, 4) and encoded.num_qubits == 2
+        assert features[2] is features[2] and encoded[-1] is encoded[-1]
+        assert isinstance(features[2], FeatureVector) and features[2].label == 0
+        assert np.array_equal(features[2].values, features.values[2])
+        assert isinstance(encoded[3], EncodedSample) and encoded[3].label == 1
+        assert np.array_equal(encoded[3].state.amplitudes, encoded.amplitudes[3])
+        assert [s.label for s in encoded] == [0, 1, 0, 1, 1]
+
+    def test_encoding_a_set_matches_encoding_its_rows(self):
+        features = FeatureSet(RNG.uniform(-9, 9, (40, 5)), RNG.integers(0, 2, 40))
+        assert np.array_equal(
+            encode_dataset(features).amplitudes, encode_dataset(list(features)).amplitudes
+        )
+
+    def test_bad_shapes_and_labels_rejected(self):
+        with pytest.raises(EncodingError):
+            FeatureSet(np.ones(4), [0])
+        with pytest.raises(EncodingError):
+            FeatureSet(np.ones((2, 4)), [0])
+        with pytest.raises(EncodingError):
+            FeatureSet(np.ones((2, 0)), [0, 1])
+        with pytest.raises(EncodingError):
+            FeatureSet(np.ones((2, 4)), [0, 2])
+        with pytest.raises(EncodingError):
+            FeatureSet(np.ones((2, 4)), [0, 0.5])
+        with pytest.raises(EncodingError):
+            EncodedSet(np.ones((2, 3)), [0, 1])
+
+    def test_encoded_list_with_mixed_widths_rejected(self):
+        samples = [amplitude_encode(FeatureVector([1.0, 2.0], 0)),
+                   amplitude_encode(FeatureVector([1.0, 2.0, 3.0], 1))]
+        with pytest.raises(ConfigurationError, match="sample 1"):
+            EncodedSet.of(samples)
