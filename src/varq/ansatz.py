@@ -7,8 +7,13 @@ real.
 
 The circuit runs on a stack of states with a leading stack axis: each
 stack row may carry its own angle vector, so the 2P+1 probes of a
-central-difference gradient, or every sample of an accuracy pass, take
-one kernel call per gate. apply_ansatz is the one-row case.
+central-difference gradient, or every sample of an accuracy pass, share
+one pass. For each angle row the whole circuit is first multiplied out
+into one real 2^k x 2^k matrix, layer by layer along the schedule: the
+Kronecker product of the layer's RY blocks, times the layer's CZ sign
+diagonal, times the product so far. That costs 4^k entries per angle
+row (16 at k = 2). One matmul then applies it to the data-qubit axes of
+each state. apply_ansatz is the one-row case.
 """
 
 from __future__ import annotations
@@ -71,6 +76,33 @@ class AnsatzSpec:
             gates += [("CZ", a, b) for a, b in self.entangler_pairs]
         return tuple(gates)
 
+    @cached_property
+    def layer_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The schedule as matrix layers; every layer has the same number
+        of gates, one RY per qubit and then its CZs.
+
+        RY(t)[x, y] is cos(t/2) for x == y, else sin(t/2), negated at
+        x=0, y=1. So entry (x, y) of a layer's matrix is a sign times a
+        product over the qubits q of cos or sin of half of q's angle.
+        gather, (layers, k, 2^k, 2^k), indexes those factors in the P
+        cosines followed by the P sines; signs, (layers, 2^k, 2^k), holds
+        the RY signs times the +-1 diagonal of the layer's CZs.
+        """
+        dim = 1 << self.k
+        bits = (np.arange(dim)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
+        gather = np.zeros((self.layers, self.k, dim, dim), dtype=np.intp)
+        signs = np.ones((self.layers, dim, dim))
+        per_layer = len(self.schedule) // self.layers
+        for i, (kind, a, b) in enumerate(self.schedule):
+            layer = i // per_layer
+            if kind == "RY":
+                x, y = bits[:, a, None], bits[None, :, a]
+                gather[layer, a] = b + self.parameter_count * (x != y)
+                signs[layer] *= np.where(x < y, -1.0, 1.0)
+            else:
+                signs[layer] *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
+        return gather, signs
+
     def operations(self, theta: "ParameterVector", data_qubits: Sequence[int]) -> tuple[GateOp, ...]:
         """The concrete gate sequence on the given qubits for angles theta."""
         self._check_shapes(len(theta.values), len(data_qubits))
@@ -120,19 +152,18 @@ def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVecto
     return ParameterVector(rng.uniform(0.0, 2.0 * np.pi, size=spec.parameter_count))
 
 
-def _ry_rows(psi: np.ndarray, q: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    # psi is (rows, 2^num_qubits); the view puts qubit q on axis 2.
-    v = psi.reshape(psi.shape[0], 1 << q, 2, -1)
-    a, b = v[:, :, 0], v[:, :, 1]
-    upper = cos * a - sin * b
-    v[:, :, 1] = sin * a + cos * b
-    v[:, :, 0] = upper
-
-
-def _cz_rows(psi: np.ndarray, a: int, b: int) -> None:
-    a, b = min(a, b), max(a, b)
-    v = psi.reshape(psi.shape[0], 1 << a, 2, 1 << (b - a - 1), 2, -1)
-    v[:, :, 1, :, 1] *= -1.0
+def _circuit_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
+    """The real 2^k x 2^k matrix of the whole circuit for each row of
+    thetas (T, P), as a (T, 2^k, 2^k) array; qubit 0 is the most
+    significant bit of the row and column index."""
+    half = thetas / 2.0
+    trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
+    # One layer at a time, so the working set stays O(T k 4^k).
+    product = None
+    for gather, signs in zip(*spec.layer_plan):
+        layer = trig.take(gather, axis=1).prod(axis=1) * signs
+        product = layer if product is None else layer @ product
+    return product
 
 
 def run_ansatz(
@@ -159,19 +190,26 @@ def run_ansatz(
     if len(set(data_qubits)) != len(data_qubits):
         raise ConfigurationError(f"repeated qubit index in {data_qubits}")
     spec._check_shapes(thetas.shape[1], len(data_qubits))
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ConfigurationError("parameter vector contains non-finite values")
-    rows = max(thetas.shape[0], amplitudes.shape[0])
-    psi = np.array(np.broadcast_to(amplitudes, (rows, amplitudes.shape[1])), dtype=np.complex128)
-    # One cos/sin column per angle, shaped to broadcast over a kernel view.
-    cos = np.cos(thetas / 2.0)[:, :, None, None]
-    sin = np.sin(thetas / 2.0)[:, :, None, None]
-    for kind, a, b in spec.schedule:
-        if kind == "RY":
-            _ry_rows(psi, data_qubits[a], cos[:, b], sin[:, b])
-        else:
-            _cz_rows(psi, data_qubits[a], data_qubits[b])
-    return psi
+    matrices = _circuit_matrices(spec, thetas)[:, None]
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    # With the data qubits on the trailing axes, in ansatz order, a state
+    # is a stack of 2^k-vectors, one per environment index, and one matmul
+    # applies each row's matrix to all of them: many small products, so
+    # no large BLAS call whose threads cost more than the work.
+    k = len(data_qubits)
+    rows = amplitudes.shape[0]
+    if data_qubits == tuple(range(num_qubits - k, num_qubits)):
+        out = matrices @ amplitudes.reshape(rows, -1, 1 << k, 1)
+        return out.reshape(out.shape[0], -1)
+    shape = (rows,) + (2,) * num_qubits
+    data_axes = [1 + q for q in data_qubits]
+    trailing = range(1 + num_qubits - k, 1 + num_qubits)
+    psi = np.moveaxis(amplitudes.reshape(shape), data_axes, trailing)
+    out = matrices @ psi.reshape(rows, -1, 1 << k, 1)
+    out = out.reshape((out.shape[0],) + psi.shape[1:])
+    return np.moveaxis(out, trailing, data_axes).reshape(out.shape[0], -1)
 
 
 def apply_ansatz(

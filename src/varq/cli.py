@@ -327,6 +327,11 @@ def main(argv: list[str] | None = None) -> int:
     except VarqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's message names the size and shape of the failed array.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -160,8 +160,12 @@ def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
     """Encode each feature vector x as the unit state x / ||x||, zero-padded,
     preserving order. A FeatureSet is encoded without per-row work."""
     features = FeatureSet.of(samples)
-    values = features.values
-    finite = np.all(np.isfinite(values), axis=1)
+    finite = np.all(np.isfinite(features.values), axis=1)
+    # Divide each row by the power of two at or above its largest entry,
+    # so no norm overflows; a power-of-two scale is exact, so rows that
+    # did not overflow keep every bit of x / ||x||.
+    _, exponent = np.frexp(np.max(np.abs(features.values), axis=1))
+    values = np.ldexp(features.values, -exponent[:, None])
     # Row-wise dot products: the kernel np.linalg.norm uses for one vector,
     # so each norm is bit-identical to the norm of that row alone.
     norms = np.sqrt((values[:, None, :] @ values[:, :, None])[:, 0, 0])

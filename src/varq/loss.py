@@ -16,12 +16,24 @@ pure, so the simulator evaluates that probability in closed form:
     overlap = || (<label| (x) I_env) psi ||^2
 
 contracting the label with the compared qubits of the (k+n)-qubit output
-psi and summing over the remaining data qubits. No joint register is
-built; the working set is 2^(k+n) amplitudes per stack row. The
-gate-level CSWAP circuit lives in the test oracles as the reference.
+psi and summing over the remaining data qubits (`swap_test`). For a
+batch from a store this contraction sums each class's addresses into
+that class's mean state mu_c (2^k amplitudes), which gives
 
-Exact mode reports p0 itself; shots mode draws the number of ancilla-zero
-outcomes from Binomial(shots, p0) and reports the empirical frequency.
+    overlap = 1/4 * sum_e |(U mu_0)_{0,e} + (U mu_1)_{1,e}|^2
+
+with U the ansatz, the first index the readout bit and e the other data
+qubits. `stacked_loss` computes this form: each probe row holds 2 * 2^k
+amplitudes, whatever the batch size. So the loss measures how well the
+two class means land on their readout values, in phase. By Jensen's
+inequality this overlap is at most the mean per-sample overlap, the mean
+over the batch of p(readout = label), with equality only when each class
+maps to one state and the two class terms are equal. The gate-level
+CSWAP circuit lives in the test oracles as the reference.
+
+Exact mode reports p0 itself (for all rows of a stack at once); shots
+mode draws the number of ancilla-zero outcomes from Binomial(shots, p0)
+per row and reports the empirical frequency.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, ParameterVector, run_ansatz
 from .errors import ConfigurationError
-from .qram import QramStore, query_superposed
+from .qram import QramStore
 from .statevector import StateVector
 
 EXACT = "exact"
@@ -94,6 +106,13 @@ def prepare_label_state(n: int) -> LabelState:
     return LabelState(StateVector(n + 1, amps))
 
 
+def _check_readout(readout_qubit: int, k: int) -> None:
+    if not 0 <= readout_qubit < k:
+        raise ConfigurationError(
+            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
+        )
+
+
 def _check_compared(
     num_qubits: int, n: int, readout_qubit: int, control_qubits: tuple[int, ...]
 ) -> None:
@@ -110,10 +129,7 @@ def _check_compared(
     compared = (readout_qubit,) + control_qubits
     if len(set(compared)) != len(compared):
         raise ConfigurationError(f"readout/control qubits overlap: {compared}")
-    if not 0 <= readout_qubit < k:
-        raise ConfigurationError(
-            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
-        )
+    _check_readout(readout_qubit, k)
     for q in control_qubits:
         if not 0 <= q < num_qubits:
             raise ConfigurationError(f"control qubit {q} out of range for {num_qubits}-qubit state")
@@ -179,10 +195,11 @@ def stacked_loss(
     modes: list[str | Shots],
     readout_qubit: int = 0,
 ) -> np.ndarray:
-    """1 - overlap for one batch at each row of thetas (rows, P).
+    """1 - overlap for one batch at each row of thetas (rows, P), read
+    out from the batch's two class-mean states.
 
-    The batch is retrieved once, the ansatz runs on all rows in one
-    stacked pass, and row i is read out in modes[i].
+    The ansatz runs once per row on the means, held as one (k+1)-qubit
+    state whose first qubit is the class; row i is read out in modes[i].
     """
     if store.k != spec.k:
         raise ConfigurationError(
@@ -190,12 +207,16 @@ def stacked_loss(
         )
     if len(modes) != len(thetas):
         raise ConfigurationError(f"{len(thetas)} angle vectors but {len(modes)} readout modes")
-    controls = tuple(range(store.k, store.k + store.n))
-    _check_compared(store.k + store.n, store.n, readout_qubit, controls)
-    label = prepare_label_state(store.n)
-    state = query_superposed(store)
-    psi = run_ansatz(spec, thetas, state.amplitudes[None, :], range(spec.k))
-    p_zero = _p_zero(psi, label, readout_qubit, controls)
+    _check_readout(readout_qubit, store.k)
+    means = store.block.reshape(2, store.size // 2, -1).mean(axis=1)
+    psi = run_ansatz(spec, thetas, means.reshape(1, -1), range(1, spec.k + 1))
+    # Axes: row, class, qubits above the readout, readout bit, qubits below.
+    grouped = psi.reshape(psi.shape[0], 2, 1 << readout_qubit, 2, -1)
+    amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
+    overlap = 0.25 * np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    p_zero = 0.5 * (1.0 + overlap)
+    if all(mode == EXACT for mode in modes):
+        return 1.0 - (2.0 * p_zero - 1.0)
     return np.array([1.0 - _read_out(float(p), mode).overlap for p, mode in zip(p_zero, modes)])
 
 

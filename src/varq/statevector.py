@@ -5,10 +5,10 @@ Conventions used everywhere in this package:
 * Qubit 0 is the MOST significant bit of the basis index. A q-qubit
   amplitude array reshaped to [2]*q therefore has qubit j on axis j.
 * Amplitudes are complex128; callers may treat states as immutable.
-* Circuits run on stacks of amplitude arrays through the kernels in
-  `ansatz`. A GateOp list (`AnsatzSpec.operations`) names the same
-  circuit gate by gate; only the test oracles execute such lists, as
-  the reference the stacked path is checked against.
+* Circuits run on stacks of amplitude arrays as one circuit matrix per
+  angle vector (`ansatz`). A GateOp list (`AnsatzSpec.operations`)
+  names the same circuit gate by gate; only the test oracles execute
+  such lists, as the reference the stacked path is checked against.
 """
 
 from __future__ import annotations

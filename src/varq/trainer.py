@@ -25,7 +25,7 @@ from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, stacked_loss
-from .qram import QramStore, build_store
+from .qram import QramStore
 
 CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
@@ -111,7 +111,7 @@ def probe_angles(theta: ParameterVector, fd_epsilon: float) -> np.ndarray:
     """The 2P+1 angle vectors of one central-difference gradient, as rows:
     theta, then theta + eps*e_j and theta - eps*e_j for j = 0..P-1."""
     count = len(theta)
-    probes = np.tile(theta.values, (2 * count + 1, 1))
+    probes = theta.values[None, :].repeat(2 * count + 1, axis=0)
     j = np.arange(count)
     probes[1 + 2 * j, j] += fd_epsilon
     probes[2 + 2 * j, j] -= fd_epsilon
@@ -142,26 +142,28 @@ def make_batches(
 
     Classes are shuffled independently with default_rng(seed + epoch),
     then paired chunkwise; samples that cannot fill a final balanced
-    batch are dropped until the next epoch's reshuffle.
+    batch are dropped until the next epoch's reshuffle. All of an
+    epoch's blocks come from one fancy index into the amplitude array.
     """
+    encoded = EncodedSet.of(train_set)
     half = 1 << (n - 1)
-    class0 = [s for s in train_set if s.label == 0]
-    class1 = [s for s in train_set if s.label == 1]
-    if len(class0) < half or len(class1) < half:
+    index0 = np.flatnonzero(encoded.labels == 0)
+    index1 = np.flatnonzero(encoded.labels == 1)
+    if len(index0) < half or len(index1) < half:
         raise DataError(
             f"need at least {half} samples per class for n={n}, "
-            f"got {len(class0)} / {len(class1)}"
+            f"got {len(index0)} / {len(index1)}"
         )
     rng = np.random.default_rng(seed + epoch)
-    order0 = rng.permutation(len(class0))
-    order1 = rng.permutation(len(class1))
-    num_batches = min(len(class0), len(class1)) // half
-    stores = []
-    for b in range(num_batches):
-        chunk0 = [class0[i] for i in order0[b * half : (b + 1) * half]]
-        chunk1 = [class1[i] for i in order1[b * half : (b + 1) * half]]
-        stores.append(build_store(chunk0 + chunk1))
-    return stores
+    order0 = index0[rng.permutation(len(index0))]
+    order1 = index1[rng.permutation(len(index1))]
+    count = min(len(index0), len(index1)) // half
+    # Row b of rows lists batch b's samples: its class-0 chunk, then its class-1 chunk.
+    rows = np.hstack(
+        [order0[: count * half].reshape(count, half), order1[: count * half].reshape(count, half)]
+    )
+    labels = np.repeat([0, 1], half)
+    return [QramStore(n, encoded.num_qubits, block, labels) for block in encoded.amplitudes[rows]]
 
 
 def _predict(

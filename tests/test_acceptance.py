@@ -137,15 +137,11 @@ def test_criterion_4_retrieval_state_correctness():
         n = 1 + trial % 3
         store = build_store(random_samples(rng, n, 2))
         out = query_superposed(store).amplitudes
-        expected = oracles.amplitude_placement(
-            [c.state.amplitudes for c in store.cells], n
-        )
+        expected = oracles.amplitude_placement(list(store.block), n)
         worst_place = max(worst_place, np.max(np.abs(out - expected)))
-        for addr, cell in enumerate(store.cells):
+        for addr, row in enumerate(store.block):
             recovered = oracles.project_controls(out, store.k, n, addr)
-            worst_project = max(
-                worst_project, np.max(np.abs(recovered - cell.state.amplitudes))
-            )
+            worst_project = max(worst_project, np.max(np.abs(recovered - row)))
     ok = worst_place < 1e-12 and worst_project < 1e-10
     report(
         4,
@@ -164,9 +160,9 @@ def test_criterion_5_batching_identity():
         store = build_store(random_samples(rng, n, 2))
         theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
         batched = apply_ansatz(spec, theta, query_superposed(store), (0, 1))
-        for addr, cell in enumerate(store.cells):
+        for addr, row in enumerate(store.block):
             projected = oracles.project_controls(batched.amplitudes, 2, n, addr)
-            single = apply_ansatz(spec, theta, cell.state, (0, 1)).amplitudes
+            single = apply_ansatz(spec, theta, StateVector(2, row), (0, 1)).amplitudes
             worst = max(worst, np.max(np.abs(projected - single)))
     ok = worst < 1e-10
     report(

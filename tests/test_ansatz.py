@@ -15,6 +15,7 @@ from varq import (
     default_ansatz,
     init_parameters,
     query_superposed,
+    run_ansatz,
 )
 from test_qram import random_samples, sample_from_amps
 
@@ -23,6 +24,20 @@ RNG = np.random.default_rng(17)
 
 def dense_ansatz_matrix(spec, theta, n, data_qubits):
     return oracles.circuit_matrix(n, spec.operations(theta, data_qubits))
+
+
+def assert_stacks_match_gate_reference(spec, num_qubits, data_qubits, rng):
+    """run_ansatz on T x 1, 1 x A and T x T stacks against the gate list
+    applied one gate at a time to each row's state."""
+    for rows_t, rows_a in ((3, 1), (1, 3), (3, 3)):
+        thetas = rng.uniform(0, 2 * np.pi, (rows_t, spec.parameter_count))
+        amps = np.array([oracles.random_state(rng, num_qubits) for _ in range(rows_a)])
+        out = run_ansatz(spec, thetas, amps, data_qubits)
+        assert out.shape == (max(rows_t, rows_a), 1 << num_qubits)
+        for i, row in enumerate(out):
+            ops = spec.operations(ParameterVector(thetas[min(i, rows_t - 1)]), data_qubits)
+            expected = oracles.apply_gates_local(amps[min(i, rows_a - 1)], num_qubits, ops)
+            assert np.max(np.abs(row - expected)) < 1e-12
 
 
 class TestAnsatzSpec:
@@ -103,6 +118,25 @@ class TestInitParameters:
         assert not np.array_equal(a.values, c.values)
 
 
+class TestCircuitMatrix:
+    @pytest.mark.parametrize("layers", range(1, 4))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_matches_gate_reference(self, k, layers):
+        # One spare qubit, before or after the data qubits, is the
+        # identity environment.
+        rng = np.random.default_rng(10 * k + layers)
+        spec = default_ansatz(k, layers=layers)
+        assert_stacks_match_gate_reference(spec, k + 1, tuple(range(k)), rng)
+        assert_stacks_match_gate_reference(spec, k + 1, tuple(range(1, k + 1)), rng)
+
+    @pytest.mark.parametrize("num_qubits, data_qubits", [(3, (0, 2)), (4, (3, 1))])
+    def test_matches_gate_reference_on_non_leading_qubits(self, num_qubits, data_qubits):
+        rng = np.random.default_rng(num_qubits)
+        for layers in (1, 3):
+            spec = default_ansatz(2, layers=layers)
+            assert_stacks_match_gate_reference(spec, num_qubits, data_qubits, rng)
+
+
 class TestApplyAnsatz:
     def test_bare_sample_matches_dense_oracle(self):
         spec = default_ansatz(2, layers=4)
@@ -118,9 +152,9 @@ class TestApplyAnsatz:
         theta = init_parameters(spec, seed=5)
         store = build_store(random_samples(RNG, 1, 2))
         batched = apply_ansatz(spec, theta, query_superposed(store), (0, 1))
-        for addr, cell in enumerate(store.cells):
+        for addr, row in enumerate(store.block):
             projected = oracles.project_controls(batched.amplitudes, 2, 1, addr)
-            single = apply_ansatz(spec, theta, cell.state, (0, 1))
+            single = apply_ansatz(spec, theta, StateVector(2, row), (0, 1))
             assert_allclose(projected, single.amplitudes, atol=1e-10)
 
     def test_full_shift_by_two_pi_changes_only_global_phase(self):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from varq import cli
+from varq import cli, encode_dataset, load_iris, make_task
 from varq.cli import main
 
 TRAIN_ARGS = ["train", "--task", "setosa-vs-versicolor", "--epochs", "3"]
@@ -169,6 +169,20 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: readout qubit 5 out of range for 2-qubit state\n"
+
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # Stands in for the allocation that --layers 100000 asks of
+        # probe_angles; the test itself allocates nothing large.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape (400001, 200000)")
+
+        monkeypatch.setattr(cli, "train", out_of_memory)
+        code = run_train(tmp_path, extra=["--layers", "100000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate 596. GiB")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "metrics.jsonl").exists()
 
     def test_summary_reports_phase_timings(self, tmp_path):
         assert run_train(tmp_path, epochs=1) == 0
@@ -380,7 +394,48 @@ class TestMalformedFileFuzz:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["case.json", "good.json"]
 
 
+# Eleven lines: a header and ten rows; the first row's norm overflows a
+# float64 dot product.
+OVERFLOW_CSV = """sepal_length,sepal_width,petal_length,petal_width,species
+5.1e200,3.5,1.4,0.2,Iris-setosa
+4.9,3.0,1.4,0.2,Iris-setosa
+4.7,3.2,1.3,0.2,Iris-setosa
+4.6,3.1,1.5,0.2,Iris-setosa
+5.0,3.6,1.4,0.2,Iris-setosa
+7.0,3.2,4.7,1.4,Iris-versicolor
+6.4,3.2,4.5,1.5,Iris-versicolor
+6.9,3.1,4.9,1.5,Iris-versicolor
+5.5,2.3,4.0,1.3,Iris-versicolor
+6.5,2.8,4.6,1.5,Iris-versicolor
+"""
+
+
 class TestEvalCommand:
+    def test_row_whose_norm_overflows_is_encoded_as_a_unit_state(self, tmp_path):
+        data = tmp_path / "overflow.csv"
+        data.write_text(OVERFLOW_CSV)
+        params = tmp_path / "zeros.json"
+        params.write_text(json.dumps([0.0] * 8))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "varq", "eval",
+                "--task", "setosa-vs-versicolor",
+                "--data", str(data),
+                "--params", str(params),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        task = make_task(load_iris(data), "setosa", "versicolor", test_fraction=0.2, seed=0)
+        with np.errstate(all="raise"):
+            rows = np.concatenate(
+                [encode_dataset(task.train).amplitudes, encode_dataset(task.test).amplitudes]
+            )
+        assert len(rows) == 10
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-15
+
     def test_matches_the_producing_run_exactly(self, tmp_path, capsys):
         assert run_train(tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())

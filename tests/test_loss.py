@@ -278,10 +278,29 @@ class TestBatchedLoss:
             theta = init_theta_seeded(spec, seed)
             value = batched_loss(store, spec, theta)
             errors = []
-            for cell in store.cells:
-                out = apply_ansatz(spec, theta, cell.state, (0,))
-                errors.append(oracles.probability(out.amplitudes, 0, 1 - cell.label))
+            for row, label in zip(store.block, store.labels):
+                out = apply_ansatz(spec, theta, StateVector(1, row), (0,))
+                errors.append(oracles.probability(out.amplitudes, 0, 1 - label))
             assert_allclose(value, np.mean(errors), atol=1e-10)
+
+    def test_batch_overlap_is_at_most_the_mean_per_sample_overlap(self):
+        # Jensen's inequality on the class means; equality needs each
+        # class to map to one state and the two class terms to be equal.
+        rng = np.random.default_rng(191)
+        for k, n, readout in ((1, 1, 0), (2, 2, 1), (3, 3, 2), (2, 4, 0)):
+            spec = default_ansatz(k, layers=2)
+            store = build_store(random_samples(rng, n, k))
+            theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+            overlap = 1.0 - batched_loss(store, spec, theta, readout_qubit=readout)
+            per_sample = [
+                oracles.probability(
+                    apply_ansatz(spec, theta, StateVector(k, row), range(k)).amplitudes,
+                    readout,
+                    int(label),
+                )
+                for row, label in zip(store.block, store.labels)
+            ]
+            assert overlap <= np.mean(per_sample) + 1e-12
 
     def test_store_and_spec_width_must_agree(self):
         spec = default_ansatz(1, layers=1)

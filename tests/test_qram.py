@@ -42,16 +42,17 @@ class TestBuildStore:
         store = build_store([s0, s1])
         assert store.n == 1
         assert store.k == 1
-        assert store.cells == (s0, s1)
+        assert np.array_equal(store.block, [s0.state.amplitudes, s1.state.amplitudes])
+        assert store.labels.tolist() == [0, 1]
 
     def test_four_samples_two_per_class(self):
         batch = random_samples(RNG, 2, 2)
         shuffled = [batch[0], batch[2], batch[1], batch[3]]
         store = build_store(shuffled)
         assert store.n == 2
-        assert [c.label for c in store.cells] == [0, 0, 1, 1]
+        assert store.labels.tolist() == [0, 0, 1, 1]
         # Input order is preserved within each class half.
-        assert store.cells == (batch[0], batch[1], batch[2], batch[3])
+        assert np.array_equal(store.block, [s.state.amplitudes for s in batch])
 
     def test_non_power_of_two_rejected(self):
         batch = random_samples(RNG, 2, 2)
@@ -75,15 +76,24 @@ class TestBuildStore:
             build_store([s0, s1])
 
     def test_store_validates_class_partition(self):
-        s0 = sample_from_amps([1, 0], 0)
-        s1 = sample_from_amps([0, 1], 1)
-        with pytest.raises(QramError):
-            QramStore(n=1, k=1, cells=(s1, s0))
+        block = np.array([[1, 0], [0, 1]], dtype=complex)
+        with pytest.raises(QramError, match="address 0 holds a label-1"):
+            QramStore(n=1, k=1, block=block, labels=np.array([1, 0]))
+        block = np.eye(4, 2, dtype=complex)
+        with pytest.raises(QramError, match="address 1 holds a label-1"):
+            QramStore(n=2, k=1, block=block, labels=np.array([0, 1, 1, 1]))
 
     def test_store_rejects_missing_cell(self):
-        s0 = sample_from_amps([1, 0], 0)
-        with pytest.raises(QramError):
-            QramStore(n=1, k=1, cells=(s0, None))
+        # A block one row short of 2^n has an address with no sample.
+        with pytest.raises(QramError, match="shape"):
+            QramStore(n=1, k=1, block=np.array([[1, 0]], dtype=complex), labels=np.array([0, 1]))
+
+    def test_store_rejects_a_block_of_the_wrong_width(self):
+        block = np.eye(2, 4, dtype=complex)
+        with pytest.raises(QramError, match="shape"):
+            QramStore(n=1, k=1, block=block, labels=np.array([0, 1]))
+        with pytest.raises(QramError, match="labels"):
+            QramStore(n=1, k=2, block=block, labels=np.array([0, 1, 1]))
 
 
 class TestQuerySuperposed:
@@ -110,7 +120,7 @@ class TestQuerySuperposed:
             store = build_store(batch)
             out = query_superposed(store)
             expected = oracles.amplitude_placement(
-                [c.state.amplitudes for c in store.cells], store.n
+                list(store.block), store.n
             )
             assert_allclose(out.amplitudes, expected, atol=1e-12)
 
@@ -125,8 +135,7 @@ class TestQuerySuperposed:
         out = query_superposed(store)
         rho = oracles.brute_force_partial_trace(out.amplitudes, 4, [0, 1])
         expected = np.zeros((4, 4), dtype=complex)
-        for cell in store.cells:
-            a = cell.state.amplitudes
+        for a in store.block:
             expected += np.outer(a, a.conj()) / 4
         assert_allclose(rho, expected, atol=1e-10)
 
@@ -134,9 +143,9 @@ class TestQuerySuperposed:
         batch = random_samples(RNG, 3, 2)
         store = build_store(batch)
         out = query_superposed(store)
-        for addr, cell in enumerate(store.cells):
+        for addr, row in enumerate(store.block):
             recovered = oracles.project_controls(out.amplitudes, store.k, store.n, addr)
-            assert_allclose(recovered, cell.state.amplitudes, atol=1e-10)
+            assert_allclose(recovered, row, atol=1e-10)
 
 
 class TestQueryCost:

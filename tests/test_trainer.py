@@ -36,6 +36,23 @@ from test_qram import random_samples, sample_from_amps
 RNG = np.random.default_rng(23)
 
 
+def per_sample_batches(train_set, n, seed, epoch):
+    """make_batches as a loop over per-sample objects: the reference for
+    which rows each batch holds, and in what order."""
+    half = 1 << (n - 1)
+    class0 = [s for s in train_set if s.label == 0]
+    class1 = [s for s in train_set if s.label == 1]
+    rng = np.random.default_rng(seed + epoch)
+    order0 = rng.permutation(len(class0))
+    order1 = rng.permutation(len(class1))
+    batches = []
+    for b in range(min(len(class0), len(class1)) // half):
+        chunk0 = [class0[i] for i in order0[b * half : (b + 1) * half]]
+        chunk1 = [class1[i] for i in order1[b * half : (b + 1) * half]]
+        batches.append(chunk0 + chunk1)
+    return batches
+
+
 @pytest.fixture(scope="module")
 def iris_task():
     records = load_iris(default_data_path())
@@ -143,13 +160,17 @@ class TestStackedPass:
     def test_loss_and_gradient_match_per_probe_gate_level_circuit(self, n):
         # The reference runs each probe alone through the gate list and
         # the CSWAP swap-test circuit. Its joint register has 2^(2n+k+2)
-        # amplitudes, so the large-n cases use one layer to stay fast.
+        # amplitudes, so the large-n cases use one layer to stay fast,
+        # and k = 3 (every readout qubit) runs up to n = 6.
         rng = np.random.default_rng(300 + n)
-        for k, readout in ((2, 0), (2, 1), (1, 0)):
+        cases = ((2, 0), (2, 1), (1, 0))
+        if n <= 6:
+            cases += ((3, 0), (3, 1), (3, 2))
+        for k, readout in cases:
             spec = default_ansatz(k, layers=4 if n <= 6 else 1)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
-            cells = [c.state.amplitudes for c in store.cells]
+            cells = list(store.block)
 
             def reference(th):
                 ops = spec.operations(th, tuple(range(k)))
@@ -206,7 +227,25 @@ class TestMakeBatches:
         assert len(stores) == 20
         for store in stores:
             assert store.size == 4
-            assert [c.label for c in store.cells] == [0, 0, 1, 1]
+            assert store.labels.tolist() == [0, 0, 1, 1]
+
+    def test_blocks_match_a_per_sample_reference(self):
+        table = load_iris(default_data_path())
+        for class0, class1 in (
+            ("setosa", "versicolor"), ("virginica", "versicolor"), ("setosa", "virginica")
+        ):
+            for split_seed in range(5):
+                train_set = encode_dataset(make_task(table, class0, class1, seed=split_seed).train)
+                for epoch in (1, 2, 3):
+                    for n in (1, 2, 3):
+                        stores = make_batches(train_set, n, seed=2, epoch=epoch)
+                        reference = per_sample_batches(train_set, n, 2, epoch)
+                        assert len(stores) == len(reference)
+                        for store, batch in zip(stores, reference):
+                            assert np.array_equal(
+                                store.block, [s.state.amplitudes for s in batch]
+                            )
+                            assert store.labels.tolist() == [s.label for s in batch]
 
     def test_two_per_class_makes_two_minimal_stores(self):
         samples = random_samples(RNG, 1, 2) + random_samples(RNG, 1, 2)
@@ -219,13 +258,13 @@ class TestMakeBatches:
         a = make_batches(train_set, n=2, seed=7, epoch=3)
         b = make_batches(train_set, n=2, seed=7, epoch=3)
         for sa, sb in zip(a, b):
-            assert sa.cells == sb.cells
+            assert np.array_equal(sa.block, sb.block)
 
     def test_different_epochs_reshuffle(self, iris_task):
         train_set, _ = iris_task
         a = make_batches(train_set, n=2, seed=7, epoch=1)
         b = make_batches(train_set, n=2, seed=7, epoch=2)
-        assert any(sa.cells != sb.cells for sa, sb in zip(a, b))
+        assert any(not np.array_equal(sa.block, sb.block) for sa, sb in zip(a, b))
 
     def test_leftovers_are_dropped(self):
         class0 = [sample_from_amps(oracles.random_real_state(RNG, 1), 0) for _ in range(5)]
