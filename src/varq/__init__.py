@@ -5,8 +5,9 @@ The pipeline: amplitude-encode feature vectors, store a balanced batch in
 a superposition-addressed register, run a shared parameterized circuit on
 the data qubits, and score the whole batch with one swap test against an
 address-correlated label state. Training is plain gradient descent on
-numerical gradients of that batched loss, evaluated for all gradient
-probes of a batch in one stacked circuit pass.
+numerical gradients of that batched loss, with all gradient probes of a
+batch read from one forward and one backward sweep over the circuit's
+layers.
 """
 
 from .ansatz import (
@@ -43,7 +44,7 @@ from .loss import (
     SwapTestResult,
     batched_loss,
     prepare_label_state,
-    stacked_loss,
+    probe_losses,
     swap_test,
 )
 from .qram import QramStore, build_store, query_superposed
@@ -56,7 +57,6 @@ from .trainer import (
     classify,
     make_batches,
     numerical_gradient,
-    probe_angles,
     train,
 )
 
@@ -106,11 +106,10 @@ __all__ = [
     "num_qubits_for",
     "numerical_gradient",
     "prepare_label_state",
-    "probe_angles",
+    "probe_losses",
     "query_superposed",
     "run_ansatz",
     "sequential_baseline",
-    "stacked_loss",
     "swap_test",
     "train",
     "__version__",

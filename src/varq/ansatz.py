@@ -5,15 +5,24 @@ layer-major / qubit-minor order), then a ring of CZ entanglers.
 Rotations and entanglers are all real, so real input amplitudes stay
 real.
 
-The circuit runs on a stack of states with a leading stack axis: each
-stack row may carry its own angle vector, so the 2P+1 probes of a
-central-difference gradient, or every sample of an accuracy pass, share
-one pass. For each angle row the whole circuit is first multiplied out
-into one real 2^k x 2^k matrix, layer by layer along the schedule: the
-Kronecker product of the layer's RY blocks, times the layer's CZ sign
-diagonal, times the product so far. That costs 4^k entries per angle
-row (16 at k = 2). One matmul then applies it to the data-qubit axes of
+Each layer is one real 2^k x 2^k matrix G_l: the Kronecker product of
+its RY blocks times its CZ sign diagonal (`layer_matrices`, 4^k entries
+per layer, 16 at k = 2). run_ansatz applies the circuit to a stack of
+states with a leading stack axis, each stack row with its own angle
+vector: the layers of each angle row are multiplied out into one
+circuit matrix, and one matmul applies it to the data-qubit axes of
 each state. apply_ansatz is the one-row case.
+
+`sweep_ansatz` serves a central-difference gradient. Shifting angle j,
+on qubit q of layer l, by e gives RY_q(t + e) = (c I + s J_q) RY_q(t)
+with c, s = cos(e/2), sin(e/2) and J_q = [[0, -1], [1, 0]] on qubit q,
+and that factor commutes with the layer's other rotations. So
+
+    U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
+
+where v_l = G_{l-1}...G_0 mu enters layer l and Q_l = G_{L-1}...G_l.
+One forward sweep (the v_l) and one backward sweep (the Q_l) give the
+terms Q_l J_q v_l of all P angles, linear in the layer count.
 """
 
 from __future__ import annotations
@@ -78,30 +87,39 @@ class AnsatzSpec:
 
     @cached_property
     def layer_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The schedule as matrix layers; every layer has the same number
-        of gates, one RY per qubit and then its CZs.
+        """The schedule as matrix layers; every layer has the same gates,
+        one RY per qubit and then its CZs, on its own k angles.
 
         RY(t)[x, y] is cos(t/2) for x == y, else sin(t/2), negated at
         x=0, y=1. So entry (x, y) of a layer's matrix is a sign times a
         product over the qubits q of cos or sin of half of q's angle.
         gather, (layers, k, 2^k, 2^k), indexes those factors in the P
-        cosines followed by the P sines; signs, (layers, 2^k, 2^k), holds
-        the RY signs times the +-1 diagonal of the layer's CZs.
+        cosines followed by the P sines; signs, (2^k, 2^k), holds the RY
+        signs times the +-1 diagonal of the CZs, the same in every layer.
         """
         dim = 1 << self.k
         bits = (np.arange(dim)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
-        gather = np.zeros((self.layers, self.k, dim, dim), dtype=np.intp)
-        signs = np.ones((self.layers, dim, dim))
-        per_layer = len(self.schedule) // self.layers
-        for i, (kind, a, b) in enumerate(self.schedule):
-            layer = i // per_layer
+        first = np.zeros((self.k, dim, dim), dtype=np.intp)
+        signs = np.ones((dim, dim))
+        for kind, a, b in self.schedule[: len(self.schedule) // self.layers]:
             if kind == "RY":
                 x, y = bits[:, a, None], bits[None, :, a]
-                gather[layer, a] = b + self.parameter_count * (x != y)
-                signs[layer] *= np.where(x < y, -1.0, 1.0)
+                first[a] = b + self.parameter_count * (x != y)
+                signs *= np.where(x < y, -1.0, 1.0)
             else:
-                signs[layer] *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
-        return gather, signs
+                signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
+        # Layer l reads angles l*k .. l*k + k - 1.
+        return first + self.k * np.arange(self.layers)[:, None, None, None], signs
+
+    @cached_property
+    def generator_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """J_q = [[0, -1], [1, 0]] on qubit q as a signed bit flip:
+        (J_q v)[x] = signs[q, x] * v[flips[q, x]]. flips, (k, 2^k),
+        toggles q's bit of x; signs, (k, 2^k, 1), is -1 where that bit
+        is 0 and +1 where it is 1."""
+        masks = 1 << np.arange(self.k - 1, -1, -1)[:, None]
+        x = np.arange(1 << self.k)[None, :]
+        return x ^ masks, np.where(x & masks, 1.0, -1.0)[:, :, None]
 
     def operations(self, theta: "ParameterVector", data_qubits: Sequence[int]) -> tuple[GateOp, ...]:
         """The concrete gate sequence on the given qubits for angles theta."""
@@ -152,18 +170,56 @@ def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVecto
     return ParameterVector(rng.uniform(0.0, 2.0 * np.pi, size=spec.parameter_count))
 
 
-def _circuit_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
-    """The real 2^k x 2^k matrix of the whole circuit for each row of
-    thetas (T, P), as a (T, 2^k, 2^k) array; qubit 0 is the most
+def layer_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
+    """The real 2^k x 2^k matrices G_0..G_{L-1} of the layers for angles
+    thetas (..., P), as a (..., L, 2^k, 2^k) array; qubit 0 is the most
     significant bit of the row and column index."""
     half = thetas / 2.0
-    trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
-    # One layer at a time, so the working set stays O(T k 4^k).
-    product = None
-    for gather, signs in zip(*spec.layer_plan):
-        layer = trig.take(gather, axis=1).prod(axis=1) * signs
-        product = layer if product is None else layer @ product
+    trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)
+    gather, signs = spec.layer_plan
+    return trig[..., gather].prod(axis=-3) * signs
+
+
+def _circuit_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
+    """The circuit matrix G_{L-1}...G_0 for each row of thetas (T, P), as a
+    (T, 2^k, 2^k) array."""
+    layers = layer_matrices(spec, thetas)
+    product = layers[:, 0]
+    for layer in range(1, spec.layers):
+        product = layers[:, layer] @ product
     return product
+
+
+def sweep_ansatz(
+    spec: AnsatzSpec, theta: np.ndarray, states: np.ndarray, shifts: bool = True
+) -> np.ndarray:
+    """U states for angles theta (P,) and states (2^k, m), one per column,
+    then the shift term Q_l J_q v_l of each angle j, as a (1 + P, 2^k, m)
+    array: U(theta + e e_j) states = cos(e/2) row 0 + sin(e/2) row 1 + j.
+    With shifts false only row 0 is computed, by the forward sweep alone.
+    """
+    layers = layer_matrices(spec, theta)
+    dtype = np.result_type(layers, states)
+    layers = layers.astype(dtype, copy=False)
+    out = np.empty((1 + (spec.parameter_count if shifts else 0),) + states.shape, dtype=dtype)
+    # entering[l] is v_l, the state entering layer l; entering[L] is U states.
+    # ndarray.dot, not @: these products are tiny, and dot calls cost less.
+    entering = np.empty((spec.layers + 1,) + states.shape, dtype=dtype)
+    entering[0] = states
+    for layer, matrix in enumerate(layers):
+        matrix.dot(entering[layer], out=entering[layer + 1])
+    out[0] = entering[-1]
+    if not shifts:
+        return out
+    # suffix[l] is Q_l = G_{L-1}...G_l.
+    suffix = np.empty_like(layers)
+    suffix[-1] = layers[-1]
+    for layer in range(spec.layers - 2, -1, -1):
+        suffix[layer + 1].dot(layers[layer], out=suffix[layer])
+    flips, signs = spec.generator_plan
+    generated = entering[:-1, flips] * signs  # (L, k, 2^k, m): J_q v_l
+    np.matmul(suffix[:, None], generated, out=out[1:].reshape(generated.shape))
+    return out
 
 
 def run_ansatz(

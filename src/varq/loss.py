@@ -23,28 +23,31 @@ that class's mean state mu_c (2^k amplitudes), which gives
     overlap = 1/4 * sum_e |(U mu_0)_{0,e} + (U mu_1)_{1,e}|^2
 
 with U the ansatz, the first index the readout bit and e the other data
-qubits. `stacked_loss` computes this form: each probe row holds 2 * 2^k
-amplitudes, whatever the batch size. So the loss measures how well the
-two class means land on their readout values, in phase. By Jensen's
-inequality this overlap is at most the mean per-sample overlap, the mean
-over the batch of p(readout = label), with equality only when each class
-maps to one state and the two class terms are equal. The gate-level
-CSWAP circuit lives in the test oracles as the reference.
+qubits. `probe_losses` computes this form from the class means, whatever
+the batch size. So the loss measures how well the two class means land
+on their readout values, in phase. By Jensen's inequality this overlap is
+at most the mean per-sample overlap, the mean over the batch of
+p(readout = label), with equality only when each class maps to one state
+and the two class terms are equal. The gate-level CSWAP circuit lives in
+the test oracles as the reference.
 
-Exact mode reports p0 itself (for all rows of a stack at once); shots
-mode draws the number of ancilla-zero outcomes from Binomial(shots, p0)
-per row and reports the empirical frequency.
+The 2P central-difference probes theta +- eps*e_j come from the same
+class means and one layer sweep at theta (`ansatz.sweep_ansatz`), in
+O(L k 4^k) work. Exact mode reports p0 itself (for all rows at once);
+shots mode draws the number of ancilla-zero outcomes from
+Binomial(shots, p0) per row and reports the empirical frequency.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, run_ansatz
+from .ansatz import AnsatzSpec, ParameterVector, sweep_ansatz
 from .errors import ConfigurationError
 from .qram import QramStore
 from .statevector import StateVector
@@ -188,36 +191,70 @@ def swap_test(
     return _read_out(float(p_zero[0]), mode)
 
 
-def stacked_loss(
-    store: QramStore,
-    spec: AnsatzSpec,
-    thetas: np.ndarray,
-    modes: list[str | Shots],
-    readout_qubit: int = 0,
-) -> np.ndarray:
-    """1 - overlap for one batch at each row of thetas (rows, P), read
-    out from the batch's two class-mean states.
-
-    The ansatz runs once per row on the means, held as one (k+1)-qubit
-    state whose first qubit is the class; row i is read out in modes[i].
-    """
+def class_means(store: QramStore, spec: AnsatzSpec) -> np.ndarray:
+    """The batch's two class-mean states as a (2, 2^k) array, class 0 first."""
     if store.k != spec.k:
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
-    if len(modes) != len(thetas):
-        raise ConfigurationError(f"{len(thetas)} angle vectors but {len(modes)} readout modes")
-    _check_readout(readout_qubit, store.k)
-    means = store.block.reshape(2, store.size // 2, -1).mean(axis=1)
-    psi = run_ansatz(spec, thetas, means.reshape(1, -1), range(1, spec.k + 1))
-    # Axes: row, class, qubits above the readout, readout bit, qubits below.
-    grouped = psi.reshape(psi.shape[0], 2, 1 << readout_qubit, 2, -1)
-    amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
-    overlap = 0.25 * np.sum(np.abs(amps) ** 2, axis=(1, 2))
-    p_zero = 0.5 * (1.0 + overlap)
-    if all(mode == EXACT for mode in modes):
-        return 1.0 - (2.0 * p_zero - 1.0)
-    return np.array([1.0 - _read_out(float(p), mode).overlap for p, mode in zip(p_zero, modes)])
+    return store.block.reshape(2, store.size // 2, -1).mean(axis=1)
+
+
+def probe_losses(
+    means: np.ndarray,
+    spec: AnsatzSpec,
+    theta: np.ndarray,
+    readout_qubit: int = 0,
+    fd_epsilon: float | None = None,
+    modes: str | Shots | Sequence[str | Shots] = EXACT,
+) -> np.ndarray:
+    """1 - overlap for one batch, from its class means (2, 2^k), at theta
+    (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
+    for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
+    and b_j the readout-paired amplitudes of rows 0 and 1 + j of the sweep
+    and c, s = cos(eps/2), sin(eps/2). Row i is read out in modes[i], or
+    every row in one mode; |x|^2 is conj(x) x, so means may be complex.
+    """
+    dim = 1 << spec.k
+    if means.shape != (2, dim):
+        raise ConfigurationError(
+            f"class means have shape {means.shape}, ansatz needs (2, {dim})"
+        )
+    _check_readout(readout_qubit, spec.k)
+    if theta.shape != (spec.parameter_count,):
+        raise ConfigurationError(
+            f"theta has shape {theta.shape}, spec needs ({spec.parameter_count},)"
+        )
+    if not np.isfinite(theta).all():
+        raise ConfigurationError("parameter vector contains non-finite values")
+    if np.iscomplexobj(means) and not means.imag.any():
+        # Encoded data is real: keep the sweep in real arithmetic.
+        means = means.real
+    swept = sweep_ansatz(spec, theta, means.T, shifts=fd_epsilon is not None)
+    # Pair class 0 at readout bit 0 with class 1 at readout bit 1. Axes:
+    # row, qubits above the readout, readout bit, qubits below, class.
+    grouped = swept.reshape(len(swept), 1 << readout_qubit, 2, -1, 2)
+    paired = (grouped[:, :, 0, :, 0] + grouped[:, :, 1, :, 1]).reshape(len(swept), -1)
+    if fd_epsilon is not None:
+        c, s = math.cos(fd_epsilon / 2.0), math.sin(fd_epsilon / 2.0)
+        base, shift = c * paired[0], s * paired[1:]
+        rows = np.empty((1 + 2 * len(shift), paired.shape[1]), dtype=paired.dtype)
+        rows[0] = paired[0]
+        np.add(base, shift, out=rows[1::2])
+        np.subtract(base, shift, out=rows[2::2])
+        paired = rows
+    overlaps = 0.25 * np.einsum("ij,ij->i", paired.conj(), paired).real
+    p_zero = 0.5 * (1.0 + overlaps)
+    if modes != EXACT:
+        if isinstance(modes, (str, Shots)):
+            modes = [modes] * len(p_zero)
+        elif len(modes) != len(p_zero):
+            raise ConfigurationError(f"{len(p_zero)} probe rows but {len(modes)} readout modes")
+        if any(mode != EXACT for mode in modes):
+            return np.array(
+                [1.0 - _read_out(float(p), mode).overlap for p, mode in zip(p_zero, modes)]
+            )
+    return 1.0 - (2.0 * p_zero - 1.0)
 
 
 def batched_loss(
@@ -229,4 +266,5 @@ def batched_loss(
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n."""
-    return float(stacked_loss(store, spec, theta.values[None, :], [mode], readout_qubit)[0])
+    means = class_means(store, spec)
+    return float(probe_losses(means, spec, theta.values, readout_qubit, modes=mode)[0])

@@ -2,15 +2,18 @@
 
 Each epoch partitions the training set into balanced 2^n-sample batches
 (per-class shuffle seeded by seed+epoch, leftovers dropped for that
-epoch), builds one store per batch, and walks theta down the
-central-difference gradient of the batched loss. A batch's loss and
-gradient come from one stacked pass over 2P+1 angle vectors: theta,
-then theta + eps*e_j and theta - eps*e_j for each j. Updates happen
-after every batch ("per_batch", the default) or once per epoch on the
-mean gradient ("per_epoch"). Accuracy classifies samples through the
-same stacked circuit, CLASSIFY_CHUNK samples per pass. Everything is
-deterministic for a fixed config and seed in exact mode; in shots mode
-each loss evaluation draws its own sub-seed, in probe order.
+epoch) and walks theta down the central-difference gradient of the
+batched loss. The loss reads a batch only through its two class-mean
+states, so each epoch's (batches, 2, 2^k) class-mean array is one fancy
+index and one mean. A batch's loss and its 2P+1 probe losses (theta,
+then theta + eps*e_j and theta - eps*e_j for each j) come from one
+forward and one backward sweep over the layers at theta, linear in the
+layer count. Updates happen after every batch ("per_batch", the default)
+or once per epoch on the mean gradient ("per_epoch"). Accuracy
+classifies samples through the circuit matrix, CLASSIFY_CHUNK samples
+per pass. Everything is deterministic for a fixed config and seed in
+exact mode; in shots mode each loss evaluation draws its own sub-seed,
+in probe order, all 2P+1 of a batch in one draw.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, stacked_loss
+from .loss import EXACT, Shots, class_means, probe_losses
 from .qram import QramStore
 
 CADENCES = ("per_batch", "per_epoch")
@@ -107,15 +110,20 @@ def _check_probe(j: int, lp: float, lm: float) -> None:
         raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
 
 
-def probe_angles(theta: ParameterVector, fd_epsilon: float) -> np.ndarray:
-    """The 2P+1 angle vectors of one central-difference gradient, as rows:
-    theta, then theta + eps*e_j and theta - eps*e_j for j = 0..P-1."""
-    count = len(theta)
-    probes = theta.values[None, :].repeat(2 * count + 1, axis=0)
-    j = np.arange(count)
-    probes[1 + 2 * j, j] += fd_epsilon
-    probes[2 + 2 * j, j] -= fd_epsilon
-    return probes
+def _loss_and_gradient(
+    means: np.ndarray,
+    spec: AnsatzSpec,
+    theta: np.ndarray,
+    fd_epsilon: float,
+    modes: str | Shots | Sequence[str | Shots],
+    readout_qubit: int,
+) -> tuple[float, np.ndarray]:
+    losses = probe_losses(means, spec, theta, readout_qubit, fd_epsilon, modes)
+    up, down = losses[1::2], losses[2::2]
+    if not np.isfinite(losses).all():
+        for j in np.flatnonzero(~(np.isfinite(up) & np.isfinite(down))):
+            _check_probe(int(j), up[j], down[j])
+    return float(losses[0]), (up - down) / (2.0 * fd_epsilon)
 
 
 def batch_loss_and_gradient(
@@ -127,28 +135,18 @@ def batch_loss_and_gradient(
     readout_qubit: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Loss at theta and its central-difference gradient for one batch,
-    from one stacked pass over probe_angles; probe i is read in modes[i]."""
-    losses = stacked_loss(store, spec, probe_angles(theta, fd_epsilon), modes, readout_qubit)
-    up, down = losses[1::2], losses[2::2]
-    for j in np.flatnonzero(~(np.isfinite(up) & np.isfinite(down))):
-        _check_probe(int(j), up[j], down[j])
-    return float(losses[0]), (up - down) / (2.0 * fd_epsilon)
+    from one sweep over the layers at theta; probe i is read in modes[i]."""
+    return _loss_and_gradient(
+        class_means(store, spec), spec, theta.values, fd_epsilon, modes, readout_qubit
+    )
 
 
-def make_batches(
-    train_set: Sequence[EncodedSample], n: int, seed: int, epoch: int
-) -> list[QramStore]:
-    """Balanced batches of 2^n for one epoch, one store each.
-
-    Classes are shuffled independently with default_rng(seed + epoch),
-    then paired chunkwise; samples that cannot fill a final balanced
-    batch are dropped until the next epoch's reshuffle. All of an
-    epoch's blocks come from one fancy index into the amplitude array.
-    """
-    encoded = EncodedSet.of(train_set)
+def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray:
+    """Row b lists batch b's sample indices: its class-0 chunk, then its
+    class-1 chunk, from per-class permutations by default_rng(seed + epoch)."""
     half = 1 << (n - 1)
-    index0 = np.flatnonzero(encoded.labels == 0)
-    index1 = np.flatnonzero(encoded.labels == 1)
+    index0 = np.flatnonzero(labels == 0)
+    index1 = np.flatnonzero(labels == 1)
     if len(index0) < half or len(index1) < half:
         raise DataError(
             f"need at least {half} samples per class for n={n}, "
@@ -158,11 +156,25 @@ def make_batches(
     order0 = index0[rng.permutation(len(index0))]
     order1 = index1[rng.permutation(len(index1))]
     count = min(len(index0), len(index1)) // half
-    # Row b of rows lists batch b's samples: its class-0 chunk, then its class-1 chunk.
-    rows = np.hstack(
+    return np.hstack(
         [order0[: count * half].reshape(count, half), order1[: count * half].reshape(count, half)]
     )
-    labels = np.repeat([0, 1], half)
+
+
+def make_batches(
+    train_set: Sequence[EncodedSample], n: int, seed: int, epoch: int
+) -> list[QramStore]:
+    """Balanced batches of 2^n for one epoch, one store each: the batches
+    `train` scores, as stores.
+
+    Classes are shuffled independently with default_rng(seed + epoch),
+    then paired chunkwise; samples that cannot fill a final balanced
+    batch are dropped until the next epoch's reshuffle. All of an
+    epoch's blocks come from one fancy index into the amplitude array.
+    """
+    encoded = EncodedSet.of(train_set)
+    rows = _batch_rows(encoded.labels, n, seed, epoch)
+    labels = np.repeat([0, 1], 1 << (n - 1))
     return [QramStore(n, encoded.num_qubits, block, labels) for block in encoded.amplitudes[rows]]
 
 
@@ -226,13 +238,13 @@ def accuracy(
     return hits / len(encoded)
 
 
-def _step(theta: ParameterVector, delta: np.ndarray, epoch: int) -> ParameterVector:
-    values = theta.values - delta
-    if not np.all(np.isfinite(values)):
+def _step(values: np.ndarray, delta: np.ndarray, epoch: int) -> np.ndarray:
+    values = values - delta
+    if not np.isfinite(values).all():
         raise OptimizationError(
             f"training diverged at epoch {epoch}: parameters became non-finite"
         )
-    return ParameterVector(values)
+    return values
 
 
 def train(
@@ -255,47 +267,51 @@ def train(
             f"initial theta has {len(theta)} angles, spec needs {spec.parameter_count}"
         )
 
+    encoded = EncodedSet.of(train_set)
+    half = 1 << (config.n - 1)
+    values = theta.values
+
     shots_rng = None
     if isinstance(config.mode, Shots):
         shots_rng = np.random.default_rng(config.mode.seed)
 
-    def eval_mode() -> str | Shots:
-        if shots_rng is None:
-            return EXACT
-        # Fresh sub-seed per evaluation, deterministic in sequence.
-        return Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
-
-    def loss_and_gradient(store: QramStore) -> tuple[float, np.ndarray]:
-        modes = [eval_mode() for _ in range(2 * len(theta) + 1)]
-        return batch_loss_and_gradient(
-            store, spec, theta, config.fd_epsilon, modes, config.readout_qubit
+    def loss_and_gradient(means: np.ndarray) -> tuple[float, np.ndarray]:
+        modes = EXACT
+        if shots_rng is not None:
+            # A fresh sub-seed per evaluation, deterministic in sequence.
+            seeds = shots_rng.integers(1 << 62, size=2 * spec.parameter_count + 1)
+            modes = [Shots(config.mode.count, seed) for seed in seeds.tolist()]
+        return _loss_and_gradient(
+            means, spec, values, config.fd_epsilon, modes, config.readout_qubit
         )
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
-        stores = make_batches(train_set, config.n, config.seed, epoch)
+        rows = _batch_rows(encoded.labels, config.n, config.seed, epoch)
+        batch_means = encoded.amplitudes[rows].reshape(len(rows), 2, half, -1).mean(axis=2)
         batch_losses = []
         if config.update_cadence == "per_batch":
-            for store in stores:
-                value, grad = loss_and_gradient(store)
-                theta = _step(theta, config.learning_rate * grad, epoch)
+            for means in batch_means:
+                value, grad = loss_and_gradient(means)
+                values = _step(values, config.learning_rate * grad, epoch)
                 batch_losses.append(value)
         else:
-            grad_sum = np.zeros(len(theta))
-            for store in stores:
-                value, grad = loss_and_gradient(store)
+            grad_sum = np.zeros(len(values))
+            for means in batch_means:
+                value, grad = loss_and_gradient(means)
                 batch_losses.append(value)
                 grad_sum += grad
-            theta = _step(theta, config.learning_rate * grad_sum / len(stores), epoch)
+            values = _step(values, config.learning_rate * grad_sum / len(batch_means), epoch)
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
             raise OptimizationError(f"training diverged at epoch {epoch}: loss {mean_loss}")
+        theta = ParameterVector(values)
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=mean_loss,
                 train_accuracy=accuracy(
-                    train_set, spec, theta, config.readout_qubit, config.decision_threshold
+                    encoded, spec, theta, config.readout_qubit, config.decision_threshold
                 ),
                 test_accuracy=accuracy(
                     test_set, spec, theta, config.readout_qubit, config.decision_threshold

@@ -234,3 +234,14 @@ def gate_level_loss(cells, n, gates, readout):
     controls = list(range(k, k + n))
     p_zero = swap_test_circuit_p_zero(state, k + n, readout, controls, label_state_vector(n))
     return 2.0 - 2.0 * p_zero
+
+
+def probe_angles(theta, fd_epsilon):
+    """The 2P+1 angle vectors of one central-difference gradient, as rows:
+    theta, then theta + eps*e_j and theta - eps*e_j for j = 0..P-1."""
+    theta = np.asarray(theta, dtype=float)
+    probes = np.repeat(theta[None, :], 2 * len(theta) + 1, axis=0)
+    for j in range(len(theta)):
+        probes[1 + 2 * j, j] += fd_epsilon
+        probes[2 + 2 * j, j] -= fd_epsilon
+    return probes

@@ -171,8 +171,9 @@ class TestTrainCommand:
         assert err == "error: readout qubit 5 out of range for 2-qubit state\n"
 
     def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
-        # Stands in for the allocation that --layers 100000 asks of
-        # probe_angles; the test itself allocates nothing large.
+        # Stands in for an allocation the machine cannot serve (a circuit
+        # matrix per gradient probe at --layers 100000 once asked for 596
+        # GiB); the test itself allocates nothing large.
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 596. GiB for an array with shape (400001, 200000)")
 

@@ -147,6 +147,14 @@ class TestEncodeDataset:
             assert enc.state.num_qubits == 2
             assert abs(enc.state.norm() - 1.0) < 1e-12
 
+    def test_amplitudes_have_an_imaginary_part_of_exactly_zero(self):
+        # Why the loss may run an encoded set's class means in real arithmetic.
+        features = RNG.uniform(-9, 9, (200, 4))
+        features[0, 0] = 5.1e200
+        out = encode_dataset(FeatureSet(features, np.arange(200) % 2))
+        assert out.amplitudes.dtype == np.complex128
+        assert np.all(out.amplitudes.imag == 0)
+
     @pytest.mark.parametrize(
         "bad, reason",
         [

@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+import varq.ansatz
 from varq import (
     ConfigurationError,
     DataError,
+    EncodedSet,
     FeatureVector,
     OptimizationError,
     ParameterVector,
@@ -28,9 +30,12 @@ from varq import (
     make_batches,
     make_task,
     numerical_gradient,
+    probe_losses,
+    run_ansatz,
     train,
 )
-from varq.trainer import CLASSIFY_CHUNK, batch_loss_and_gradient, probe_angles
+from varq.loss import class_means
+from varq.trainer import CLASSIFY_CHUNK, batch_loss_and_gradient
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
@@ -149,7 +154,7 @@ class TestNumericalGradient:
 
 class TestStackedPass:
     def test_probe_order_is_base_then_plus_minus_per_coordinate(self):
-        probes = probe_angles(ParameterVector([0.5, -1.0]), 0.25)
+        probes = oracles.probe_angles([0.5, -1.0], 0.25)
         assert_allclose(
             probes,
             [[0.5, -1.0], [0.75, -1.0], [0.25, -1.0], [0.5, -0.75], [0.5, -1.25]],
@@ -182,6 +187,42 @@ class TestStackedPass:
             assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
             assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_sweep_rows_match_a_stacked_pass_at_the_probe_angles(self, k):
+        # The reference multiplies out each probe's whole circuit and runs
+        # all 2P+1 of them as one stack on the class means.
+        rng = np.random.default_rng(400 + k)
+        for layers in range(1, 7):
+            spec = default_ansatz(k, layers=layers)
+            theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
+            probes = oracles.probe_angles(theta, 1e-3)
+            for state in (oracles.random_real_state, oracles.random_state):
+                store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
+                means = class_means(store, spec)
+                psi = run_ansatz(spec, probes, means.reshape(1, -1), range(1, k + 1))
+                for readout in range(k):
+                    grouped = psi.reshape(len(probes), 2, 1 << readout, 2, -1)
+                    amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
+                    expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=(1, 2))
+                    rows = probe_losses(means, spec, theta, readout, 1e-3)
+                    assert np.max(np.abs(rows - expected)) < 1e-12
+                    assert abs(probe_losses(means, spec, theta, readout)[0] - rows[0]) < 1e-15
+
+    def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
+        spec = default_ansatz(2, layers=20_000)
+        store = build_store(random_samples(np.random.default_rng(17), 2, 2))
+        theta = init_parameters(spec, seed=5)
+        count = spec.parameter_count
+        loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, ["exact"] * (2 * count + 1))
+        assert np.isfinite(loss)
+        for j in (0, count // 2, count - 1):
+            up, down = theta.values.copy(), theta.values.copy()
+            up[j] += 1e-3
+            down[j] -= 1e-3
+            lp = batched_loss(store, spec, ParameterVector(up))
+            lm = batched_loss(store, spec, ParameterVector(down))
+            assert abs(grad[j] - (lp - lm) / 2e-3) < 1e-9
+
     def test_non_finite_probe_loss_names_the_parameter(self, monkeypatch):
         spec = default_ansatz(1, layers=2)
         store = build_store(random_samples(RNG, 1, 1))
@@ -191,7 +232,7 @@ class TestStackedPass:
             losses[3] = np.nan  # theta + eps * e_1
             return losses
 
-        monkeypatch.setattr("varq.trainer.stacked_loss", poisoned)
+        monkeypatch.setattr("varq.trainer.probe_losses", poisoned)
         with pytest.raises(OptimizationError, match="parameter 1"):
             batch_loss_and_gradient(store, spec, ParameterVector([0.1, 0.2]), 1e-3, ["exact"] * 5)
 
@@ -414,6 +455,43 @@ class TestTrain:
         _, shots_metrics = train(train_set, test_set, spec, shots_cfg, initial_theta=theta0)
         assert shots_metrics[0].train_loss != exact_metrics[0].train_loss
         assert abs(shots_metrics[0].train_loss - exact_metrics[0].train_loss) < 0.2
+
+    def test_one_vector_draw_gives_the_scalar_sub_seed_stream(self):
+        # Shots training draws a batch's 2P+1 sub-seeds in one call.
+        for seed in range(50):
+            scalar = np.random.default_rng(seed)
+            vector = np.random.default_rng(seed)
+            for size in (17, 9, 33):
+                expected = [int(scalar.integers(1 << 62)) for _ in range(size)]
+                assert vector.integers(1 << 62, size=size).tolist() == expected
+
+    def test_complex_training_data_trains_like_its_real_part(self, iris_task):
+        # A global phase on every sample leaves every overlap unchanged, so
+        # the complex path through the trainer must match the real one.
+        train_set, test_set = iris_task
+        phased = EncodedSet(1j * train_set.amplitudes, train_set.labels)
+        spec = default_ansatz(2, layers=4)
+        config = TrainConfig(epochs=2)
+        theta_real, real = train(train_set, test_set, spec, config)
+        theta_phased, phased_metrics = train(phased, test_set, spec, config)
+        assert_allclose(theta_phased.values, theta_real.values, atol=1e-10)
+        for a, b in zip(real, phased_metrics):
+            assert abs(a.train_loss - b.train_loss) < 1e-12
+            assert a.train_accuracy == b.train_accuracy
+
+    def test_training_builds_no_circuit_per_probe(self, iris_task, monkeypatch):
+        # Every circuit the trainer builds is at theta itself: one angle row.
+        spec = default_ansatz(2, layers=4)
+        angle_rows = []
+        original = varq.ansatz.layer_matrices
+
+        def spy(spec, thetas):
+            angle_rows.append(thetas.size // spec.parameter_count)
+            return original(spec, thetas)
+
+        monkeypatch.setattr(varq.ansatz, "layer_matrices", spy)
+        train(*iris_task, spec, TrainConfig(epochs=1))
+        assert len(angle_rows) > 20 and set(angle_rows) == {1}
 
     def test_shots_mode_is_reproducible_given_seed(self, iris_task):
         train_set, test_set = iris_task
