@@ -256,7 +256,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigurationError(f"parameter file {params_path} must hold a list of numbers")
-    theta = ParameterVector(values)
+    try:
+        theta = ParameterVector(values)
+    except OverflowError:
+        raise ConfigurationError(f"parameter file {params_path} holds a number too large for a float")
 
     report = {
         "task": f"{task.class0}-vs-{task.class1}",

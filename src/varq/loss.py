@@ -33,16 +33,16 @@ the test oracles as the reference.
 
 The 2P central-difference probes theta +- eps*e_j come from the same
 class means and one layer sweep at theta (`ansatz.sweep_ansatz`), in
-O(L k 4^k) work. Exact mode reports p0 itself (for all rows at once);
-shots mode draws the number of ancilla-zero outcomes from
-Binomial(shots, p0) per row and reports the empirical frequency.
+O(L k 4^k) work. Exact mode reports p0 itself; shots mode draws each
+row's number of ancilla-zero outcomes from Binomial(shots, p0) and
+reports the empirical frequency, all rows of a batch from one generator
+in one vector draw.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,15 +159,16 @@ def _p_zero(
     return 0.5 * (1.0 + overlap)
 
 
-def _read_out(p_zero: float, mode: str | Shots) -> SwapTestResult:
+def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
+    """The reported p0 of each row: p0 itself in exact mode; in shots mode
+    the hit frequency of Binomial(count, p0), every row from one
+    default_rng(seed) in one draw, O(1) memory in the shot count."""
     if mode == EXACT:
-        return SwapTestResult(p_zero=p_zero, shots=None)
+        return p_zero
     if isinstance(mode, Shots):
-        rng = np.random.default_rng(mode.seed)
-        # One binomial draw: O(1) memory in the shot count. Rounding can
-        # put p_zero a few ulps above 1.
-        hits = int(rng.binomial(mode.count, min(p_zero, 1.0)))
-        return SwapTestResult(p_zero=hits / mode.count, shots=mode.count)
+        # Rounding can put p_zero a few ulps above 1.
+        hits = np.random.default_rng(mode.seed).binomial(mode.count, np.minimum(p_zero, 1.0))
+        return hits / mode.count
     raise ConfigurationError(f"unknown swap-test mode {mode!r}")
 
 
@@ -188,7 +189,8 @@ def swap_test(
     control_qubits = tuple(control_qubits)
     _check_compared(data_state.num_qubits, label.n, readout_qubit, control_qubits)
     p_zero = _p_zero(data_state.amplitudes[None, :], label, readout_qubit, control_qubits)
-    return _read_out(float(p_zero[0]), mode)
+    shots = mode.count if isinstance(mode, Shots) else None
+    return SwapTestResult(p_zero=float(_read_out(p_zero, mode)[0]), shots=shots)
 
 
 def class_means(store: QramStore, spec: AnsatzSpec) -> np.ndarray:
@@ -206,14 +208,14 @@ def probe_losses(
     theta: np.ndarray,
     readout_qubit: int = 0,
     fd_epsilon: float | None = None,
-    modes: str | Shots | Sequence[str | Shots] = EXACT,
+    mode: str | Shots = EXACT,
 ) -> np.ndarray:
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
     (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
     for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
     and b_j the readout-paired amplitudes of rows 0 and 1 + j of the sweep
-    and c, s = cos(eps/2), sin(eps/2). Row i is read out in modes[i], or
-    every row in one mode; |x|^2 is conj(x) x, so means may be complex.
+    and c, s = cos(eps/2), sin(eps/2). All rows are read out in one mode;
+    |x|^2 is conj(x) x, so means may be complex.
     """
     dim = 1 << spec.k
     if means.shape != (2, dim):
@@ -244,16 +246,7 @@ def probe_losses(
         np.subtract(base, shift, out=rows[2::2])
         paired = rows
     overlaps = 0.25 * np.einsum("ij,ij->i", paired.conj(), paired).real
-    p_zero = 0.5 * (1.0 + overlaps)
-    if modes != EXACT:
-        if isinstance(modes, (str, Shots)):
-            modes = [modes] * len(p_zero)
-        elif len(modes) != len(p_zero):
-            raise ConfigurationError(f"{len(p_zero)} probe rows but {len(modes)} readout modes")
-        if any(mode != EXACT for mode in modes):
-            return np.array(
-                [1.0 - _read_out(float(p), mode).overlap for p, mode in zip(p_zero, modes)]
-            )
+    p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
     return 1.0 - (2.0 * p_zero - 1.0)
 
 
@@ -267,4 +260,4 @@ def batched_loss(
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n."""
     means = class_means(store, spec)
-    return float(probe_losses(means, spec, theta.values, readout_qubit, modes=mode)[0])
+    return float(probe_losses(means, spec, theta.values, readout_qubit, mode=mode)[0])

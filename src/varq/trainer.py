@@ -12,8 +12,8 @@ layer count. Updates happen after every batch ("per_batch", the default)
 or once per epoch on the mean gradient ("per_epoch"). Accuracy
 classifies samples through the circuit matrix, CLASSIFY_CHUNK samples
 per pass. Everything is deterministic for a fixed config and seed in
-exact mode; in shots mode each loss evaluation draws its own sub-seed,
-in probe order, all 2P+1 of a batch in one draw.
+exact mode; in shots mode each batch draws one sub-seed, and its 2P+1
+probe rows are read from that one generator in one binomial draw.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def _loss_and_gradient(
     spec: AnsatzSpec,
     theta: np.ndarray,
     fd_epsilon: float,
-    modes: str | Shots | Sequence[str | Shots],
+    mode: str | Shots,
     readout_qubit: int,
 ) -> tuple[float, np.ndarray]:
-    losses = probe_losses(means, spec, theta, readout_qubit, fd_epsilon, modes)
+    losses = probe_losses(means, spec, theta, readout_qubit, fd_epsilon, mode)
     up, down = losses[1::2], losses[2::2]
     if not np.isfinite(losses).all():
         for j in np.flatnonzero(~(np.isfinite(up) & np.isfinite(down))):
@@ -131,13 +131,13 @@ def batch_loss_and_gradient(
     spec: AnsatzSpec,
     theta: ParameterVector,
     fd_epsilon: float,
-    modes: list[str | Shots],
+    mode: str | Shots = EXACT,
     readout_qubit: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Loss at theta and its central-difference gradient for one batch,
-    from one sweep over the layers at theta; probe i is read in modes[i]."""
+    from one sweep over the layers at theta; every probe is read in mode."""
     return _loss_and_gradient(
-        class_means(store, spec), spec, theta.values, fd_epsilon, modes, readout_qubit
+        class_means(store, spec), spec, theta.values, fd_epsilon, mode, readout_qubit
     )
 
 
@@ -276,13 +276,12 @@ def train(
         shots_rng = np.random.default_rng(config.mode.seed)
 
     def loss_and_gradient(means: np.ndarray) -> tuple[float, np.ndarray]:
-        modes = EXACT
+        mode = EXACT
         if shots_rng is not None:
-            # A fresh sub-seed per evaluation, deterministic in sequence.
-            seeds = shots_rng.integers(1 << 62, size=2 * spec.parameter_count + 1)
-            modes = [Shots(config.mode.count, seed) for seed in seeds.tolist()]
+            # One sub-seed per batch, deterministic in sequence.
+            mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
         return _loss_and_gradient(
-            means, spec, values, config.fd_epsilon, modes, config.readout_qubit
+            means, spec, values, config.fd_epsilon, mode, config.readout_qubit
         )
 
     metrics: list[EpochMetrics] = []

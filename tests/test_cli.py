@@ -480,6 +480,14 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "numbers" in err
 
+    def test_parameter_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps([10**400] + [0] * 7))
+        code = main(["eval", "--task", "setosa-vs-versicolor", "--params", str(params)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
     def test_parameter_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
         code = main(["eval", "--task", "setosa-vs-versicolor", "--params", str(tmp_path)])
         assert code == 2

@@ -16,11 +16,12 @@ from varq import (
     build_store,
     default_ansatz,
     prepare_label_state,
+    probe_losses,
     query_superposed,
     swap_test,
 )
 from varq.costmodel import swap_test_gate_count
-from varq.loss import EXACT
+from varq.loss import EXACT, class_means
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -214,6 +215,42 @@ class TestShotsMode:
         assert abs(result.p_zero - exact) < 1e-4
         largest = swap_test(state, label, 0, (2,), Shots(2**63 - 1, seed=0))
         assert abs(largest.p_zero - exact) < 1e-4
+
+    def test_swap_test_reads_the_scalar_binomial_stream(self):
+        label = prepare_label_state(2)
+        state = StateVector(4, oracles.random_state(RNG, 4))
+        exact = swap_test(state, label, 0, (2, 3), EXACT).p_zero
+        for s in range(100):
+            expected = np.random.default_rng(s).binomial(4096, exact) / 4096
+            assert swap_test(state, label, 0, (2, 3), Shots(4096, seed=s)).p_zero == expected
+
+    @staticmethod
+    def probe_case():
+        rng = np.random.default_rng(23)
+        spec = default_ansatz(2, layers=4)
+        means = class_means(build_store(random_samples(rng, 2, 2)), spec)
+        theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
+        exact = probe_losses(means, spec, theta, 0, 1e-3)
+        return means, spec, theta, exact
+
+    def test_shot_probe_rows_are_unbiased(self):
+        means, spec, theta, exact = self.probe_case()
+        rows = np.array(
+            [probe_losses(means, spec, theta, 0, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
+        )
+        # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
+        p_zero = 1.0 - exact / 2.0
+        stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 1000)
+        assert rows.shape == (1000, 2 * spec.parameter_count + 1)
+        assert np.all(np.abs(rows.mean(axis=0) - exact) <= 3 * stderr)
+
+    def test_shot_probe_rows_are_one_binomial_draw_in_row_order(self):
+        means, spec, theta, exact = self.probe_case()
+        p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
+        for s in (0, 1, 17, 4242):
+            hits = np.random.default_rng(s).binomial(4096, p_zero)
+            rows = probe_losses(means, spec, theta, 0, 1e-3, Shots(4096, seed=s))
+            assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
 
 
 class TestBatchedLoss:

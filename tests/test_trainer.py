@@ -181,8 +181,7 @@ class TestStackedPass:
                 ops = spec.operations(th, tuple(range(k)))
                 return oracles.gate_level_loss(cells, n, ops, readout)
 
-            modes = ["exact"] * (2 * len(theta) + 1)
-            loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, modes, readout)
+            loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, "exact", readout)
             assert abs(loss - reference(theta)) < 1e-12
             assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
             assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
@@ -213,7 +212,7 @@ class TestStackedPass:
         store = build_store(random_samples(np.random.default_rng(17), 2, 2))
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
-        loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, ["exact"] * (2 * count + 1))
+        loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, "exact")
         assert np.isfinite(loss)
         for j in (0, count // 2, count - 1):
             up, down = theta.values.copy(), theta.values.copy()
@@ -234,7 +233,7 @@ class TestStackedPass:
 
         monkeypatch.setattr("varq.trainer.probe_losses", poisoned)
         with pytest.raises(OptimizationError, match="parameter 1"):
-            batch_loss_and_gradient(store, spec, ParameterVector([0.1, 0.2]), 1e-3, ["exact"] * 5)
+            batch_loss_and_gradient(store, spec, ParameterVector([0.1, 0.2]), 1e-3, "exact")
 
     def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
         rng = np.random.default_rng(31)
@@ -456,14 +455,22 @@ class TestTrain:
         assert shots_metrics[0].train_loss != exact_metrics[0].train_loss
         assert abs(shots_metrics[0].train_loss - exact_metrics[0].train_loss) < 0.2
 
-    def test_one_vector_draw_gives_the_scalar_sub_seed_stream(self):
-        # Shots training draws a batch's 2P+1 sub-seeds in one call.
-        for seed in range(50):
-            scalar = np.random.default_rng(seed)
-            vector = np.random.default_rng(seed)
-            for size in (17, 9, 33):
-                expected = [int(scalar.integers(1 << 62)) for _ in range(size)]
-                assert vector.integers(1 << 62, size=size).tolist() == expected
+    def test_shots_training_draws_one_sub_seed_per_batch(self, iris_task, monkeypatch):
+        # Each batch reads all its probe rows in one mode, Shots(count, s),
+        # with s the next scalar draw of default_rng(shots seed).
+        spec = default_ansatz(2, layers=4)
+        modes = []
+        original = varq.trainer.probe_losses
+
+        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
+            modes.append(mode)
+            return original(means, spec, theta, readout_qubit, fd_epsilon, mode)
+
+        monkeypatch.setattr("varq.trainer.probe_losses", spy)
+        train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
+        stream = np.random.default_rng(7)
+        assert len(modes) > 20
+        assert modes == [Shots(256, int(stream.integers(1 << 62))) for _ in modes]
 
     def test_complex_training_data_trains_like_its_real_part(self, iris_task):
         # A global phase on every sample leaves every overlap unchanged, so
