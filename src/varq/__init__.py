@@ -48,7 +48,7 @@ from .loss import (
     swap_test,
 )
 from .qram import QramStore, build_store, query_superposed
-from .statevector import GateOp, StateVector
+from .statevector import StateVector
 from .trainer import (
     EpochMetrics,
     TrainConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "EpochMetrics",
     "FeatureSet",
     "FeatureVector",
-    "GateOp",
     "IrisTable",
     "LabelState",
     "OptimizationError",

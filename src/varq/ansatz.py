@@ -7,11 +7,11 @@ real.
 
 Each layer is one real 2^k x 2^k matrix G_l: the Kronecker product of
 its RY blocks times its CZ sign diagonal (`layer_matrices`, 4^k entries
-per layer, 16 at k = 2). run_ansatz applies the circuit to a stack of
-states with a leading stack axis, each stack row with its own angle
-vector: the layers of each angle row are multiplied out into one
-circuit matrix, and one matmul applies it to the data-qubit axes of
-each state. apply_ansatz is the one-row case.
+per layer, 16 at k = 2). The layers are multiplied together in one
+place, `sweep_ansatz`. run_ansatz applies the circuit for one angle
+vector to a stack of states: the forward sweep applied to the identity
+gives the circuit matrix, and one matmul applies it to the data-qubit
+axes of every state. apply_ansatz is the one-state case.
 
 `sweep_ansatz` serves a central-difference gradient. Shifting angle j,
 on qubit q of layer l, by e gives RY_q(t + e) = (c I + s J_q) RY_q(t)
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .statevector import GateOp, StateVector
+from .statevector import StateVector
 
 DEFAULT_LAYERS = 4
 
@@ -60,6 +60,11 @@ class AnsatzSpec:
             raise ConfigurationError(f"ansatz needs k >= 1 data qubits, got {self.k}")
         if self.layers < 1:
             raise ConfigurationError(f"ansatz needs layers >= 1, got {self.layers}")
+        if self.parameter_count > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"ansatz needs at most {np.iinfo(np.intp).max} angles, "
+                f"got layers={self.layers} on {self.k} qubits"
+            )
 
     @property
     def parameter_count(self) -> int:
@@ -121,25 +126,6 @@ class AnsatzSpec:
         x = np.arange(1 << self.k)[None, :]
         return x ^ masks, np.where(x & masks, 1.0, -1.0)[:, :, None]
 
-    def operations(self, theta: "ParameterVector", data_qubits: Sequence[int]) -> tuple[GateOp, ...]:
-        """The concrete gate sequence on the given qubits for angles theta."""
-        self._check_shapes(len(theta.values), len(data_qubits))
-        return tuple(
-            GateOp.ry(data_qubits[a], theta.values[b]) if kind == "RY"
-            else GateOp.cz(data_qubits[a], data_qubits[b])
-            for kind, a, b in self.schedule
-        )
-
-    def _check_shapes(self, num_angles: int, num_data_qubits: int) -> None:
-        if num_data_qubits != self.k:
-            raise ConfigurationError(
-                f"ansatz spans {self.k} qubits, got {num_data_qubits} data qubits"
-            )
-        if num_angles != self.parameter_count:
-            raise ConfigurationError(
-                f"theta has {num_angles} angles, spec needs {self.parameter_count}"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
@@ -180,16 +166,6 @@ def layer_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
     return trig[..., gather].prod(axis=-3) * signs
 
 
-def _circuit_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
-    """The circuit matrix G_{L-1}...G_0 for each row of thetas (T, P), as a
-    (T, 2^k, 2^k) array."""
-    layers = layer_matrices(spec, thetas)
-    product = layers[:, 0]
-    for layer in range(1, spec.layers):
-        product = layers[:, layer] @ product
-    return product
-
-
 def sweep_ansatz(
     spec: AnsatzSpec, theta: np.ndarray, states: np.ndarray, shifts: bool = True
 ) -> np.ndarray:
@@ -224,18 +200,18 @@ def sweep_ansatz(
 
 def run_ansatz(
     spec: AnsatzSpec,
-    thetas: np.ndarray,
+    theta: np.ndarray,
     amplitudes: np.ndarray,
     data_qubits: Sequence[int],
 ) -> np.ndarray:
-    """Apply the circuit to a stack of states, one angle vector per row.
+    """Apply the circuit for angles theta (P,) to a stack of states.
 
-    thetas is (T, P) and amplitudes is (A, 2^q); T and A are equal, or
-    one of them is 1 and is broadcast over the other. Returns a new
-    (max(T, A), 2^q) complex array; `data_qubits` index the q-qubit
-    register, identity elsewhere.
+    amplitudes is (A, 2^q), one q-qubit state per row; `data_qubits`
+    index the q-qubit register, identity elsewhere. Returns a new
+    (A, 2^q) array, real for real amplitudes.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    amplitudes = np.asarray(amplitudes)
     num_qubits = amplitudes.shape[1].bit_length() - 1
     data_qubits = tuple(data_qubits)
     for q in data_qubits:
@@ -245,27 +221,26 @@ def run_ansatz(
             )
     if len(set(data_qubits)) != len(data_qubits):
         raise ConfigurationError(f"repeated qubit index in {data_qubits}")
-    spec._check_shapes(thetas.shape[1], len(data_qubits))
-    if not np.isfinite(thetas).all():
+    k = len(data_qubits)
+    if k != spec.k:
+        raise ConfigurationError(f"ansatz spans {spec.k} qubits, got {k} data qubits")
+    if theta.shape != (spec.parameter_count,):
+        raise ConfigurationError(
+            f"theta has shape {theta.shape}, spec needs ({spec.parameter_count},)"
+        )
+    if not np.isfinite(theta).all():
         raise ConfigurationError("parameter vector contains non-finite values")
-    matrices = _circuit_matrices(spec, thetas)[:, None]
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    matrix = sweep_ansatz(spec, theta, np.eye(1 << k), shifts=False)[0]
     # With the data qubits on the trailing axes, in ansatz order, a state
     # is a stack of 2^k-vectors, one per environment index, and one matmul
-    # applies each row's matrix to all of them: many small products, so
-    # no large BLAS call whose threads cost more than the work.
-    k = len(data_qubits)
+    # applies the matrix to all of them: many small products, so no large
+    # BLAS call whose threads cost more than the work.
     rows = amplitudes.shape[0]
-    if data_qubits == tuple(range(num_qubits - k, num_qubits)):
-        out = matrices @ amplitudes.reshape(rows, -1, 1 << k, 1)
-        return out.reshape(out.shape[0], -1)
-    shape = (rows,) + (2,) * num_qubits
     data_axes = [1 + q for q in data_qubits]
     trailing = range(1 + num_qubits - k, 1 + num_qubits)
-    psi = np.moveaxis(amplitudes.reshape(shape), data_axes, trailing)
-    out = matrices @ psi.reshape(rows, -1, 1 << k, 1)
-    out = out.reshape((out.shape[0],) + psi.shape[1:])
-    return np.moveaxis(out, trailing, data_axes).reshape(out.shape[0], -1)
+    psi = np.moveaxis(amplitudes.reshape((rows,) + (2,) * num_qubits), data_axes, trailing)
+    out = (matrix @ psi.reshape(rows, -1, 1 << k, 1)).reshape(psi.shape)
+    return np.moveaxis(out, trailing, data_axes).reshape(rows, -1)
 
 
 def apply_ansatz(
@@ -275,5 +250,5 @@ def apply_ansatz(
     data_qubits: Sequence[int],
 ) -> StateVector:
     """Apply the parameterized circuit to `data_qubits`, identity elsewhere."""
-    out = run_ansatz(spec, theta.values[None, :], state.amplitudes[None, :], data_qubits)
+    out = run_ansatz(spec, theta.values, state.amplitudes[None, :], data_qubits)
     return StateVector(state.num_qubits, out[0])

@@ -144,14 +144,16 @@ def batch_loss_and_gradient(
 def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray:
     """Row b lists batch b's sample indices: its class-0 chunk, then its
     class-1 chunk, from per-class permutations by default_rng(seed + epoch)."""
-    half = 1 << (n - 1)
     index0 = np.flatnonzero(labels == 0)
     index1 = np.flatnonzero(labels == 1)
-    if len(index0) < half or len(index1) < half:
+    # 2^(n-1) <= count exactly when n <= count.bit_length(); comparing
+    # first keeps a huge n from building a huge integer.
+    if n > min(len(index0), len(index1)).bit_length():
         raise DataError(
-            f"need at least {half} samples per class for n={n}, "
+            f"need at least 2^{n - 1} samples per class for n={n}, "
             f"got {len(index0)} / {len(index1)}"
         )
+    half = 1 << (n - 1)
     rng = np.random.default_rng(seed + epoch)
     order0 = index0[rng.permutation(len(index0))]
     order1 = index1[rng.permutation(len(index1))]
@@ -195,7 +197,7 @@ def _predict(
         raise ConfigurationError(
             f"readout qubit {readout_qubit} out of range for {spec.k}-qubit state"
         )
-    out = run_ansatz(spec, theta.values[None, :], amplitudes, range(spec.k))
+    out = run_ansatz(spec, theta.values, amplitudes, range(spec.k))
     ones = out.reshape(amplitudes.shape[0], 1 << readout_qubit, 2, -1)[:, :, 1]
     p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
     return (p_one >= threshold).astype(int)
@@ -268,7 +270,6 @@ def train(
         )
 
     encoded = EncodedSet.of(train_set)
-    half = 1 << (config.n - 1)
     values = theta.values
 
     shots_rng = None
@@ -287,6 +288,7 @@ def train(
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(encoded.labels, config.n, config.seed, epoch)
+        half = rows.shape[1] // 2
         batch_means = encoded.amplitudes[rows].reshape(len(rows), 2, half, -1).mean(axis=2)
         batch_losses = []
         if config.update_cadence == "per_batch":

@@ -1,14 +1,17 @@
 """Independent reference implementations used to verify the package.
 
-Everything here is written the slow, obvious way on purpose: dense
-matrices assembled with Kronecker products, explicit double-sum partial
-traces, and direct index arithmetic. Nothing shares code with the
+Everything here is written the slow, obvious way on purpose: gate
+records applied one gate at a time, dense matrices assembled with
+Kronecker products, explicit double-sum partial traces, and direct
+index arithmetic. Nothing shares code or a circuit definition with the
 package under test; agreement between the two is the point of the
 tests that import this module.
 
 Convention (same as the package): qubit 0 is the most significant bit
 of the basis index, so in a Kronecker product it is the leftmost factor.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +78,106 @@ def dense_gate_matrix(n, kind, targets, controls=(), angle=None):
     raise ValueError(f"no dense oracle for gate kind {kind!r}")
 
 
+# kind: (n_targets, n_controls, takes_angle)
+GATE_ARITY = {
+    "H": (1, 0, False),
+    "X": (1, 0, False),
+    "RY": (1, 0, True),
+    "RZ": (1, 0, True),
+    "CNOT": (1, 1, False),
+    "CZ": (1, 1, False),
+    "CSWAP": (2, 1, False),
+}
+
+
+@dataclass(frozen=True)
+class GateOp:
+    """A single primitive gate: kind, targets, optional controls, optional angle."""
+
+    kind: str
+    targets: tuple
+    controls: tuple = ()
+    angle: float = None
+
+    def __post_init__(self):
+        if self.kind not in GATE_ARITY:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        n_t, n_c, takes_angle = GATE_ARITY[self.kind]
+        if len(self.targets) != n_t or len(self.controls) != n_c:
+            raise ValueError(
+                f"{self.kind} expects {n_t} target(s) and {n_c} control(s), "
+                f"got {self.targets} / {self.controls}"
+            )
+        if takes_angle != (self.angle is not None):
+            raise ValueError(f"{self.kind}: angle mismatch ({self.angle})")
+        qubits = self.targets + self.controls
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"{self.kind}: repeated qubit index in {qubits}")
+
+    # Constructors, named after the circuit-diagram reading of each gate.
+    @staticmethod
+    def h(q):
+        return GateOp("H", (q,))
+
+    @staticmethod
+    def x(q):
+        return GateOp("X", (q,))
+
+    @staticmethod
+    def ry(q, angle):
+        return GateOp("RY", (q,), angle=float(angle))
+
+    @staticmethod
+    def cnot(control, target):
+        return GateOp("CNOT", (target,), (control,))
+
+    @staticmethod
+    def cz(a, b):
+        return GateOp("CZ", (b,), (a,))
+
+    @staticmethod
+    def cswap(control, a, b):
+        return GateOp("CSWAP", (a, b), (control,))
+
+
+def ansatz_gates(spec, theta, data_qubits):
+    """The ansatz as GateOp records on `data_qubits`, written out from
+    spec.k and spec.layers alone: per layer, RY(theta[layer*k + q]) on
+    each qubit q, then CZ on each ring pair (none at k = 1, the single
+    pair (0, 1) at k = 2, (q, q+1 mod k) for every q from k = 3)."""
+    k, layers = spec.k, spec.layers
+    theta = np.asarray(getattr(theta, "values", theta), dtype=float)
+    data_qubits = list(data_qubits)
+    if len(data_qubits) != k:
+        raise ValueError(f"ansatz spans {k} qubits, got {len(data_qubits)} data qubits")
+    if theta.shape != (k * layers,):
+        raise ValueError(f"theta has shape {theta.shape}, ansatz needs ({k * layers},)")
+    if k == 1:
+        ring = []
+    elif k == 2:
+        ring = [(0, 1)]
+    else:
+        ring = [(q, (q + 1) % k) for q in range(k)]
+    gates = []
+    for layer in range(layers):
+        for q in range(k):
+            gates.append(GateOp.ry(data_qubits[q], theta[layer * k + q]))
+        for a, b in ring:
+            gates.append(GateOp.cz(data_qubits[a], data_qubits[b]))
+    return gates
+
+
+def basis_state(n, index):
+    """The computational basis state |index> on n qubits."""
+    if not 0 <= index < (1 << n):
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
 def gate_matrix(n, gate):
-    """Adapter from a package GateOp value to the dense oracle."""
+    """Adapter from a GateOp value to the dense oracle."""
     return dense_gate_matrix(n, gate.kind, gate.targets, gate.controls, gate.angle)
 
 
@@ -206,7 +307,7 @@ def swap_test_circuit_p_zero(data_amps, data_qubits, readout, controls, label_am
 
 
 def apply_gates_local(amps, n, gates):
-    """Apply package GateOp values one at a time to an n-qubit state.
+    """Apply GateOp values one at a time to an n-qubit state.
 
     Each gate's matrix is built over its own qubits only (controls first)
     and contracted with those axes, so no 2^n x 2^n matrix is formed.

@@ -23,20 +23,20 @@ RNG = np.random.default_rng(17)
 
 
 def dense_ansatz_matrix(spec, theta, n, data_qubits):
-    return oracles.circuit_matrix(n, spec.operations(theta, data_qubits))
+    return oracles.circuit_matrix(n, oracles.ansatz_gates(spec, theta, data_qubits))
 
 
 def assert_stacks_match_gate_reference(spec, num_qubits, data_qubits, rng):
-    """run_ansatz on T x 1, 1 x A and T x T stacks against the gate list
-    applied one gate at a time to each row's state."""
-    for rows_t, rows_a in ((3, 1), (1, 3), (3, 3)):
-        thetas = rng.uniform(0, 2 * np.pi, (rows_t, spec.parameter_count))
-        amps = np.array([oracles.random_state(rng, num_qubits) for _ in range(rows_a)])
-        out = run_ansatz(spec, thetas, amps, data_qubits)
-        assert out.shape == (max(rows_t, rows_a), 1 << num_qubits)
-        for i, row in enumerate(out):
-            ops = spec.operations(ParameterVector(thetas[min(i, rows_t - 1)]), data_qubits)
-            expected = oracles.apply_gates_local(amps[min(i, rows_a - 1)], num_qubits, ops)
+    """run_ansatz on stacks of 1 and 3 states against the gate list
+    applied one gate at a time to each state."""
+    for rows in (1, 3):
+        theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
+        amps = np.array([oracles.random_state(rng, num_qubits) for _ in range(rows)])
+        out = run_ansatz(spec, theta, amps, data_qubits)
+        assert out.shape == (rows, 1 << num_qubits)
+        ops = oracles.ansatz_gates(spec, theta, data_qubits)
+        for row, state in zip(out, amps):
+            expected = oracles.apply_gates_local(state, num_qubits, ops)
             assert np.max(np.abs(row - expected)) < 1e-12
 
 
@@ -52,8 +52,7 @@ class TestAnsatzSpec:
         assert spec.parameter_count == 6
         assert spec.entangler_pairs == ((0, 1),)
         assert spec.gate_count == 9
-        ops = spec.operations(ParameterVector(np.zeros(6)), (0, 1))
-        assert sum(1 for op in ops if op.kind == "CZ") == 3
+        assert sum(1 for kind, _, _ in spec.schedule if kind == "CZ") == 3
 
     def test_three_qubits_have_full_ring(self):
         spec = default_ansatz(3, layers=1)
@@ -61,11 +60,21 @@ class TestAnsatzSpec:
 
     def test_parameter_ordering_is_layer_major(self):
         spec = default_ansatz(2, layers=2)
-        theta = ParameterVector([0.1, 0.2, 0.3, 0.4])
-        ops = spec.operations(theta, (0, 1))
-        ry_ops = [op for op in ops if op.kind == "RY"]
-        assert [op.angle for op in ry_ops] == [0.1, 0.2, 0.3, 0.4]
-        assert [op.targets[0] for op in ry_ops] == [0, 1, 0, 1]
+        ry = [(a, b) for kind, a, b in spec.schedule if kind == "RY"]
+        assert ry == [(0, 0), (1, 1), (0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("layers", range(1, 4))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_schedule_names_the_oracle_gate_list(self, k, layers):
+        # Angle j is the number j, so an RY record's angle is its index.
+        spec = default_ansatz(k, layers=layers)
+        gates = oracles.ansatz_gates(spec, np.arange(spec.parameter_count), range(k))
+        named = [
+            ("RY", g.targets[0], int(g.angle)) if g.kind == "RY"
+            else (g.kind, g.controls[0], g.targets[0])
+            for g in gates
+        ]
+        assert named == list(spec.schedule)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -97,8 +106,11 @@ class TestParameterVector:
 
     def test_wrong_length_rejected_at_operations(self):
         spec = default_ansatz(2, layers=2)
+        state = StateVector(2, oracles.basis_state(2, 0))
         with pytest.raises(ConfigurationError):
-            spec.operations(ParameterVector([0.1]), (0, 1))
+            apply_ansatz(spec, ParameterVector([0.1]), state, (0, 1))
+        with pytest.raises(ValueError):
+            oracles.ansatz_gates(spec, ParameterVector([0.1]), (0, 1))
 
 
 class TestInitParameters:
@@ -184,7 +196,7 @@ class TestApplyAnsatz:
         spec = default_ansatz(2, layers=1)
         theta = ParameterVector([0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            apply_ansatz(spec, theta, StateVector.zero(3), (0,))
+            apply_ansatz(spec, theta, StateVector(3, oracles.basis_state(3, 0)), (0,))
 
     def test_works_on_non_contiguous_qubits(self):
         spec = default_ansatz(2, layers=2)

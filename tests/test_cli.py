@@ -210,8 +210,14 @@ class TestTrainCommand:
             (["--seed-shots", "-1", "--shots", "10"], None, "seed_shots"),
             ([], {"seed_batch": -1}, "seed_batch"),
             (["--shots", str(2**63)], None, "shot count"),
+            (["--n", str(10**20)], None, "n="),
+            (["--n", str(2**62)], None, "n="),
+            (["--layers", str(2**62)], None, "layers="),
         ],
-        ids=["seed-split", "seed-init", "seed-batch", "seed-shots", "config-seed", "shots-2^63"],
+        ids=[
+            "seed-split", "seed-init", "seed-batch", "seed-shots", "config-seed", "shots-2^63",
+            "n-10^20", "n-2^62", "layers-2^62",
+        ],
     )
     def test_negative_seed_or_oversized_shot_count_exits_2(
         self, tmp_path, capsys, extra, config, named

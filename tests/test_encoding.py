@@ -145,7 +145,7 @@ class TestEncodeDataset:
         assert len(out) == 80
         for enc in out:
             assert enc.state.num_qubits == 2
-            assert abs(enc.state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(enc.state.amplitudes) - 1.0) < 1e-12
 
     def test_amplitudes_have_an_imaginary_part_of_exactly_zero(self):
         # Why the loss may run an encoded set's class means in real arithmetic.

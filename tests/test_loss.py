@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from oracles import GateOp
 from varq import (
     ConfigurationError,
-    GateOp,
     ParameterVector,
     Shots,
     StateVector,
@@ -149,17 +149,17 @@ class TestSwapTest:
     def test_control_count_mismatch_rejected(self):
         label = prepare_label_state(2)
         with pytest.raises(ConfigurationError):
-            swap_test(StateVector.zero(4), label, 0, (2,), EXACT)
+            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 0, (2,), EXACT)
 
     def test_overlapping_qubit_sets_rejected(self):
         label = prepare_label_state(2)
         with pytest.raises(ConfigurationError):
-            swap_test(StateVector.zero(4), label, 2, (2, 3), EXACT)
+            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 2, (2, 3), EXACT)
 
     def test_readout_must_be_a_data_qubit(self):
         label = prepare_label_state(2)
         with pytest.raises(ConfigurationError):
-            swap_test(StateVector.zero(4), label, 3, (1, 2), EXACT)
+            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 3, (1, 2), EXACT)
 
     def test_gate_count_is_affine_in_controls(self):
         assert swap_test_gate_count(2) == 5

@@ -127,7 +127,7 @@ class TestQuerySuperposed:
     def test_output_is_normalized(self):
         for n in (1, 2, 3):
             store = build_store(random_samples(RNG, n, 2))
-            assert abs(query_superposed(store).norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(query_superposed(store).amplitudes) - 1.0) < 1e-12
 
     def test_tracing_out_controls_gives_uniform_mixture(self):
         batch = random_samples(RNG, 2, 2)

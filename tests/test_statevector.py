@@ -1,13 +1,14 @@
-"""StateVector and GateOp, and the gate-level references the suite relies on.
+"""StateVector, and the gate-level references the suite relies on.
 
-The package runs circuits only through the stacked kernels in `ansatz`;
-GateOp lists are executed by the test oracles alone. So besides the
-package's state and gate records, this module checks those references
-against closed-form answers: `oracles.apply_gates_local` (the gate-by-gate
-simulator behind every gate-level loss) against the dense Kronecker
-matrices, `oracles.brute_force_partial_trace` (the reduced-state oracle)
-against the known reductions, and `oracles.probability` against the
-dense projector.
+The package runs circuits only as circuit matrices in `ansatz`; gate
+records (`oracles.GateOp`) are built and executed by the test oracles
+alone. So besides the package's state record, this module checks those
+references against closed-form answers: `oracles.GateOp` validation,
+`oracles.apply_gates_local` (the gate-by-gate simulator behind every
+gate-level loss) against the dense Kronecker matrices,
+`oracles.brute_force_partial_trace` (the reduced-state oracle) against
+the known reductions, and `oracles.probability` against the dense
+projector.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from varq import ConfigurationError, GateOp, StateVector
+from oracles import GateOp
+from varq import ConfigurationError, StateVector
 
 RNG = np.random.default_rng(7)
 
@@ -43,16 +45,18 @@ def inverse(gate):
 
 class TestStateVector:
     def test_zero_state(self):
-        s = StateVector.zero(3)
+        s = StateVector(3, oracles.basis_state(3, 0))
         assert s.num_qubits == 3
         assert s.amplitudes[0] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
 
     def test_basis_state_uses_qubit0_as_msb(self):
-        s = StateVector.basis(2, 2)
-        assert s.amplitudes[2] == 1.0
-        assert oracles.probability(s.amplitudes, 0, 1) == 1.0
-        assert oracles.probability(s.amplitudes, 1, 0) == 1.0
+        amps = oracles.basis_state(2, 2)
+        assert amps[2] == 1.0
+        assert oracles.probability(amps, 0, 1) == 1.0
+        assert oracles.probability(amps, 1, 0) == 1.0
+        with pytest.raises(ValueError):
+            oracles.basis_state(2, 4)
 
     def test_length_must_match_qubit_count(self):
         with pytest.raises(ConfigurationError):
@@ -61,25 +65,25 @@ class TestStateVector:
 
 class TestGateOp:
     def test_wrong_target_count_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp("H", (0, 1))
 
     def test_missing_angle_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp("RY", (0,))
 
     def test_unexpected_angle_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp("X", (0,), angle=1.0)
 
     def test_repeated_qubit_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp.cnot(1, 1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp.cswap(0, 1, 1)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             GateOp("TOFFOLI", (0,))
 
 
@@ -107,9 +111,9 @@ class TestApplyGate:
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            oracles.apply_gates_local(StateVector.zero(2).amplitudes, 2, [GateOp.h(2)])
+            oracles.apply_gates_local(oracles.basis_state(2, 0), 2, [GateOp.h(2)])
         with pytest.raises(ValueError):
-            oracles.apply_gates_local(StateVector.zero(2).amplitudes, 2, [GateOp.cnot(0, 5)])
+            oracles.apply_gates_local(oracles.basis_state(2, 0), 2, [GateOp.cnot(0, 5)])
 
     def test_every_gate_matches_dense_oracle_up_to_6_qubits(self):
         for n in range(1, 7):
@@ -146,7 +150,7 @@ class TestApplyGate:
         assert_allclose(batched, stepped, atol=1e-13)
 
     def test_input_state_is_not_mutated(self):
-        amps = StateVector.zero(2).amplitudes
+        amps = oracles.basis_state(2, 0)
         before = amps.copy()
         oracles.apply_gates_local(amps, 2, [GateOp.h(0)])
         assert_allclose(amps, before, atol=0)
@@ -181,7 +185,7 @@ class TestPartialTrace:
         assert not np.allclose(rho_01, rho_10, atol=1e-3)
 
     def test_duplicate_or_invalid_indices_rejected(self):
-        amps = StateVector.zero(2).amplitudes
+        amps = oracles.basis_state(2, 0)
         with pytest.raises(ValueError):
             oracles.brute_force_partial_trace(amps, 2, [0, 0])
         with pytest.raises(ValueError):
@@ -202,7 +206,7 @@ class TestMeasureProbability:
     """oracles.probability, the single-qubit readout used by the tests."""
 
     def test_basis_state_is_certain(self):
-        amps = StateVector.basis(1, 1).amplitudes
+        amps = oracles.basis_state(1, 1)
         assert oracles.probability(amps, 0, 1) == 1.0
         assert oracles.probability(amps, 0, 0) == 0.0
 
@@ -226,4 +230,4 @@ class TestMeasureProbability:
 
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError):
-            oracles.probability(StateVector.zero(1).amplitudes, 0, 2)
+            oracles.probability(oracles.basis_state(1, 0), 0, 2)

@@ -178,7 +178,7 @@ class TestStackedPass:
             cells = list(store.block)
 
             def reference(th):
-                ops = spec.operations(th, tuple(range(k)))
+                ops = oracles.ansatz_gates(spec, th, range(k))
                 return oracles.gate_level_loss(cells, n, ops, readout)
 
             loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, "exact", readout)
@@ -189,7 +189,7 @@ class TestStackedPass:
     @pytest.mark.parametrize("k", range(1, 5))
     def test_sweep_rows_match_a_stacked_pass_at_the_probe_angles(self, k):
         # The reference multiplies out each probe's whole circuit and runs
-        # all 2P+1 of them as one stack on the class means.
+        # it on the class means, one probe row at a time.
         rng = np.random.default_rng(400 + k)
         for layers in range(1, 7):
             spec = default_ansatz(k, layers=layers)
@@ -198,7 +198,9 @@ class TestStackedPass:
             for state in (oracles.random_real_state, oracles.random_state):
                 store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
                 means = class_means(store, spec)
-                psi = run_ansatz(spec, probes, means.reshape(1, -1), range(1, k + 1))
+                psi = np.concatenate(
+                    [run_ansatz(spec, row, means.reshape(1, -1), range(1, k + 1)) for row in probes]
+                )
                 for readout in range(k):
                     grouped = psi.reshape(len(probes), 2, 1 << readout, 2, -1)
                     amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
@@ -239,7 +241,7 @@ class TestStackedPass:
         rng = np.random.default_rng(31)
         spec = default_ansatz(2, layers=3)
         theta = init_parameters(spec, seed=4)
-        ops = spec.operations(theta, (0, 1))
+        ops = oracles.ansatz_gates(spec, theta, (0, 1))
         samples = [
             sample_from_amps(oracles.random_real_state(rng, 2), int(rng.integers(2)))
             for _ in range(CLASSIFY_CHUNK + 1)
@@ -342,7 +344,7 @@ class TestClassify:
             theta = init_parameters(spec, seed=seed)
             amps = oracles.random_real_state(RNG, 2)
             sample = sample_from_amps(amps, 0)
-            mat = oracles.circuit_matrix(2, spec.operations(theta, (0, 1)))
+            mat = oracles.circuit_matrix(2, oracles.ansatz_gates(spec, theta, (0, 1)))
             evolved = mat @ amps
             proj = oracles.kron_place(2, {0: oracles.P1})
             p_one = np.real(np.conj(evolved) @ proj @ evolved)
