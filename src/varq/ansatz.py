@@ -77,7 +77,7 @@ class AnsatzSpec:
     @property
     def gate_count(self) -> int:
         """Gates per application: rotations plus entanglers, all layers."""
-        return len(self.schedule)
+        return self.layers * (self.k + len(self.entangler_pairs))
 
     @cached_property
     def schedule(self) -> tuple[tuple[str, int, int], ...]:
@@ -106,13 +106,12 @@ class AnsatzSpec:
         bits = (np.arange(dim)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
         first = np.zeros((self.k, dim, dim), dtype=np.intp)
         signs = np.ones((dim, dim))
-        for kind, a, b in self.schedule[: len(self.schedule) // self.layers]:
-            if kind == "RY":
-                x, y = bits[:, a, None], bits[None, :, a]
-                first[a] = b + self.parameter_count * (x != y)
-                signs *= np.where(x < y, -1.0, 1.0)
-            else:
-                signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
+        for q in range(self.k):  # layer 0's RYs: qubit q reads angle q
+            x, y = bits[:, q, None], bits[None, :, q]
+            first[q] = q + self.parameter_count * (x != y)
+            signs *= np.where(x < y, -1.0, 1.0)
+        for a, b in self.entangler_pairs:
+            signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
         # Layer l reads angles l*k .. l*k + k - 1.
         return first + self.k * np.arange(self.layers)[:, None, None, None], signs
 

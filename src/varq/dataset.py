@@ -11,7 +11,10 @@ is a FeatureSet.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +27,12 @@ from .errors import DataError
 SPECIES = ("setosa", "versicolor", "virginica")
 
 DATA_DIR_ENV = "VARQ_DATA_DIR"
+
+# One parsed row: the four features, then the raw species name. An object
+# field keeps names whole; a fixed-width string field would truncate them.
+_COLUMNS = np.dtype([("f", np.float64, 4), ("s", object)])
+# Line 1 with its end: LF, CRLF or a lone CR, as the row scan splits lines.
+_FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,46 +87,36 @@ def _line_of(row: int, skipped: list[int]) -> int:
     return line
 
 
-def load_iris(path: str | os.PathLike) -> IrisTable:
-    """Parse an iris CSV: 4 numeric columns plus species, optional header.
+def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]:
+    """Features and raw species names of an iris CSV, one row at a time.
 
-    Species names match case-insensitively, with or without an "Iris-"
-    prefix. The rows are read in one streaming pass and checked as one
-    array. The first malformed row in file order raises DataError with
-    its line number, and so does a path that cannot be read as UTF-8 text.
+    The first malformed row in file order raises DataError with its line
+    number; a non-numeric line 1 of 5 cells is a header, and blank rows
+    are skipped.
     """
-    path = Path(path)
     rows: list[tuple[float, float, float, float]] = []
     names: list[str] = []
     skipped: list[int] = []
     problem = None
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            for line_no, row in enumerate(csv.reader(f), start=1):
-                if len(row) == 5:
-                    try:
-                        rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
-                    except ValueError:
-                        pass
-                    else:
-                        names.append(row[4])
-                        continue
-                if not row or all(not cell.strip() for cell in row):
-                    skipped.append(line_no)
-                elif len(row) != 5:
-                    problem = f"{path}:{line_no}: expected 5 columns, got {len(row)}"
-                    break
-                elif line_no == 1:
-                    skipped.append(line_no)  # header row
-                else:
-                    problem = f"{path}:{line_no}: non-numeric feature in {row[:4]}"
-                    break
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
+    for line_no, row in enumerate(csv.reader(lines), start=1):
+        if len(row) == 5:
+            try:
+                rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
+            except ValueError:
+                pass
+            else:
+                names.append(row[4])
+                continue
+        if not row or all(not cell.strip() for cell in row):
+            skipped.append(line_no)
+        elif len(row) != 5:
+            problem = f"{path}:{line_no}: expected 5 columns, got {len(row)}"
+            break
+        elif line_no == 1:
+            skipped.append(line_no)  # header row
+        else:
+            problem = f"{path}:{line_no}: non-numeric feature in {row[:4]}"
+            break
     features = np.array(rows, dtype=np.float64).reshape(-1, 4)
     # Every row read so far precedes the structural problem, if any.
     bad = np.flatnonzero(~np.all(np.isfinite(features) & (features > 0), axis=1))
@@ -131,9 +130,89 @@ def load_iris(path: str | os.PathLike) -> IrisTable:
         raise DataError(problem)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    raw, inverse = np.unique(np.array(names), return_inverse=True)
-    species = np.array([_normalize_species(name) for name in raw])[inverse]
-    return IrisTable(features, species)
+    return features, names
+
+
+def _read_columns(text: str) -> tuple[np.ndarray, list[str]] | None:
+    """Features and raw species names of an iris CSV, parsed by numpy's C
+    reader; None unless it reads every row and every feature is finite
+    and positive, so that _scan_rows would return the same.
+
+    The C reader splits fields and reads numbers as csv.reader and
+    float() do, but refuses some input they accept (whitespace-only or
+    ",,,," lines, lone CR line ends, "5_1" or non-ASCII digits), and only
+    the row scan names a bad line.
+    """
+    first = _FIRST_LINE.match(text).group()
+    if '"' in first:
+        return None  # a quoted line-1 cell may span lines
+    cells = next(csv.reader([first]), [])
+    if len(cells) == 5:
+        try:
+            list(map(float, cells[:4]))
+        except ValueError:
+            text = text[len(first) :]  # header row
+    elif not "".join(cells).strip():
+        text = text[len(first) :]  # blank row
+    if not text or text.isspace():
+        return None  # no rows: loadtxt would warn
+    try:
+        table = np.loadtxt(
+            io.StringIO(text),
+            dtype=_COLUMNS,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    features = np.ascontiguousarray(table["f"])
+    if not np.all(np.isfinite(features) & (features > 0)):
+        return None
+    return features, table["s"].tolist()
+
+
+def _species(names: list[str]) -> np.ndarray:
+    """Each row's normalized species, normalizing each distinct name once."""
+    codes: dict[str, int] = {}
+    index = [codes.setdefault(name, len(codes)) for name in names]
+    # A numpy string array drops trailing NULs, as np.array(names) would.
+    distinct = np.array(list(codes))
+    return np.array([_normalize_species(name) for name in distinct])[index]
+
+
+def load_iris(path: str | os.PathLike) -> IrisTable:
+    """Parse an iris CSV: 4 numeric columns plus species, optional header.
+
+    Species names match case-insensitively, with or without an "Iris-"
+    prefix. The file is read as UTF-8 text, less a leading byte-order
+    mark, and parsed by numpy's C reader; text that reader refuses or
+    whose values it cannot vouch for is scanned row by row instead. The
+    first malformed row in file order raises DataError with its line
+    number, and so does a path that cannot be read as UTF-8 text.
+    """
+    path = Path(path)
+    try:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as f:
+                text = f.read()
+        except UnicodeDecodeError:
+            # Scan the stream, so a malformed row ahead of the undecodable
+            # bytes is still the error reported.
+            with open(path, newline="", encoding="utf-8-sig") as f:
+                features, names = _scan_rows(f, path)
+        else:
+            features, names = _read_columns(text) or _scan_rows(
+                io.StringIO(text, newline=""), path
+            )
+    except FileNotFoundError:
+        raise DataError(f"dataset file not found: {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
+    return IrisTable(features, _species(names))
 
 
 def make_task(

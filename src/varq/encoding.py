@@ -118,10 +118,13 @@ class FeatureSet(_LabeledRows):
 
 
 class EncodedSet(_LabeledRows):
-    """Encoded samples as one (N, 2^k) complex amplitude array plus N labels."""
+    """Encoded samples as one (N, 2^k) amplitude array plus N labels; the
+    array is float64 for real input and complex128 for complex input."""
 
     def __init__(self, amplitudes, labels):
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        amplitudes = np.asarray(amplitudes)
+        dtype = np.complex128 if np.iscomplexobj(amplitudes) else np.float64
+        amplitudes = amplitudes.astype(dtype, copy=False)
         super().__init__(amplitudes, labels)
         width = amplitudes.shape[1]
         if width < 1 or width & (width - 1):
@@ -158,7 +161,8 @@ def num_qubits_for(dimension: int) -> int:
 
 def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
     """Encode each feature vector x as the unit state x / ||x||, zero-padded,
-    preserving order. A FeatureSet is encoded without per-row work."""
+    preserving order, as real (float64) amplitudes. A FeatureSet is
+    encoded without per-row work."""
     features = FeatureSet.of(samples)
     finite = np.all(np.isfinite(features.values), axis=1)
     # Divide each row by the power of two at or above its largest entry,
@@ -176,7 +180,7 @@ def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
             raise EncodingError(f"sample {i}: feature vector contains non-finite entries")
         raise EncodingError(f"sample {i}: all-zero feature vector cannot be amplitude-encoded")
     d = features.dimension
-    amps = np.zeros((len(features), 1 << num_qubits_for(d)), dtype=np.complex128)
+    amps = np.zeros((len(features), 1 << num_qubits_for(d)))
     amps[:, :d] = values / norms[:, None]
     return EncodedSet(amps, features.labels)
 

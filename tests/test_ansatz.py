@@ -17,7 +17,7 @@ from varq import (
     query_superposed,
     run_ansatz,
 )
-from test_qram import random_samples, sample_from_amps
+from test_qram import random_samples
 
 RNG = np.random.default_rng(17)
 
@@ -75,6 +75,16 @@ class TestAnsatzSpec:
             for g in gates
         ]
         assert named == list(spec.schedule)
+
+    @pytest.mark.parametrize("layers", range(1, 4))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_gate_count_and_layer_plan_build_no_schedule(self, k, layers):
+        # Both are constant in the layer count: neither lists every gate.
+        spec = default_ansatz(k, layers=layers)
+        count = spec.gate_count
+        assert spec.layer_plan[0].shape == (layers, k, 1 << k, 1 << k)
+        assert "schedule" not in vars(spec)
+        assert count == len(spec.schedule)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):

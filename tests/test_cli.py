@@ -443,6 +443,29 @@ class TestEvalCommand:
         assert len(rows) == 10
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-15
 
+    @pytest.mark.parametrize(
+        "text", ["", "sepal_length,sepal_width,petal_length,petal_width,species\n"]
+    )
+    def test_csv_without_rows_exits_2_with_one_line(self, tmp_path, text):
+        # No reader warning (numpy's loadtxt warns on empty input) may
+        # reach stderr.
+        data = tmp_path / "rows.csv"
+        data.write_text(text)
+        params = tmp_path / "zeros.json"
+        params.write_text(json.dumps([0.0] * 8))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "varq", "eval",
+                "--task", "setosa-vs-versicolor",
+                "--data", str(data),
+                "--params", str(params),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {data}: no data rows\n"
+
     def test_matches_the_producing_run_exactly(self, tmp_path, capsys):
         assert run_train(tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())

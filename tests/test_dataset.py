@@ -1,5 +1,7 @@
 """Iris ingestion, species normalization, and stratified splitting."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from varq import (
     load_iris,
     make_task,
 )
-from varq.dataset import DATA_DIR_ENV, SPECIES
+from varq.dataset import DATA_DIR_ENV, SPECIES, _read_columns, _scan_rows, _species
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,109 @@ class TestLoadIris:
         path = tmp_path / "iris.csv"
         path.write_text("5.1,3.5,1.4,0.2,setosa\n\n4.9,3.0,1.4,0.2,setosa\n")
         assert len(load_iris(path)) == 2
+
+
+def row_scan_outcome(path):
+    """What the row scan alone returns for the file at path: (features,
+    species), or the DataError message."""
+    text = path.read_bytes().decode("utf-8-sig")
+    try:
+        features, names = _scan_rows(io.StringIO(text, newline=""), path)
+    except DataError as exc:
+        return str(exc)
+    return features, _species(names)
+
+
+LONG_NAME = "Iris-setosa-from-the-gaspe-peninsula"
+# Texts the row scan reads; some the C reader refuses, and those must
+# come out of load_iris exactly as the row scan gives them.
+ODD_TEXTS = {
+    "plain": GOOD_ROW + "4.9,3.0,1.4,0.2,versicolor\n",
+    "header": HEADER + GOOD_ROW,
+    "no final newline": HEADER + GOOD_ROW.rstrip("\n"),
+    "crlf": (HEADER + GOOD_ROW + GOOD_ROW).replace("\n", "\r\n"),
+    "lone cr": (HEADER + GOOD_ROW + GOOD_ROW).replace("\n", "\r"),
+    "quoted cells": '"5.1","3.5",1.4,0.2,"Iris-setosa"\n' + GOOD_ROW,
+    "quoted header": '"a","b","c","d","species"\n' + GOOD_ROW,
+    "header cell spanning lines": 'a,b,c,d,"species\n' + GOOD_ROW,
+    "quote inside a cell": GOOD_ROW + '4.9,3.0,1.4,0.2,se"tosa\n',
+    "quoted comma": GOOD_ROW + '4.9,3.0,1.4,0.2,"setosa,versicolor"\n',
+    "quoted newline": GOOD_ROW + '4.9,3.0,1.4,0.2,"set\nosa"\n',
+    "padded cells": " 5.1 ,3.5 , 1.4,0.2 ,  Setosa \n" + GOOD_ROW,
+    "bom": "\ufeff" + GOOD_ROW + GOOD_ROW,
+    "bom and header": "\ufeff" + HEADER + GOOD_ROW,
+    "hash line": GOOD_ROW + "# a comment\n" + GOOD_ROW,
+    "hash species": GOOD_ROW + "4.9,3.0,1.4,0.2,#setosa\n",
+    "trailing comma": GOOD_ROW + "4.9,3.0,1.4,0.2,setosa,\n",
+    "nul in a number": GOOD_ROW + "4.9\x00,3.0,1.4,0.2,setosa\n",
+    "nul in a species": GOOD_ROW + "4.9,3.0,1.4,0.2,setosa\x00\n",
+    "hex": GOOD_ROW + "0x1p2,3.0,1.4,0.2,setosa\n",
+    "overflow": GOOD_ROW + "1e400,3.0,1.4,0.2,setosa\n",
+    "underflow": GOOD_ROW + "1e-400,3.0,1.4,0.2,setosa\n",
+    "underscore digits": GOOD_ROW + "5_1,3.0,1.4,0.2,setosa\n",
+    "arabic-indic digits": GOOD_ROW + "\u0665.1,3.0,1.4,0.2,setosa\n",
+    "signs and exponents": "+5.1,3.5E0,.14e1,2e-1,setosa\n",
+    "whitespace-only line": GOOD_ROW + "   \n" + GOOD_ROW,
+    "empty cells line": GOOD_ROW + ",,,,\n" + GOOD_ROW,
+    "blank first line": "\n" + GOOD_ROW,
+    "empty species": GOOD_ROW + "4.9,3.0,1.4,0.2,\n",
+    "long species": GOOD_ROW + f"4.9,3.0,1.4,0.2,{LONG_NAME}\n",
+    "header only": HEADER,
+    "empty file": "",
+    "blank lines only": "\n\n",
+    "short first line": "5.1,3.5,setosa\n" + GOOD_ROW,
+    "bad value then short row": GOOD_ROW + "4.9,0,1.4,0.2,setosa\n5.0,3.6\n",
+}
+
+
+class TestReaders:
+    """load_iris reads with numpy's C reader where it can and falls back
+    to the row scan; the two must never disagree."""
+
+    @pytest.mark.parametrize("text", ODD_TEXTS.values(), ids=ODD_TEXTS.keys())
+    def test_load_iris_matches_the_row_scan(self, tmp_path, text):
+        path = tmp_path / "iris.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = row_scan_outcome(path)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                load_iris(path)
+            assert str(info.value) == expected
+            return
+        table = load_iris(path)
+        assert table.features.tobytes() == expected[0].tobytes()
+        assert table.features.shape == expected[0].shape
+        assert table.features.flags.c_contiguous
+        assert table.species.dtype == expected[1].dtype
+        assert table.species.tolist() == expected[1].tolist()
+
+    def test_long_species_name_is_kept_whole(self, tmp_path):
+        table = load_text(tmp_path, f"5.1,3.5,1.4,0.2,{LONG_NAME}\n" + GOOD_ROW)
+        assert table.species.tolist() == [LONG_NAME.lower()[len("iris-"):], "setosa"]
+
+    def test_c_reader_serves_the_packaged_file(self):
+        # The row scan is the fallback, not the common path.
+        features, names = _read_columns(default_data_path().read_bytes().decode("utf-8-sig"))
+        table = load_iris(default_data_path())
+        assert features.tobytes() == table.features.tobytes()
+        assert _species(names).tolist() == table.species.tolist()
+
+    def test_bad_row_before_undecodable_bytes_is_reported(self, tmp_path):
+        # The file is read as a stream up to the first error, so a bad row
+        # well ahead of non-UTF-8 bytes is the one reported.
+        path = tmp_path / "iris.csv"
+        head = GOOD_ROW + "5.0,3.6,setosa\n" + GOOD_ROW * 1000
+        path.write_bytes(head.encode() + b"\xff\n")
+        with pytest.raises(DataError, match=r":2: expected 5 columns, got 3$"):
+            load_iris(path)
+        path.write_bytes(b"\xff" + head.encode())
+        with pytest.raises(DataError, match="is not UTF-8 text: invalid start byte"):
+            load_iris(path)
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        table = load_text(tmp_path, "\ufeff5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,setosa\n")
+        assert len(table) == 2
+        assert table.features[0].tolist() == [5.1, 3.5, 1.4, 0.2]
 
 
 class TestDefaultDataPath:

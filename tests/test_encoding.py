@@ -152,7 +152,7 @@ class TestEncodeDataset:
         features = RNG.uniform(-9, 9, (200, 4))
         features[0, 0] = 5.1e200
         out = encode_dataset(FeatureSet(features, np.arange(200) % 2))
-        assert out.amplitudes.dtype == np.complex128
+        assert out.amplitudes.dtype == np.float64
         assert np.all(out.amplitudes.imag == 0)
 
     @pytest.mark.parametrize(

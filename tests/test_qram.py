@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose
 import oracles
 from varq import (
     EncodedSample,
-    FeatureVector,
     QramError,
     QramStore,
     StateVector,
-    amplitude_encode,
     build_store,
     default_ansatz,
     forward_pass_cost,

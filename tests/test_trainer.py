@@ -10,14 +10,11 @@ from varq import (
     ConfigurationError,
     DataError,
     EncodedSet,
-    FeatureVector,
     OptimizationError,
     ParameterVector,
     Shots,
-    StateVector,
     TrainConfig,
     accuracy,
-    amplitude_encode,
     apply_ansatz,
     batched_loss,
     build_store,
