@@ -25,7 +25,6 @@ from .encoding import (
     EncodedSet,
     FeatureSet,
     FeatureVector,
-    amplitude_encode,
     encode_dataset,
     num_qubits_for,
 )
@@ -53,9 +52,6 @@ from .trainer import (
     EpochMetrics,
     TrainConfig,
     accuracy,
-    batch_loss_and_gradient,
-    classify,
-    make_batches,
     numerical_gradient,
     train,
 )
@@ -87,12 +83,9 @@ __all__ = [
     "TrainConfig",
     "VarqError",
     "accuracy",
-    "amplitude_encode",
     "apply_ansatz",
-    "batch_loss_and_gradient",
     "batched_loss",
     "build_store",
-    "classify",
     "cost_table",
     "default_ansatz",
     "default_data_path",
@@ -100,7 +93,6 @@ __all__ = [
     "forward_pass_cost",
     "init_parameters",
     "load_iris",
-    "make_batches",
     "make_task",
     "num_qubits_for",
     "numerical_gradient",

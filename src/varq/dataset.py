@@ -77,28 +77,22 @@ def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
     return Path(str(resources.files("varq").joinpath("data/iris.csv")))
 
 
-def _line_of(row: int, skipped: list[int]) -> int:
-    """File line of data row `row` (0-based), given the ascending line
-    numbers of the skipped header and blank rows."""
-    line = row + 1
-    for skipped_line in skipped:
-        if skipped_line <= line:
-            line += 1
-    return line
-
-
 def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]:
     """Features and raw species names of an iris CSV, one row at a time.
 
     The first malformed row in file order raises DataError with its line
     number; a non-numeric line 1 of 5 cells is a header, and blank rows
-    are skipped.
+    are skipped. A row is numbered by its first file line, so a quoted
+    cell that spans lines does not shift the numbers of later rows.
     """
     rows: list[tuple[float, float, float, float]] = []
     names: list[str] = []
-    skipped: list[int] = []
+    row_lines: list[int] = []
     problem = None
-    for line_no, row in enumerate(csv.reader(lines), start=1):
+    reader = csv.reader(lines)
+    next_line = 1
+    for row in reader:
+        line_no, next_line = next_line, reader.line_num + 1
         if len(row) == 5:
             try:
                 rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
@@ -106,15 +100,14 @@ def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]
                 pass
             else:
                 names.append(row[4])
+                row_lines.append(line_no)
                 continue
         if not row or all(not cell.strip() for cell in row):
-            skipped.append(line_no)
-        elif len(row) != 5:
+            continue  # blank row
+        if len(row) != 5:
             problem = f"{path}:{line_no}: expected 5 columns, got {len(row)}"
             break
-        elif line_no == 1:
-            skipped.append(line_no)  # header row
-        else:
+        if line_no != 1:  # a non-numeric line 1 is the header
             problem = f"{path}:{line_no}: non-numeric feature in {row[:4]}"
             break
     features = np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -123,7 +116,7 @@ def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]
     if bad.size:
         row = int(bad[0])
         raise DataError(
-            f"{path}:{_line_of(row, skipped)}: iris features must be finite and positive, "
+            f"{path}:{row_lines[row]}: iris features must be finite and positive, "
             f"got {features[row]}"
         )
     if problem is not None:

@@ -8,9 +8,8 @@ negative real amplitudes).
 A dataset travels as arrays: a FeatureSet holds an (N, d) feature
 matrix and an EncodedSet an (N, 2^k) amplitude matrix, each with one
 0/1 label per row, and encode_dataset maps the one to the other in a
-single normalization. Item i of either set is a FeatureVector or
-EncodedSample view of row i; the views are built once per set, on
-first access.
+single normalization. Item i of an EncodedSet is an EncodedSample of
+row i, built on each access; the pipeline itself reads only the arrays.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ class EncodedSample:
     label: int
 
 
-class _LabeledRows(Sequence):
-    """Rows of a 2-D array with one 0/1 label each; item i is a view of
-    row i, and all views are built together on first access."""
+class _LabeledRows:
+    """Rows of a 2-D array with one 0/1 label each."""
 
     def __init__(self, rows: np.ndarray, labels):
         labels = np.asarray(labels)
@@ -64,26 +62,10 @@ class _LabeledRows(Sequence):
             )
         if not np.all((labels == 0) | (labels == 1)):
             raise EncodingError("labels must be 0 or 1")
-        self._rows = rows
         self.labels = labels.astype(np.int64)
-        self._items = None
-
-    def _item(self, row: np.ndarray, label: int):
-        raise NotImplementedError
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def _views(self) -> tuple:
-        if self._items is None:
-            self._items = tuple(map(self._item, self._rows, self.labels.tolist()))
-        return self._items
-
-    def __getitem__(self, index):
-        return self._views()[index]
-
-    def __iter__(self):
-        return iter(self._views())
 
 
 class FeatureSet(_LabeledRows):
@@ -100,24 +82,8 @@ class FeatureSet(_LabeledRows):
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def _item(self, row: np.ndarray, label: int) -> FeatureVector:
-        return FeatureVector(row, label)
 
-    @classmethod
-    def of(cls, samples: Sequence[FeatureVector]) -> "FeatureSet":
-        """samples as a FeatureSet: itself if it is one, else stacked."""
-        if isinstance(samples, cls):
-            return samples
-        if not samples:
-            return cls(np.zeros((0, 1)), [])
-        d = samples[0].dimension
-        for i, x in enumerate(samples):
-            if x.dimension != d:
-                raise EncodingError(f"sample {i} has dimension {x.dimension}, expected {d}")
-        return cls([x.values for x in samples], [x.label for x in samples])
-
-
-class EncodedSet(_LabeledRows):
+class EncodedSet(_LabeledRows, Sequence):
     """Encoded samples as one (N, 2^k) amplitude array plus N labels; the
     array is float64 for real input and complex128 for complex input."""
 
@@ -132,8 +98,10 @@ class EncodedSet(_LabeledRows):
         self.amplitudes = amplitudes
         self.num_qubits = width.bit_length() - 1
 
-    def _item(self, row: np.ndarray, label: int) -> EncodedSample:
-        return EncodedSample(StateVector(self.num_qubits, row), label)
+    def __getitem__(self, index: int) -> EncodedSample:
+        return EncodedSample(
+            StateVector(self.num_qubits, self.amplitudes[index]), int(self.labels[index])
+        )
 
     @classmethod
     def of(cls, samples: Sequence[EncodedSample]) -> "EncodedSet":
@@ -159,11 +127,19 @@ def num_qubits_for(dimension: int) -> int:
     return max(0, (dimension - 1).bit_length())
 
 
-def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
+def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:
     """Encode each feature vector x as the unit state x / ||x||, zero-padded,
     preserving order, as real (float64) amplitudes. A FeatureSet is
-    encoded without per-row work."""
-    features = FeatureSet.of(samples)
+    encoded without per-row work; a list is stacked into one first."""
+    features = samples
+    if not isinstance(features, FeatureSet):
+        d = samples[0].dimension if samples else 1
+        for i, x in enumerate(samples):
+            if x.dimension != d:
+                raise EncodingError(f"sample {i} has dimension {x.dimension}, expected {d}")
+        features = FeatureSet(
+            np.reshape([x.values for x in samples], (-1, d)), [x.label for x in samples]
+        )
     finite = np.all(np.isfinite(features.values), axis=1)
     # Divide each row by the power of two at or above its largest entry,
     # so no norm overflows; a power-of-two scale is exact, so rows that
@@ -183,8 +159,3 @@ def encode_dataset(samples: Sequence[FeatureVector]) -> EncodedSet:
     amps = np.zeros((len(features), 1 << num_qubits_for(d)))
     amps[:, :d] = values / norms[:, None]
     return EncodedSet(amps, features.labels)
-
-
-def amplitude_encode(x: FeatureVector) -> EncodedSample:
-    """Encode x as a unit state with amplitudes x / ||x||, zero-padded."""
-    return encode_dataset([x])[0]

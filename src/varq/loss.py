@@ -193,13 +193,12 @@ def swap_test(
     return SwapTestResult(p_zero=float(_read_out(p_zero, mode)[0]), shots=shots)
 
 
-def class_means(store: QramStore, spec: AnsatzSpec) -> np.ndarray:
-    """The batch's two class-mean states as a (2, 2^k) array, class 0 first."""
-    if store.k != spec.k:
-        raise ConfigurationError(
-            f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
-        )
-    return store.block.reshape(2, store.size // 2, -1).mean(axis=1)
+def class_means(blocks: np.ndarray) -> np.ndarray:
+    """Class-mean states of address-ordered batches: each (2^n, 2^k) block
+    of blocks (..., 2^n, 2^k), class 0 in the lower address half, becomes
+    its two class means, (..., 2, 2^k) with class 0 first."""
+    *batches, size, dim = blocks.shape
+    return blocks.reshape(*batches, 2, size // 2, dim).mean(axis=-2)
 
 
 def probe_losses(
@@ -259,5 +258,9 @@ def batched_loss(
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n."""
-    means = class_means(store, spec)
+    if store.k != spec.k:
+        raise ConfigurationError(
+            f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
+        )
+    means = class_means(store.block)
     return float(probe_losses(means, spec, theta.values, readout_qubit, mode=mode)[0])

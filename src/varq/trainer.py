@@ -5,7 +5,9 @@ Each epoch partitions the training set into balanced 2^n-sample batches
 epoch) and walks theta down the central-difference gradient of the
 batched loss. The loss reads a batch only through its two class-mean
 states, so each epoch's (batches, 2, 2^k) class-mean array is one fancy
-index and one mean. A batch's loss and its 2P+1 probe losses (theta,
+index into the amplitude matrix and one `loss.class_means`; no batch is
+laid out as a qRAM store (`batched_loss` on a store is the one-batch
+form of the same loss). A batch's loss and its 2P+1 probe losses (theta,
 then theta + eps*e_j and theta - eps*e_j for each j) come from one
 forward and one backward sweep over the layers at theta, linear in the
 layer count. Updates happen after every batch ("per_batch", the default)
@@ -28,7 +30,6 @@ from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, class_means, probe_losses
-from .qram import QramStore
 
 CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
@@ -87,7 +88,8 @@ def numerical_gradient(
 ) -> np.ndarray:
     """Central differences per coordinate: (L(t+e) - L(t-e)) / 2e.
 
-    The per-coordinate reference for batch_loss_and_gradient.
+    The per-coordinate reference for the trainer's one-sweep gradient
+    (_loss_and_gradient), with one loss_fn call per probe.
     """
     if not (math.isfinite(fd_epsilon) and fd_epsilon > 0):
         raise ConfigurationError(f"fd_epsilon must be finite and > 0, got {fd_epsilon}")
@@ -126,24 +128,11 @@ def _loss_and_gradient(
     return float(losses[0]), (up - down) / (2.0 * fd_epsilon)
 
 
-def batch_loss_and_gradient(
-    store: QramStore,
-    spec: AnsatzSpec,
-    theta: ParameterVector,
-    fd_epsilon: float,
-    mode: str | Shots = EXACT,
-    readout_qubit: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Loss at theta and its central-difference gradient for one batch,
-    from one sweep over the layers at theta; every probe is read in mode."""
-    return _loss_and_gradient(
-        class_means(store, spec), spec, theta.values, fd_epsilon, mode, readout_qubit
-    )
-
-
 def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray:
     """Row b lists batch b's sample indices: its class-0 chunk, then its
-    class-1 chunk, from per-class permutations by default_rng(seed + epoch)."""
+    class-1 chunk, from per-class permutations by default_rng(seed + epoch).
+    Samples that cannot fill a final balanced batch are dropped until the
+    next epoch's reshuffle."""
     index0 = np.flatnonzero(labels == 0)
     index1 = np.flatnonzero(labels == 1)
     # 2^(n-1) <= count exactly when n <= count.bit_length(); comparing
@@ -161,23 +150,6 @@ def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray
     return np.hstack(
         [order0[: count * half].reshape(count, half), order1[: count * half].reshape(count, half)]
     )
-
-
-def make_batches(
-    train_set: Sequence[EncodedSample], n: int, seed: int, epoch: int
-) -> list[QramStore]:
-    """Balanced batches of 2^n for one epoch, one store each: the batches
-    `train` scores, as stores.
-
-    Classes are shuffled independently with default_rng(seed + epoch),
-    then paired chunkwise; samples that cannot fill a final balanced
-    batch are dropped until the next epoch's reshuffle. All of an
-    epoch's blocks come from one fancy index into the amplitude array.
-    """
-    encoded = EncodedSet.of(train_set)
-    rows = _batch_rows(encoded.labels, n, seed, epoch)
-    labels = np.repeat([0, 1], 1 << (n - 1))
-    return [QramStore(n, encoded.num_qubits, block, labels) for block in encoded.amplitudes[rows]]
 
 
 def _predict(
@@ -201,20 +173,6 @@ def _predict(
     ones = out.reshape(amplitudes.shape[0], 1 << readout_qubit, 2, -1)[:, :, 1]
     p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
     return (p_one >= threshold).astype(int)
-
-
-def classify(
-    sample: EncodedSample,
-    spec: AnsatzSpec,
-    theta: ParameterVector,
-    readout_qubit: int = 0,
-    threshold: float = 0.5,
-) -> int:
-    """Run the bare sample through the ansatz and threshold p(readout=1).
-
-    Ties at the threshold go to class 1.
-    """
-    return int(_predict(sample.state.amplitudes[None, :], spec, theta, readout_qubit, threshold)[0])
 
 
 def accuracy(
@@ -288,8 +246,7 @@ def train(
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(encoded.labels, config.n, config.seed, epoch)
-        half = rows.shape[1] // 2
-        batch_means = encoded.amplitudes[rows].reshape(len(rows), 2, half, -1).mean(axis=2)
+        batch_means = class_means(encoded.amplitudes[rows])
         batch_losses = []
         if config.update_cadence == "per_batch":
             for means in batch_means:

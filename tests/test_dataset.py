@@ -74,6 +74,12 @@ class TestLoadErrorLines:
              "2: iris features must be finite and positive, got [4.9 3.  nan 0.2]"),
             (GOOD_ROW + "5.0,3.6,setosa\n4.9,3.0,nan,0.2,setosa\n",
              "2: expected 5 columns, got 3"),
+            # A row is numbered by its first line, after a quoted cell that
+            # spans two lines.
+            (GOOD_ROW + '4.9,3.0,1.4,0.2,"set\nosa"\n' + "4.9,x,1.4,0.2,setosa\n",
+             "4: non-numeric feature in ['4.9', 'x', '1.4', '0.2']"),
+            (GOOD_ROW + '4.9,3.0,1.4,0.2,"set\nosa"\n' + "4.9,-1,1.4,0.2,setosa\n",
+             "4: iris features must be finite and positive, got [ 4.9 -1.   1.4  0.2]"),
         ],
     )
     def test_message_names_the_line(self, tmp_path, text, detail):
@@ -263,8 +269,10 @@ class TestMakeTask:
         task = make_task(records, "setosa", "versicolor", seed=0)
         assert len(task.train) == 80
         assert len(task.test) == 20
-        assert sum(1 for s in task.train if s.label == 0) == 40
-        assert sum(1 for s in task.test if s.label == 1) == 10
+        assert task.train.values.shape == (80, 4)
+        assert task.test.values.shape == (20, 4)
+        assert np.count_nonzero(task.train.labels == 0) == 40
+        assert np.count_nonzero(task.test.labels == 1) == 10
 
     def test_labels_follow_argument_order(self, records):
         task = make_task(records, "virginica", "versicolor", seed=0)
@@ -279,26 +287,30 @@ class TestMakeTask:
 
     def test_split_is_a_partition(self, records):
         task = make_task(records, "setosa", "versicolor", seed=3)
-        train_ids = {id(s) for s in task.train}
-        test_ids = {id(s) for s in task.test}
-        assert not train_ids & test_ids
-        as_tuples = {tuple(s.values) for s in [*task.train, *task.test]}
-        originals = {
-            tuple(features)
-            for features, species in zip(records.features, records.species)
+        # Every row of the two species lands in exactly one split, with its
+        # species' label; rows that repeat in the file are counted apiece.
+        split = [
+            (tuple(values), label)
+            for part in (task.train, task.test)
+            for values, label in zip(part.values.tolist(), part.labels.tolist())
+        ]
+        originals = [
+            (tuple(features), ("setosa", "versicolor").index(species))
+            for features, species in zip(records.features.tolist(), records.species)
             if species in ("setosa", "versicolor")
-        }
-        assert as_tuples == originals
+        ]
+        assert sorted(split) == sorted(originals)
 
     def test_same_seed_reproduces_membership(self, records):
         a = make_task(records, "setosa", "versicolor", seed=5)
         b = make_task(records, "setosa", "versicolor", seed=5)
-        assert [tuple(s.values) for s in a.test] == [tuple(s.values) for s in b.test]
+        assert np.array_equal(a.test.values, b.test.values)
+        assert np.array_equal(a.test.labels, b.test.labels)
 
     def test_different_seeds_differ_but_keep_counts(self, records):
         a = make_task(records, "setosa", "versicolor", seed=0)
         b = make_task(records, "setosa", "versicolor", seed=1)
-        assert [tuple(s.values) for s in a.test] != [tuple(s.values) for s in b.test]
+        assert not np.array_equal(a.test.values, b.test.values)
         assert len(a.test) == len(b.test) == 20
 
     def test_unknown_species_rejected(self, records):

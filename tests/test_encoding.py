@@ -11,7 +11,6 @@ from varq import (
     EncodingError,
     FeatureSet,
     FeatureVector,
-    amplitude_encode,
     encode_dataset,
     num_qubits_for,
 )
@@ -37,18 +36,20 @@ class TestFeatureVector:
 
 
 class TestAmplitudeEncode:
+    """One vector encoded on its own: encode_dataset([x])[0]."""
+
     def test_basis_aligned_vector(self):
-        enc = amplitude_encode(FeatureVector([1.0, 0.0, 0.0, 0.0], 0))
+        enc = encode_dataset([FeatureVector([1.0, 0.0, 0.0, 0.0], 0)])[0]
         assert enc.state.num_qubits == 2
         assert_allclose(enc.state.amplitudes, [1, 0, 0, 0], atol=0)
 
     def test_constant_vector_gives_uniform_state(self):
-        enc = amplitude_encode(FeatureVector([1.0, 1.0, 1.0, 1.0], 0))
+        enc = encode_dataset([FeatureVector([1.0, 1.0, 1.0, 1.0], 0)])[0]
         assert_allclose(enc.state.amplitudes, [0.5] * 4, atol=1e-15)
 
     def test_iris_sample_against_hand_normalization(self):
         x = np.array([5.1, 3.5, 1.4, 0.2])
-        enc = amplitude_encode(FeatureVector(x, 0))
+        enc = encode_dataset([FeatureVector(x, 0)])[0]
         norm = np.sqrt(5.1**2 + 3.5**2 + 1.4**2 + 0.2**2)
         assert_allclose(enc.state.amplitudes.real, x / norm, atol=1e-15)
         assert_allclose(
@@ -57,33 +58,33 @@ class TestAmplitudeEncode:
 
     def test_zero_vector_rejected(self):
         with pytest.raises(EncodingError):
-            amplitude_encode(FeatureVector([0.0, 0.0], 0))
+            encode_dataset([FeatureVector([0.0, 0.0], 0)])
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(EncodingError):
-            amplitude_encode(FeatureVector([1.0, np.nan], 0))
+            encode_dataset([FeatureVector([1.0, np.nan], 0)])
         with pytest.raises(EncodingError):
-            amplitude_encode(FeatureVector([np.inf, 1.0], 0))
+            encode_dataset([FeatureVector([np.inf, 1.0], 0)])
 
     def test_scale_invariance_exact_for_dyadic_scales(self):
         x = RNG.uniform(0.1, 9.0, size=4)
-        base = amplitude_encode(FeatureVector(x, 0)).state.amplitudes
+        base = encode_dataset([FeatureVector(x, 0)])[0].state.amplitudes
         for c in (2.0, 0.5, 1024.0):
-            scaled = amplitude_encode(FeatureVector(c * x, 0)).state.amplitudes
+            scaled = encode_dataset([FeatureVector(c * x, 0)])[0].state.amplitudes
             assert np.array_equal(scaled, base)
 
     def test_scale_invariance_within_ulp_for_other_scales(self):
         # Non-dyadic scales can move the quotient by one last-place unit.
         x = RNG.uniform(0.1, 9.0, size=4)
-        base = amplitude_encode(FeatureVector(x, 0)).state.amplitudes
+        base = encode_dataset([FeatureVector(x, 0)])[0].state.amplitudes
         for c in (3.0, 0.7, 123.456):
-            scaled = amplitude_encode(FeatureVector(c * x, 0)).state.amplitudes
+            scaled = encode_dataset([FeatureVector(c * x, 0)])[0].state.amplitudes
             assert_allclose(scaled, base, atol=1e-15)
 
     def test_unit_vector_encoding_is_idempotent(self):
         x = RNG.standard_normal(8)
         x /= np.linalg.norm(x)
-        enc = amplitude_encode(FeatureVector(x, 1))
+        enc = encode_dataset([FeatureVector(x, 1)])[0]
         assert_allclose(enc.state.amplitudes.real, x, atol=1e-15)
 
     def test_qubit_count_is_ceil_log2_for_d_up_to_64(self):
@@ -92,20 +93,20 @@ class TestAmplitudeEncode:
             assert num_qubits_for(d) == expected
             x = np.zeros(d)
             x[0] = 1.0
-            enc = amplitude_encode(FeatureVector(x, 0))
+            enc = encode_dataset([FeatureVector(x, 0)])[0]
             assert enc.state.num_qubits == expected
 
     def test_non_power_of_two_dimension_zero_padded(self):
-        enc = amplitude_encode(FeatureVector([3.0, 4.0, 0.0], 0))
+        enc = encode_dataset([FeatureVector([3.0, 4.0, 0.0], 0)])[0]
         assert enc.state.num_qubits == 2
         assert_allclose(enc.state.amplitudes, [0.6, 0.8, 0.0, 0.0], atol=1e-15)
 
     def test_negative_values_become_negative_amplitudes(self):
-        enc = amplitude_encode(FeatureVector([-1.0, 1.0], 0))
+        enc = encode_dataset([FeatureVector([-1.0, 1.0], 0)])[0]
         assert_allclose(enc.state.amplitudes, [-np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
     def test_label_carried_through(self):
-        enc = amplitude_encode(FeatureVector([1.0, 2.0], 1))
+        enc = encode_dataset([FeatureVector([1.0, 2.0], 1)])[0]
         assert enc.label == 1
 
 
@@ -129,7 +130,7 @@ class TestEncodeDataset:
         out = encode_dataset(samples)
         assert [e.label for e in out] == [x.label for x in samples]
         for enc, x in zip(out, samples):
-            assert np.array_equal(enc.state.amplitudes, amplitude_encode(x).state.amplitudes)
+            assert np.array_equal(enc.state.amplitudes, encode_dataset([x])[0].state.amplitudes)
 
     def test_mixed_dimensions_rejected_with_index(self):
         samples = [
@@ -174,14 +175,14 @@ class TestEncodeDataset:
 
 
 class TestSets:
-    def test_items_are_row_views_built_once(self):
+    def test_encoded_items_are_built_on_each_access(self):
         features = FeatureSet(RNG.uniform(0.1, 9, (5, 4)), [0, 1, 0, 1, 1])
         encoded = encode_dataset(features)
         assert isinstance(encoded, EncodedSet)
         assert encoded.amplitudes.shape == (5, 4) and encoded.num_qubits == 2
-        assert features[2] is features[2] and encoded[-1] is encoded[-1]
-        assert isinstance(features[2], FeatureVector) and features[2].label == 0
-        assert np.array_equal(features[2].values, features.values[2])
+        assert len(features) == len(encoded) == 5 and features.dimension == 4
+        assert encoded[-1] is not encoded[-1]
+        assert np.array_equal(encoded[-1].state.amplitudes, encoded.amplitudes[4])
         assert isinstance(encoded[3], EncodedSample) and encoded[3].label == 1
         assert np.array_equal(encoded[3].state.amplitudes, encoded.amplitudes[3])
         assert [s.label for s in encoded] == [0, 1, 0, 1, 1]
@@ -189,7 +190,8 @@ class TestSets:
     def test_encoding_a_set_matches_encoding_its_rows(self):
         features = FeatureSet(RNG.uniform(-9, 9, (40, 5)), RNG.integers(0, 2, 40))
         assert np.array_equal(
-            encode_dataset(features).amplitudes, encode_dataset(list(features)).amplitudes
+            encode_dataset(features).amplitudes,
+            encode_dataset(list(map(FeatureVector, features.values, features.labels))).amplitudes,
         )
 
     def test_bad_shapes_and_labels_rejected(self):
@@ -207,7 +209,7 @@ class TestSets:
             EncodedSet(np.ones((2, 3)), [0, 1])
 
     def test_encoded_list_with_mixed_widths_rejected(self):
-        samples = [amplitude_encode(FeatureVector([1.0, 2.0], 0)),
-                   amplitude_encode(FeatureVector([1.0, 2.0, 3.0], 1))]
+        samples = [encode_dataset([FeatureVector([1.0, 2.0], 0)])[0],
+                   encode_dataset([FeatureVector([1.0, 2.0, 3.0], 1)])[0]]
         with pytest.raises(ConfigurationError, match="sample 1"):
             EncodedSet.of(samples)

@@ -228,7 +228,7 @@ class TestShotsMode:
     def probe_case():
         rng = np.random.default_rng(23)
         spec = default_ansatz(2, layers=4)
-        means = class_means(build_store(random_samples(rng, 2, 2)), spec)
+        means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
         exact = probe_losses(means, spec, theta, 0, 1e-3)
         return means, spec, theta, exact

@@ -18,13 +18,11 @@ from varq import (
     apply_ansatz,
     batched_loss,
     build_store,
-    classify,
     default_ansatz,
     default_data_path,
     encode_dataset,
     init_parameters,
     load_iris,
-    make_batches,
     make_task,
     numerical_gradient,
     probe_losses,
@@ -32,15 +30,15 @@ from varq import (
     train,
 )
 from varq.loss import class_means
-from varq.trainer import CLASSIFY_CHUNK, batch_loss_and_gradient
+from varq.trainer import CLASSIFY_CHUNK, _batch_rows, _loss_and_gradient, _predict
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
 
 
 def per_sample_batches(train_set, n, seed, epoch):
-    """make_batches as a loop over per-sample objects: the reference for
-    which rows each batch holds, and in what order."""
+    """An epoch's batching as a loop over per-sample objects: the reference
+    for which rows each of train's batches holds, and in what order."""
     half = 1 << (n - 1)
     class0 = [s for s in train_set if s.label == 0]
     class1 = [s for s in train_set if s.label == 1]
@@ -178,7 +176,8 @@ class TestStackedPass:
                 ops = oracles.ansatz_gates(spec, th, range(k))
                 return oracles.gate_level_loss(cells, n, ops, readout)
 
-            loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, "exact", readout)
+            means = class_means(store.block)
+            loss, grad = _loss_and_gradient(means, spec, theta.values, 1e-3, "exact", readout)
             assert abs(loss - reference(theta)) < 1e-12
             assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
             assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
@@ -194,7 +193,7 @@ class TestStackedPass:
             probes = oracles.probe_angles(theta, 1e-3)
             for state in (oracles.random_real_state, oracles.random_state):
                 store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
-                means = class_means(store, spec)
+                means = class_means(store.block)
                 psi = np.concatenate(
                     [run_ansatz(spec, row, means.reshape(1, -1), range(1, k + 1)) for row in probes]
                 )
@@ -211,7 +210,8 @@ class TestStackedPass:
         store = build_store(random_samples(np.random.default_rng(17), 2, 2))
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
-        loss, grad = batch_loss_and_gradient(store, spec, theta, 1e-3, "exact")
+        means = class_means(store.block)
+        loss, grad = _loss_and_gradient(means, spec, theta.values, 1e-3, "exact", 0)
         assert np.isfinite(loss)
         for j in (0, count // 2, count - 1):
             up, down = theta.values.copy(), theta.values.copy()
@@ -231,8 +231,9 @@ class TestStackedPass:
             return losses
 
         monkeypatch.setattr("varq.trainer.probe_losses", poisoned)
+        means = class_means(store.block)
         with pytest.raises(OptimizationError, match="parameter 1"):
-            batch_loss_and_gradient(store, spec, ParameterVector([0.1, 0.2]), 1e-3, "exact")
+            _loss_and_gradient(means, spec, np.array([0.1, 0.2]), 1e-3, "exact", 0)
 
     def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
         rng = np.random.default_rng(31)
@@ -243,13 +244,14 @@ class TestStackedPass:
             sample_from_amps(oracles.random_real_state(rng, 2), int(rng.integers(2)))
             for _ in range(CLASSIFY_CHUNK + 1)
         ]
-        hits = 0
+        decisions = []
         for s in samples:
             evolved = oracles.apply_gates_local(s.state.amplitudes, 2, ops)
             p_one = float(np.sum(np.abs(evolved[2:]) ** 2))
-            decision = 1 if p_one >= 0.5 else 0
-            assert classify(s, spec, theta) == decision
-            hits += decision == s.label
+            decisions.append(1 if p_one >= 0.5 else 0)
+        stack = np.array([s.state.amplitudes for s in samples])
+        assert _predict(stack, spec, theta, 0, 0.5).tolist() == decisions
+        hits = sum(d == s.label for d, s in zip(decisions, samples))
         assert accuracy(samples, spec, theta) == hits / len(samples)
 
     def test_accuracy_rejects_a_sample_of_the_wrong_width(self):
@@ -260,71 +262,100 @@ class TestStackedPass:
 
 
 class TestMakeBatches:
+    """Train's batching: _batch_rows picks each batch's rows, and
+    class_means of the amplitude rows gives the batch's class means."""
+
     def test_full_iris_epoch_tiles_into_twenty_stores(self, iris_task):
         train_set, _ = iris_task
-        stores = make_batches(train_set, n=2, seed=0, epoch=1)
-        assert len(stores) == 20
-        for store in stores:
-            assert store.size == 4
-            assert store.labels.tolist() == [0, 0, 1, 1]
+        rows = _batch_rows(train_set.labels, n=2, seed=0, epoch=1)
+        assert rows.shape == (20, 4)
+        assert (train_set.labels[rows] == [0, 0, 1, 1]).all()
+        assert len(np.unique(rows)) == rows.size
 
-    def test_blocks_match_a_per_sample_reference(self):
+    def test_blocks_match_a_per_sample_reference(self, monkeypatch):
+        # _batch_rows picks each batch's rows in the reference's order, and
+        # every batch train scores, in order, has the class means of the
+        # reference batch, to the bit.
+        seen = []
+
+        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
+            seen.append(means.copy())
+            return np.zeros(1 + 2 * len(theta))
+
+        monkeypatch.setattr("varq.trainer.probe_losses", spy)
         table = load_iris(default_data_path())
+        spec = default_ansatz(2, layers=1)
         for class0, class1 in (
             ("setosa", "versicolor"), ("virginica", "versicolor"), ("setosa", "virginica")
         ):
             for split_seed in range(5):
                 train_set = encode_dataset(make_task(table, class0, class1, seed=split_seed).train)
-                for epoch in (1, 2, 3):
-                    for n in (1, 2, 3):
-                        stores = make_batches(train_set, n, seed=2, epoch=epoch)
+                for n in (1, 2, 3):
+                    expected = []
+                    for epoch in (1, 2, 3):
+                        rows = _batch_rows(train_set.labels, n, seed=2, epoch=epoch)
                         reference = per_sample_batches(train_set, n, 2, epoch)
-                        assert len(stores) == len(reference)
-                        for store, batch in zip(stores, reference):
-                            assert np.array_equal(
-                                store.block, [s.state.amplitudes for s in batch]
-                            )
-                            assert store.labels.tolist() == [s.label for s in batch]
+                        assert np.array_equal(
+                            train_set.amplitudes[rows],
+                            [[s.state.amplitudes for s in batch] for batch in reference],
+                        )
+                        assert train_set.labels[rows].tolist() == [
+                            [s.label for s in batch] for batch in reference
+                        ]
+                        expected += [
+                            [
+                                np.mean([s.state.amplitudes for s in batch if s.label == c], axis=0)
+                                for c in (0, 1)
+                            ]
+                            for batch in reference
+                        ]
+                    seen.clear()
+                    train(train_set, [], spec, TrainConfig(n=n, epochs=3, seed=2))
+                    assert len(seen) == len(expected)
+                    for got, means in zip(seen, expected):
+                        assert np.array_equal(got, means)
 
     def test_two_per_class_makes_two_minimal_stores(self):
-        samples = random_samples(RNG, 1, 2) + random_samples(RNG, 1, 2)
-        stores = make_batches(samples, n=1, seed=0, epoch=1)
-        assert len(stores) == 2
-        assert all(store.size == 2 for store in stores)
+        rows = _batch_rows(np.array([0, 1, 0, 1]), n=1, seed=0, epoch=1)
+        assert rows.shape == (2, 2)
+        assert sorted(rows[:, 0]) == [0, 2] and sorted(rows[:, 1]) == [1, 3]
 
     def test_same_seed_and_epoch_reproduce_batches(self, iris_task):
         train_set, _ = iris_task
-        a = make_batches(train_set, n=2, seed=7, epoch=3)
-        b = make_batches(train_set, n=2, seed=7, epoch=3)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.block, sb.block)
+        a = _batch_rows(train_set.labels, n=2, seed=7, epoch=3)
+        b = _batch_rows(train_set.labels, n=2, seed=7, epoch=3)
+        assert np.array_equal(a, b)
 
     def test_different_epochs_reshuffle(self, iris_task):
         train_set, _ = iris_task
-        a = make_batches(train_set, n=2, seed=7, epoch=1)
-        b = make_batches(train_set, n=2, seed=7, epoch=2)
-        assert any(not np.array_equal(sa.block, sb.block) for sa, sb in zip(a, b))
+        a = _batch_rows(train_set.labels, n=2, seed=7, epoch=1)
+        b = _batch_rows(train_set.labels, n=2, seed=7, epoch=2)
+        assert not np.array_equal(a, b)
 
     def test_leftovers_are_dropped(self):
-        class0 = [sample_from_amps(oracles.random_real_state(RNG, 1), 0) for _ in range(5)]
-        class1 = [sample_from_amps(oracles.random_real_state(RNG, 1), 1) for _ in range(3)]
-        stores = make_batches(class0 + class1, n=1, seed=0, epoch=1)
-        assert len(stores) == 3
+        labels = np.array([0] * 5 + [1] * 3)
+        rows = _batch_rows(labels, n=1, seed=0, epoch=1)
+        assert rows.shape == (3, 2)
+        assert (labels[rows] == [0, 1]).all()
+        assert len(np.unique(rows)) == 6
 
     def test_insufficient_class_rejected(self):
-        lone = [sample_from_amps([1.0, 0.0], 0)]
         with pytest.raises(DataError):
-            make_batches(lone, n=1, seed=0, epoch=1)
+            _batch_rows(np.array([0]), n=1, seed=0, epoch=1)
+        one_per_class = EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        with pytest.raises(DataError):
+            train(one_per_class, [], default_ansatz(1, layers=1), TrainConfig(n=2, epochs=1))
 
 
 class TestClassify:
+    """Decisions as accuracy makes them: _predict on a stack of states."""
+
     def test_basis_state_with_identity_circuit(self):
         spec = default_ansatz(2, layers=2)
         theta = ParameterVector(np.zeros(4))
-        one = sample_from_amps([0, 0, 1, 0], 1)
-        zero = sample_from_amps([1, 0, 0, 0], 0)
-        assert classify(one, spec, theta) == 1
-        assert classify(zero, spec, theta) == 0
+        states = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
+        assert _predict(states, spec, theta, 0, 0.5).tolist() == [1, 0]
+        assert accuracy(EncodedSet(states, [1, 0]), spec, theta) == 1.0
 
     def test_tie_breaks_toward_class_one(self):
         spec = default_ansatz(1, layers=2)
@@ -332,21 +363,22 @@ class TestClassify:
         sample = sample_from_amps([0.6, 0.8], 1)
         out = apply_ansatz(spec, theta, sample.state, (0,))
         p_one = oracles.probability(out.amplitudes, 0, 1)
-        assert classify(sample, spec, theta, threshold=p_one) == 1
-        assert classify(sample, spec, theta, threshold=p_one + 1e-12) == 0
+        states = sample.state.amplitudes[None, :]
+        assert _predict(states, spec, theta, 0, p_one).tolist() == [1]
+        assert _predict(states, spec, theta, 0, p_one + 1e-12).tolist() == [0]
+        assert accuracy([sample], spec, theta, threshold=p_one) == 1.0
 
     def test_agrees_with_projector_oracle_decision(self):
         spec = default_ansatz(2, layers=3)
         for seed in range(10):
             theta = init_parameters(spec, seed=seed)
             amps = oracles.random_real_state(RNG, 2)
-            sample = sample_from_amps(amps, 0)
             mat = oracles.circuit_matrix(2, oracles.ansatz_gates(spec, theta, (0, 1)))
             evolved = mat @ amps
             proj = oracles.kron_place(2, {0: oracles.P1})
             p_one = np.real(np.conj(evolved) @ proj @ evolved)
             expected = 1 if p_one >= 0.5 else 0
-            assert classify(sample, spec, theta) == expected
+            assert _predict(amps[None, :], spec, theta, 0, 0.5).tolist() == [expected]
 
     def test_accuracy_of_empty_set_is_none(self):
         spec = default_ansatz(2, layers=1)
