@@ -8,21 +8,23 @@ real.
 Each layer is one real 2^k x 2^k matrix G_l: the Kronecker product of
 its RY blocks times its CZ sign diagonal (`layer_matrices`, 4^k entries
 per layer, 16 at k = 2). The layers are multiplied together in one
-place, `sweep_ansatz`. run_ansatz applies the circuit for one angle
-vector to a stack of states: the forward sweep applied to the identity
-gives the circuit matrix, and one matmul applies it to the data-qubit
-axes of every state. apply_ansatz is the one-state case.
+place, `forward_sweep`, which returns the state v_l entering every
+layer. `circuit_matrix` is the forward sweep of the identity;
+run_ansatz applies it to the data-qubit axes of a stack of states with
+one matmul, and apply_ansatz is the one-state case.
 
-`sweep_ansatz` serves a central-difference gradient. Shifting angle j,
-on qubit q of layer l, by e gives RY_q(t + e) = (c I + s J_q) RY_q(t)
-with c, s = cos(e/2), sin(e/2) and J_q = [[0, -1], [1, 0]] on qubit q,
-and that factor commutes with the layer's other rotations. So
+Shifting angle j, on qubit q of layer l, by e gives
+RY_q(t + e) = (c I + s J_q) RY_q(t) with c, s = cos(e/2), sin(e/2) and
+J_q = [[0, -1], [1, 0]] on qubit q, and that factor commutes with the
+layer's other rotations. So
 
     U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
 
-where v_l = G_{l-1}...G_0 mu enters layer l and Q_l = G_{L-1}...G_l.
-One forward sweep (the v_l) and one backward sweep (the Q_l) give the
-terms Q_l J_q v_l of all P angles, linear in the layer count.
+with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
+one forward sweep. `sweep_ansatz` multiplies them by the Q_l of one
+backward sweep, for the shot-sampled probe rows; the exact-mode
+gradient (`loss.central_difference`) instead sweeps an adjoint state
+back through the G_l^T. Both are linear in the layer count.
 """
 
 from __future__ import annotations
@@ -98,22 +100,24 @@ class AnsatzSpec:
         RY(t)[x, y] is cos(t/2) for x == y, else sin(t/2), negated at
         x=0, y=1. So entry (x, y) of a layer's matrix is a sign times a
         product over the qubits q of cos or sin of half of q's angle.
-        gather, (layers, k, 2^k, 2^k), indexes those factors in the P
-        cosines followed by the P sines; signs, (2^k, 2^k), holds the RY
-        signs times the +-1 diagonal of the CZs, the same in every layer.
+        gather, (k, layers, 2^k, 2^k), indexes qubit q's factors in the
+        interleaved cosines and sines (cos t_0/2, sin t_0/2, cos t_1/2,
+        ...), one contiguous block per qubit; signs, (2^k, 2^k), holds the
+        RY signs times the +-1 diagonal of the CZs, the same in every
+        layer.
         """
         dim = 1 << self.k
         bits = (np.arange(dim)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
-        first = np.zeros((self.k, dim, dim), dtype=np.intp)
+        first = np.zeros((self.k, 1, dim, dim), dtype=np.intp)
         signs = np.ones((dim, dim))
         for q in range(self.k):  # layer 0's RYs: qubit q reads angle q
             x, y = bits[:, q, None], bits[None, :, q]
-            first[q] = q + self.parameter_count * (x != y)
+            first[q] = 2 * q + (x != y)
             signs *= np.where(x < y, -1.0, 1.0)
         for a, b in self.entangler_pairs:
             signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
         # Layer l reads angles l*k .. l*k + k - 1.
-        return first + self.k * np.arange(self.layers)[:, None, None, None], signs
+        return first + 2 * self.k * np.arange(self.layers)[:, None, None], signs
 
     @cached_property
     def generator_plan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +128,23 @@ class AnsatzSpec:
         masks = 1 << np.arange(self.k - 1, -1, -1)[:, None]
         x = np.arange(1 << self.k)[None, :]
         return x ^ masks, np.where(x & masks, 1.0, -1.0)[:, :, None]
+
+    @cached_property
+    def readout_pairing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The amplitudes a swap test compares, for each readout qubit r.
+
+        The two class-mean outputs are a (2^k, 2) array, class c in
+        column c, read flat at index 2x + c. Class c is compared at
+        readout bit c, so entry (x, c) counts where bit r of x is c, and
+        it is paired with (x with bit r toggled, 1 - c). partners[r, i]
+        is the flat index paired with i; keep[r, i] is 1.0 where i
+        counts and 0.0 where it does not. Both are (k, 2^(k+1)).
+        """
+        index = np.arange(2 << self.k)
+        x, c = index >> 1, index & 1
+        masks = 1 << np.arange(self.k - 1, -1, -1)[:, None]
+        keep = ((x & masks) != 0) == (c == 1)
+        return 2 * (x ^ masks) + 1 - c, keep.astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +176,46 @@ def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVecto
     return ParameterVector(rng.uniform(0.0, 2.0 * np.pi, size=spec.parameter_count))
 
 
-def layer_matrices(spec: AnsatzSpec, thetas: np.ndarray) -> np.ndarray:
+def layer_matrices(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """The real 2^k x 2^k matrices G_0..G_{L-1} of the layers for angles
-    thetas (..., P), as a (..., L, 2^k, 2^k) array; qubit 0 is the most
+    theta (P,), as an (L, 2^k, 2^k) array; qubit 0 is the most
     significant bit of the row and column index."""
-    half = thetas / 2.0
-    trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)
+    # exp(i t/2) viewed as floats is cos(t/2), sin(t/2), interleaved.
+    trig = np.exp(0.5j * theta).view(np.float64)
     gather, signs = spec.layer_plan
-    return trig[..., gather].prod(axis=-3) * signs
+    factors = trig.take(gather)
+    # The signs are +-1, so multiplying by them first changes no bit.
+    layers = factors[0] * signs
+    for factor in factors[1:]:
+        layers *= factor
+    return layers
+
+
+def forward_sweep(layers: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The states entering each layer, then the output: an (L + 1, 2^k, m)
+    array whose row l is v_l = G_{l-1}...G_0 states, for layers
+    (L, 2^k, 2^k) and states (2^k, m), one per column. For complex
+    states, pass complex layers: one cast costs less than one per product."""
+    dtype = np.promote_types(layers.dtype, states.dtype)
+    entering = np.empty((len(layers) + 1,) + states.shape, dtype=dtype)
+    entering[0] = states
+    previous = entering[0]
+    # ndarray.dot, not @: these products are tiny, and dot calls cost less.
+    for layer in range(len(layers)):
+        previous = layers[layer].dot(previous, out=entering[layer + 1])
+    return entering
+
+
+def generator_terms(spec: AnsatzSpec, entering: np.ndarray) -> np.ndarray:
+    """J_q v_l for every layer l and qubit q, (L, k, 2^k, m), from the
+    forward sweep's entering states: angle l*k + q's shift direction."""
+    flips, signs = spec.generator_plan
+    return entering[:-1].take(flips, axis=1) * signs
+
+
+def circuit_matrix(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """U = G_{L-1}...G_0, the real 2^k x 2^k matrix of the whole circuit."""
+    return forward_sweep(layer_matrices(spec, theta), np.eye(1 << spec.k))[-1]
 
 
 def sweep_ansatz(
@@ -174,25 +227,18 @@ def sweep_ansatz(
     With shifts false only row 0 is computed, by the forward sweep alone.
     """
     layers = layer_matrices(spec, theta)
-    dtype = np.result_type(layers, states)
-    layers = layers.astype(dtype, copy=False)
-    out = np.empty((1 + (spec.parameter_count if shifts else 0),) + states.shape, dtype=dtype)
-    # entering[l] is v_l, the state entering layer l; entering[L] is U states.
-    # ndarray.dot, not @: these products are tiny, and dot calls cost less.
-    entering = np.empty((spec.layers + 1,) + states.shape, dtype=dtype)
-    entering[0] = states
-    for layer, matrix in enumerate(layers):
-        matrix.dot(entering[layer], out=entering[layer + 1])
-    out[0] = entering[-1]
+    layers = layers.astype(np.result_type(layers, states), copy=False)
+    entering = forward_sweep(layers, states)
     if not shifts:
-        return out
+        return entering[-1:]
+    out = np.empty((1 + spec.parameter_count,) + states.shape, dtype=layers.dtype)
+    out[0] = entering[-1]
     # suffix[l] is Q_l = G_{L-1}...G_l.
     suffix = np.empty_like(layers)
     suffix[-1] = layers[-1]
     for layer in range(spec.layers - 2, -1, -1):
         suffix[layer + 1].dot(layers[layer], out=suffix[layer])
-    flips, signs = spec.generator_plan
-    generated = entering[:-1, flips] * signs  # (L, k, 2^k, m): J_q v_l
+    generated = generator_terms(spec, entering)
     np.matmul(suffix[:, None], generated, out=out[1:].reshape(generated.shape))
     return out
 
@@ -229,7 +275,7 @@ def run_ansatz(
         )
     if not np.isfinite(theta).all():
         raise ConfigurationError("parameter vector contains non-finite values")
-    matrix = sweep_ansatz(spec, theta, np.eye(1 << k), shifts=False)[0]
+    matrix = circuit_matrix(spec, theta)
     # With the data qubits on the trailing axes, in ansatz order, a state
     # is a stack of 2^k-vectors, one per environment index, and one matmul
     # applies the matrix to all of them: many small products, so no large

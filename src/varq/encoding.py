@@ -84,13 +84,16 @@ class FeatureSet(_LabeledRows):
 
 
 class EncodedSet(_LabeledRows, Sequence):
-    """Encoded samples as one (N, 2^k) amplitude array plus N labels; the
-    array is float64 for real input and complex128 for complex input."""
+    """Encoded samples as one (N, 2^k) amplitude array plus N labels. The
+    array is complex128 only when some imaginary part is nonzero, else
+    float64, so real data stacked from complex128 StateVectors stays real."""
 
     def __init__(self, amplitudes, labels):
         amplitudes = np.asarray(amplitudes)
+        if np.iscomplexobj(amplitudes) and not amplitudes.imag.any():
+            amplitudes = amplitudes.real
         dtype = np.complex128 if np.iscomplexobj(amplitudes) else np.float64
-        amplitudes = amplitudes.astype(dtype, copy=False)
+        amplitudes = np.ascontiguousarray(amplitudes, dtype=dtype)
         super().__init__(amplitudes, labels)
         width = amplitudes.shape[1]
         if width < 1 or width & (width - 1):

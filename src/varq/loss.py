@@ -31,12 +31,22 @@ p(readout = label), with equality only when each class maps to one state
 and the two class terms are equal. The gate-level CSWAP circuit lives in
 the test oracles as the reference.
 
-The 2P central-difference probes theta +- eps*e_j come from the same
-class means and one layer sweep at theta (`ansatz.sweep_ansatz`), in
-O(L k 4^k) work. Exact mode reports p0 itself; shots mode draws each
-row's number of ancilla-zero outcomes from Binomial(shots, p0) and
-reports the empirical frequency, all rows of a batch from one generator
-in one vector draw.
+Probe theta +- eps*e_j has overlap 1/4 * ||c a +- s b_j||^2, where a
+and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l (see
+`ansatz`) and c, s = cos(eps/2), sin(eps/2). Exact mode reports p0
+itself, and the central difference of those probes has a closed form:
+
+    (L(theta + eps e_j) - L(theta - eps e_j)) / 2 eps
+        = -(sin(eps) / 4 eps) Re <a, b_j>
+
+`central_difference` reads all P of these inner products from one
+forward and one adjoint sweep, with no probe row and no cancellation
+between nearly equal losses; eps enters only through sin(eps)/eps.
+Shots mode needs the 2P+1 rows themselves: `probe_losses` builds them
+from one layer sweep at theta (`ansatz.sweep_ansatz`) and draws each
+row's number of ancilla-zero outcomes from Binomial(shots, p0),
+reporting the empirical frequency, all rows of a batch from one
+generator in one vector draw. Both are O(L k 4^k) work.
 """
 
 from __future__ import annotations
@@ -47,7 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, sweep_ansatz
+from .ansatz import (
+    AnsatzSpec,
+    ParameterVector,
+    forward_sweep,
+    generator_terms,
+    layer_matrices,
+    sweep_ansatz,
+)
 from .errors import ConfigurationError
 from .qram import QramStore
 from .statevector import StateVector
@@ -247,6 +264,45 @@ def probe_losses(
     overlaps = 0.25 * np.einsum("ij,ij->i", paired.conj(), paired).real
     p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
     return 1.0 - (2.0 * p_zero - 1.0)
+
+
+def central_difference(
+    means: np.ndarray,
+    spec: AnsatzSpec,
+    theta: np.ndarray,
+    readout_qubit: int,
+    fd_epsilon: float,
+) -> tuple[float, np.ndarray]:
+    """Exact-mode loss of one batch at theta and its central-difference
+    gradient: rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
+    probe_losses(means, spec, theta, readout_qubit, fd_epsilon), in
+    closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>.
+
+    lambda places a on the compared output amplitudes (the pairing's
+    transpose), so <a, b_j> = <mu_l, J_q v_l> for the adjoint
+    mu_l = G_l^T mu_{l+1}, mu_L = lambda; 1/4 ||a||^2 = 1/8 ||lambda||^2.
+    Nothing is checked: means (2, 2^k), float64 or complex128, a data
+    qubit as readout and a finite theta (P,) are validated once per run
+    by `trainer.train`.
+    """
+    layers = layer_matrices(spec, theta)
+    if means.dtype != layers.dtype:
+        layers = layers.astype(means.dtype)
+    states = means.T
+    entering = forward_sweep(layers, states)
+    output = entering[-1].reshape(-1)
+    partners, keep = spec.readout_pairing
+    paired = output + output.take(partners[readout_qubit])
+    paired *= keep[readout_qubit]
+    adjoint = np.empty((spec.layers,) + states.shape, dtype=entering.dtype)
+    previous = paired.reshape(states.shape)
+    transposed = layers.transpose(0, 2, 1)
+    for layer in range(spec.layers - 1, -1, -1):
+        previous = transposed[layer].dot(previous, out=adjoint[layer])
+    terms = generator_terms(spec, entering).reshape(spec.layers, spec.k, -1)
+    inner = np.matmul(terms, adjoint.conj().reshape(spec.layers, -1, 1)).real
+    overlap = 0.125 * float(np.vdot(paired, paired).real)
+    return 1.0 - overlap, inner.reshape(-1) * (-math.sin(fd_epsilon) / (4.0 * fd_epsilon))
 
 
 def batched_loss(

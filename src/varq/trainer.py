@@ -7,15 +7,22 @@ batched loss. The loss reads a batch only through its two class-mean
 states, so each epoch's (batches, 2, 2^k) class-mean array is one fancy
 index into the amplitude matrix and one `loss.class_means`; no batch is
 laid out as a qRAM store (`batched_loss` on a store is the one-batch
-form of the same loss). A batch's loss and its 2P+1 probe losses (theta,
-then theta + eps*e_j and theta - eps*e_j for each j) come from one
-forward and one backward sweep over the layers at theta, linear in the
-layer count. Updates happen after every batch ("per_batch", the default)
-or once per epoch on the mean gradient ("per_epoch"). Accuracy
-classifies samples through the circuit matrix, CLASSIFY_CHUNK samples
-per pass. Everything is deterministic for a fixed config and seed in
-exact mode; in shots mode each batch draws one sub-seed, and its 2P+1
-probe rows are read from that one generator in one binomial draw.
+form of the same loss). Updates happen after every batch ("per_batch",
+the default) or once per epoch on the mean gradient ("per_epoch").
+
+In exact mode a batch's loss and gradient come from
+`loss.central_difference`: one forward and one adjoint sweep over the
+layers at theta, with the central difference in closed form, so
+fd_epsilon enters only through sin(eps)/eps. In shots mode each batch
+draws one sub-seed, and `loss.probe_losses` reads its 2P+1 probe rows
+(theta, then theta + eps*e_j and theta - eps*e_j for each j) from that
+one generator in one binomial draw. Shapes, the readout qubit and the
+angle count are checked once, when `train` starts; the real or complex
+arithmetic follows the dtype `EncodedSet` chose for the data.
+
+Accuracy classifies samples through the circuit matrix, built once per
+epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass.
+Everything is deterministic for a fixed config and seed in exact mode.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, init_parameters, run_ansatz
+from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, class_means, probe_losses
+from .loss import EXACT, Shots, _check_readout, central_difference, class_means, probe_losses
 
 CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
@@ -102,14 +109,10 @@ def numerical_gradient(
         down[j] -= fd_epsilon
         lp = loss_fn(ParameterVector(up))
         lm = loss_fn(ParameterVector(down))
-        _check_probe(j, lp, lm)
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
         grad[j] = (lp - lm) / (2.0 * fd_epsilon)
     return grad
-
-
-def _check_probe(j: int, lp: float, lm: float) -> None:
-    if not (np.isfinite(lp) and np.isfinite(lm)):
-        raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
 
 
 def _loss_and_gradient(
@@ -120,19 +123,17 @@ def _loss_and_gradient(
     mode: str | Shots,
     readout_qubit: int,
 ) -> tuple[float, np.ndarray]:
+    """One batch's loss and central-difference gradient: in closed form in
+    exact mode, from the 2P+1 sampled probe rows in shots mode. A
+    non-finite gradient is caught by the step that applies it (`_step`)."""
+    if mode == EXACT:
+        return central_difference(means, spec, theta, readout_qubit, fd_epsilon)
     losses = probe_losses(means, spec, theta, readout_qubit, fd_epsilon, mode)
-    up, down = losses[1::2], losses[2::2]
-    if not np.isfinite(losses).all():
-        for j in np.flatnonzero(~(np.isfinite(up) & np.isfinite(down))):
-            _check_probe(int(j), up[j], down[j])
-    return float(losses[0]), (up - down) / (2.0 * fd_epsilon)
+    return float(losses[0]), (losses[1::2] - losses[2::2]) / (2.0 * fd_epsilon)
 
 
-def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray:
-    """Row b lists batch b's sample indices: its class-0 chunk, then its
-    class-1 chunk, from per-class permutations by default_rng(seed + epoch).
-    Samples that cannot fill a final balanced batch are dropped until the
-    next epoch's reshuffle."""
+def _class_rows(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of each class, checked to fill one 2^n batch."""
     index0 = np.flatnonzero(labels == 0)
     index1 = np.flatnonzero(labels == 1)
     # 2^(n-1) <= count exactly when n <= count.bit_length(); comparing
@@ -142,6 +143,17 @@ def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray
             f"need at least 2^{n - 1} samples per class for n={n}, "
             f"got {len(index0)} / {len(index1)}"
         )
+    return index0, index1
+
+
+def _batch_rows(
+    classes: tuple[np.ndarray, np.ndarray], n: int, seed: int, epoch: int
+) -> np.ndarray:
+    """Row b lists batch b's sample indices: its class-0 chunk, then its
+    class-1 chunk, from per-class permutations of classes (`_class_rows`)
+    by default_rng(seed + epoch). Samples that cannot fill a final
+    balanced batch are dropped until the next epoch's reshuffle."""
+    index0, index1 = classes
     half = 1 << (n - 1)
     rng = np.random.default_rng(seed + epoch)
     order0 = index0[rng.permutation(len(index0))]
@@ -153,26 +165,37 @@ def _batch_rows(labels: np.ndarray, n: int, seed: int, epoch: int) -> np.ndarray
 
 
 def _predict(
-    amplitudes: np.ndarray,
-    spec: AnsatzSpec,
-    theta: ParameterVector,
-    readout_qubit: int,
-    threshold: float,
+    amplitudes: np.ndarray, matrix: np.ndarray, readout_qubit: int, threshold: float
 ) -> np.ndarray:
-    """Class decisions for a stack of states, one per row of amplitudes, in
-    one stacked pass: p(readout=1) at or above the threshold is class 1."""
-    if amplitudes.shape[1] != 1 << spec.k:
-        raise ConfigurationError(
-            f"samples have {amplitudes.shape[1].bit_length() - 1} qubits, ansatz spans {spec.k}"
-        )
-    if not 0 <= readout_qubit < spec.k:
-        raise ConfigurationError(
-            f"readout qubit {readout_qubit} out of range for {spec.k}-qubit state"
-        )
-    out = run_ansatz(spec, theta.values, amplitudes, range(spec.k))
+    """Class decisions for a stack of states, one per row of amplitudes,
+    under the circuit matrix (`ansatz.circuit_matrix`), in one stacked
+    pass: p(readout=1) at or above the threshold is class 1."""
+    out = matrix @ amplitudes[:, :, None]
     ones = out.reshape(amplitudes.shape[0], 1 << readout_qubit, 2, -1)[:, :, 1]
     p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
     return (p_one >= threshold).astype(int)
+
+
+def _hit_rate(
+    encoded: EncodedSet, matrix: np.ndarray, readout_qubit: int, threshold: float
+) -> float | None:
+    """Fraction of encoded classified correctly under matrix, in slices of
+    CLASSIFY_CHUNK rows; None for an empty set."""
+    if not len(encoded):
+        return None
+    hits = 0
+    for start in range(0, len(encoded), CLASSIFY_CHUNK):
+        rows = slice(start, start + CLASSIFY_CHUNK)
+        decisions = _predict(encoded.amplitudes[rows], matrix, readout_qubit, threshold)
+        hits += int(np.count_nonzero(decisions == encoded.labels[rows]))
+    return hits / len(encoded)
+
+
+def _check_width(encoded: EncodedSet, spec: AnsatzSpec) -> None:
+    if len(encoded) and encoded.num_qubits != spec.k:
+        raise ConfigurationError(
+            f"samples have {encoded.num_qubits} qubits, ansatz spans {spec.k}"
+        )
 
 
 def accuracy(
@@ -185,22 +208,33 @@ def accuracy(
     """Fraction classified correctly; None for an empty sample list.
 
     An EncodedSet is classified straight from its amplitude array, in
-    slices of CLASSIFY_CHUNK rows; any other sequence is stacked first.
+    slices of CLASSIFY_CHUNK rows under one circuit matrix; any other
+    sequence is stacked first.
     """
     if not samples:
         return None
     encoded = EncodedSet.of(samples)
-    hits = 0
-    for start in range(0, len(encoded), CLASSIFY_CHUNK):
-        rows = slice(start, start + CLASSIFY_CHUNK)
-        decisions = _predict(encoded.amplitudes[rows], spec, theta, readout_qubit, threshold)
-        hits += int(np.count_nonzero(decisions == encoded.labels[rows]))
-    return hits / len(encoded)
+    _check_width(encoded, spec)
+    _check_readout(readout_qubit, spec.k)
+    if len(theta) != spec.parameter_count:
+        raise ConfigurationError(
+            f"theta has {len(theta)} angles, spec needs {spec.parameter_count}"
+        )
+    matrix = circuit_matrix(spec, theta.values)
+    return _hit_rate(encoded, matrix, readout_qubit, threshold)
 
 
-def _step(values: np.ndarray, delta: np.ndarray, epoch: int) -> np.ndarray:
-    values = values - delta
+def _step(values: np.ndarray, grad: np.ndarray, rate: float, epoch: int) -> np.ndarray:
+    """values - rate * grad, checked finite: a non-finite gradient is named
+    by its first bad parameter, else the step itself diverged."""
+    values = values - rate * grad
     if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            j = int(bad[0])
+            raise OptimizationError(
+                f"non-finite loss while probing parameter {j}: gradient {grad[j]}"
+            )
         raise OptimizationError(
             f"training diverged at epoch {epoch}: parameters became non-finite"
         )
@@ -228,6 +262,11 @@ def train(
         )
 
     encoded = EncodedSet.of(train_set)
+    tested = EncodedSet.of(test_set)
+    _check_width(encoded, spec)
+    _check_width(tested, spec)
+    _check_readout(config.readout_qubit, spec.k)
+    classes = _class_rows(encoded.labels, config.n)
     values = theta.values
 
     shots_rng = None
@@ -245,13 +284,13 @@ def train(
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
-        rows = _batch_rows(encoded.labels, config.n, config.seed, epoch)
+        rows = _batch_rows(classes, config.n, config.seed, epoch)
         batch_means = class_means(encoded.amplitudes[rows])
         batch_losses = []
         if config.update_cadence == "per_batch":
             for means in batch_means:
                 value, grad = loss_and_gradient(means)
-                values = _step(values, config.learning_rate * grad, epoch)
+                values = _step(values, grad, config.learning_rate, epoch)
                 batch_losses.append(value)
         else:
             grad_sum = np.zeros(len(values))
@@ -259,21 +298,21 @@ def train(
                 value, grad = loss_and_gradient(means)
                 batch_losses.append(value)
                 grad_sum += grad
-            values = _step(values, config.learning_rate * grad_sum / len(batch_means), epoch)
+            values = _step(values, grad_sum / len(batch_means), config.learning_rate, epoch)
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
             raise OptimizationError(f"training diverged at epoch {epoch}: loss {mean_loss}")
-        theta = ParameterVector(values)
+        matrix = circuit_matrix(spec, values)
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=mean_loss,
-                train_accuracy=accuracy(
-                    encoded, spec, theta, config.readout_qubit, config.decision_threshold
+                train_accuracy=_hit_rate(
+                    encoded, matrix, config.readout_qubit, config.decision_threshold
                 ),
-                test_accuracy=accuracy(
-                    test_set, spec, theta, config.readout_qubit, config.decision_threshold
+                test_accuracy=_hit_rate(
+                    tested, matrix, config.readout_qubit, config.decision_threshold
                 ),
             )
         )
-    return theta, metrics
+    return ParameterVector(values), metrics

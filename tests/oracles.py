@@ -346,3 +346,54 @@ def probe_angles(theta, fd_epsilon):
         probes[1 + 2 * j, j] += fd_epsilon
         probes[2 + 2 * j, j] -= fd_epsilon
     return probes
+
+
+def probe_row_training(probe_losses, train_set, test_set, spec, theta0, config):
+    """Exact-mode gradient descent as a plain loop over probe rows.
+
+    Each epoch permutes the row indices of each class with one
+    default_rng(config.seed + epoch), class 0 first, and batch b takes the
+    b-th 2^(n-1) rows of each class. A batch's gradient is
+    (rows[1::2] - rows[2::2]) / 2 eps of probe_losses(means, spec, theta,
+    readout, eps), the package's 2P+1 probe rows, the one package function
+    used here. "per_batch" steps after every batch, "per_epoch" once on the
+    mean gradient. Accuracy applies the circuit matrix of the gate list to
+    each sample and compares p(readout = 1) with the decision threshold.
+    Returns the final angles and one (loss, train accuracy, test accuracy)
+    per epoch.
+    """
+    half = 1 << (config.n - 1)
+    readout = config.readout_qubit
+    theta = np.array(theta0, dtype=float)
+    classes = [np.flatnonzero(train_set.labels == c) for c in (0, 1)]
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        rng = np.random.default_rng(config.seed + epoch)
+        orders = [rows[rng.permutation(len(rows))] for rows in classes]
+        losses, grads = [], []
+        for b in range(min(len(rows) for rows in classes) // half):
+            means = np.array(
+                [train_set.amplitudes[order[b * half : (b + 1) * half]].mean(axis=0)
+                 for order in orders]
+            )
+            rows = probe_losses(means, spec, theta, readout, config.fd_epsilon)
+            grad = (rows[1::2] - rows[2::2]) / (2.0 * config.fd_epsilon)
+            losses.append(rows[0])
+            if config.update_cadence == "per_batch":
+                theta = theta - config.learning_rate * grad
+            grads.append(grad)
+        if config.update_cadence == "per_epoch":
+            theta = theta - config.learning_rate * np.mean(grads, axis=0)
+        matrix = circuit_matrix(spec.k, ansatz_gates(spec, theta, range(spec.k)))
+
+        def accuracy(samples):
+            if not len(samples):
+                return None
+            hits = 0
+            for amps, label in zip(samples.amplitudes, samples.labels):
+                p_one = probability(matrix @ amps, readout, 1)
+                hits += int(p_one >= config.decision_threshold) == label
+            return hits / len(samples)
+
+        history.append((float(np.mean(losses)), accuracy(train_set), accuracy(test_set)))
+    return theta, history

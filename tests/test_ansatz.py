@@ -82,7 +82,7 @@ class TestAnsatzSpec:
         # Both are constant in the layer count: neither lists every gate.
         spec = default_ansatz(k, layers=layers)
         count = spec.gate_count
-        assert spec.layer_plan[0].shape == (layers, k, 1 << k, 1 << k)
+        assert spec.layer_plan[0].shape == (k, layers, 1 << k, 1 << k)
         assert "schedule" not in vars(spec)
         assert count == len(spec.schedule)
 

@@ -21,7 +21,7 @@ from varq import (
     swap_test,
 )
 from varq.costmodel import swap_test_gate_count
-from varq.loss import EXACT, class_means
+from varq.loss import EXACT, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -350,3 +350,34 @@ class TestBatchedLoss:
         store = build_store(random_samples(RNG, 1, 2))
         with pytest.raises(ConfigurationError):
             batched_loss(store, spec, ParameterVector([0.0, 0.0]), mode="approximate")
+
+
+class TestCentralDifference:
+    """The exact-mode kernel against the probe rows it replaces."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize(
+        "fd_epsilon, tolerance", [(1e-3, 1e-11), (np.pi / 2, 1e-13)]
+    )
+    def test_matches_the_difference_of_probe_rows(self, k, fd_epsilon, tolerance):
+        # Unnormalized real and complex means, 1..6 layers, every readout.
+        rng = np.random.default_rng(500 + k)
+        for layers in range(1, 7):
+            spec = default_ansatz(k, layers=layers)
+            theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
+            real = rng.standard_normal((2, 1 << k))
+            for means in (real, real + 1j * rng.standard_normal((2, 1 << k))):
+                for readout in range(k):
+                    rows = probe_losses(means, spec, theta, readout, fd_epsilon)
+                    loss, grad = central_difference(means, spec, theta, readout, fd_epsilon)
+                    difference = (rows[1::2] - rows[2::2]) / (2 * fd_epsilon)
+                    assert grad.shape == (spec.parameter_count,)
+                    assert abs(loss - rows[0]) < 1e-13
+                    assert np.max(np.abs(grad - difference)) < tolerance
+
+    def test_real_means_keep_the_gradient_real(self):
+        rng = np.random.default_rng(47)
+        spec = default_ansatz(3, layers=2)
+        means = rng.standard_normal((2, 8))
+        loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6), 1, 1e-3)
+        assert isinstance(loss, float) and grad.dtype == np.float64

@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 import oracles
 from varq import (
     EncodedSample,
+    FeatureSet,
     QramError,
     QramStore,
     StateVector,
     build_store,
     default_ansatz,
+    encode_dataset,
     forward_pass_cost,
     query_superposed,
 )
@@ -66,6 +68,18 @@ class TestBuildStore:
         s0b = sample_from_amps([0, 1], 0)
         with pytest.raises(QramError):
             build_store([s0, s0b])
+
+    def test_a_list_of_real_samples_is_stored_as_float64(self):
+        # StateVectors are complex128, but an imaginary part of exactly 0
+        # is dropped: the list and the EncodedSet give the same block.
+        features = FeatureSet(np.random.default_rng(41).uniform(-9, 9, (8, 4)), [0, 1] * 4)
+        encoded = encode_dataset(features)
+        from_list = build_store(list(encoded))
+        from_set = build_store(encoded)
+        assert from_list.block.dtype == from_set.block.dtype == np.float64
+        assert np.array_equal(from_list.block, from_set.block)
+        phased = build_store([sample_from_amps(1j * s.state.amplitudes, s.label) for s in encoded])
+        assert phased.block.dtype == np.complex128
 
     def test_mixed_qubit_counts_rejected(self):
         s0 = sample_from_amps([1, 0], 0)

@@ -29,11 +29,29 @@ from varq import (
     run_ansatz,
     train,
 )
+from varq.ansatz import circuit_matrix
 from varq.loss import class_means
-from varq.trainer import CLASSIFY_CHUNK, _batch_rows, _loss_and_gradient, _predict
+from varq.trainer import (
+    CADENCES,
+    CLASSIFY_CHUNK,
+    _batch_rows,
+    _class_rows,
+    _loss_and_gradient,
+    _predict,
+)
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
+
+
+def batch_rows(labels, n, seed, epoch):
+    """train's batch rows for one epoch, from the labels alone."""
+    return _batch_rows(_class_rows(labels, n), n, seed, epoch)
+
+
+def predict(states, spec, theta, readout_qubit, threshold):
+    """Decisions as accuracy makes them, under the circuit matrix at theta."""
+    return _predict(states, circuit_matrix(spec, theta.values), readout_qubit, threshold)
 
 
 def per_sample_batches(train_set, n, seed, epoch):
@@ -221,19 +239,28 @@ class TestStackedPass:
             lm = batched_loss(store, spec, ParameterVector(down))
             assert abs(grad[j] - (lp - lm) / 2e-3) < 1e-9
 
-    def test_non_finite_probe_loss_names_the_parameter(self, monkeypatch):
-        spec = default_ansatz(1, layers=2)
-        store = build_store(random_samples(RNG, 1, 1))
+    def test_non_finite_probe_loss_names_the_parameter(self, iris_task, monkeypatch):
+        # The step that would apply a non-finite gradient names its first
+        # bad parameter, whichever mode produced it and in either cadence.
+        spec = default_ansatz(2, layers=2)
 
-        def poisoned(*args):
-            losses = np.zeros(5)
+        def poisoned_exact(means, spec, theta, readout_qubit, fd_epsilon):
+            grad = np.zeros(len(theta))
+            grad[1:] = np.nan
+            return 0.5, grad
+
+        def poisoned_shots(means, spec, theta, readout_qubit, fd_epsilon, mode):
+            losses = np.zeros(1 + 2 * len(theta))
             losses[3] = np.nan  # theta + eps * e_1
             return losses
 
-        monkeypatch.setattr("varq.trainer.probe_losses", poisoned)
-        means = class_means(store.block)
-        with pytest.raises(OptimizationError, match="parameter 1"):
-            _loss_and_gradient(means, spec, np.array([0.1, 0.2]), 1e-3, "exact", 0)
+        monkeypatch.setattr("varq.trainer.central_difference", poisoned_exact)
+        monkeypatch.setattr("varq.trainer.probe_losses", poisoned_shots)
+        for mode in ("exact", Shots(64, seed=1)):
+            for cadence in CADENCES:
+                config = TrainConfig(epochs=1, update_cadence=cadence, mode=mode)
+                with pytest.raises(OptimizationError, match="parameter 1:"):
+                    train(*iris_task, spec, config)
 
     def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
         rng = np.random.default_rng(31)
@@ -250,7 +277,7 @@ class TestStackedPass:
             p_one = float(np.sum(np.abs(evolved[2:]) ** 2))
             decisions.append(1 if p_one >= 0.5 else 0)
         stack = np.array([s.state.amplitudes for s in samples])
-        assert _predict(stack, spec, theta, 0, 0.5).tolist() == decisions
+        assert predict(stack, spec, theta, 0, 0.5).tolist() == decisions
         hits = sum(d == s.label for d, s in zip(decisions, samples))
         assert accuracy(samples, spec, theta) == hits / len(samples)
 
@@ -267,7 +294,7 @@ class TestMakeBatches:
 
     def test_full_iris_epoch_tiles_into_twenty_stores(self, iris_task):
         train_set, _ = iris_task
-        rows = _batch_rows(train_set.labels, n=2, seed=0, epoch=1)
+        rows = batch_rows(train_set.labels, n=2, seed=0, epoch=1)
         assert rows.shape == (20, 4)
         assert (train_set.labels[rows] == [0, 0, 1, 1]).all()
         assert len(np.unique(rows)) == rows.size
@@ -278,11 +305,11 @@ class TestMakeBatches:
         # reference batch, to the bit.
         seen = []
 
-        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
+        def spy(means, spec, theta, readout_qubit, fd_epsilon):
             seen.append(means.copy())
-            return np.zeros(1 + 2 * len(theta))
+            return 0.0, np.zeros(len(theta))
 
-        monkeypatch.setattr("varq.trainer.probe_losses", spy)
+        monkeypatch.setattr("varq.trainer.central_difference", spy)
         table = load_iris(default_data_path())
         spec = default_ansatz(2, layers=1)
         for class0, class1 in (
@@ -293,7 +320,7 @@ class TestMakeBatches:
                 for n in (1, 2, 3):
                     expected = []
                     for epoch in (1, 2, 3):
-                        rows = _batch_rows(train_set.labels, n, seed=2, epoch=epoch)
+                        rows = batch_rows(train_set.labels, n, seed=2, epoch=epoch)
                         reference = per_sample_batches(train_set, n, 2, epoch)
                         assert np.array_equal(
                             train_set.amplitudes[rows],
@@ -316,32 +343,32 @@ class TestMakeBatches:
                         assert np.array_equal(got, means)
 
     def test_two_per_class_makes_two_minimal_stores(self):
-        rows = _batch_rows(np.array([0, 1, 0, 1]), n=1, seed=0, epoch=1)
+        rows = batch_rows(np.array([0, 1, 0, 1]), n=1, seed=0, epoch=1)
         assert rows.shape == (2, 2)
         assert sorted(rows[:, 0]) == [0, 2] and sorted(rows[:, 1]) == [1, 3]
 
     def test_same_seed_and_epoch_reproduce_batches(self, iris_task):
         train_set, _ = iris_task
-        a = _batch_rows(train_set.labels, n=2, seed=7, epoch=3)
-        b = _batch_rows(train_set.labels, n=2, seed=7, epoch=3)
+        a = batch_rows(train_set.labels, n=2, seed=7, epoch=3)
+        b = batch_rows(train_set.labels, n=2, seed=7, epoch=3)
         assert np.array_equal(a, b)
 
     def test_different_epochs_reshuffle(self, iris_task):
         train_set, _ = iris_task
-        a = _batch_rows(train_set.labels, n=2, seed=7, epoch=1)
-        b = _batch_rows(train_set.labels, n=2, seed=7, epoch=2)
+        a = batch_rows(train_set.labels, n=2, seed=7, epoch=1)
+        b = batch_rows(train_set.labels, n=2, seed=7, epoch=2)
         assert not np.array_equal(a, b)
 
     def test_leftovers_are_dropped(self):
         labels = np.array([0] * 5 + [1] * 3)
-        rows = _batch_rows(labels, n=1, seed=0, epoch=1)
+        rows = batch_rows(labels, n=1, seed=0, epoch=1)
         assert rows.shape == (3, 2)
         assert (labels[rows] == [0, 1]).all()
         assert len(np.unique(rows)) == 6
 
     def test_insufficient_class_rejected(self):
         with pytest.raises(DataError):
-            _batch_rows(np.array([0]), n=1, seed=0, epoch=1)
+            _class_rows(np.array([0]), n=1)
         one_per_class = EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         with pytest.raises(DataError):
             train(one_per_class, [], default_ansatz(1, layers=1), TrainConfig(n=2, epochs=1))
@@ -354,7 +381,7 @@ class TestClassify:
         spec = default_ansatz(2, layers=2)
         theta = ParameterVector(np.zeros(4))
         states = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
-        assert _predict(states, spec, theta, 0, 0.5).tolist() == [1, 0]
+        assert predict(states, spec, theta, 0, 0.5).tolist() == [1, 0]
         assert accuracy(EncodedSet(states, [1, 0]), spec, theta) == 1.0
 
     def test_tie_breaks_toward_class_one(self):
@@ -364,8 +391,8 @@ class TestClassify:
         out = apply_ansatz(spec, theta, sample.state, (0,))
         p_one = oracles.probability(out.amplitudes, 0, 1)
         states = sample.state.amplitudes[None, :]
-        assert _predict(states, spec, theta, 0, p_one).tolist() == [1]
-        assert _predict(states, spec, theta, 0, p_one + 1e-12).tolist() == [0]
+        assert predict(states, spec, theta, 0, p_one).tolist() == [1]
+        assert predict(states, spec, theta, 0, p_one + 1e-12).tolist() == [0]
         assert accuracy([sample], spec, theta, threshold=p_one) == 1.0
 
     def test_agrees_with_projector_oracle_decision(self):
@@ -378,7 +405,26 @@ class TestClassify:
             proj = oracles.kron_place(2, {0: oracles.P1})
             p_one = np.real(np.conj(evolved) @ proj @ evolved)
             expected = 1 if p_one >= 0.5 else 0
-            assert _predict(amps[None, :], spec, theta, 0, 0.5).tolist() == [expected]
+            assert predict(amps[None, :], spec, theta, 0, 0.5).tolist() == [expected]
+
+    def test_accuracy_builds_one_circuit_matrix_per_call(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        spec = default_ansatz(2, layers=3)
+        theta = init_parameters(spec, seed=6)
+        states = rng.standard_normal((2 * CLASSIFY_CHUNK + 1, 4))
+        labels = rng.integers(0, 2, len(states))
+        built = []
+        original = varq.trainer.circuit_matrix
+
+        def spy(spec, theta):
+            built.append(theta.shape)
+            return original(spec, theta)
+
+        monkeypatch.setattr("varq.trainer.circuit_matrix", spy)
+        hits = np.count_nonzero(predict(states, spec, theta, 0, 0.5) == labels)
+        built.clear()
+        assert accuracy(EncodedSet(states, labels), spec, theta) == hits / len(states)
+        assert built == [(spec.parameter_count,)]
 
     def test_accuracy_of_empty_set_is_none(self):
         spec = default_ansatz(2, layers=1)
@@ -500,7 +546,7 @@ class TestTrain:
         monkeypatch.setattr("varq.trainer.probe_losses", spy)
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
         stream = np.random.default_rng(7)
-        assert len(modes) > 20
+        assert len(modes) == 2 * 20
         assert modes == [Shots(256, int(stream.integers(1 << 62))) for _ in modes]
 
     def test_complex_training_data_trains_like_its_real_part(self, iris_task):
@@ -518,18 +564,60 @@ class TestTrain:
             assert a.train_accuracy == b.train_accuracy
 
     def test_training_builds_no_circuit_per_probe(self, iris_task, monkeypatch):
-        # Every circuit the trainer builds is at theta itself: one angle row.
+        # Every circuit the trainer builds is at theta itself: one set of
+        # layer matrices per batch and one circuit matrix per epoch.
         spec = default_ansatz(2, layers=4)
-        angle_rows = []
+        angle_shapes = []
         original = varq.ansatz.layer_matrices
 
-        def spy(spec, thetas):
-            angle_rows.append(thetas.size // spec.parameter_count)
-            return original(spec, thetas)
+        def spy(spec, theta):
+            angle_shapes.append(theta.shape)
+            return original(spec, theta)
 
         monkeypatch.setattr(varq.ansatz, "layer_matrices", spy)
-        train(*iris_task, spec, TrainConfig(epochs=1))
-        assert len(angle_rows) > 20 and set(angle_rows) == {1}
+        monkeypatch.setattr(varq.loss, "layer_matrices", spy)
+        train(*iris_task, spec, TrainConfig(epochs=2))
+        assert angle_shapes == [(spec.parameter_count,)] * (2 * 20 + 2)
+
+    def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
+        # Exact mode takes the closed form, once per batch; only shots mode
+        # builds the 2P+1 probe rows.
+        spec = default_ansatz(2, layers=4)
+        calls = {"probe_losses": 0, "central_difference": 0}
+        for name in calls:
+            original = getattr(varq.trainer, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(f"varq.trainer.{name}", spy)
+        for cadence in CADENCES:
+            train(*iris_task, spec, TrainConfig(epochs=2, update_cadence=cadence))
+        assert calls == {"probe_losses": 0, "central_difference": 2 * 2 * 20}
+        train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(64, seed=1)))
+        assert calls == {"probe_losses": 2 * 20, "central_difference": 2 * 2 * 20}
+
+    @pytest.mark.parametrize("cadence", CADENCES)
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
+    def test_training_matches_a_probe_row_reference_loop(self, iris_task, cadence, phase):
+        # The reference steps on (rows[1::2] - rows[2::2]) / 2 eps of
+        # probe_losses and classifies through the gate list; a global phase
+        # makes the data complex without changing any overlap.
+        train_set, test_set = iris_task
+        train_set = EncodedSet(phase * train_set.amplitudes, train_set.labels)
+        spec = default_ansatz(2, layers=4)
+        theta0 = init_parameters(spec, seed=1)
+        config = TrainConfig(epochs=12, update_cadence=cadence, seed=2)
+        theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
+        ref_theta, ref_metrics = oracles.probe_row_training(
+            probe_losses, train_set, test_set, spec, theta0.values, config
+        )
+        assert np.max(np.abs(theta.values - ref_theta)) < 1e-10
+        assert len(metrics) == len(ref_metrics) == config.epochs
+        for m, (loss, train_acc, test_acc) in zip(metrics, ref_metrics):
+            assert abs(m.train_loss - loss) < 1e-12
+            assert (m.train_accuracy, m.test_accuracy) == (train_acc, test_acc)
 
     def test_shots_mode_is_reproducible_given_seed(self, iris_task):
         train_set, test_set = iris_task
