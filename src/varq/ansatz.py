@@ -21,10 +21,9 @@ layer's other rotations. So
     U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
 
 with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
-one forward sweep. `sweep_ansatz` multiplies them by the Q_l of one
-backward sweep, for the shot-sampled probe rows; the exact-mode
-gradient (`loss.central_difference`) instead sweeps an adjoint state
-back through the G_l^T. Both are linear in the layer count.
+one forward sweep. `loss` pairs them with the swap test's readout
+projector (`AnsatzSpec.readout_projector`) swept back once through the
+G_l^T, in both readout modes: linear in the layer count.
 """
 
 from __future__ import annotations
@@ -81,6 +80,15 @@ class AnsatzSpec:
         """Gates per application: rotations plus entanglers, all layers."""
         return self.layers * (self.k + len(self.entangler_pairs))
 
+    def check_theta(self, theta: np.ndarray) -> None:
+        """Reject angles that are not a finite (P,) vector."""
+        if theta.shape != (self.parameter_count,):
+            raise ConfigurationError(
+                f"theta has shape {theta.shape}, spec needs ({self.parameter_count},)"
+            )
+        if not np.isfinite(theta).all():
+            raise ConfigurationError("parameter vector contains non-finite values")
+
     @cached_property
     def schedule(self) -> tuple[tuple[str, int, int], ...]:
         """The gate sequence on data-qubit positions 0..k-1: ("RY", qubit,
@@ -130,21 +138,20 @@ class AnsatzSpec:
         return x ^ masks, np.where(x & masks, 1.0, -1.0)[:, :, None]
 
     @cached_property
-    def readout_pairing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The amplitudes a swap test compares, for each readout qubit r.
+    def readout_projector(self) -> np.ndarray:
+        """Lambda, the 0/1 map from the two class-mean outputs to the
+        amplitudes a swap test compares, for each readout qubit r.
 
-        The two class-mean outputs are a (2^k, 2) array, class c in
-        column c, read flat at index 2x + c. Class c is compared at
-        readout bit c, so entry (x, c) counts where bit r of x is c, and
-        it is paired with (x with bit r toggled, 1 - c). partners[r, i]
-        is the flat index paired with i; keep[r, i] is 1.0 where i
-        counts and 0.0 where it does not. Both are (k, 2^(k+1)).
+        The outputs are a (2^k, 2) array, class c in column c, and class c
+        is compared at readout bit c: a = Lambda[r] . output sums entry
+        (x, c) into e, the other bits of x in order, where bit r of x is c.
+        So Lambda[r] is the identity with bit r of the column index moved
+        to the front. Shape (k, 2^k, 2, 2^(k-1)).
         """
-        index = np.arange(2 << self.k)
-        x, c = index >> 1, index & 1
-        masks = 1 << np.arange(self.k - 1, -1, -1)[:, None]
-        keep = ((x & masks) != 0) == (c == 1)
-        return 2 * (x ^ masks) + 1 - c, keep.astype(np.float64)
+        dim = 1 << self.k
+        # Split the column index into (bits above r, bit r, bits below r); move bit r first.
+        moved = [np.eye(dim).reshape(dim, 1 << r, 2, -1).swapaxes(1, 2) for r in range(self.k)]
+        return np.stack([m.reshape(dim, 2, -1) for m in moved])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,31 +225,6 @@ def circuit_matrix(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     return forward_sweep(layer_matrices(spec, theta), np.eye(1 << spec.k))[-1]
 
 
-def sweep_ansatz(
-    spec: AnsatzSpec, theta: np.ndarray, states: np.ndarray, shifts: bool = True
-) -> np.ndarray:
-    """U states for angles theta (P,) and states (2^k, m), one per column,
-    then the shift term Q_l J_q v_l of each angle j, as a (1 + P, 2^k, m)
-    array: U(theta + e e_j) states = cos(e/2) row 0 + sin(e/2) row 1 + j.
-    With shifts false only row 0 is computed, by the forward sweep alone.
-    """
-    layers = layer_matrices(spec, theta)
-    layers = layers.astype(np.result_type(layers, states), copy=False)
-    entering = forward_sweep(layers, states)
-    if not shifts:
-        return entering[-1:]
-    out = np.empty((1 + spec.parameter_count,) + states.shape, dtype=layers.dtype)
-    out[0] = entering[-1]
-    # suffix[l] is Q_l = G_{L-1}...G_l.
-    suffix = np.empty_like(layers)
-    suffix[-1] = layers[-1]
-    for layer in range(spec.layers - 2, -1, -1):
-        suffix[layer + 1].dot(layers[layer], out=suffix[layer])
-    generated = generator_terms(spec, entering)
-    np.matmul(suffix[:, None], generated, out=out[1:].reshape(generated.shape))
-    return out
-
-
 def run_ansatz(
     spec: AnsatzSpec,
     theta: np.ndarray,
@@ -269,12 +251,7 @@ def run_ansatz(
     k = len(data_qubits)
     if k != spec.k:
         raise ConfigurationError(f"ansatz spans {spec.k} qubits, got {k} data qubits")
-    if theta.shape != (spec.parameter_count,):
-        raise ConfigurationError(
-            f"theta has shape {theta.shape}, spec needs ({spec.parameter_count},)"
-        )
-    if not np.isfinite(theta).all():
-        raise ConfigurationError("parameter vector contains non-finite values")
+    spec.check_theta(theta)
     matrix = circuit_matrix(spec, theta)
     # With the data qubits on the trailing axes, in ansatz order, a state
     # is a stack of 2^k-vectors, one per environment index, and one matmul

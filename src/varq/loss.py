@@ -39,14 +39,16 @@ itself, and the central difference of those probes has a closed form:
     (L(theta + eps e_j) - L(theta - eps e_j)) / 2 eps
         = -(sin(eps) / 4 eps) Re <a, b_j>
 
-`central_difference` reads all P of these inner products from one
-forward and one adjoint sweep, with no probe row and no cancellation
-between nearly equal losses; eps enters only through sin(eps)/eps.
-Shots mode needs the 2P+1 rows themselves: `probe_losses` builds them
-from one layer sweep at theta (`ansatz.sweep_ansatz`) and draws each
-row's number of ancilla-zero outcomes from Binomial(shots, p0),
-reporting the empirical frequency, all rows of a batch from one
-generator in one vector draw. Both are O(L k 4^k) work.
+Both modes read a batch from one kernel, `_readout_sweep`. Its forward
+sweep gives a = Lambda U mu, with Lambda the readout projector
+(`AnsatzSpec.readout_projector`), and every J_q v_l; its one backward
+sweep carries a start array back through the G_l^T. Started from Lambda
+it gives every b_j: the 2P+1 probe rows of `probe_losses`, which shots
+mode reads out with one binomial draw per batch from one generator.
+Started from Lambda conj(a) it gives every <a, b_j>: exact mode
+(`central_difference`) builds no probe row and has no cancellation
+between nearly equal losses, so eps enters only through sin(eps)/eps.
+Either way a batch is O(L k 4^k) work.
 """
 
 from __future__ import annotations
@@ -57,14 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (
-    AnsatzSpec,
-    ParameterVector,
-    forward_sweep,
-    generator_terms,
-    layer_matrices,
-    sweep_ansatz,
-)
+from .ansatz import AnsatzSpec, ParameterVector, forward_sweep, generator_terms, layer_matrices
 from .errors import ConfigurationError
 from .qram import QramStore
 from .statevector import StateVector
@@ -218,6 +213,47 @@ def class_means(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(*batches, 2, size // 2, dim).mean(axis=-2)
 
 
+def _readout_sweep(
+    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray, readout_qubit: int, start: str | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """a = Lambda . U means (2^(k-1),), the amplitudes the swap test
+    compares, and, unless start is None, J_q v_l summed against back_l for
+    every angle, (L, k, m), from one backward sweep back_l = G_l^T
+    back_{l+1}. back_L is Lambda for start "rows", which gives every b_j
+    (m = 2^(k-1)), or Lambda conj(a) for "inner", which gives <a, b_j>
+    (m = 1). Unchecked: means (2, 2^k), float64 or complex128.
+    """
+    layers = layer_matrices(spec, theta).astype(means.dtype, copy=False)
+    entering = forward_sweep(layers, means.T)
+    dim = 1 << spec.k
+    projector = spec.readout_projector[readout_qubit].reshape(2 * dim, -1)
+    paired = entering[-1].reshape(-1).dot(projector)
+    if start is None:
+        return paired, None
+    previous = (projector if start == "rows" else projector.dot(paired.conj())).reshape(dim, -1)
+    back = np.empty((spec.layers,) + previous.shape, dtype=np.result_type(layers, previous))
+    transposed = layers.transpose(0, 2, 1)
+    for layer in range(spec.layers - 1, -1, -1):
+        previous = transposed[layer].dot(previous, out=back[layer])
+    terms = generator_terms(spec, entering).reshape(spec.layers, spec.k, 2 * dim)
+    return paired, np.matmul(terms, back.reshape(spec.layers, 2 * dim, -1))
+
+
+def _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode) -> np.ndarray:
+    """`probe_losses` without its checks."""
+    start = None if fd_epsilon is None else "rows"
+    paired, shifts = _readout_sweep(means, spec, theta, readout_qubit, start)
+    rows = paired[None]
+    if fd_epsilon is not None:
+        c, s = math.cos(fd_epsilon / 2.0), math.sin(fd_epsilon / 2.0)
+        shift = s * shifts.reshape(spec.parameter_count, -1)
+        probes = np.stack([c * paired + shift, c * paired - shift], axis=1)
+        rows = np.concatenate([rows, probes.reshape(-1, len(paired))])
+    overlaps = 0.25 * np.einsum("ij,ij->i", rows.conj(), rows).real
+    p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
+    return 1.0 - (2.0 * p_zero - 1.0)
+
+
 def probe_losses(
     means: np.ndarray,
     spec: AnsatzSpec,
@@ -229,9 +265,9 @@ def probe_losses(
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
     (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
     for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
-    and b_j the readout-paired amplitudes of rows 0 and 1 + j of the sweep
-    and c, s = cos(eps/2), sin(eps/2). All rows are read out in one mode;
-    |x|^2 is conj(x) x, so means may be complex.
+    and b_j from one readout sweep (`_readout_sweep`) and c, s =
+    cos(eps/2), sin(eps/2). All rows are read out in one mode; |x|^2 is
+    conj(x) x, so means may be complex.
     """
     dim = 1 << spec.k
     if means.shape != (2, dim):
@@ -239,31 +275,11 @@ def probe_losses(
             f"class means have shape {means.shape}, ansatz needs (2, {dim})"
         )
     _check_readout(readout_qubit, spec.k)
-    if theta.shape != (spec.parameter_count,):
-        raise ConfigurationError(
-            f"theta has shape {theta.shape}, spec needs ({spec.parameter_count},)"
-        )
-    if not np.isfinite(theta).all():
-        raise ConfigurationError("parameter vector contains non-finite values")
+    spec.check_theta(theta)
     if np.iscomplexobj(means) and not means.imag.any():
         # Encoded data is real: keep the sweep in real arithmetic.
         means = means.real
-    swept = sweep_ansatz(spec, theta, means.T, shifts=fd_epsilon is not None)
-    # Pair class 0 at readout bit 0 with class 1 at readout bit 1. Axes:
-    # row, qubits above the readout, readout bit, qubits below, class.
-    grouped = swept.reshape(len(swept), 1 << readout_qubit, 2, -1, 2)
-    paired = (grouped[:, :, 0, :, 0] + grouped[:, :, 1, :, 1]).reshape(len(swept), -1)
-    if fd_epsilon is not None:
-        c, s = math.cos(fd_epsilon / 2.0), math.sin(fd_epsilon / 2.0)
-        base, shift = c * paired[0], s * paired[1:]
-        rows = np.empty((1 + 2 * len(shift), paired.shape[1]), dtype=paired.dtype)
-        rows[0] = paired[0]
-        np.add(base, shift, out=rows[1::2])
-        np.subtract(base, shift, out=rows[2::2])
-        paired = rows
-    overlaps = 0.25 * np.einsum("ij,ij->i", paired.conj(), paired).real
-    p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
-    return 1.0 - (2.0 * p_zero - 1.0)
+    return _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode)
 
 
 def central_difference(
@@ -272,37 +288,23 @@ def central_difference(
     theta: np.ndarray,
     readout_qubit: int,
     fd_epsilon: float,
+    mode: str | Shots = EXACT,
 ) -> tuple[float, np.ndarray]:
-    """Exact-mode loss of one batch at theta and its central-difference
-    gradient: rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
-    probe_losses(means, spec, theta, readout_qubit, fd_epsilon), in
-    closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>.
-
-    lambda places a on the compared output amplitudes (the pairing's
-    transpose), so <a, b_j> = <mu_l, J_q v_l> for the adjoint
-    mu_l = G_l^T mu_{l+1}, mu_L = lambda; 1/4 ||a||^2 = 1/8 ||lambda||^2.
-    Nothing is checked: means (2, 2^k), float64 or complex128, a data
-    qubit as readout and a finite theta (P,) are validated once per run
-    by `trainer.train`.
+    """One batch's loss at theta and its central-difference gradient:
+    rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
+    probe_losses(means, spec, theta, readout_qubit, fd_epsilon, mode).
+    Shots mode samples those rows; exact mode builds none and reads the
+    closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>, from the
+    sweep of Lambda conj(a). Nothing is checked: means (2, 2^k), float64
+    or complex128, a data qubit as readout and a finite theta (P,) are
+    validated once per run by `trainer.train`.
     """
-    layers = layer_matrices(spec, theta)
-    if means.dtype != layers.dtype:
-        layers = layers.astype(means.dtype)
-    states = means.T
-    entering = forward_sweep(layers, states)
-    output = entering[-1].reshape(-1)
-    partners, keep = spec.readout_pairing
-    paired = output + output.take(partners[readout_qubit])
-    paired *= keep[readout_qubit]
-    adjoint = np.empty((spec.layers,) + states.shape, dtype=entering.dtype)
-    previous = paired.reshape(states.shape)
-    transposed = layers.transpose(0, 2, 1)
-    for layer in range(spec.layers - 1, -1, -1):
-        previous = transposed[layer].dot(previous, out=adjoint[layer])
-    terms = generator_terms(spec, entering).reshape(spec.layers, spec.k, -1)
-    inner = np.matmul(terms, adjoint.conj().reshape(spec.layers, -1, 1)).real
-    overlap = 0.125 * float(np.vdot(paired, paired).real)
-    return 1.0 - overlap, inner.reshape(-1) * (-math.sin(fd_epsilon) / (4.0 * fd_epsilon))
+    if mode != EXACT:
+        rows = _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode)
+        return float(rows[0]), (rows[1::2] - rows[2::2]) / (2.0 * fd_epsilon)
+    paired, inner = _readout_sweep(means, spec, theta, readout_qubit, "inner")
+    overlap = 0.25 * float(np.vdot(paired, paired).real)
+    return 1.0 - overlap, inner.real.reshape(-1) * (-math.sin(fd_epsilon) / (4.0 * fd_epsilon))
 
 
 def batched_loss(

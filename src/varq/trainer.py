@@ -10,15 +10,16 @@ laid out as a qRAM store (`batched_loss` on a store is the one-batch
 form of the same loss). Updates happen after every batch ("per_batch",
 the default) or once per epoch on the mean gradient ("per_epoch").
 
-In exact mode a batch's loss and gradient come from
-`loss.central_difference`: one forward and one adjoint sweep over the
-layers at theta, with the central difference in closed form, so
-fd_epsilon enters only through sin(eps)/eps. In shots mode each batch
-draws one sub-seed, and `loss.probe_losses` reads its 2P+1 probe rows
-(theta, then theta + eps*e_j and theta - eps*e_j for each j) from that
-one generator in one binomial draw. Shapes, the readout qubit and the
-angle count are checked once, when `train` starts; the real or complex
-arithmetic follows the dtype `EncodedSet` chose for the data.
+A batch's loss and gradient come from one call,
+`loss.central_difference`, in both readout modes: one forward and one
+backward sweep over the layers at theta. Exact mode sweeps back the
+readout-paired output and reads the central difference in closed form,
+so fd_epsilon enters only through sin(eps)/eps. Shots mode sweeps back
+the readout projector for the 2P+1 probe rows (theta, then
+theta + eps*e_j and theta - eps*e_j for each j) and reads them with one
+binomial draw from the batch's one sub-seed. Shapes, the readout qubit
+and the angle count are checked once, when `train` starts; the real or
+complex arithmetic follows the dtype `EncodedSet` chose for the data.
 
 Accuracy classifies samples through the circuit matrix, built once per
 epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass.
@@ -36,7 +37,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, _check_readout, central_difference, class_means, probe_losses
+from .loss import EXACT, Shots, _check_readout, central_difference, class_means
 
 CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
@@ -96,7 +97,7 @@ def numerical_gradient(
     """Central differences per coordinate: (L(t+e) - L(t-e)) / 2e.
 
     The per-coordinate reference for the trainer's one-sweep gradient
-    (_loss_and_gradient), with one loss_fn call per probe.
+    (`loss.central_difference`), with one loss_fn call per probe.
     """
     if not (math.isfinite(fd_epsilon) and fd_epsilon > 0):
         raise ConfigurationError(f"fd_epsilon must be finite and > 0, got {fd_epsilon}")
@@ -113,23 +114,6 @@ def numerical_gradient(
             raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
         grad[j] = (lp - lm) / (2.0 * fd_epsilon)
     return grad
-
-
-def _loss_and_gradient(
-    means: np.ndarray,
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    fd_epsilon: float,
-    mode: str | Shots,
-    readout_qubit: int,
-) -> tuple[float, np.ndarray]:
-    """One batch's loss and central-difference gradient: in closed form in
-    exact mode, from the 2P+1 sampled probe rows in shots mode. A
-    non-finite gradient is caught by the step that applies it (`_step`)."""
-    if mode == EXACT:
-        return central_difference(means, spec, theta, readout_qubit, fd_epsilon)
-    losses = probe_losses(means, spec, theta, readout_qubit, fd_epsilon, mode)
-    return float(losses[0]), (losses[1::2] - losses[2::2]) / (2.0 * fd_epsilon)
 
 
 def _class_rows(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,35 +253,28 @@ def train(
     classes = _class_rows(encoded.labels, config.n)
     values = theta.values
 
-    shots_rng = None
-    if isinstance(config.mode, Shots):
-        shots_rng = np.random.default_rng(config.mode.seed)
-
-    def loss_and_gradient(means: np.ndarray) -> tuple[float, np.ndarray]:
-        mode = EXACT
-        if shots_rng is not None:
-            # One sub-seed per batch, deterministic in sequence.
-            mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
-        return _loss_and_gradient(
-            means, spec, values, config.fd_epsilon, mode, config.readout_qubit
-        )
-
+    # Shots mode draws one sub-seed per batch, deterministic in sequence.
+    shots_rng = np.random.default_rng(config.mode.seed) if config.mode != EXACT else None
+    per_batch = config.update_cadence == "per_batch"
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(classes, config.n, config.seed, epoch)
         batch_means = class_means(encoded.amplitudes[rows])
         batch_losses = []
-        if config.update_cadence == "per_batch":
-            for means in batch_means:
-                value, grad = loss_and_gradient(means)
+        grad_sum = np.zeros(len(values))
+        for means in batch_means:
+            mode = EXACT
+            if shots_rng is not None:
+                mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
+            value, grad = central_difference(
+                means, spec, values, config.readout_qubit, config.fd_epsilon, mode
+            )
+            batch_losses.append(value)
+            if per_batch:
                 values = _step(values, grad, config.learning_rate, epoch)
-                batch_losses.append(value)
-        else:
-            grad_sum = np.zeros(len(values))
-            for means in batch_means:
-                value, grad = loss_and_gradient(means)
-                batch_losses.append(value)
+            else:
                 grad_sum += grad
+        if not per_batch:
             values = _step(values, grad_sum / len(batch_means), config.learning_rate, epoch)
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):

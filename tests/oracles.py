@@ -348,19 +348,35 @@ def probe_angles(theta, fd_epsilon):
     return probes
 
 
-def probe_row_training(probe_losses, train_set, test_set, spec, theta0, config):
+def probe_row_losses(matrix_of, means, spec, theta, readout, fd_epsilon):
+    """1 - overlap of one batch at each of the 2P+1 probe angles
+    (probe_angles), each from its own circuit matrix matrix_of(spec,
+    angles), the package's circuit matrix that the tests check against the
+    gate list. The swap test compares class 0 at readout bit 0 with class
+    1 at readout bit 1: overlap = 1/4 * sum_e |out_0[0, e] + out_1[1, e]|^2
+    over the other data qubits e, for the class means (2, 2^k)."""
+    losses = []
+    for angles in probe_angles(theta, fd_epsilon):
+        out = means @ matrix_of(spec, angles).T
+        grouped = out.reshape(2, 1 << readout, 2, -1)
+        amps = grouped[0, :, 0] + grouped[1, :, 1]
+        losses.append(1.0 - 0.25 * np.sum(np.abs(amps) ** 2))
+    return np.array(losses)
+
+
+def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
     """Exact-mode gradient descent as a plain loop over probe rows.
 
     Each epoch permutes the row indices of each class with one
     default_rng(config.seed + epoch), class 0 first, and batch b takes the
     b-th 2^(n-1) rows of each class. A batch's gradient is
-    (rows[1::2] - rows[2::2]) / 2 eps of probe_losses(means, spec, theta,
-    readout, eps), the package's 2P+1 probe rows, the one package function
-    used here. "per_batch" steps after every batch, "per_epoch" once on the
-    mean gradient. Accuracy applies the circuit matrix of the gate list to
-    each sample and compares p(readout = 1) with the decision threshold.
-    Returns the final angles and one (loss, train accuracy, test accuracy)
-    per epoch.
+    (rows[1::2] - rows[2::2]) / 2 eps of probe_row_losses(matrix_of, means,
+    spec, theta, readout, eps), one circuit matrix per probe angle, the
+    one package function used here. "per_batch" steps after every batch,
+    "per_epoch" once on the mean gradient. Accuracy applies the circuit
+    matrix of the gate list to each sample and compares p(readout = 1)
+    with the decision threshold. Returns the final angles and one (loss,
+    train accuracy, test accuracy) per epoch.
     """
     half = 1 << (config.n - 1)
     readout = config.readout_qubit
@@ -376,7 +392,7 @@ def probe_row_training(probe_losses, train_set, test_set, spec, theta0, config):
                 [train_set.amplitudes[order[b * half : (b + 1) * half]].mean(axis=0)
                  for order in orders]
             )
-            rows = probe_losses(means, spec, theta, readout, config.fd_epsilon)
+            rows = probe_row_losses(matrix_of, means, spec, theta, readout, config.fd_epsilon)
             grad = (rows[1::2] - rows[2::2]) / (2.0 * config.fd_epsilon)
             losses.append(rows[0])
             if config.update_cadence == "per_batch":

@@ -235,6 +235,17 @@ class TestTrainCommand:
         assert code == 0
         assert len(read_metrics(tmp_path)) == 1
 
+    def test_parameter_shift_step_makes_shots_training_learn(self, tmp_path):
+        # Every trainable gate is an RY, so the central difference at
+        # eps = pi/2 is the parameter-shift gradient times sin(eps)/eps =
+        # 2/pi, with no truncation error and the shot noise divided by pi
+        # instead of 2e-3; a rate of 0.05 * pi/2 undoes the 2/pi.
+        extra = ["--shots", "4096", "--fd-eps", "1.5707963267948966", "--lr", "0.07853981633974483"]
+        assert (float(extra[3]), float(extra[5])) == (np.pi / 2, 0.05 * np.pi / 2)
+        assert run_train(tmp_path, extra=extra, epochs=25) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["final_train_acc"], summary["final_test_acc"]) == (1.0, 1.0)
+
     def test_invalid_cadence_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit):
             run_train(tmp_path, extra=["--cadence", "sometimes"])

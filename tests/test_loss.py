@@ -20,6 +20,7 @@ from varq import (
     query_superposed,
     swap_test,
 )
+from varq.ansatz import circuit_matrix
 from varq.costmodel import swap_test_gate_count
 from varq.loss import EXACT, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
@@ -353,7 +354,8 @@ class TestBatchedLoss:
 
 
 class TestCentralDifference:
-    """The exact-mode kernel against the probe rows it replaces."""
+    """The exact-mode kernel against probe rows built from one circuit
+    matrix per probe angle."""
 
     @pytest.mark.parametrize("k", range(1, 5))
     @pytest.mark.parametrize(
@@ -368,7 +370,9 @@ class TestCentralDifference:
             real = rng.standard_normal((2, 1 << k))
             for means in (real, real + 1j * rng.standard_normal((2, 1 << k))):
                 for readout in range(k):
-                    rows = probe_losses(means, spec, theta, readout, fd_epsilon)
+                    rows = oracles.probe_row_losses(
+                        circuit_matrix, means, spec, theta, readout, fd_epsilon
+                    )
                     loss, grad = central_difference(means, spec, theta, readout, fd_epsilon)
                     difference = (rows[1::2] - rows[2::2]) / (2 * fd_epsilon)
                     assert grad.shape == (spec.parameter_count,)

@@ -30,13 +30,12 @@ from varq import (
     train,
 )
 from varq.ansatz import circuit_matrix
-from varq.loss import class_means
+from varq.loss import central_difference, class_means
 from varq.trainer import (
     CADENCES,
     CLASSIFY_CHUNK,
     _batch_rows,
     _class_rows,
-    _loss_and_gradient,
     _predict,
 )
 from test_qram import random_samples, sample_from_amps
@@ -195,7 +194,7 @@ class TestStackedPass:
                 return oracles.gate_level_loss(cells, n, ops, readout)
 
             means = class_means(store.block)
-            loss, grad = _loss_and_gradient(means, spec, theta.values, 1e-3, "exact", readout)
+            loss, grad = central_difference(means, spec, theta.values, readout, 1e-3)
             assert abs(loss - reference(theta)) < 1e-12
             assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
             assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
@@ -229,7 +228,7 @@ class TestStackedPass:
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
         means = class_means(store.block)
-        loss, grad = _loss_and_gradient(means, spec, theta.values, 1e-3, "exact", 0)
+        loss, grad = central_difference(means, spec, theta.values, 0, 1e-3)
         assert np.isfinite(loss)
         for j in (0, count // 2, count - 1):
             up, down = theta.values.copy(), theta.values.copy()
@@ -241,21 +240,26 @@ class TestStackedPass:
 
     def test_non_finite_probe_loss_names_the_parameter(self, iris_task, monkeypatch):
         # The step that would apply a non-finite gradient names its first
-        # bad parameter, whichever mode produced it and in either cadence.
+        # bad parameter, whichever mode produced it and in either cadence:
+        # the exact closed form, or a sampled probe row in shots mode.
         spec = default_ansatz(2, layers=2)
+        original = varq.trainer.central_difference
+        read_out = varq.loss._read_out
 
-        def poisoned_exact(means, spec, theta, readout_qubit, fd_epsilon):
+        def poisoned(means, spec, theta, readout_qubit, fd_epsilon, mode):
+            if mode != "exact":
+                return original(means, spec, theta, readout_qubit, fd_epsilon, mode)
             grad = np.zeros(len(theta))
             grad[1:] = np.nan
             return 0.5, grad
 
-        def poisoned_shots(means, spec, theta, readout_qubit, fd_epsilon, mode):
-            losses = np.zeros(1 + 2 * len(theta))
-            losses[3] = np.nan  # theta + eps * e_1
-            return losses
+        def poisoned_read_out(p_zero, mode):
+            rows = read_out(p_zero, mode)
+            rows[3] = np.nan  # theta + eps * e_1
+            return rows
 
-        monkeypatch.setattr("varq.trainer.central_difference", poisoned_exact)
-        monkeypatch.setattr("varq.trainer.probe_losses", poisoned_shots)
+        monkeypatch.setattr("varq.trainer.central_difference", poisoned)
+        monkeypatch.setattr("varq.loss._read_out", poisoned_read_out)
         for mode in ("exact", Shots(64, seed=1)):
             for cadence in CADENCES:
                 config = TrainConfig(epochs=1, update_cadence=cadence, mode=mode)
@@ -305,7 +309,7 @@ class TestMakeBatches:
         # reference batch, to the bit.
         seen = []
 
-        def spy(means, spec, theta, readout_qubit, fd_epsilon):
+        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
             seen.append(means.copy())
             return 0.0, np.zeros(len(theta))
 
@@ -537,13 +541,13 @@ class TestTrain:
         # with s the next scalar draw of default_rng(shots seed).
         spec = default_ansatz(2, layers=4)
         modes = []
-        original = varq.trainer.probe_losses
+        original = varq.trainer.central_difference
 
         def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
             modes.append(mode)
             return original(means, spec, theta, readout_qubit, fd_epsilon, mode)
 
-        monkeypatch.setattr("varq.trainer.probe_losses", spy)
+        monkeypatch.setattr("varq.trainer.central_difference", spy)
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
         stream = np.random.default_rng(7)
         assert len(modes) == 2 * 20
@@ -580,30 +584,31 @@ class TestTrain:
         assert angle_shapes == [(spec.parameter_count,)] * (2 * 20 + 2)
 
     def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
-        # Exact mode takes the closed form, once per batch; only shots mode
-        # builds the 2P+1 probe rows.
+        # Exact mode takes the closed form in both cadences and builds no
+        # probe row; shots mode builds the 2P+1 rows once per batch.
         spec = default_ansatz(2, layers=4)
-        calls = {"probe_losses": 0, "central_difference": 0}
-        for name in calls:
-            original = getattr(varq.trainer, name)
+        built = []
+        original = varq.loss._probe_rows
 
-            def spy(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def spy(*args):
+            rows = original(*args)
+            built.append(rows.shape)
+            return rows
 
-            monkeypatch.setattr(f"varq.trainer.{name}", spy)
+        monkeypatch.setattr("varq.loss._probe_rows", spy)
         for cadence in CADENCES:
             train(*iris_task, spec, TrainConfig(epochs=2, update_cadence=cadence))
-        assert calls == {"probe_losses": 0, "central_difference": 2 * 2 * 20}
+        assert built == []
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(64, seed=1)))
-        assert calls == {"probe_losses": 2 * 20, "central_difference": 2 * 2 * 20}
+        assert built == [(1 + 2 * spec.parameter_count,)] * (2 * 20)
 
     @pytest.mark.parametrize("cadence", CADENCES)
     @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
     def test_training_matches_a_probe_row_reference_loop(self, iris_task, cadence, phase):
-        # The reference steps on (rows[1::2] - rows[2::2]) / 2 eps of
-        # probe_losses and classifies through the gate list; a global phase
-        # makes the data complex without changing any overlap.
+        # The reference steps on (rows[1::2] - rows[2::2]) / 2 eps of probe
+        # rows built from one circuit matrix per probe angle, and classifies
+        # through the gate list; a global phase makes the data complex
+        # without changing any overlap.
         train_set, test_set = iris_task
         train_set = EncodedSet(phase * train_set.amplitudes, train_set.labels)
         spec = default_ansatz(2, layers=4)
@@ -611,7 +616,7 @@ class TestTrain:
         config = TrainConfig(epochs=12, update_cadence=cadence, seed=2)
         theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
         ref_theta, ref_metrics = oracles.probe_row_training(
-            probe_losses, train_set, test_set, spec, theta0.values, config
+            circuit_matrix, train_set, test_set, spec, theta0.values, config
         )
         assert np.max(np.abs(theta.values - ref_theta)) < 1e-10
         assert len(metrics) == len(ref_metrics) == config.epochs
