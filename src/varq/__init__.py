@@ -16,9 +16,8 @@ from .ansatz import (
     apply_ansatz,
     default_ansatz,
     init_parameters,
-    run_ansatz,
 )
-from .costmodel import QueryCost, cost_table, forward_pass_cost, sequential_baseline
+from .costmodel import cost_table
 from .dataset import BinaryTask, IrisTable, default_data_path, load_iris, make_task
 from .encoding import (
     EncodedSample,
@@ -26,7 +25,6 @@ from .encoding import (
     FeatureSet,
     FeatureVector,
     encode_dataset,
-    num_qubits_for,
 )
 from .errors import (
     ConfigurationError,
@@ -43,7 +41,6 @@ from .loss import (
     SwapTestResult,
     batched_loss,
     prepare_label_state,
-    probe_losses,
     swap_test,
 )
 from .qram import QramStore, build_store, query_superposed
@@ -76,7 +73,6 @@ __all__ = [
     "ParameterVector",
     "QramError",
     "QramStore",
-    "QueryCost",
     "Shots",
     "StateVector",
     "SwapTestResult",
@@ -90,17 +86,12 @@ __all__ = [
     "default_ansatz",
     "default_data_path",
     "encode_dataset",
-    "forward_pass_cost",
     "init_parameters",
     "load_iris",
     "make_task",
-    "num_qubits_for",
     "numerical_gradient",
     "prepare_label_state",
-    "probe_losses",
     "query_superposed",
-    "run_ansatz",
-    "sequential_baseline",
     "swap_test",
     "train",
     "__version__",

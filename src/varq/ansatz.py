@@ -9,9 +9,9 @@ Each layer is one real 2^k x 2^k matrix G_l: the Kronecker product of
 its RY blocks times its CZ sign diagonal (`layer_matrices`, 4^k entries
 per layer, 16 at k = 2). The layers are multiplied together in one
 place, `forward_sweep`, which returns the state v_l entering every
-layer. `circuit_matrix` is the forward sweep of the identity;
-run_ansatz applies it to the data-qubit axes of a stack of states with
-one matmul, and apply_ansatz is the one-state case.
+layer. `circuit_matrix` is the forward sweep of the identity, and
+`apply_ansatz` applies it to the data-qubit axes of one state with one
+matmul.
 
 Shifting angle j, on qubit q of layer l, by e gives
 RY_q(t + e) = (c I + s J_q) RY_q(t) with c, s = cos(e/2), sin(e/2) and
@@ -225,21 +225,14 @@ def circuit_matrix(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     return forward_sweep(layer_matrices(spec, theta), np.eye(1 << spec.k))[-1]
 
 
-def run_ansatz(
+def apply_ansatz(
     spec: AnsatzSpec,
-    theta: np.ndarray,
-    amplitudes: np.ndarray,
+    theta: ParameterVector,
+    state: StateVector,
     data_qubits: Sequence[int],
-) -> np.ndarray:
-    """Apply the circuit for angles theta (P,) to a stack of states.
-
-    amplitudes is (A, 2^q), one q-qubit state per row; `data_qubits`
-    index the q-qubit register, identity elsewhere. Returns a new
-    (A, 2^q) array, real for real amplitudes.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    amplitudes = np.asarray(amplitudes)
-    num_qubits = amplitudes.shape[1].bit_length() - 1
+) -> StateVector:
+    """Apply the parameterized circuit to `data_qubits`, identity elsewhere."""
+    num_qubits = state.num_qubits
     data_qubits = tuple(data_qubits)
     for q in data_qubits:
         if not 0 <= q < num_qubits:
@@ -251,26 +244,13 @@ def run_ansatz(
     k = len(data_qubits)
     if k != spec.k:
         raise ConfigurationError(f"ansatz spans {spec.k} qubits, got {k} data qubits")
-    spec.check_theta(theta)
-    matrix = circuit_matrix(spec, theta)
-    # With the data qubits on the trailing axes, in ansatz order, a state
+    spec.check_theta(theta.values)
+    matrix = circuit_matrix(spec, theta.values)
+    # With the data qubits on the trailing axes, in ansatz order, the state
     # is a stack of 2^k-vectors, one per environment index, and one matmul
     # applies the matrix to all of them: many small products, so no large
     # BLAS call whose threads cost more than the work.
-    rows = amplitudes.shape[0]
-    data_axes = [1 + q for q in data_qubits]
-    trailing = range(1 + num_qubits - k, 1 + num_qubits)
-    psi = np.moveaxis(amplitudes.reshape((rows,) + (2,) * num_qubits), data_axes, trailing)
-    out = (matrix @ psi.reshape(rows, -1, 1 << k, 1)).reshape(psi.shape)
-    return np.moveaxis(out, trailing, data_axes).reshape(rows, -1)
-
-
-def apply_ansatz(
-    spec: AnsatzSpec,
-    theta: ParameterVector,
-    state: StateVector,
-    data_qubits: Sequence[int],
-) -> StateVector:
-    """Apply the parameterized circuit to `data_qubits`, identity elsewhere."""
-    out = run_ansatz(spec, theta.values, state.amplitudes[None, :], data_qubits)
-    return StateVector(state.num_qubits, out[0])
+    trailing = range(num_qubits - k, num_qubits)
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * num_qubits), data_qubits, trailing)
+    out = (matrix @ psi.reshape(-1, 1 << k, 1)).reshape(psi.shape)
+    return StateVector(num_qubits, np.moveaxis(out, trailing, data_qubits).reshape(-1))

@@ -123,13 +123,6 @@ class EncodedSet(_LabeledRows, Sequence):
         return cls([s.state.amplitudes for s in samples], [s.label for s in samples])
 
 
-def num_qubits_for(dimension: int) -> int:
-    """Qubits needed to amplitude-encode a d-dimensional vector: ceil(log2 d)."""
-    if dimension < 1:
-        raise EncodingError(f"dimension must be >= 1, got {dimension}")
-    return max(0, (dimension - 1).bit_length())
-
-
 def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:
     """Encode each feature vector x as the unit state x / ||x||, zero-padded,
     preserving order, as real (float64) amplitudes. A FeatureSet is
@@ -159,6 +152,6 @@ def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:
             raise EncodingError(f"sample {i}: feature vector contains non-finite entries")
         raise EncodingError(f"sample {i}: all-zero feature vector cannot be amplitude-encoded")
     d = features.dimension
-    amps = np.zeros((len(features), 1 << num_qubits_for(d)))
+    amps = np.zeros((len(features), 1 << (d - 1).bit_length()))
     amps[:, :d] = values / norms[:, None]
     return EncodedSet(amps, features.labels)

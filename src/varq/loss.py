@@ -23,7 +23,7 @@ that class's mean state mu_c (2^k amplitudes), which gives
     overlap = 1/4 * sum_e |(U mu_0)_{0,e} + (U mu_1)_{1,e}|^2
 
 with U the ansatz, the first index the readout bit and e the other data
-qubits. `probe_losses` computes this form from the class means, whatever
+qubits. `batched_loss` computes this form from the class means, whatever
 the batch size. So the loss measures how well the two class means land
 on their readout values, in phase. By Jensen's inequality this overlap is
 at most the mean per-sample overlap, the mean over the batch of
@@ -43,7 +43,7 @@ Both modes read a batch from one kernel, `_readout_sweep`. Its forward
 sweep gives a = Lambda U mu, with Lambda the readout projector
 (`AnsatzSpec.readout_projector`), and every J_q v_l; its one backward
 sweep carries a start array back through the G_l^T. Started from Lambda
-it gives every b_j: the 2P+1 probe rows of `probe_losses`, which shots
+it gives every b_j: the 2P+1 probe rows of `_probe_rows`, which shots
 mode reads out with one binomial draw per batch from one generator.
 Started from Lambda conj(a) it gives every <a, b_j>: exact mode
 (`central_difference`) builds no probe row and has no cancellation
@@ -240,7 +240,13 @@ def _readout_sweep(
 
 
 def _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode) -> np.ndarray:
-    """`probe_losses` without its checks."""
+    """1 - overlap for one batch, from its class means (2, 2^k), at theta
+    (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
+    for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
+    and b_j from one readout sweep (`_readout_sweep`) and c, s =
+    cos(eps/2), sin(eps/2). All rows are read out in one mode; |x|^2 is
+    conj(x) x, so means may be complex. Unchecked, like `_readout_sweep`.
+    """
     start = None if fd_epsilon is None else "rows"
     paired, shifts = _readout_sweep(means, spec, theta, readout_qubit, start)
     rows = paired[None]
@@ -254,34 +260,6 @@ def _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode) -> np.ndarr
     return 1.0 - (2.0 * p_zero - 1.0)
 
 
-def probe_losses(
-    means: np.ndarray,
-    spec: AnsatzSpec,
-    theta: np.ndarray,
-    readout_qubit: int = 0,
-    fd_epsilon: float | None = None,
-    mode: str | Shots = EXACT,
-) -> np.ndarray:
-    """1 - overlap for one batch, from its class means (2, 2^k), at theta
-    (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
-    for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
-    and b_j from one readout sweep (`_readout_sweep`) and c, s =
-    cos(eps/2), sin(eps/2). All rows are read out in one mode; |x|^2 is
-    conj(x) x, so means may be complex.
-    """
-    dim = 1 << spec.k
-    if means.shape != (2, dim):
-        raise ConfigurationError(
-            f"class means have shape {means.shape}, ansatz needs (2, {dim})"
-        )
-    _check_readout(readout_qubit, spec.k)
-    spec.check_theta(theta)
-    if np.iscomplexobj(means) and not means.imag.any():
-        # Encoded data is real: keep the sweep in real arithmetic.
-        means = means.real
-    return _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode)
-
-
 def central_difference(
     means: np.ndarray,
     spec: AnsatzSpec,
@@ -292,7 +270,7 @@ def central_difference(
 ) -> tuple[float, np.ndarray]:
     """One batch's loss at theta and its central-difference gradient:
     rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
-    probe_losses(means, spec, theta, readout_qubit, fd_epsilon, mode).
+    _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode).
     Shots mode samples those rows; exact mode builds none and reads the
     closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>, from the
     sweep of Lambda conj(a). Nothing is checked: means (2, 2^k), float64
@@ -320,5 +298,7 @@ def batched_loss(
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
+    _check_readout(readout_qubit, spec.k)
+    spec.check_theta(theta.values)
     means = class_means(store.block)
-    return float(probe_losses(means, spec, theta.values, readout_qubit, mode=mode)[0])
+    return float(_probe_rows(means, spec, theta.values, readout_qubit, None, mode)[0])

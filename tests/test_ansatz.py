@@ -15,7 +15,6 @@ from varq import (
     default_ansatz,
     init_parameters,
     query_superposed,
-    run_ansatz,
 )
 from test_qram import random_samples
 
@@ -26,18 +25,19 @@ def dense_ansatz_matrix(spec, theta, n, data_qubits):
     return oracles.circuit_matrix(n, oracles.ansatz_gates(spec, theta, data_qubits))
 
 
-def assert_stacks_match_gate_reference(spec, num_qubits, data_qubits, rng):
-    """run_ansatz on stacks of 1 and 3 states against the gate list
-    applied one gate at a time to each state."""
+def assert_states_match_gate_reference(spec, num_qubits, data_qubits, rng):
+    """apply_ansatz on groups of 1 and 3 states, one call per state,
+    against the gate list applied one gate at a time to each state."""
     for rows in (1, 3):
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
         amps = np.array([oracles.random_state(rng, num_qubits) for _ in range(rows)])
-        out = run_ansatz(spec, theta, amps, data_qubits)
-        assert out.shape == (rows, 1 << num_qubits)
         ops = oracles.ansatz_gates(spec, theta, data_qubits)
-        for row, state in zip(out, amps):
+        for state in amps:
+            out = apply_ansatz(
+                spec, ParameterVector(theta), StateVector(num_qubits, state), data_qubits
+            )
             expected = oracles.apply_gates_local(state, num_qubits, ops)
-            assert np.max(np.abs(row - expected)) < 1e-12
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
 
 class TestAnsatzSpec:
@@ -148,15 +148,15 @@ class TestCircuitMatrix:
         # identity environment.
         rng = np.random.default_rng(10 * k + layers)
         spec = default_ansatz(k, layers=layers)
-        assert_stacks_match_gate_reference(spec, k + 1, tuple(range(k)), rng)
-        assert_stacks_match_gate_reference(spec, k + 1, tuple(range(1, k + 1)), rng)
+        assert_states_match_gate_reference(spec, k + 1, tuple(range(k)), rng)
+        assert_states_match_gate_reference(spec, k + 1, tuple(range(1, k + 1)), rng)
 
     @pytest.mark.parametrize("num_qubits, data_qubits", [(3, (0, 2)), (4, (3, 1))])
     def test_matches_gate_reference_on_non_leading_qubits(self, num_qubits, data_qubits):
         rng = np.random.default_rng(num_qubits)
         for layers in (1, 3):
             spec = default_ansatz(2, layers=layers)
-            assert_stacks_match_gate_reference(spec, num_qubits, data_qubits, rng)
+            assert_states_match_gate_reference(spec, num_qubits, data_qubits, rng)
 
 
 class TestApplyAnsatz:

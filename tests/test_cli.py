@@ -567,6 +567,26 @@ class TestCostCommand:
         by_n = {row["N"]: row["sequential_baseline"] for row in rows}
         assert by_n[1024] / by_n[4] == 256
 
+    @pytest.mark.parametrize("layers", [1, 4, 300000])
+    def test_every_row_matches_the_documented_formulas(self, capsys, layers):
+        # k = 2: each layer has two RYs and one CZ.
+        assert main(["cost", "--n-min", "1", "--n-max", "20", "--layers", str(layers)]) == 0
+        expected = []
+        for n in range(1, 21):
+            buckets = {
+                "hadamards": n,
+                "qram_routing": 2 * n,
+                "ansatz_gates": 3 * layers,
+                "swap_test_gates": n + 3,
+            }
+            expected.append({
+                "N": 2**n,
+                **buckets,
+                "total": sum(buckets.values()),
+                "sequential_baseline": 2**n * (1 + 3 * layers + 3),
+            })
+        assert self.parse_rows(capsys.readouterr().out) == expected
+
     def test_default_range_is_1_to_12(self, capsys):
         assert main(["cost"]) == 0
         rows = self.parse_rows(capsys.readouterr().out)

@@ -3,62 +3,45 @@
 import numpy as np
 import pytest
 
-from varq import (
-    QramError,
-    QueryCost,
-    forward_pass_cost,
-    cost_table,
-    default_ansatz,
-    sequential_baseline,
-)
-from varq.costmodel import per_sample_cost
+from varq import cost_table, default_ansatz
 from varq.errors import ConfigurationError
 
 
 SPEC = default_ansatz(2, layers=4)
-
-
-class TestQueryCost:
-    def test_primitive_ops_is_sum_of_breakdown(self):
-        cost = QueryCost(hadamards=3, qram_routing=6, ansatz_gates=12, swap_test_gates=6)
-        assert cost.primitive_ops == 27
-        assert cost.primitive_ops == sum(cost.breakdown.values())
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(QramError):
-            QueryCost(hadamards=-1, qram_routing=0, ansatz_gates=0, swap_test_gates=0)
+ROWS = cost_table(1, 12, SPEC)
 
 
 class TestForwardPassCost:
     def test_breakdown_for_two_controls(self):
-        cost = forward_pass_cost(2, SPEC)
-        assert cost.hadamards == 2
-        assert cost.qram_routing == 4
-        assert cost.ansatz_gates == 12
-        assert cost.swap_test_gates == 5
-        assert cost.primitive_ops == 23
+        (row,) = cost_table(2, 2, SPEC)
+        assert row["hadamards"] == 2
+        assert row["qram_routing"] == 4
+        assert row["ansatz_gates"] == 12
+        assert row["swap_test_gates"] == 5
+        assert row["total"] == 23
 
     def test_total_is_affine_in_n_with_constant_increment(self):
-        totals = [forward_pass_cost(n, SPEC).primitive_ops for n in range(1, 13)]
+        totals = [row["total"] for row in ROWS]
         assert len(set(np.diff(totals))) == 1
 
     def test_ansatz_share_does_not_grow_with_n(self):
-        shares = {forward_pass_cost(n, SPEC).ansatz_gates for n in range(1, 13)}
+        shares = {row["ansatz_gates"] for row in ROWS}
         assert shares == {SPEC.gate_count}
 
 
 class TestSequentialBaseline:
     def test_per_sample_cost_matches_circuit_blocks(self):
         # One encoding step, the full ansatz, then a 1-pair comparison.
-        assert per_sample_cost(SPEC) == 1 + SPEC.gate_count + 3
+        per_sample = {row["sequential_baseline"] / row["N"] for row in ROWS}
+        assert per_sample == {1 + SPEC.gate_count + 3}
 
     def test_baseline_is_linear_in_sample_count(self):
-        baselines = [sequential_baseline(n, SPEC) for n in range(1, 13)]
-        ratios = [b / (1 << n) for n, b in zip(range(1, 13), baselines)]
+        ratios = [row["sequential_baseline"] / row["N"] for row in ROWS]
         assert len(set(ratios)) == 1
 
     def test_ratio_between_1024_and_4_samples(self):
-        assert sequential_baseline(10, SPEC) / sequential_baseline(2, SPEC) == 256
+        by_n = {row["n"]: row["sequential_baseline"] for row in ROWS}
+        assert by_n[10] / by_n[2] == 256
 
 
 class TestCostTable:
@@ -76,7 +59,7 @@ class TestCostTable:
                 + row["swap_test_gates"]
             )
             assert row["total"] == parts
-            assert row["sequential_baseline"] == row["N"] * per_sample_cost(SPEC)
+            assert row["sequential_baseline"] == row["N"] * (1 + SPEC.gate_count + 3)
 
     def test_baseline_overtakes_batched_total_and_keeps_growing(self):
         rows = cost_table(1, 12, SPEC)

@@ -12,7 +12,6 @@ from varq import (
     FeatureSet,
     FeatureVector,
     encode_dataset,
-    num_qubits_for,
 )
 
 RNG = np.random.default_rng(11)
@@ -90,7 +89,6 @@ class TestAmplitudeEncode:
     def test_qubit_count_is_ceil_log2_for_d_up_to_64(self):
         for d in range(1, 65):
             expected = int(np.ceil(np.log2(d))) if d > 1 else 0
-            assert num_qubits_for(d) == expected
             x = np.zeros(d)
             x[0] = 1.0
             enc = encode_dataset([FeatureVector(x, 0)])[0]

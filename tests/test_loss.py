@@ -14,15 +14,14 @@ from varq import (
     apply_ansatz,
     batched_loss,
     build_store,
+    cost_table,
     default_ansatz,
     prepare_label_state,
-    probe_losses,
     query_superposed,
     swap_test,
 )
 from varq.ansatz import circuit_matrix
-from varq.costmodel import swap_test_gate_count
-from varq.loss import EXACT, central_difference, class_means
+from varq.loss import EXACT, _probe_rows, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -163,9 +162,9 @@ class TestSwapTest:
             swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 3, (1, 2), EXACT)
 
     def test_gate_count_is_affine_in_controls(self):
-        assert swap_test_gate_count(2) == 5
-        counts = [swap_test_gate_count(n) for n in range(1, 8)]
-        assert np.all(np.diff(counts) == 1)
+        counts = {row["n"]: row["swap_test_gates"] for row in cost_table(1, 7, default_ansatz(2))}
+        assert counts[2] == 5
+        assert np.all(np.diff(list(counts.values())) == 1)
 
 
 class TestShotsMode:
@@ -231,13 +230,13 @@ class TestShotsMode:
         spec = default_ansatz(2, layers=4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = probe_losses(means, spec, theta, 0, 1e-3)
+        exact = _probe_rows(means, spec, theta, 0, 1e-3, EXACT)
         return means, spec, theta, exact
 
     def test_shot_probe_rows_are_unbiased(self):
         means, spec, theta, exact = self.probe_case()
         rows = np.array(
-            [probe_losses(means, spec, theta, 0, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
+            [_probe_rows(means, spec, theta, 0, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
         )
         # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
         p_zero = 1.0 - exact / 2.0
@@ -250,7 +249,7 @@ class TestShotsMode:
         p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
         for s in (0, 1, 17, 4242):
             hits = np.random.default_rng(s).binomial(4096, p_zero)
-            rows = probe_losses(means, spec, theta, 0, 1e-3, Shots(4096, seed=s))
+            rows = _probe_rows(means, spec, theta, 0, 1e-3, Shots(4096, seed=s))
             assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
 
 

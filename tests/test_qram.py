@@ -12,9 +12,9 @@ from varq import (
     QramStore,
     StateVector,
     build_store,
+    cost_table,
     default_ansatz,
     encode_dataset,
-    forward_pass_cost,
     query_superposed,
 )
 
@@ -165,8 +165,6 @@ class TestQueryCost:
         spec = default_ansatz(1, layers=1)
         big = build_store(random_samples(RNG, 10, 1))
         small = build_store(random_samples(RNG, 2, 1))
-        ratio = (
-            forward_pass_cost(big.n, spec).qram_routing
-            / forward_pass_cost(small.n, spec).qram_routing
-        )
-        assert ratio == 5
+        (big_row,) = cost_table(big.n, big.n, spec)
+        (small_row,) = cost_table(small.n, small.n, spec)
+        assert big_row["qram_routing"] / small_row["qram_routing"] == 5

@@ -13,6 +13,7 @@ from varq import (
     OptimizationError,
     ParameterVector,
     Shots,
+    StateVector,
     TrainConfig,
     accuracy,
     apply_ansatz,
@@ -25,12 +26,10 @@ from varq import (
     load_iris,
     make_task,
     numerical_gradient,
-    probe_losses,
-    run_ansatz,
     train,
 )
 from varq.ansatz import circuit_matrix
-from varq.loss import central_difference, class_means
+from varq.loss import EXACT, _probe_rows, central_difference, class_means
 from varq.trainer import (
     CADENCES,
     CLASSIFY_CHUNK,
@@ -211,16 +210,19 @@ class TestStackedPass:
             for state in (oracles.random_real_state, oracles.random_state):
                 store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
                 means = class_means(store.block)
-                psi = np.concatenate(
-                    [run_ansatz(spec, row, means.reshape(1, -1), range(1, k + 1)) for row in probes]
-                )
+                stacked = StateVector(k + 1, means.reshape(-1))
+                psi = np.array([
+                    apply_ansatz(spec, ParameterVector(row), stacked, range(1, k + 1)).amplitudes
+                    for row in probes
+                ])
                 for readout in range(k):
                     grouped = psi.reshape(len(probes), 2, 1 << readout, 2, -1)
                     amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
                     expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=(1, 2))
-                    rows = probe_losses(means, spec, theta, readout, 1e-3)
+                    rows = _probe_rows(means, spec, theta, readout, 1e-3, EXACT)
                     assert np.max(np.abs(rows - expected)) < 1e-12
-                    assert abs(probe_losses(means, spec, theta, readout)[0] - rows[0]) < 1e-15
+                    unprobed = _probe_rows(means, spec, theta, readout, None, EXACT)
+                    assert abs(unprobed[0] - rows[0]) < 1e-15
 
     def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
         spec = default_ansatz(2, layers=20_000)
