@@ -22,8 +22,9 @@ layer's other rotations. So
 
 with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
 one forward sweep. `loss` pairs them with the swap test's readout
-projector (`AnsatzSpec.readout_projector`) swept back once through the
-G_l^T, in both readout modes: linear in the layer count.
+projector for data qubit 0 (`AnsatzSpec.readout_projector`) swept back
+once through the G_l^T, in both readout modes: linear in the layer
+count.
 """
 
 from __future__ import annotations
@@ -140,18 +141,16 @@ class AnsatzSpec:
     @cached_property
     def readout_projector(self) -> np.ndarray:
         """Lambda, the 0/1 map from the two class-mean outputs to the
-        amplitudes a swap test compares, for each readout qubit r.
+        amplitudes a swap test compares, with data qubit 0 as the readout.
 
         The outputs are a (2^k, 2) array, class c in column c, and class c
-        is compared at readout bit c: a = Lambda[r] . output sums entry
-        (x, c) into e, the other bits of x in order, where bit r of x is c.
-        So Lambda[r] is the identity with bit r of the column index moved
-        to the front. Shape (k, 2^k, 2, 2^(k-1)).
+        is compared at readout bit c: a = Lambda . output sums entry
+        (x, c) into e, the other bits of x in order, where bit 0 of x (the
+        most significant) is c. So Lambda is the identity with its column
+        index split into (bit 0, the other bits). Shape (2^k, 2, 2^(k-1)).
         """
         dim = 1 << self.k
-        # Split the column index into (bits above r, bit r, bits below r); move bit r first.
-        moved = [np.eye(dim).reshape(dim, 1 << r, 2, -1).swapaxes(1, 2) for r in range(self.k)]
-        return np.stack([m.reshape(dim, 2, -1) for m in moved])
+        return np.eye(dim).reshape(dim, 2, -1)
 
 
 @dataclass(frozen=True, eq=False)

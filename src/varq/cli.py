@@ -40,7 +40,7 @@ EXIT_OPTIMIZATION = 3
 class Option(NamedTuple):
     kind: type  # int, float or str
     default: object
-    help: str | None = None  # None: a config-file key with no flag
+    help: str
     choices: tuple[str, ...] | None = None
 
 
@@ -60,8 +60,6 @@ OPTIONS = {
     "seed_batch": Option(int, 2, "seed of the per-epoch batch shuffle"),
     "seed_shots": Option(int, 3, "seed of the shot sampling"),
     "shots": Option(int, None, "ancilla shots per readout (default: exact)"),
-    "decision_threshold": Option(float, TrainConfig.decision_threshold),
-    "readout_qubit": Option(int, TrainConfig.readout_qubit),
     "out_metrics": Option(str, "metrics.jsonl", "per-epoch metrics file (JSON lines)"),
     "out_summary": Option(str, "summary.json", "run summary file"),
     "out_params": Option(str, "params.json", "final angles file"),
@@ -139,10 +137,6 @@ def _build_run(opts: dict):
     if not train_enc:
         raise ConfigurationError("training split is empty")
     spec = AnsatzSpec(k=train_enc.num_qubits, layers=opts["layers"])
-    if not 0 <= opts["readout_qubit"] < spec.k:
-        raise ConfigurationError(
-            f"readout qubit {opts['readout_qubit']} out of range for {spec.k}-qubit state"
-        )
     mode = EXACT
     if opts["shots"] is not None:
         mode = Shots(opts["shots"], opts["seed_shots"])
@@ -154,8 +148,6 @@ def _build_run(opts: dict):
         update_cadence=opts["cadence"],
         seed=opts["seed_batch"],
         mode=mode,
-        decision_threshold=opts["decision_threshold"],
-        readout_qubit=opts["readout_qubit"],
     )
     return task, train_enc, test_enc, spec, config, str(data_path)
 
@@ -245,7 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
+    task, train_enc, test_enc, spec, _, _ = _build_run(opts)
 
     params_path = args.params or opts["out_params"]
     values = _read_json(params_path, "parameter file")
@@ -263,12 +255,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     report = {
         "task": f"{task.class0}-vs-{task.class1}",
-        "train_acc": accuracy(
-            train_enc, spec, theta, config.readout_qubit, config.decision_threshold
-        ),
-        "test_acc": accuracy(
-            test_enc, spec, theta, config.readout_qubit, config.decision_threshold
-        ),
+        "train_acc": accuracy(train_enc, spec, theta),
+        "test_acc": accuracy(test_enc, spec, theta),
         "params": str(params_path),
     }
     print(json.dumps(report, indent=2))
@@ -297,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON config file; flags override its values")
         for name, opt in OPTIONS.items():
-            if opt.help is not None:
-                flag = "--" + name.replace("_", "-")
-                p.add_argument(flag, type=opt.kind, choices=opt.choices, help=opt.help)
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, type=opt.kind, choices=opt.choices, help=opt.help)
 
     p_train = sub.add_parser("train", help="train one task and write artifacts")
     add_common(p_train)

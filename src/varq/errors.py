@@ -18,8 +18,7 @@ class EncodingError(VarqError):
 
 
 class QramError(VarqError):
-    """Bad batch for store construction, an inconsistent store, or a
-    negative query-cost count."""
+    """Bad batch for store construction or an inconsistent store."""
 
 
 class DataError(VarqError):

@@ -7,11 +7,12 @@ for the upper half. Training minimizes
     loss = 1 - overlap,   overlap = Tr(rho_sub |label><label|)
 
 where rho_sub is the reduced state of the batched circuit output on the
-readout qubit plus the control qubits. On hardware the overlap is read
-by the ancilla swap test (H, one CSWAP per compared pair, H, readout),
-whose ancilla-zero probability is p0 = (1 + overlap) / 2 (Buhrman et
-al., "Quantum fingerprinting", quant-ph/0102001). The label state is
-pure, so the simulator evaluates that probability in closed form:
+readout qubit (data qubit 0, the most significant bit) plus the control
+qubits. On hardware the overlap is read by the ancilla swap test (H, one
+CSWAP per compared pair, H, readout), whose ancilla-zero probability is
+p0 = (1 + overlap) / 2 (Buhrman et al., "Quantum fingerprinting",
+quant-ph/0102001). The label state is pure, so the simulator evaluates
+that probability in closed form:
 
     overlap = || (<label| (x) I_env) psi ||^2
 
@@ -22,14 +23,14 @@ that class's mean state mu_c (2^k amplitudes), which gives
 
     overlap = 1/4 * sum_e |(U mu_0)_{0,e} + (U mu_1)_{1,e}|^2
 
-with U the ansatz, the first index the readout bit and e the other data
-qubits. `batched_loss` computes this form from the class means, whatever
-the batch size. So the loss measures how well the two class means land
-on their readout values, in phase. By Jensen's inequality this overlap is
-at most the mean per-sample overlap, the mean over the batch of
-p(readout = label), with equality only when each class maps to one state
-and the two class terms are equal. The gate-level CSWAP circuit lives in
-the test oracles as the reference.
+with U the ansatz, the first index the readout bit (data qubit 0) and e
+the other data qubits. `batched_loss` computes this form from the class
+means, whatever the batch size. So the loss measures how well the two
+class means land on their readout values, in phase. By Jensen's
+inequality this overlap is at most the mean per-sample overlap, the mean
+over the batch of p(readout = label), with equality only when each class
+maps to one state and the two class terms are equal. The gate-level
+CSWAP circuit lives in the test oracles as the reference.
 
 Probe theta +- eps*e_j has overlap 1/4 * ||c a +- s b_j||^2, where a
 and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l (see
@@ -40,13 +41,13 @@ itself, and the central difference of those probes has a closed form:
         = -(sin(eps) / 4 eps) Re <a, b_j>
 
 Both modes read a batch from one kernel, `_readout_sweep`. Its forward
-sweep gives a = Lambda U mu, with Lambda the readout projector
-(`AnsatzSpec.readout_projector`), and every J_q v_l; its one backward
-sweep carries a start array back through the G_l^T. Started from Lambda
-it gives every b_j: the 2P+1 probe rows of `_probe_rows`, which shots
-mode reads out with one binomial draw per batch from one generator.
-Started from Lambda conj(a) it gives every <a, b_j>: exact mode
-(`central_difference`) builds no probe row and has no cancellation
+sweep gives a = Lambda U mu, with Lambda the readout projector of data
+qubit 0 (`AnsatzSpec.readout_projector`), and every J_q v_l; its one
+backward sweep carries a start array back through the G_l^T. Started
+from Lambda it gives every b_j: the 2P+1 probe rows of `_probe_rows`,
+which shots mode reads out with one binomial draw per batch from one
+generator. Started from Lambda conj(a) it gives every <a, b_j>: exact
+mode (`central_difference`) builds no probe row and has no cancellation
 between nearly equal losses, so eps enters only through sin(eps)/eps.
 Either way a batch is O(L k 4^k) work.
 """
@@ -75,9 +76,11 @@ class Shots:
     seed: int | None = None
 
     def __post_init__(self):
-        # numpy's binomial draw takes a count below 2^63.
+        # numpy's binomial draw takes a count below 2^63, its generators a seed >= 0.
         if not 1 <= self.count < 2**63:
             raise ConfigurationError(f"shot count must be in [1, 2^63), got {self.count}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"shot seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +124,6 @@ def prepare_label_state(n: int) -> LabelState:
     return LabelState(StateVector(n + 1, amps))
 
 
-def _check_readout(readout_qubit: int, k: int) -> None:
-    if not 0 <= readout_qubit < k:
-        raise ConfigurationError(
-            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
-        )
-
-
 def _check_compared(
     num_qubits: int, n: int, readout_qubit: int, control_qubits: tuple[int, ...]
 ) -> None:
@@ -144,7 +140,10 @@ def _check_compared(
     compared = (readout_qubit,) + control_qubits
     if len(set(compared)) != len(compared):
         raise ConfigurationError(f"readout/control qubits overlap: {compared}")
-    _check_readout(readout_qubit, k)
+    if not 0 <= readout_qubit < k:
+        raise ConfigurationError(
+            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
+        )
     for q in control_qubits:
         if not 0 <= q < num_qubits:
             raise ConfigurationError(f"control qubit {q} out of range for {num_qubits}-qubit state")
@@ -214,7 +213,7 @@ def class_means(blocks: np.ndarray) -> np.ndarray:
 
 
 def _readout_sweep(
-    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray, readout_qubit: int, start: str | None
+    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray, start: str | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """a = Lambda . U means (2^(k-1),), the amplitudes the swap test
     compares, and, unless start is None, J_q v_l summed against back_l for
@@ -226,7 +225,7 @@ def _readout_sweep(
     layers = layer_matrices(spec, theta).astype(means.dtype, copy=False)
     entering = forward_sweep(layers, means.T)
     dim = 1 << spec.k
-    projector = spec.readout_projector[readout_qubit].reshape(2 * dim, -1)
+    projector = spec.readout_projector.reshape(2 * dim, -1)
     paired = entering[-1].reshape(-1).dot(projector)
     if start is None:
         return paired, None
@@ -239,7 +238,7 @@ def _readout_sweep(
     return paired, np.matmul(terms, back.reshape(spec.layers, 2 * dim, -1))
 
 
-def _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode) -> np.ndarray:
+def _probe_rows(means, spec, theta, fd_epsilon, mode) -> np.ndarray:
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
     (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
     for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
@@ -248,7 +247,7 @@ def _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode) -> np.ndarr
     conj(x) x, so means may be complex. Unchecked, like `_readout_sweep`.
     """
     start = None if fd_epsilon is None else "rows"
-    paired, shifts = _readout_sweep(means, spec, theta, readout_qubit, start)
+    paired, shifts = _readout_sweep(means, spec, theta, start)
     rows = paired[None]
     if fd_epsilon is not None:
         c, s = math.cos(fd_epsilon / 2.0), math.sin(fd_epsilon / 2.0)
@@ -264,23 +263,22 @@ def central_difference(
     means: np.ndarray,
     spec: AnsatzSpec,
     theta: np.ndarray,
-    readout_qubit: int,
     fd_epsilon: float,
     mode: str | Shots = EXACT,
 ) -> tuple[float, np.ndarray]:
     """One batch's loss at theta and its central-difference gradient:
     rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
-    _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode).
+    _probe_rows(means, spec, theta, fd_epsilon, mode).
     Shots mode samples those rows; exact mode builds none and reads the
     closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>, from the
     sweep of Lambda conj(a). Nothing is checked: means (2, 2^k), float64
-    or complex128, a data qubit as readout and a finite theta (P,) are
-    validated once per run by `trainer.train`.
+    or complex128, and a finite theta (P,) are validated once per run by
+    `trainer.train`.
     """
     if mode != EXACT:
-        rows = _probe_rows(means, spec, theta, readout_qubit, fd_epsilon, mode)
+        rows = _probe_rows(means, spec, theta, fd_epsilon, mode)
         return float(rows[0]), (rows[1::2] - rows[2::2]) / (2.0 * fd_epsilon)
-    paired, inner = _readout_sweep(means, spec, theta, readout_qubit, "inner")
+    paired, inner = _readout_sweep(means, spec, theta, "inner")
     overlap = 0.25 * float(np.vdot(paired, paired).real)
     return 1.0 - overlap, inner.real.reshape(-1) * (-math.sin(fd_epsilon) / (4.0 * fd_epsilon))
 
@@ -290,7 +288,6 @@ def batched_loss(
     spec: AnsatzSpec,
     theta: ParameterVector,
     mode: str | Shots = EXACT,
-    readout_qubit: int = 0,
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n."""
@@ -298,7 +295,6 @@ def batched_loss(
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
-    _check_readout(readout_qubit, spec.k)
     spec.check_theta(theta.values)
     means = class_means(store.block)
-    return float(_probe_rows(means, spec, theta.values, readout_qubit, None, mode)[0])
+    return float(_probe_rows(means, spec, theta.values, None, mode)[0])

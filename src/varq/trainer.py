@@ -17,12 +17,14 @@ readout-paired output and reads the central difference in closed form,
 so fd_epsilon enters only through sin(eps)/eps. Shots mode sweeps back
 the readout projector for the 2P+1 probe rows (theta, then
 theta + eps*e_j and theta - eps*e_j for each j) and reads them with one
-binomial draw from the batch's one sub-seed. Shapes, the readout qubit
-and the angle count are checked once, when `train` starts; the real or
-complex arithmetic follows the dtype `EncodedSet` chose for the data.
+binomial draw from the batch's one sub-seed. Shapes and the angle count
+are checked once, when `train` starts; the real or complex arithmetic
+follows the dtype `EncodedSet` chose for the data.
 
 Accuracy classifies samples through the circuit matrix, built once per
-epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass.
+epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass: a
+sample is class 1 when p(readout = 1) >= 1/2, the readout being data
+qubit 0, the qubit the swap test compares.
 Everything is deterministic for a fixed config and seed in exact mode.
 """
 
@@ -37,7 +39,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, _check_readout, central_difference, class_means
+from .loss import EXACT, Shots, central_difference, class_means
 
 CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
@@ -53,8 +55,6 @@ class TrainConfig:
     update_cadence: str = "per_batch"
     seed: int = 0
     mode: str | Shots = EXACT
-    decision_threshold: float = 0.5
-    readout_qubit: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,10 +72,6 @@ class TrainConfig:
         if self.update_cadence not in CADENCES:
             raise ConfigurationError(
                 f"update_cadence must be one of {CADENCES}, got {self.update_cadence!r}"
-            )
-        if not 0.0 <= self.decision_threshold <= 1.0:
-            raise ConfigurationError(
-                f"decision_threshold must be in [0, 1], got {self.decision_threshold}"
             )
         if not (self.mode == EXACT or isinstance(self.mode, Shots)):
             raise ConfigurationError(f"mode must be 'exact' or Shots(...), got {self.mode!r}")
@@ -148,21 +144,18 @@ def _batch_rows(
     )
 
 
-def _predict(
-    amplitudes: np.ndarray, matrix: np.ndarray, readout_qubit: int, threshold: float
-) -> np.ndarray:
+def _predict(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Class decisions for a stack of states, one per row of amplitudes,
     under the circuit matrix (`ansatz.circuit_matrix`), in one stacked
-    pass: p(readout=1) at or above the threshold is class 1."""
+    pass: p(readout=1), the weight of the upper half of the output, at or
+    above 1/2 is class 1."""
     out = matrix @ amplitudes[:, :, None]
-    ones = out.reshape(amplitudes.shape[0], 1 << readout_qubit, 2, -1)[:, :, 1]
-    p_one = np.sum(np.abs(ones) ** 2, axis=(1, 2))
-    return (p_one >= threshold).astype(int)
+    ones = out.reshape(amplitudes.shape[0], 2, -1)[:, 1]
+    p_one = np.sum(np.abs(ones) ** 2, axis=1)
+    return (p_one >= 0.5).astype(int)
 
 
-def _hit_rate(
-    encoded: EncodedSet, matrix: np.ndarray, readout_qubit: int, threshold: float
-) -> float | None:
+def _hit_rate(encoded: EncodedSet, matrix: np.ndarray) -> float | None:
     """Fraction of encoded classified correctly under matrix, in slices of
     CLASSIFY_CHUNK rows; None for an empty set."""
     if not len(encoded):
@@ -170,7 +163,7 @@ def _hit_rate(
     hits = 0
     for start in range(0, len(encoded), CLASSIFY_CHUNK):
         rows = slice(start, start + CLASSIFY_CHUNK)
-        decisions = _predict(encoded.amplitudes[rows], matrix, readout_qubit, threshold)
+        decisions = _predict(encoded.amplitudes[rows], matrix)
         hits += int(np.count_nonzero(decisions == encoded.labels[rows]))
     return hits / len(encoded)
 
@@ -186,8 +179,6 @@ def accuracy(
     samples: Sequence[EncodedSample],
     spec: AnsatzSpec,
     theta: ParameterVector,
-    readout_qubit: int = 0,
-    threshold: float = 0.5,
 ) -> float | None:
     """Fraction classified correctly; None for an empty sample list.
 
@@ -199,13 +190,8 @@ def accuracy(
         return None
     encoded = EncodedSet.of(samples)
     _check_width(encoded, spec)
-    _check_readout(readout_qubit, spec.k)
-    if len(theta) != spec.parameter_count:
-        raise ConfigurationError(
-            f"theta has {len(theta)} angles, spec needs {spec.parameter_count}"
-        )
-    matrix = circuit_matrix(spec, theta.values)
-    return _hit_rate(encoded, matrix, readout_qubit, threshold)
+    spec.check_theta(theta.values)
+    return _hit_rate(encoded, circuit_matrix(spec, theta.values))
 
 
 def _step(values: np.ndarray, grad: np.ndarray, rate: float, epoch: int) -> np.ndarray:
@@ -240,16 +226,12 @@ def train(
     if not train_set:
         raise DataError("empty training set")
     theta = initial_theta if initial_theta is not None else init_parameters(spec, config.seed)
-    if len(theta) != spec.parameter_count:
-        raise ConfigurationError(
-            f"initial theta has {len(theta)} angles, spec needs {spec.parameter_count}"
-        )
+    spec.check_theta(theta.values)
 
     encoded = EncodedSet.of(train_set)
     tested = EncodedSet.of(test_set)
     _check_width(encoded, spec)
     _check_width(tested, spec)
-    _check_readout(config.readout_qubit, spec.k)
     classes = _class_rows(encoded.labels, config.n)
     values = theta.values
 
@@ -266,9 +248,7 @@ def train(
             mode = EXACT
             if shots_rng is not None:
                 mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
-            value, grad = central_difference(
-                means, spec, values, config.readout_qubit, config.fd_epsilon, mode
-            )
+            value, grad = central_difference(means, spec, values, config.fd_epsilon, mode)
             batch_losses.append(value)
             if per_batch:
                 values = _step(values, grad, config.learning_rate, epoch)
@@ -284,12 +264,8 @@ def train(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=mean_loss,
-                train_accuracy=_hit_rate(
-                    encoded, matrix, config.readout_qubit, config.decision_threshold
-                ),
-                test_accuracy=_hit_rate(
-                    tested, matrix, config.readout_qubit, config.decision_threshold
-                ),
+                train_accuracy=_hit_rate(encoded, matrix),
+                test_accuracy=_hit_rate(tested, matrix),
             )
         )
     return ParameterVector(values), metrics

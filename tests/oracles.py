@@ -348,18 +348,19 @@ def probe_angles(theta, fd_epsilon):
     return probes
 
 
-def probe_row_losses(matrix_of, means, spec, theta, readout, fd_epsilon):
+def probe_row_losses(matrix_of, means, spec, theta, fd_epsilon):
     """1 - overlap of one batch at each of the 2P+1 probe angles
     (probe_angles), each from its own circuit matrix matrix_of(spec,
     angles), the package's circuit matrix that the tests check against the
     gate list. The swap test compares class 0 at readout bit 0 with class
-    1 at readout bit 1: overlap = 1/4 * sum_e |out_0[0, e] + out_1[1, e]|^2
-    over the other data qubits e, for the class means (2, 2^k)."""
+    1 at readout bit 1, the readout being data qubit 0:
+    overlap = 1/4 * sum_e |out_0[0, e] + out_1[1, e]|^2 over the other
+    data qubits e, for the class means (2, 2^k)."""
     losses = []
     for angles in probe_angles(theta, fd_epsilon):
         out = means @ matrix_of(spec, angles).T
-        grouped = out.reshape(2, 1 << readout, 2, -1)
-        amps = grouped[0, :, 0] + grouped[1, :, 1]
+        grouped = out.reshape(2, 2, -1)
+        amps = grouped[0, 0] + grouped[1, 1]
         losses.append(1.0 - 0.25 * np.sum(np.abs(amps) ** 2))
     return np.array(losses)
 
@@ -371,15 +372,14 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
     default_rng(config.seed + epoch), class 0 first, and batch b takes the
     b-th 2^(n-1) rows of each class. A batch's gradient is
     (rows[1::2] - rows[2::2]) / 2 eps of probe_row_losses(matrix_of, means,
-    spec, theta, readout, eps), one circuit matrix per probe angle, the
-    one package function used here. "per_batch" steps after every batch,
+    spec, theta, eps), one circuit matrix per probe angle, the one
+    package function used here. "per_batch" steps after every batch,
     "per_epoch" once on the mean gradient. Accuracy applies the circuit
-    matrix of the gate list to each sample and compares p(readout = 1)
-    with the decision threshold. Returns the final angles and one (loss,
+    matrix of the gate list to each sample and calls it class 1 when
+    p(data qubit 0 = 1) >= 1/2. Returns the final angles and one (loss,
     train accuracy, test accuracy) per epoch.
     """
     half = 1 << (config.n - 1)
-    readout = config.readout_qubit
     theta = np.array(theta0, dtype=float)
     classes = [np.flatnonzero(train_set.labels == c) for c in (0, 1)]
     history = []
@@ -392,7 +392,7 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
                 [train_set.amplitudes[order[b * half : (b + 1) * half]].mean(axis=0)
                  for order in orders]
             )
-            rows = probe_row_losses(matrix_of, means, spec, theta, readout, config.fd_epsilon)
+            rows = probe_row_losses(matrix_of, means, spec, theta, config.fd_epsilon)
             grad = (rows[1::2] - rows[2::2]) / (2.0 * config.fd_epsilon)
             losses.append(rows[0])
             if config.update_cadence == "per_batch":
@@ -407,8 +407,8 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
                 return None
             hits = 0
             for amps, label in zip(samples.amplitudes, samples.labels):
-                p_one = probability(matrix @ amps, readout, 1)
-                hits += int(p_one >= config.decision_threshold) == label
+                p_one = probability(matrix @ amps, 0, 1)
+                hits += int(p_one >= 0.5) == label
             return hits / len(samples)
 
         history.append((float(np.mean(losses)), accuracy(train_set), accuracy(test_set)))

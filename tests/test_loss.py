@@ -175,6 +175,8 @@ class TestShotsMode:
             Shots(-5)
         with pytest.raises(ConfigurationError):
             Shots(2**63)
+        with pytest.raises(ConfigurationError):
+            Shots(64, seed=-1)
 
     def test_same_seed_reproduces_estimate(self):
         label = prepare_label_state(1)
@@ -230,13 +232,13 @@ class TestShotsMode:
         spec = default_ansatz(2, layers=4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = _probe_rows(means, spec, theta, 0, 1e-3, EXACT)
+        exact = _probe_rows(means, spec, theta, 1e-3, EXACT)
         return means, spec, theta, exact
 
     def test_shot_probe_rows_are_unbiased(self):
         means, spec, theta, exact = self.probe_case()
         rows = np.array(
-            [_probe_rows(means, spec, theta, 0, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
+            [_probe_rows(means, spec, theta, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
         )
         # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
         p_zero = 1.0 - exact / 2.0
@@ -249,7 +251,7 @@ class TestShotsMode:
         p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
         for s in (0, 1, 17, 4242):
             hits = np.random.default_rng(s).binomial(4096, p_zero)
-            rows = _probe_rows(means, spec, theta, 0, 1e-3, Shots(4096, seed=s))
+            rows = _probe_rows(means, spec, theta, 1e-3, Shots(4096, seed=s))
             assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
 
 
@@ -324,15 +326,15 @@ class TestBatchedLoss:
         # Jensen's inequality on the class means; equality needs each
         # class to map to one state and the two class terms to be equal.
         rng = np.random.default_rng(191)
-        for k, n, readout in ((1, 1, 0), (2, 2, 1), (3, 3, 2), (2, 4, 0)):
+        for k, n in ((1, 1), (2, 2), (3, 3), (2, 4)):
             spec = default_ansatz(k, layers=2)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
-            overlap = 1.0 - batched_loss(store, spec, theta, readout_qubit=readout)
+            overlap = 1.0 - batched_loss(store, spec, theta)
             per_sample = [
                 oracles.probability(
                     apply_ansatz(spec, theta, StateVector(k, row), range(k)).amplitudes,
-                    readout,
+                    0,
                     int(label),
                 )
                 for row, label in zip(store.block, store.labels)
@@ -361,26 +363,23 @@ class TestCentralDifference:
         "fd_epsilon, tolerance", [(1e-3, 1e-11), (np.pi / 2, 1e-13)]
     )
     def test_matches_the_difference_of_probe_rows(self, k, fd_epsilon, tolerance):
-        # Unnormalized real and complex means, 1..6 layers, every readout.
+        # Unnormalized real and complex means, 1..6 layers.
         rng = np.random.default_rng(500 + k)
         for layers in range(1, 7):
             spec = default_ansatz(k, layers=layers)
             theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
             real = rng.standard_normal((2, 1 << k))
             for means in (real, real + 1j * rng.standard_normal((2, 1 << k))):
-                for readout in range(k):
-                    rows = oracles.probe_row_losses(
-                        circuit_matrix, means, spec, theta, readout, fd_epsilon
-                    )
-                    loss, grad = central_difference(means, spec, theta, readout, fd_epsilon)
-                    difference = (rows[1::2] - rows[2::2]) / (2 * fd_epsilon)
-                    assert grad.shape == (spec.parameter_count,)
-                    assert abs(loss - rows[0]) < 1e-13
-                    assert np.max(np.abs(grad - difference)) < tolerance
+                rows = oracles.probe_row_losses(circuit_matrix, means, spec, theta, fd_epsilon)
+                loss, grad = central_difference(means, spec, theta, fd_epsilon)
+                difference = (rows[1::2] - rows[2::2]) / (2 * fd_epsilon)
+                assert grad.shape == (spec.parameter_count,)
+                assert abs(loss - rows[0]) < 1e-13
+                assert np.max(np.abs(grad - difference)) < tolerance
 
     def test_real_means_keep_the_gradient_real(self):
         rng = np.random.default_rng(47)
         spec = default_ansatz(3, layers=2)
         means = rng.standard_normal((2, 8))
-        loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6), 1, 1e-3)
+        loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6), 1e-3)
         assert isinstance(loss, float) and grad.dtype == np.float64

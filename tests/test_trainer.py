@@ -47,9 +47,9 @@ def batch_rows(labels, n, seed, epoch):
     return _batch_rows(_class_rows(labels, n), n, seed, epoch)
 
 
-def predict(states, spec, theta, readout_qubit, threshold):
+def predict(states, spec, theta):
     """Decisions as accuracy makes them, under the circuit matrix at theta."""
-    return _predict(states, circuit_matrix(spec, theta.values), readout_qubit, threshold)
+    return _predict(states, circuit_matrix(spec, theta.values))
 
 
 def per_sample_batches(train_set, n, seed, epoch):
@@ -112,10 +112,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(update_cadence="per_sample")
 
-    def test_threshold_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(decision_threshold=1.5)
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(mode="sampled")
@@ -177,12 +173,12 @@ class TestStackedPass:
         # The reference runs each probe alone through the gate list and
         # the CSWAP swap-test circuit. Its joint register has 2^(2n+k+2)
         # amplitudes, so the large-n cases use one layer to stay fast,
-        # and k = 3 (every readout qubit) runs up to n = 6.
+        # and k = 3 runs up to n = 6.
         rng = np.random.default_rng(300 + n)
-        cases = ((2, 0), (2, 1), (1, 0))
+        widths = (2, 1)
         if n <= 6:
-            cases += ((3, 0), (3, 1), (3, 2))
-        for k, readout in cases:
+            widths += (3,)
+        for k in widths:
             spec = default_ansatz(k, layers=4 if n <= 6 else 1)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
@@ -190,12 +186,12 @@ class TestStackedPass:
 
             def reference(th):
                 ops = oracles.ansatz_gates(spec, th, range(k))
-                return oracles.gate_level_loss(cells, n, ops, readout)
+                return oracles.gate_level_loss(cells, n, ops, 0)
 
             means = class_means(store.block)
-            loss, grad = central_difference(means, spec, theta.values, readout, 1e-3)
+            loss, grad = central_difference(means, spec, theta.values, 1e-3)
             assert abs(loss - reference(theta)) < 1e-12
-            assert abs(batched_loss(store, spec, theta, readout_qubit=readout) - loss) < 1e-12
+            assert abs(batched_loss(store, spec, theta) - loss) < 1e-12
             assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
 
     @pytest.mark.parametrize("k", range(1, 5))
@@ -215,14 +211,13 @@ class TestStackedPass:
                     apply_ansatz(spec, ParameterVector(row), stacked, range(1, k + 1)).amplitudes
                     for row in probes
                 ])
-                for readout in range(k):
-                    grouped = psi.reshape(len(probes), 2, 1 << readout, 2, -1)
-                    amps = grouped[:, 0, :, 0] + grouped[:, 1, :, 1]
-                    expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=(1, 2))
-                    rows = _probe_rows(means, spec, theta, readout, 1e-3, EXACT)
-                    assert np.max(np.abs(rows - expected)) < 1e-12
-                    unprobed = _probe_rows(means, spec, theta, readout, None, EXACT)
-                    assert abs(unprobed[0] - rows[0]) < 1e-15
+                grouped = psi.reshape(len(probes), 2, 2, -1)
+                amps = grouped[:, 0, 0] + grouped[:, 1, 1]
+                expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=1)
+                rows = _probe_rows(means, spec, theta, 1e-3, EXACT)
+                assert np.max(np.abs(rows - expected)) < 1e-12
+                unprobed = _probe_rows(means, spec, theta, None, EXACT)
+                assert abs(unprobed[0] - rows[0]) < 1e-15
 
     def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
         spec = default_ansatz(2, layers=20_000)
@@ -230,7 +225,7 @@ class TestStackedPass:
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
         means = class_means(store.block)
-        loss, grad = central_difference(means, spec, theta.values, 0, 1e-3)
+        loss, grad = central_difference(means, spec, theta.values, 1e-3)
         assert np.isfinite(loss)
         for j in (0, count // 2, count - 1):
             up, down = theta.values.copy(), theta.values.copy()
@@ -248,9 +243,9 @@ class TestStackedPass:
         original = varq.trainer.central_difference
         read_out = varq.loss._read_out
 
-        def poisoned(means, spec, theta, readout_qubit, fd_epsilon, mode):
+        def poisoned(means, spec, theta, fd_epsilon, mode):
             if mode != "exact":
-                return original(means, spec, theta, readout_qubit, fd_epsilon, mode)
+                return original(means, spec, theta, fd_epsilon, mode)
             grad = np.zeros(len(theta))
             grad[1:] = np.nan
             return 0.5, grad
@@ -283,7 +278,7 @@ class TestStackedPass:
             p_one = float(np.sum(np.abs(evolved[2:]) ** 2))
             decisions.append(1 if p_one >= 0.5 else 0)
         stack = np.array([s.state.amplitudes for s in samples])
-        assert predict(stack, spec, theta, 0, 0.5).tolist() == decisions
+        assert predict(stack, spec, theta).tolist() == decisions
         hits = sum(d == s.label for d, s in zip(decisions, samples))
         assert accuracy(samples, spec, theta) == hits / len(samples)
 
@@ -292,6 +287,13 @@ class TestStackedPass:
         samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([1, 0], 1)]
         with pytest.raises(ConfigurationError):
             accuracy(samples, spec, ParameterVector([0.0, 0.0]))
+
+    def test_accuracy_rejects_theta_of_the_wrong_length(self):
+        spec = default_ansatz(2, layers=1)
+        samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([0, 0, 1, 0], 1)]
+        for count in (1, 3):
+            with pytest.raises(ConfigurationError, match="theta has shape"):
+                accuracy(samples, spec, ParameterVector(np.zeros(count)))
 
 
 class TestMakeBatches:
@@ -311,7 +313,7 @@ class TestMakeBatches:
         # reference batch, to the bit.
         seen = []
 
-        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
+        def spy(means, spec, theta, fd_epsilon, mode):
             seen.append(means.copy())
             return 0.0, np.zeros(len(theta))
 
@@ -387,19 +389,25 @@ class TestClassify:
         spec = default_ansatz(2, layers=2)
         theta = ParameterVector(np.zeros(4))
         states = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
-        assert predict(states, spec, theta, 0, 0.5).tolist() == [1, 0]
+        assert predict(states, spec, theta).tolist() == [1, 0]
         assert accuracy(EncodedSet(states, [1, 0]), spec, theta) == 1.0
 
     def test_tie_breaks_toward_class_one(self):
-        spec = default_ansatz(1, layers=2)
-        theta = ParameterVector(np.zeros(2))
-        sample = sample_from_amps([0.6, 0.8], 1)
-        out = apply_ansatz(spec, theta, sample.state, (0,))
-        p_one = oracles.probability(out.amplitudes, 0, 1)
-        states = sample.state.amplitudes[None, :]
-        assert predict(states, spec, theta, 0, p_one).tolist() == [1]
-        assert predict(states, spec, theta, 0, p_one + 1e-12).tolist() == [0]
-        assert accuracy([sample], spec, theta, threshold=p_one) == 1.0
+        # Under the identity circuit, p(readout = 1) of exactly 1/2 is
+        # class 1 and a state just below it is class 0.
+        spec = default_ansatz(2, layers=2)
+        theta = ParameterVector(np.zeros(4))
+        p = 0.5 - 1e-12
+        states = np.array([[0.5, 0.5, 0.5, 0.5], np.sqrt([1 - p, 1 - p, p, p]) / np.sqrt(2)])
+        p_one = [
+            oracles.probability(
+                apply_ansatz(spec, theta, StateVector(2, row), (0, 1)).amplitudes, 0, 1
+            )
+            for row in states
+        ]
+        assert p_one[0] == 0.5 and p_one[1] < 0.5
+        assert predict(states, spec, theta).tolist() == [1, 0]
+        assert accuracy(EncodedSet(states, [1, 0]), spec, theta) == 1.0
 
     def test_agrees_with_projector_oracle_decision(self):
         spec = default_ansatz(2, layers=3)
@@ -411,7 +419,7 @@ class TestClassify:
             proj = oracles.kron_place(2, {0: oracles.P1})
             p_one = np.real(np.conj(evolved) @ proj @ evolved)
             expected = 1 if p_one >= 0.5 else 0
-            assert predict(amps[None, :], spec, theta, 0, 0.5).tolist() == [expected]
+            assert predict(amps[None, :], spec, theta).tolist() == [expected]
 
     def test_accuracy_builds_one_circuit_matrix_per_call(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -427,7 +435,7 @@ class TestClassify:
             return original(spec, theta)
 
         monkeypatch.setattr("varq.trainer.circuit_matrix", spy)
-        hits = np.count_nonzero(predict(states, spec, theta, 0, 0.5) == labels)
+        hits = np.count_nonzero(predict(states, spec, theta) == labels)
         built.clear()
         assert accuracy(EncodedSet(states, labels), spec, theta) == hits / len(states)
         assert built == [(spec.parameter_count,)]
@@ -545,9 +553,9 @@ class TestTrain:
         modes = []
         original = varq.trainer.central_difference
 
-        def spy(means, spec, theta, readout_qubit, fd_epsilon, mode):
+        def spy(means, spec, theta, fd_epsilon, mode):
             modes.append(mode)
-            return original(means, spec, theta, readout_qubit, fd_epsilon, mode)
+            return original(means, spec, theta, fd_epsilon, mode)
 
         monkeypatch.setattr("varq.trainer.central_difference", spy)
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
