@@ -5,8 +5,8 @@ The pipeline: amplitude-encode feature vectors, store a balanced batch in
 a superposition-addressed register, run a shared parameterized circuit on
 the data qubits, and score the whole batch with one swap test against an
 address-correlated label state. Training is plain gradient descent on
-numerical gradients of that batched loss, with all gradient probes of a
-batch read from one forward and one backward sweep over the circuit's
+the exact gradient of that batched loss (the parameter-shift rule), read
+for a batch from one forward and one backward sweep over the circuit's
 layers.
 """
 

@@ -53,7 +53,6 @@ OPTIONS = {
     "layers": Option(int, DEFAULT_LAYERS, "ansatz layers"),
     "epochs": Option(int, TrainConfig.epochs, "training epochs"),
     "lr": Option(float, TrainConfig.learning_rate, "gradient-descent step size"),
-    "fd_eps": Option(float, TrainConfig.fd_epsilon, "finite-difference step"),
     "cadence": Option(str, TrainConfig.update_cadence, "update cadence", CADENCES),
     "seed_split": Option(int, 0, "seed of the train/test split"),
     "seed_init": Option(int, 1, "seed of the initial angles"),
@@ -144,7 +143,6 @@ def _build_run(opts: dict):
         n=opts["n"],
         epochs=opts["epochs"],
         learning_rate=opts["lr"],
-        fd_epsilon=opts["fd_eps"],
         update_cadence=opts["cadence"],
         seed=opts["seed_batch"],
         mode=mode,

@@ -32,13 +32,15 @@ over the batch of p(readout = label), with equality only when each class
 maps to one state and the two class terms are equal. The gate-level
 CSWAP circuit lives in the test oracles as the reference.
 
-Probe theta +- eps*e_j has overlap 1/4 * ||c a +- s b_j||^2, where a
-and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l (see
-`ansatz`) and c, s = cos(eps/2), sin(eps/2). Exact mode reports p0
-itself, and the central difference of those probes has a closed form:
+Every trainable gate is an RY, so the loss is a sinusoid in each angle
+and its central difference at the shift pi/2 is its exact gradient, the
+parameter-shift rule (Mitarai et al., arXiv:1803.00745):
 
-    (L(theta + eps e_j) - L(theta - eps e_j)) / 2 eps
-        = -(sin(eps) / 4 eps) Re <a, b_j>
+    dL/dtheta_j = (L(theta + pi/2 e_j) - L(theta - pi/2 e_j)) / 2
+                = -1/4 Re <a, b_j>
+
+where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
+(see `ansatz`); probe theta +- pi/2 e_j has overlap 1/8 * ||a +- b_j||^2.
 
 Both modes read a batch from one kernel, `_readout_sweep`. Its forward
 sweep gives a = Lambda U mu, with Lambda the readout projector of data
@@ -48,8 +50,7 @@ from Lambda it gives every b_j: the 2P+1 probe rows of `_probe_rows`,
 which shots mode reads out with one binomial draw per batch from one
 generator. Started from Lambda conj(a) it gives every <a, b_j>: exact
 mode (`central_difference`) builds no probe row and has no cancellation
-between nearly equal losses, so eps enters only through sin(eps)/eps.
-Either way a batch is O(L k 4^k) work.
+between nearly equal losses. Either way a batch is O(L k 4^k) work.
 """
 
 from __future__ import annotations
@@ -238,19 +239,19 @@ def _readout_sweep(
     return paired, np.matmul(terms, back.reshape(spec.layers, 2 * dim, -1))
 
 
-def _probe_rows(means, spec, theta, fd_epsilon, mode) -> np.ndarray:
+def _probe_rows(means, spec, theta, probed, mode) -> np.ndarray:
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
-    (P,) and, given fd_epsilon, then at theta + eps*e_j and theta - eps*e_j
-    for j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a
-    and b_j from one readout sweep (`_readout_sweep`) and c, s =
-    cos(eps/2), sin(eps/2). All rows are read out in one mode; |x|^2 is
-    conj(x) x, so means may be complex. Unchecked, like `_readout_sweep`.
+    (P,) and, if probed, then at theta + pi/2 e_j and theta - pi/2 e_j for
+    j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a and
+    b_j from one readout sweep (`_readout_sweep`) and c, s = cos(pi/4),
+    sin(pi/4), both 1/sqrt(2).
+    All rows are read out in one mode; |x|^2 is conj(x) x, so means may be
+    complex. Unchecked, like `_readout_sweep`.
     """
-    start = None if fd_epsilon is None else "rows"
-    paired, shifts = _readout_sweep(means, spec, theta, start)
+    paired, shifts = _readout_sweep(means, spec, theta, "rows" if probed else None)
     rows = paired[None]
-    if fd_epsilon is not None:
-        c, s = math.cos(fd_epsilon / 2.0), math.sin(fd_epsilon / 2.0)
+    if probed:
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
         shift = s * shifts.reshape(spec.parameter_count, -1)
         probes = np.stack([c * paired + shift, c * paired - shift], axis=1)
         rows = np.concatenate([rows, probes.reshape(-1, len(paired))])
@@ -263,24 +264,22 @@ def central_difference(
     means: np.ndarray,
     spec: AnsatzSpec,
     theta: np.ndarray,
-    fd_epsilon: float,
     mode: str | Shots = EXACT,
 ) -> tuple[float, np.ndarray]:
-    """One batch's loss at theta and its central-difference gradient:
-    rows[0] and (rows[1::2] - rows[2::2]) / 2 eps of
-    _probe_rows(means, spec, theta, fd_epsilon, mode).
-    Shots mode samples those rows; exact mode builds none and reads the
-    closed form, gradient j = -(sin(eps) / 4 eps) Re <a, b_j>, from the
-    sweep of Lambda conj(a). Nothing is checked: means (2, 2^k), float64
-    or complex128, and a finite theta (P,) are validated once per run by
-    `trainer.train`.
+    """One batch's loss at theta and its gradient, the central difference
+    at the shift pi/2: rows[0] and (rows[1::2] - rows[2::2]) / 2 of
+    _probe_rows(means, spec, theta, True, mode). Shots mode samples those
+    rows; exact mode builds none and reads the closed form, gradient j =
+    -1/4 Re <a, b_j>, from the sweep of Lambda conj(a). Nothing is
+    checked: means (2, 2^k), float64 or complex128, and a finite theta
+    (P,) are validated once per run by `trainer.train`.
     """
     if mode != EXACT:
-        rows = _probe_rows(means, spec, theta, fd_epsilon, mode)
-        return float(rows[0]), (rows[1::2] - rows[2::2]) / (2.0 * fd_epsilon)
+        rows = _probe_rows(means, spec, theta, True, mode)
+        return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
     paired, inner = _readout_sweep(means, spec, theta, "inner")
     overlap = 0.25 * float(np.vdot(paired, paired).real)
-    return 1.0 - overlap, inner.real.reshape(-1) * (-math.sin(fd_epsilon) / (4.0 * fd_epsilon))
+    return 1.0 - overlap, inner.real.reshape(-1) * -0.25
 
 
 def batched_loss(
@@ -297,4 +296,4 @@ def batched_loss(
         )
     spec.check_theta(theta.values)
     means = class_means(store.block)
-    return float(_probe_rows(means, spec, theta.values, None, mode)[0])
+    return float(_probe_rows(means, spec, theta.values, False, mode)[0])

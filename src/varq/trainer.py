@@ -2,24 +2,25 @@
 
 Each epoch partitions the training set into balanced 2^n-sample batches
 (per-class shuffle seeded by seed+epoch, leftovers dropped for that
-epoch) and walks theta down the central-difference gradient of the
-batched loss. The loss reads a batch only through its two class-mean
-states, so each epoch's (batches, 2, 2^k) class-mean array is one fancy
-index into the amplitude matrix and one `loss.class_means`; no batch is
+epoch) and walks theta down the gradient of the batched loss. The loss
+reads a batch only through its two class-mean states, so each epoch's
+(batches, 2, 2^k) class-mean array is one fancy index into the
+amplitude matrix and one `loss.class_means`; no batch is
 laid out as a qRAM store (`batched_loss` on a store is the one-batch
 form of the same loss). Updates happen after every batch ("per_batch",
 the default) or once per epoch on the mean gradient ("per_epoch").
 
 A batch's loss and gradient come from one call,
 `loss.central_difference`, in both readout modes: one forward and one
-backward sweep over the layers at theta. Exact mode sweeps back the
-readout-paired output and reads the central difference in closed form,
-so fd_epsilon enters only through sin(eps)/eps. Shots mode sweeps back
-the readout projector for the 2P+1 probe rows (theta, then
-theta + eps*e_j and theta - eps*e_j for each j) and reads them with one
-binomial draw from the batch's one sub-seed. Shapes and the angle count
-are checked once, when `train` starts; the real or complex arithmetic
-follows the dtype `EncodedSet` chose for the data.
+backward sweep over the layers at theta. Every trainable gate is an RY,
+so the central difference at the shift pi/2 is the exact gradient (the
+parameter-shift rule). Exact mode sweeps back the readout-paired output
+and reads that gradient in closed form. Shots mode sweeps back the
+readout projector for the 2P+1 probe rows (theta, then
+theta + pi/2 e_j and theta - pi/2 e_j for each j) and reads them with
+one binomial draw from the batch's one sub-seed. Shapes and the angle
+count are checked once, when `train` starts; the real or complex
+arithmetic follows the dtype `EncodedSet` chose for the data.
 
 Accuracy classifies samples through the circuit matrix, built once per
 epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass: a
@@ -51,7 +52,6 @@ class TrainConfig:
     n: int = 2
     epochs: int = 100
     learning_rate: float = 0.05
-    fd_epsilon: float = 1e-3
     update_cadence: str = "per_batch"
     seed: int = 0
     mode: str | Shots = EXACT
@@ -65,10 +65,6 @@ class TrainConfig:
         # +inf is allowed and ends the run as a divergence.
         if not self.learning_rate >= 0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (math.isfinite(self.fd_epsilon) and self.fd_epsilon > 0):
-            raise ConfigurationError(
-                f"fd_epsilon must be finite and > 0, got {self.fd_epsilon}"
-            )
         if self.update_cadence not in CADENCES:
             raise ConfigurationError(
                 f"update_cadence must be one of {CADENCES}, got {self.update_cadence!r}"
@@ -88,27 +84,29 @@ class EpochMetrics:
 def numerical_gradient(
     loss_fn: Callable[[ParameterVector], float],
     theta: ParameterVector,
-    fd_epsilon: float,
+    epsilon: float,
 ) -> np.ndarray:
     """Central differences per coordinate: (L(t+e) - L(t-e)) / 2e.
 
-    The per-coordinate reference for the trainer's one-sweep gradient
-    (`loss.central_difference`), with one loss_fn call per probe.
+    A per-coordinate reference with one loss_fn call per probe. For the
+    batched loss, a sinusoid in each angle, it is sin(e)/e times the exact
+    gradient, so pi/2 times its value at e = pi/2 is the trainer's
+    parameter-shift gradient (`loss.central_difference`).
     """
-    if not (math.isfinite(fd_epsilon) and fd_epsilon > 0):
-        raise ConfigurationError(f"fd_epsilon must be finite and > 0, got {fd_epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError(f"epsilon must be finite and > 0, got {epsilon}")
     base = theta.values
     grad = np.empty(base.shape[0], dtype=np.float64)
     for j in range(base.shape[0]):
         up = base.copy()
-        up[j] += fd_epsilon
+        up[j] += epsilon
         down = base.copy()
-        down[j] -= fd_epsilon
+        down[j] -= epsilon
         lp = loss_fn(ParameterVector(up))
         lm = loss_fn(ParameterVector(down))
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise OptimizationError(f"non-finite loss while probing parameter {j}: {lp}, {lm}")
-        grad[j] = (lp - lm) / (2.0 * fd_epsilon)
+        grad[j] = (lp - lm) / (2.0 * epsilon)
     return grad
 
 
@@ -248,7 +246,7 @@ def train(
             mode = EXACT
             if shots_rng is not None:
                 mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
-            value, grad = central_difference(means, spec, values, config.fd_epsilon, mode)
+            value, grad = central_difference(means, spec, values, mode)
             batch_losses.append(value)
             if per_batch:
                 values = _step(values, grad, config.learning_rate, epoch)

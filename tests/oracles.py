@@ -337,18 +337,18 @@ def gate_level_loss(cells, n, gates, readout):
     return 2.0 - 2.0 * p_zero
 
 
-def probe_angles(theta, fd_epsilon):
+def probe_angles(theta, epsilon):
     """The 2P+1 angle vectors of one central-difference gradient, as rows:
     theta, then theta + eps*e_j and theta - eps*e_j for j = 0..P-1."""
     theta = np.asarray(theta, dtype=float)
     probes = np.repeat(theta[None, :], 2 * len(theta) + 1, axis=0)
     for j in range(len(theta)):
-        probes[1 + 2 * j, j] += fd_epsilon
-        probes[2 + 2 * j, j] -= fd_epsilon
+        probes[1 + 2 * j, j] += epsilon
+        probes[2 + 2 * j, j] -= epsilon
     return probes
 
 
-def probe_row_losses(matrix_of, means, spec, theta, fd_epsilon):
+def probe_row_losses(matrix_of, means, spec, theta, epsilon):
     """1 - overlap of one batch at each of the 2P+1 probe angles
     (probe_angles), each from its own circuit matrix matrix_of(spec,
     angles), the package's circuit matrix that the tests check against the
@@ -357,7 +357,7 @@ def probe_row_losses(matrix_of, means, spec, theta, fd_epsilon):
     overlap = 1/4 * sum_e |out_0[0, e] + out_1[1, e]|^2 over the other
     data qubits e, for the class means (2, 2^k)."""
     losses = []
-    for angles in probe_angles(theta, fd_epsilon):
+    for angles in probe_angles(theta, epsilon):
         out = means @ matrix_of(spec, angles).T
         grouped = out.reshape(2, 2, -1)
         amps = grouped[0, 0] + grouped[1, 1]
@@ -370,9 +370,9 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
 
     Each epoch permutes the row indices of each class with one
     default_rng(config.seed + epoch), class 0 first, and batch b takes the
-    b-th 2^(n-1) rows of each class. A batch's gradient is
-    (rows[1::2] - rows[2::2]) / 2 eps of probe_row_losses(matrix_of, means,
-    spec, theta, eps), one circuit matrix per probe angle, the one
+    b-th 2^(n-1) rows of each class. A batch's gradient is the parameter
+    shift (rows[1::2] - rows[2::2]) / 2 of probe_row_losses(matrix_of,
+    means, spec, theta, pi/2), one circuit matrix per probe angle, the one
     package function used here. "per_batch" steps after every batch,
     "per_epoch" once on the mean gradient. Accuracy applies the circuit
     matrix of the gate list to each sample and calls it class 1 when
@@ -392,8 +392,8 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
                 [train_set.amplitudes[order[b * half : (b + 1) * half]].mean(axis=0)
                  for order in orders]
             )
-            rows = probe_row_losses(matrix_of, means, spec, theta, config.fd_epsilon)
-            grad = (rows[1::2] - rows[2::2]) / (2.0 * config.fd_epsilon)
+            rows = probe_row_losses(matrix_of, means, spec, theta, np.pi / 2)
+            grad = (rows[1::2] - rows[2::2]) / 2.0
             losses.append(rows[0])
             if config.update_cadence == "per_batch":
                 theta = theta - config.learning_rate * grad

@@ -71,7 +71,6 @@ class TestTrainCommand:
             "--layers", str(echo["layers"]),
             "--epochs", str(echo["epochs"]),
             "--lr", str(echo["lr"]),
-            "--fd-eps", str(echo["fd_eps"]),
             "--cadence", echo["cadence"],
             "--seed-split", str(echo["seed_split"]),
             "--seed-init", str(echo["seed_init"]),
@@ -131,7 +130,7 @@ class TestTrainCommand:
         assert code == 3
         assert "optimization" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--lr", "--fd-eps"])
+    @pytest.mark.parametrize("flag", ["--lr"])
     def test_nan_step_settings_exit_2(self, tmp_path, capsys, flag):
         code = run_train(tmp_path, extra=[flag, "nan"], epochs=1)
         assert code == 2
@@ -239,15 +238,25 @@ class TestTrainCommand:
         assert len(read_metrics(tmp_path)) == 1
 
     def test_parameter_shift_step_makes_shots_training_learn(self, tmp_path):
-        # Every trainable gate is an RY, so the central difference at
-        # eps = pi/2 is the parameter-shift gradient times sin(eps)/eps =
-        # 2/pi, with no truncation error and the shot noise divided by pi
-        # instead of 2e-3; a rate of 0.05 * pi/2 undoes the 2/pi.
-        extra = ["--shots", "4096", "--fd-eps", "1.5707963267948966", "--lr", "0.07853981633974483"]
-        assert (float(extra[3]), float(extra[5])) == (np.pi / 2, 0.05 * np.pi / 2)
-        assert run_train(tmp_path, extra=extra, epochs=25) == 0
+        # Every trainable gate is an RY, so the gradient is the parameter
+        # shift (L(theta + pi/2) - L(theta - pi/2)) / 2: no truncation error,
+        # and the shot noise of the two probe rows is divided by 2, not by a
+        # small step.
+        assert run_train(tmp_path, extra=["--shots", "4096"], epochs=25) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert (summary["final_train_acc"], summary["final_test_acc"]) == (1.0, 1.0)
+
+    def test_retired_fd_eps_config_key_exits_2(self, tmp_path, capsys):
+        # The gradient has no step to choose: the key is unknown.
+        (tmp_path / "run.json").write_text(json.dumps({"fd_eps": 0.001}))
+        assert run_train(tmp_path, extra=["--config", str(tmp_path / "run.json")]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['fd_eps']\n"
+
+    def test_retired_fd_eps_flag_is_an_argparse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_train(tmp_path, extra=["--fd-eps", "0.001"])
+        assert excinfo.value.code == 2
+        assert "--fd-eps" in capsys.readouterr().err
 
     def test_invalid_cadence_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -349,8 +358,8 @@ def malformed_config(rng, base):
     if kind == "unknown":
         key = rng.choice(
             [
-                "template", "learning_rate", "seed", "Task", "fd-eps", "decision_threshold",
-                "readout_qubit", "x" * rng.randint(1, 9),
+                "template", "learning_rate", "seed", "Task", "fd-eps", "fd_eps",
+                "decision_threshold", "readout_qubit", "x" * rng.randint(1, 9),
             ]
         )
         assert key not in cli.OPTIONS
@@ -368,7 +377,6 @@ def malformed_config(rng, base):
             ("n", rng.randint(-5, 0)),
             ("epochs", rng.randint(-5, 0)),
             ("lr", float("nan")),
-            ("fd_eps", -rng.random()),
             ("shots", rng.randint(-5, 0)),
             ("shots", 2**63 + rng.randint(0, 10**6)),
             ("seed_" + rng.choice(["split", "init", "batch", "shots"]), -rng.randint(1, 99)),

@@ -232,13 +232,13 @@ class TestShotsMode:
         spec = default_ansatz(2, layers=4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = _probe_rows(means, spec, theta, 1e-3, EXACT)
+        exact = _probe_rows(means, spec, theta, True, EXACT)
         return means, spec, theta, exact
 
     def test_shot_probe_rows_are_unbiased(self):
         means, spec, theta, exact = self.probe_case()
         rows = np.array(
-            [_probe_rows(means, spec, theta, 1e-3, Shots(4096, seed=s)) for s in range(1000)]
+            [_probe_rows(means, spec, theta, True, Shots(4096, seed=s)) for s in range(1000)]
         )
         # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
         p_zero = 1.0 - exact / 2.0
@@ -251,7 +251,7 @@ class TestShotsMode:
         p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
         for s in (0, 1, 17, 4242):
             hits = np.random.default_rng(s).binomial(4096, p_zero)
-            rows = _probe_rows(means, spec, theta, 1e-3, Shots(4096, seed=s))
+            rows = _probe_rows(means, spec, theta, True, Shots(4096, seed=s))
             assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
 
 
@@ -360,26 +360,29 @@ class TestCentralDifference:
 
     @pytest.mark.parametrize("k", range(1, 5))
     @pytest.mark.parametrize(
-        "fd_epsilon, tolerance", [(1e-3, 1e-11), (np.pi / 2, 1e-13)]
+        "epsilon, tolerance", [(1e-3, 1e-11), (1.0, 1e-11), (np.pi / 2, 1e-13)]
     )
-    def test_matches_the_difference_of_probe_rows(self, k, fd_epsilon, tolerance):
-        # Unnormalized real and complex means, 1..6 layers.
+    def test_matches_the_difference_of_probe_rows(self, k, epsilon, tolerance):
+        # The loss is a sinusoid in each angle, so the central difference
+        # at any step eps is sin(eps)/eps times the gradient; at eps = pi/2
+        # this is the parameter shift. Unnormalized real and complex
+        # means, 1..6 layers.
         rng = np.random.default_rng(500 + k)
         for layers in range(1, 7):
             spec = default_ansatz(k, layers=layers)
             theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
             real = rng.standard_normal((2, 1 << k))
             for means in (real, real + 1j * rng.standard_normal((2, 1 << k))):
-                rows = oracles.probe_row_losses(circuit_matrix, means, spec, theta, fd_epsilon)
-                loss, grad = central_difference(means, spec, theta, fd_epsilon)
-                difference = (rows[1::2] - rows[2::2]) / (2 * fd_epsilon)
+                rows = oracles.probe_row_losses(circuit_matrix, means, spec, theta, epsilon)
+                loss, grad = central_difference(means, spec, theta)
+                difference = (rows[1::2] - rows[2::2]) / (2 * epsilon)
                 assert grad.shape == (spec.parameter_count,)
                 assert abs(loss - rows[0]) < 1e-13
-                assert np.max(np.abs(grad - difference)) < tolerance
+                assert np.max(np.abs(np.sin(epsilon) / epsilon * grad - difference)) < tolerance
 
     def test_real_means_keep_the_gradient_real(self):
         rng = np.random.default_rng(47)
         spec = default_ansatz(3, layers=2)
         means = rng.standard_normal((2, 8))
-        loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6), 1e-3)
+        loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6))
         assert isinstance(loss, float) and grad.dtype == np.float64

@@ -95,15 +95,6 @@ class TestTrainConfig:
     def test_zero_learning_rate_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
-    def test_non_positive_fd_epsilon_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(fd_epsilon=0.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_fd_epsilon_rejected(self, value):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(fd_epsilon=value)
-
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=float("nan"))
@@ -189,10 +180,11 @@ class TestStackedPass:
                 return oracles.gate_level_loss(cells, n, ops, 0)
 
             means = class_means(store.block)
-            loss, grad = central_difference(means, spec, theta.values, 1e-3)
+            loss, grad = central_difference(means, spec, theta.values)
+            shift = np.pi / 2 * numerical_gradient(reference, theta, np.pi / 2)
             assert abs(loss - reference(theta)) < 1e-12
             assert abs(batched_loss(store, spec, theta) - loss) < 1e-12
-            assert np.max(np.abs(grad - numerical_gradient(reference, theta, 1e-3))) < 1e-12
+            assert np.max(np.abs(grad - shift)) < 1e-12
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_sweep_rows_match_a_stacked_pass_at_the_probe_angles(self, k):
@@ -202,7 +194,7 @@ class TestStackedPass:
         for layers in range(1, 7):
             spec = default_ansatz(k, layers=layers)
             theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-            probes = oracles.probe_angles(theta, 1e-3)
+            probes = oracles.probe_angles(theta, np.pi / 2)
             for state in (oracles.random_real_state, oracles.random_state):
                 store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
                 means = class_means(store.block)
@@ -214,9 +206,9 @@ class TestStackedPass:
                 grouped = psi.reshape(len(probes), 2, 2, -1)
                 amps = grouped[:, 0, 0] + grouped[:, 1, 1]
                 expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=1)
-                rows = _probe_rows(means, spec, theta, 1e-3, EXACT)
+                rows = _probe_rows(means, spec, theta, True, EXACT)
                 assert np.max(np.abs(rows - expected)) < 1e-12
-                unprobed = _probe_rows(means, spec, theta, None, EXACT)
+                unprobed = _probe_rows(means, spec, theta, False, EXACT)
                 assert abs(unprobed[0] - rows[0]) < 1e-15
 
     def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
@@ -225,15 +217,15 @@ class TestStackedPass:
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
         means = class_means(store.block)
-        loss, grad = central_difference(means, spec, theta.values, 1e-3)
+        loss, grad = central_difference(means, spec, theta.values)
         assert np.isfinite(loss)
         for j in (0, count // 2, count - 1):
             up, down = theta.values.copy(), theta.values.copy()
-            up[j] += 1e-3
-            down[j] -= 1e-3
+            up[j] += np.pi / 2
+            down[j] -= np.pi / 2
             lp = batched_loss(store, spec, ParameterVector(up))
             lm = batched_loss(store, spec, ParameterVector(down))
-            assert abs(grad[j] - (lp - lm) / 2e-3) < 1e-9
+            assert abs(grad[j] - (lp - lm) / 2) < 1e-9
 
     def test_non_finite_probe_loss_names_the_parameter(self, iris_task, monkeypatch):
         # The step that would apply a non-finite gradient names its first
@@ -243,16 +235,16 @@ class TestStackedPass:
         original = varq.trainer.central_difference
         read_out = varq.loss._read_out
 
-        def poisoned(means, spec, theta, fd_epsilon, mode):
+        def poisoned(means, spec, theta, mode):
             if mode != "exact":
-                return original(means, spec, theta, fd_epsilon, mode)
+                return original(means, spec, theta, mode)
             grad = np.zeros(len(theta))
             grad[1:] = np.nan
             return 0.5, grad
 
         def poisoned_read_out(p_zero, mode):
             rows = read_out(p_zero, mode)
-            rows[3] = np.nan  # theta + eps * e_1
+            rows[3] = np.nan  # theta + pi/2 * e_1
             return rows
 
         monkeypatch.setattr("varq.trainer.central_difference", poisoned)
@@ -313,7 +305,7 @@ class TestMakeBatches:
         # reference batch, to the bit.
         seen = []
 
-        def spy(means, spec, theta, fd_epsilon, mode):
+        def spy(means, spec, theta, mode):
             seen.append(means.copy())
             return 0.0, np.zeros(len(theta))
 
@@ -553,9 +545,9 @@ class TestTrain:
         modes = []
         original = varq.trainer.central_difference
 
-        def spy(means, spec, theta, fd_epsilon, mode):
+        def spy(means, spec, theta, mode):
             modes.append(mode)
-            return original(means, spec, theta, fd_epsilon, mode)
+            return original(means, spec, theta, mode)
 
         monkeypatch.setattr("varq.trainer.central_difference", spy)
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
@@ -615,8 +607,8 @@ class TestTrain:
     @pytest.mark.parametrize("cadence", CADENCES)
     @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
     def test_training_matches_a_probe_row_reference_loop(self, iris_task, cadence, phase):
-        # The reference steps on (rows[1::2] - rows[2::2]) / 2 eps of probe
-        # rows built from one circuit matrix per probe angle, and classifies
+        # The reference steps on (rows[1::2] - rows[2::2]) / 2 of probe rows
+        # at pi/2 built from one circuit matrix per probe angle, and classifies
         # through the gate list; a global phase makes the data complex
         # without changing any overlap.
         train_set, test_set = iris_task
