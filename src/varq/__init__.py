@@ -8,7 +8,17 @@ address-correlated label state. Training is plain gradient descent on
 the exact gradient of that batched loss (the parameter-shift rule), read
 for a batch from one forward and one backward sweep over the circuit's
 layers.
+
+Importing varq before numpy runs numpy's OpenBLAS on one thread: the
+package sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.
+Where numpy was imported first, the setting has no effect.
 """
+
+import os
+
+# varq's matrices are tiny (2^k wide), so a BLAS worker thread would only
+# spin; this must run before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .ansatz import (
     AnsatzSpec,

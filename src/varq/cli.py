@@ -151,14 +151,17 @@ def _build_run(opts: dict):
 
 
 def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
-    """The three artifact paths, checked for writability before training."""
+    """The three artifact paths, checked for writability before training.
+
+    An existing path must be a regular file: the artifact is moved over
+    it, and a FIFO or device there would become a plain file."""
     paths = []
     for key in ("out_metrics", "out_summary", "out_params"):
         path = Path(opts[key])
         if not path.parent.is_dir():
             raise ConfigurationError(f"option {key}: directory {path.parent} does not exist")
-        if path.is_dir():
-            raise ConfigurationError(f"option {key}: {path} is a directory")
+        if path.exists() and not path.is_file():
+            raise ConfigurationError(f"option {key}: {path} is not a regular file")
         if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
             raise ConfigurationError(f"option {key}: {path} is not writable")
         paths.append(path)
@@ -217,6 +220,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_test_acc": final.test_accuracy,
         "final_loss": final.train_loss,
         "epochs_run": len(metrics),
+        "steps": sum(m.steps for m in metrics),
         "wall_time_s": wall,
         # Seconds per phase: load + split + encode, training, and writing
         # metrics.jsonl and params.json (this file is written last).

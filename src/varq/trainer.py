@@ -79,6 +79,7 @@ class EpochMetrics:
     train_loss: float
     train_accuracy: float
     test_accuracy: float | None
+    steps: int  # theta updates made in this epoch
 
 
 def numerical_gradient(
@@ -264,6 +265,7 @@ def train(
                 train_loss=mean_loss,
                 train_accuracy=_hit_rate(encoded, matrix),
                 test_accuracy=_hit_rate(tested, matrix),
+                steps=len(batch_means) if per_batch else 1,
             )
         )
     return ParameterVector(values), metrics

@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varq
 from varq import cli, encode_dataset, load_iris, make_task
 from varq.cli import main
 
@@ -149,6 +153,28 @@ class TestTrainCommand:
         assert not (tmp_path / "summary.json").exists()
         assert not (tmp_path / "params.json").exists()
 
+    @pytest.mark.parametrize(
+        "make, is_kind", [(os.mkfifo, stat.S_ISFIFO), (os.mkdir, stat.S_ISDIR)],
+        ids=["fifo", "directory"],
+    )
+    def test_output_path_that_is_not_a_regular_file_exits_2_and_is_left_in_place(
+        self, tmp_path, capsys, monkeypatch, make, is_kind
+    ):
+        # Moving the artifact over a FIFO or a device would replace it with
+        # a regular file, so such a path is refused before training.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        special = tmp_path / "special"
+        make(special)
+        code = run_train(tmp_path, extra=["--out-metrics", str(special)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: option out_metrics: {special} is not a regular file\n"
+        assert is_kind(special.stat().st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["special"]
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_out_of_range_readout_qubit_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command
@@ -245,6 +271,17 @@ class TestTrainCommand:
         assert run_train(tmp_path, extra=["--shots", "4096"], epochs=25) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert (summary["final_train_acc"], summary["final_test_acc"]) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "extra, steps",
+        [([], 2000), (["--n", "4"], 500), (["--cadence", "per_epoch"], 100)],
+        ids=["defaults", "n-4", "per-epoch"],
+    )
+    def test_summary_counts_the_angle_updates(self, tmp_path, extra, steps):
+        # 40 training rows per class: 20 batches of 4 per epoch at n = 2, 5
+        # batches of 16 at n = 4, and one update per epoch per_epoch.
+        assert run_train(tmp_path, extra=extra, epochs=100) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["steps"] == steps
 
     def test_retired_fd_eps_config_key_exits_2(self, tmp_path, capsys):
         # The gradient has no step to choose: the key is unknown.
@@ -632,6 +669,29 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "sequential_baseline" in proc.stdout
+
+    def run_python(self, code, **env):
+        """stdout of `python -c code` with varq importable and the thread
+        variables given in env, OPENBLAS_NUM_THREADS unset otherwise."""
+        child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(varq.__file__).resolve().parent.parent)
+        child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child.get("PYTHONPATH")]))
+        child.update(env)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_importing_varq_first_leaves_one_thread(self):
+        # varq's products are 2^k wide: an OpenBLAS worker would only spin.
+        code = "import os, varq; print(len(os.listdir('/proc/self/task')))"
+        assert self.run_python(code) == "1"
+
+    def test_caller_thread_setting_wins(self):
+        code = "import os, varq; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.run_python(code, OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
