@@ -7,9 +7,13 @@ recomputes accuracies from a saved angle file. `cost` prints the
 batched-vs-sequential cost table.
 
 Every option's name, type, default and flag help is declared once, in
-OPTIONS. Flag values override config-file values, which override those
-defaults. Each artifact is written to a temporary file beside it and then
-moved into place. Exit codes: 0 success, 2 configuration or input error, 3
+OPTIONS. COMMANDS names the options each command reads and has flags
+for: `train` all of them, `eval` five, `cost` only `layers`. A config
+file may hold any OPTIONS key, so one file serves `train` and `eval`;
+each command reads its own keys and skips the rest unread. Flag values
+override config-file values, which override those defaults. Each
+artifact is written to a temporary file beside it and then moved into
+place. Exit codes: 0 success, 2 configuration or input error, 3
 optimization failure.
 """
 
@@ -64,6 +68,13 @@ OPTIONS = {
     "out_params": Option(str, "params.json", "final angles file"),
 }
 
+# The OPTIONS each command reads, in OPTIONS order: its flags and config keys.
+COMMANDS = {
+    "train": tuple(OPTIONS),
+    "eval": ("task", "data", "layers", "seed_split", "out_params"),
+    "cost": ("layers",),
+}
+
 
 def _parse_task(task: str | None) -> tuple[str, str]:
     if not task:
@@ -94,10 +105,11 @@ def _read_json(path: str, what: str):
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Each option's value, flag over config file over default, checked:
-    an int option takes an integer, a float option any number a float can
-    hold, a str option a string; no bools, None only where the default is
-    None, and no seed below 0."""
+    """The value of each option the command reads, flag over config file
+    over default, checked: an int option takes an integer, a float option
+    any number a float can hold, a str option a string; no bools, None only
+    where the default is None, and no seed below 0. Config keys of other
+    commands' options are skipped unread."""
     config = _read_json(args.config, "config file") if args.config else {}
     if not isinstance(config, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
@@ -105,8 +117,9 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for name, opt in OPTIONS.items():
-        value = getattr(args, name, None)
+    for name in COMMANDS[args.command]:
+        opt = OPTIONS[name]
+        value = getattr(args, name)
         if value is None:
             value = config.get(name, opt.default)
         if value is not None or opt.default is not None:
@@ -125,37 +138,25 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _build_run(opts: dict):
-    """Validate every option up front and assemble the run ingredients."""
+def _load_run(opts: dict):
+    """Load, split and encode the task's data, and the ansatz that scores it."""
     class0, class1 = _parse_task(opts["task"])
     data_path = default_data_path(opts["data"])
     table = load_iris(data_path)
     task = make_task(table, class0, class1, test_fraction=0.2, seed=opts["seed_split"])
     train_enc = encode_dataset(task.train)
     test_enc = encode_dataset(task.test)
-    if not train_enc:
-        raise ConfigurationError("training split is empty")
     spec = AnsatzSpec(k=train_enc.num_qubits, layers=opts["layers"])
-    mode = EXACT
-    if opts["shots"] is not None:
-        mode = Shots(opts["shots"], opts["seed_shots"])
-    config = TrainConfig(
-        n=opts["n"],
-        epochs=opts["epochs"],
-        learning_rate=opts["lr"],
-        update_cadence=opts["cadence"],
-        seed=opts["seed_batch"],
-        mode=mode,
-    )
-    return task, train_enc, test_enc, spec, config, str(data_path)
+    return task, train_enc, test_enc, spec, str(data_path)
 
 
 def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
     """The three artifact paths, checked for writability before training.
 
     An existing path must be a regular file: the artifact is moved over
-    it, and a FIFO or device there would become a plain file."""
-    paths = []
+    it, and a FIFO or device there would become a plain file. No two may
+    name one file, or the later artifact would overwrite the earlier."""
+    paths = {}
     for key in ("out_metrics", "out_summary", "out_params"):
         path = Path(opts[key])
         if not path.parent.is_dir():
@@ -164,8 +165,11 @@ def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
             raise ConfigurationError(f"option {key}: {path} is not a regular file")
         if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
             raise ConfigurationError(f"option {key}: {path} is not writable")
-        paths.append(path)
-    return tuple(paths)
+        for other, seen in paths.items():
+            if seen.resolve() == path.resolve():
+                raise ConfigurationError(f"options {other} and {key} name one file: {path}")
+        paths[key] = path
+    return tuple(paths.values())
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -188,7 +192,16 @@ def _print_results_table(rows: list[tuple[str, str, float, float | None]]) -> No
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     start = time.perf_counter()
-    task, train_enc, test_enc, spec, config, data_path = _build_run(opts)
+    task, train_enc, test_enc, spec, data_path = _load_run(opts)
+    mode = EXACT if opts["shots"] is None else Shots(opts["shots"], opts["seed_shots"])
+    config = TrainConfig(
+        n=opts["n"],
+        epochs=opts["epochs"],
+        learning_rate=opts["lr"],
+        update_cadence=opts["cadence"],
+        seed=opts["seed_batch"],
+        mode=mode,
+    )
     prepare_s = time.perf_counter() - start
     metrics_path, summary_path, params_path = _output_paths(opts)
     theta0 = init_parameters(spec, opts["seed_init"])
@@ -239,7 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    task, train_enc, test_enc, spec, _, _ = _build_run(opts)
+    task, train_enc, test_enc, spec, _ = _load_run(opts)
 
     params_path = args.params or opts["out_params"]
     values = _read_json(params_path, "parameter file")
@@ -284,26 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"varq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser):
+    def add_command(command: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for name, opt in OPTIONS.items():
+        for name in COMMANDS[command]:
+            opt = OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, type=opt.kind, choices=opt.choices, help=opt.help)
+        p.set_defaults(func=func)
+        return p
 
-    p_train = sub.add_parser("train", help="train one task and write artifacts")
-    add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="recompute accuracies from a saved parameter file")
-    add_common(p_eval)
+    add_command("train", cmd_train, "train one task and write artifacts")
+    p_eval = add_command("eval", cmd_eval, "recompute accuracies from a saved parameter file")
     p_eval.add_argument("--params", help="parameter file (default: the --out-params path)")
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_cost = sub.add_parser("cost", help="print the batched vs sequential cost table")
-    add_common(p_cost)
+    p_cost = add_command("cost", cmd_cost, "print the batched vs sequential cost table")
     p_cost.add_argument("--n-min", type=int, default=1, help="smallest n (default %(default)s)")
     p_cost.add_argument("--n-max", type=int, default=12, help="largest n (default %(default)s)")
-    p_cost.set_defaults(func=cmd_cost)
 
     return parser
 

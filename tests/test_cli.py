@@ -154,6 +154,33 @@ class TestTrainCommand:
         assert not (tmp_path / "params.json").exists()
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--out-metrics", "same.json", "--out-summary", "same.json"],
+             "options out_metrics and out_summary name one file: same.json"),
+            (["--out-metrics", "./a.json", "--out-params", "a.json"],
+             "options out_metrics and out_params name one file: a.json"),
+            (["--out-summary", "a.json", "--out-params", "{cwd}/a.json"],
+             "options out_summary and out_params name one file: {cwd}/a.json"),
+        ],
+        ids=["same-spelling", "dot-slash", "absolute"],
+    )
+    def test_two_artifacts_on_one_path_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch, extra, named
+    ):
+        # The later artifact would overwrite the earlier one.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.chdir(tmp_path)
+        extra = [arg.format(cwd=tmp_path) for arg in extra]
+        code = main(["train", "--task", "setosa-vs-versicolor", "--epochs", "1", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named.format(cwd=tmp_path)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "make, is_kind", [(os.mkfifo, stat.S_ISFIFO), (os.mkdir, stat.S_ISDIR)],
         ids=["fifo", "directory"],
     )
@@ -191,9 +218,11 @@ class TestTrainCommand:
         argv = [command, "--task", "setosa-vs-versicolor", "--config", str(config),
                 "--params" if command == "eval" else "--out-params", str(params)]
         # The readout is data qubit 0, not an option: the key is unknown, and
-        # it is rejected before the output paths, so the absent directory
+        # it is rejected before train's output paths, so the absent directory
         # goes unreported.
-        code = main(argv + ["--out-metrics", str(tmp_path / "absent" / "m.jsonl")])
+        if command == "train":
+            argv += ["--out-metrics", str(tmp_path / "absent" / "m.jsonl")]
+        code = main(argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: unknown config keys: ['readout_qubit']\n"
@@ -331,17 +360,86 @@ class TestConfigFile:
         assert summary["config"]["epochs"] == 2
 
     def test_every_option_is_a_flag_and_echoed(self, tmp_path):
-        # Each option has a flag of train and eval and a key in the config
-        # echo of a default run's summary.json: no config-file-only knob.
+        # Each command has a flag for exactly the options it reads, besides
+        # --config and its own extras; train reads them all, and a default
+        # run's summary.json echoes every one: no config-file-only knob.
         parser = cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for command in ("train", "eval"):
+        extras = {"train": set(), "eval": {"--params"}, "cost": {"--n-min", "--n-max"}}
+        assert set(commands.choices) == set(cli.COMMANDS) == set(extras)
+        assert cli.COMMANDS["train"] == tuple(cli.OPTIONS)
+        for command, names in cli.COMMANDS.items():
             flags = {s for a in commands.choices[command]._actions for s in a.option_strings}
-            for name in cli.OPTIONS:
-                assert "--" + name.replace("_", "-") in flags, (command, name)
+            declared = {"--" + name.replace("_", "-") for name in names}
+            assert flags - {"-h", "--help", "--config"} - extras[command] == declared, command
         assert run_train(tmp_path, epochs=1) == 0
         echo = json.loads((tmp_path / "summary.json").read_text())["config"]
         assert set(cli.OPTIONS) <= set(echo)
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, name) for command in ("eval", "cost") for name in cli.OPTIONS
+         if name not in cli.COMMANDS[command]],
+    )
+    def test_another_commands_flag_is_an_argparse_error(
+        self, capsys, monkeypatch, command, name
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for function in ("load_iris", "train", "accuracy"):
+            monkeypatch.setattr(cli, function, no_work)
+        flag = "--" + name.replace("_", "-")
+        value = {"task": "setosa-vs-versicolor", "data": "iris.csv", "shots": "3"}.get(
+            name, str(cli.OPTIONS[name].default)
+        )
+        argv = [command, flag, value]
+        if command == "eval":
+            argv += ["--task", "setosa-vs-versicolor", "--params", "params.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        # "unrecognized arguments", or for cost's --n "ambiguous option".
+        assert "error: " in err and flag in err
+
+    def test_eval_reads_a_config_file_shared_with_train(self, tmp_path, capsys, monkeypatch):
+        # One file holds every option; eval reads its own five keys, skips
+        # the training keys unread and builds no training config.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "task": "versicolor-vs-virginica",
+            "data": str(varq.default_data_path()),
+            "n": 1,
+            "layers": 3,
+            "epochs": 3,
+            "lr": 0.2,
+            "cadence": "per_batch",
+            "seed_split": 5,
+            "seed_init": 1,
+            "seed_batch": 2,
+            "seed_shots": 3,
+            "shots": 256,
+            "out_metrics": str(tmp_path / "m.jsonl"),
+            "out_summary": str(tmp_path / "s.json"),
+            "out_params": str(tmp_path / "p.json"),
+        }))
+        assert set(json.loads(config.read_text())) == set(cli.OPTIONS)
+        assert main(["train", "--config", str(config)]) == 0
+        summary = json.loads((tmp_path / "s.json").read_text())
+
+        def no_training_config(*args, **kwargs):
+            raise AssertionError("training config built")
+
+        monkeypatch.setattr(cli, "TrainConfig", no_training_config)
+        monkeypatch.setattr(cli, "Shots", no_training_config)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["task"] == "versicolor-vs-virginica"
+        assert report["params"] == str(tmp_path / "p.json")
+        assert report["train_acc"] == summary["final_train_acc"]
+        assert report["test_acc"] == summary["final_test_acc"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -385,8 +483,9 @@ def broken_json(rng, value):
     return bytes(flipped)
 
 
-def malformed_config(rng, base):
-    """The bytes of one malformed config file."""
+def malformed_config(rng, base, names):
+    """The bytes of one malformed config file for a command that reads the
+    options in names: its mistyped and out-of-range values are theirs."""
     kind = rng.choice(["broken", "top-level", "unknown", "type", "range"])
     if kind == "broken":
         return broken_json(rng, base)
@@ -402,23 +501,22 @@ def malformed_config(rng, base):
         assert key not in cli.OPTIONS
         return json.dumps({**base, key: 1}).encode()
     if kind == "type":
-        name = rng.choice(sorted(cli.OPTIONS))
+        name = rng.choice(sorted(names))
         option = cli.OPTIONS[name]
         wrong = [[1], {"a": 1}, True, False]
         wrong += [5] if option.kind is str else ["abc"]
         wrong += [2.0, 2.5] if option.kind is int else []
         wrong += [None] if option.default is not None else []
         return json.dumps({**base, name: rng.choice(wrong)}).encode()
-    name, value = rng.choice(
-        [
-            ("n", rng.randint(-5, 0)),
-            ("epochs", rng.randint(-5, 0)),
-            ("lr", float("nan")),
-            ("shots", rng.randint(-5, 0)),
-            ("shots", 2**63 + rng.randint(0, 10**6)),
-            ("seed_" + rng.choice(["split", "init", "batch", "shots"]), -rng.randint(1, 99)),
-        ]
-    )
+    cases = [
+        ("n", rng.randint(-5, 0)),
+        ("epochs", rng.randint(-5, 0)),
+        ("lr", float("nan")),
+        ("shots", rng.randint(-5, 0)),
+        ("shots", 2**63 + rng.randint(0, 10**6)),
+        *(("seed_" + seed, -rng.randint(1, 99)) for seed in ("split", "init", "batch", "shots")),
+    ]
+    name, value = rng.choice([(name, value) for name, value in cases if name in names])
     return json.dumps({**base, name: value}).encode()
 
 
@@ -461,8 +559,8 @@ class TestMalformedFileFuzz:
                 case_file.write_bytes(malformed_params(rng))
                 argv = ["eval", "--task", "setosa-vs-versicolor", "--params", str(case_file)]
             else:
-                case_file.write_bytes(malformed_config(rng, base))
                 command = "eval" if rng.random() < 0.3 else "train"
+                case_file.write_bytes(malformed_config(rng, base, cli.COMMANDS[command]))
                 argv = [command, "--config", str(case_file)]
                 if command == "eval":
                     argv += ["--params", str(good_params)]
