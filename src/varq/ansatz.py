@@ -1,7 +1,8 @@
 """Layered parameterized circuit applied to the data qubits.
 
-Each layer applies one RY rotation per data qubit (trainable angles,
-layer-major / qubit-minor order), then a ring of CZ entanglers.
+Each layer applies the gates of `AnsatzSpec.schedule`: one RY rotation
+per data qubit (trainable angles, layer-major / qubit-minor order), then
+a ring of CZ entanglers.
 Rotations and entanglers are all real, so real input amplitudes stay
 real.
 
@@ -41,15 +42,6 @@ from .statevector import StateVector
 DEFAULT_LAYERS = 4
 
 
-def _ring_pairs(k: int) -> tuple[tuple[int, int], ...]:
-    # k=1 has no entangler; k=2 collapses the ring to a single pair.
-    if k == 1:
-        return ()
-    if k == 2:
-        return ((0, 1),)
-    return tuple((q, (q + 1) % k) for q in range(k))
-
-
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Circuit skeleton: data-qubit count and layer count."""
@@ -73,13 +65,9 @@ class AnsatzSpec:
         return self.k * self.layers
 
     @property
-    def entangler_pairs(self) -> tuple[tuple[int, int], ...]:
-        return _ring_pairs(self.k)
-
-    @property
     def gate_count(self) -> int:
-        """Gates per application: rotations plus entanglers, all layers."""
-        return self.layers * (self.k + len(self.entangler_pairs))
+        """Gates per application: every layer's schedule."""
+        return self.layers * len(self.schedule)
 
     def check_theta(self, theta: np.ndarray) -> None:
         """Reject angles that are not a finite (P,) vector."""
@@ -92,19 +80,18 @@ class AnsatzSpec:
 
     @cached_property
     def schedule(self) -> tuple[tuple[str, int, int], ...]:
-        """The gate sequence on data-qubit positions 0..k-1: ("RY", qubit,
-        angle index) and ("CZ", a, b) entries, in application order."""
-        gates = []
-        for layer in range(self.layers):
-            base = layer * self.k
-            gates += [("RY", q, base + q) for q in range(self.k)]
-            gates += [("CZ", a, b) for a, b in self.entangler_pairs]
-        return tuple(gates)
+        """One layer's gates on data-qubit positions 0..k-1, in application
+        order: ("RY", q, q) on every qubit, layer l reading angle l*k + q,
+        then ("CZ", q, q + 1 mod k) around the ring (none at k = 1, one pair
+        at k = 2). The circuit applies this list `layers` times."""
+        ring = range(self.k if self.k > 2 else self.k - 1)
+        return tuple([("RY", q, q) for q in range(self.k)]
+                     + [("CZ", q, (q + 1) % self.k) for q in ring])
 
     @cached_property
     def layer_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The schedule as matrix layers; every layer has the same gates,
-        one RY per qubit and then its CZs, on its own k angles.
+        """`schedule` as matrix layers, from one walk over its gates; every
+        layer has the same gates, on its own k angles.
 
         RY(t)[x, y] is cos(t/2) for x == y, else sin(t/2), negated at
         x=0, y=1. So entry (x, y) of a layer's matrix is a sign times a
@@ -119,12 +106,13 @@ class AnsatzSpec:
         bits = (np.arange(dim)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
         first = np.zeros((self.k, 1, dim, dim), dtype=np.intp)
         signs = np.ones((dim, dim))
-        for q in range(self.k):  # layer 0's RYs: qubit q reads angle q
-            x, y = bits[:, q, None], bits[None, :, q]
-            first[q] = 2 * q + (x != y)
-            signs *= np.where(x < y, -1.0, 1.0)
-        for a, b in self.entangler_pairs:
-            signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
+        for kind, a, b in self.schedule:
+            if kind == "RY":  # in layer 0, qubit a reads angle b
+                x, y = bits[:, a, None], bits[None, :, a]
+                first[a] = 2 * b + (x != y)
+                signs *= np.where(x < y, -1.0, 1.0)
+            else:  # CZ: -1 on the rows where qubits a and b are both 1
+                signs *= (1 - 2 * (bits[:, a] & bits[:, b]))[:, None]
         # Layer l reads angles l*k .. l*k + k - 1.
         return first + 2 * self.k * np.arange(self.layers)[:, None, None], signs
 

@@ -293,12 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varq",
         description="Batched variational classifier: train, evaluate, and cost-model runs.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"varq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(command: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for name in COMMANDS[command]:
             opt = OPTIONS[name]

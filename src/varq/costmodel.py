@@ -1,21 +1,10 @@
-"""Per-query cost accounting for the batched forward pass.
+"""Per-pass gate counts of the modeled hardware, batched against sequential.
 
-All counts are abstract primitive operations of the modeled hardware;
-the simulator's own amplitude bookkeeping is deliberately excluded. One
-batched pass over N = 2^n samples tallies four buckets:
-
-  hadamards        n       address-superposition layer
-  qram_routing     2n      two routing steps per level of the address tree
-  ansatz_gates     const   rotations + entanglers, independent of n
-  swap_test_gates  n+3     2 Hadamards + (n+1) CSWAPs
-
-so the total is affine in n = log2 N. The label-state preparation (n
-Hadamards plus one CNOT) is constant-per-level bookkeeping outside these
-buckets; including it would only change the affine coefficients. The
-sequential baseline charges every sample its own pass: one retrieval,
-the full ansatz, and a single-pair swap test against its one-qubit label
-state, 1 + gate_count + 3 operations per sample, hence linear in N.
-`cost_table` builds one row of these counts per n.
+`pass_schedule` lists one batched pass over N = 2^n samples by bucket,
+and `cost_table` counts those lists. The layer matrices are built from
+the ansatz bucket, and the tests run the H, ansatz and swap-test buckets
+gate by gate. The label-state preparation is left out; it would only
+change the affine coefficients.
 """
 
 from __future__ import annotations
@@ -23,35 +12,52 @@ from __future__ import annotations
 from .ansatz import AnsatzSpec
 from .errors import ConfigurationError
 
-# Routing steps charged per level of the address tree: one activation
-# plus one routing step. Any fixed constant preserves the scaling story;
-# this one makes the cost tables reproducible.
-ROUTING_STEPS_PER_LEVEL = 2
+
+def pass_schedule(n: int, spec: AnsatzSpec) -> dict[str, tuple[tuple[str, int, int], ...]]:
+    """One batched pass over 2^n samples, by bucket, in the tuple format
+    of `AnsatzSpec.schedule`. Qubits: data 0..k-1, controls k..k+n-1, the
+    swap test's ancilla k+n, label qubits k+n+1..k+2n+1. ("H", q, q) is a
+    Hadamard; ("ROUTE", c, j) and ("ACTIVATE", c, j) carry control c down
+    the address tree and set its router at level j, two steps per level
+    of the bucket-brigade model (Giovannetti, Lloyd and Maccone,
+    arXiv:0708.1879); ("CSWAP", a, b) swaps a and b when the ancilla is
+    1. The ansatz bucket is one layer, applied spec.layers times."""
+    controls = range(spec.k, spec.k + n)
+    ancilla = spec.k + n
+    compared = (0, *controls)  # readout, then control j, with label qubit j
+    return {
+        "hadamards": tuple(("H", c, c) for c in controls),
+        "qram_routing": tuple(
+            (step, c, c - spec.k) for c in controls for step in ("ROUTE", "ACTIVATE")
+        ),
+        "ansatz_gates": spec.schedule,
+        "swap_test_gates": (
+            ("H", ancilla, ancilla),
+            *(("CSWAP", q, ancilla + 1 + j) for j, q in enumerate(compared)),
+            ("H", ancilla, ancilla),
+        ),
+    }
+
+
+def _bucket_sizes(n: int, spec: AnsatzSpec) -> dict[str, int]:
+    sizes = {bucket: len(gates) for bucket, gates in pass_schedule(n, spec).items()}
+    sizes["ansatz_gates"] *= spec.layers
+    return sizes
 
 
 def cost_table(n_min: int, n_max: int, spec: AnsatzSpec) -> list[dict[str, int]]:
     """Rows of the batched-vs-sequential comparison for n_min..n_max: the
     four buckets of one batched pass over 2^n samples, their total, and
-    the sequential baseline of 2^n single-sample passes."""
+    the sequential baseline, which charges each of the 2^n samples one
+    retrieval and the n = 0 pass."""
     if not 1 <= n_min <= n_max <= 20:
         raise ConfigurationError(
             f"control-qubit range must satisfy 1 <= min <= max <= 20, got {n_min}..{n_max}"
         )
+    per_sample = 1 + sum(_bucket_sizes(0, spec).values())
     rows = []
     for n in range(n_min, n_max + 1):
-        buckets = {
-            "hadamards": n,
-            "qram_routing": ROUTING_STEPS_PER_LEVEL * n,
-            "ansatz_gates": spec.gate_count,
-            "swap_test_gates": 2 + (n + 1),  # 2 Hadamards, one CSWAP per compared pair
-        }
-        rows.append(
-            {
-                "n": n,
-                "N": 1 << n,
-                **buckets,
-                "total": sum(buckets.values()),
-                "sequential_baseline": (1 << n) * (1 + spec.gate_count + 3),
-            }
-        )
+        buckets = _bucket_sizes(n, spec)
+        rows.append({"n": n, "N": 1 << n, **buckets, "total": sum(buckets.values()),
+                     "sequential_baseline": (1 << n) * per_sample})
     return rows

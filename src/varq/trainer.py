@@ -201,9 +201,7 @@ def _step(values: np.ndarray, grad: np.ndarray, rate: float, epoch: int) -> np.n
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:
             j = int(bad[0])
-            raise OptimizationError(
-                f"non-finite loss while probing parameter {j}: gradient {grad[j]}"
-            )
+            raise OptimizationError(f"non-finite gradient at parameter {j}: {grad[j]}")
         raise OptimizationError(
             f"training diverged at epoch {epoch}: parameters became non-finite"
         )

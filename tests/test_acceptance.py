@@ -90,6 +90,23 @@ def test_criterion_1_iris_table_reproduction(iris_runs):
     report(1, "Iris accuracy table reproduced within bands", ok, f" ({'; '.join(details)})")
 
 
+@pytest.mark.parametrize("n", (1, 3, 5))
+def test_equal_steps_reach_criterion_1_band_at_every_n(n):
+    # 2,000 angle updates at batch size 2^n: the 40 training rows per class
+    # make 40 / 2^(n-1) batches per epoch. At the default 100 epochs a
+    # larger n takes fewer steps; at equal steps it stays in the band.
+    records = load_iris(default_data_path())
+    task = make_task(records, "virginica", "versicolor", seed=0)
+    train_set, test_set = encode_dataset(task.train), encode_dataset(task.test)
+    spec = default_ansatz(train_set[0].state.num_qubits)
+    config = TrainConfig(n=n, epochs=2000 // (40 >> (n - 1)), seed=2)
+    _, metrics = train(
+        train_set, test_set, spec, config, initial_theta=init_parameters(spec, seed=1)
+    )
+    assert sum(m.steps for m in metrics) == 2000
+    assert metrics[-1].train_accuracy >= 0.875 and metrics[-1].test_accuracy >= 0.85
+
+
 def test_criterion_2_loss_descends_and_stays_bounded(iris_runs):
     ok = True
     worst = -np.inf

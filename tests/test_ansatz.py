@@ -44,29 +44,36 @@ class TestAnsatzSpec:
     def test_single_qubit_single_layer(self):
         spec = default_ansatz(1, layers=1)
         assert spec.parameter_count == 1
-        assert spec.entangler_pairs == ()
+        assert spec.schedule == (("RY", 0, 0),)
         assert spec.gate_count == 1
 
     def test_two_qubits_three_layers(self):
         spec = default_ansatz(2, layers=3)
         assert spec.parameter_count == 6
-        assert spec.entangler_pairs == ((0, 1),)
+        assert spec.schedule == (("RY", 0, 0), ("RY", 1, 1), ("CZ", 0, 1))
         assert spec.gate_count == 9
-        assert sum(1 for kind, _, _ in spec.schedule if kind == "CZ") == 3
 
     def test_three_qubits_have_full_ring(self):
         spec = default_ansatz(3, layers=1)
-        assert spec.entangler_pairs == ((0, 1), (1, 2), (2, 0))
+        ring = [(a, b) for kind, a, b in spec.schedule if kind == "CZ"]
+        assert ring == [(0, 1), (1, 2), (2, 0)]
 
     def test_parameter_ordering_is_layer_major(self):
         spec = default_ansatz(2, layers=2)
         ry = [(a, b) for kind, a, b in spec.schedule if kind == "RY"]
-        assert ry == [(0, 0), (1, 1), (0, 2), (1, 3)]
+        assert ry == [(0, 0), (1, 1)]
+        # The layer matrices read qubit q of layer l from angle l*k + q:
+        # gather holds 2 * angle for its cosine and 2 * angle + 1 for its sine.
+        gather = spec.layer_plan[0]
+        read = [(q, np.unique(gather[q, layer] // 2).tolist()) for layer in (0, 1) for q in (0, 1)]
+        assert read == [(0, [0]), (1, [1]), (0, [2]), (1, [3])]
 
     @pytest.mark.parametrize("layers", range(1, 4))
     @pytest.mark.parametrize("k", range(1, 5))
     def test_schedule_names_the_oracle_gate_list(self, k, layers):
-        # Angle j is the number j, so an RY record's angle is its index.
+        # Angle j is the number j, so an RY record's angle is its index. The
+        # circuit is the one-layer schedule `layers` times, layer l reading
+        # angle l*k + q where the schedule names angle q.
         spec = default_ansatz(k, layers=layers)
         gates = oracles.ansatz_gates(spec, np.arange(spec.parameter_count), range(k))
         named = [
@@ -74,17 +81,23 @@ class TestAnsatzSpec:
             else (g.kind, g.controls[0], g.targets[0])
             for g in gates
         ]
-        assert named == list(spec.schedule)
+        repeated = [
+            (kind, a, layer * k + b if kind == "RY" else b)
+            for layer in range(layers)
+            for kind, a, b in spec.schedule
+        ]
+        assert named == repeated
 
     @pytest.mark.parametrize("layers", range(1, 4))
     @pytest.mark.parametrize("k", range(1, 5))
     def test_gate_count_and_layer_plan_build_no_schedule(self, k, layers):
-        # Both are constant in the layer count: neither lists every gate.
+        # Both read the one-layer schedule, which does not grow with the
+        # layer count: neither lists every gate.
         spec = default_ansatz(k, layers=layers)
-        count = spec.gate_count
+        assert spec.schedule == default_ansatz(k, layers=1).schedule
+        gates = oracles.ansatz_gates(spec, np.zeros(spec.parameter_count), range(k))
+        assert spec.gate_count == layers * len(spec.schedule) == len(gates)
         assert spec.layer_plan[0].shape == (k, layers, 1 << k, 1 << k)
-        assert "schedule" not in vars(spec)
-        assert count == len(spec.schedule)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):

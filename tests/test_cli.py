@@ -400,8 +400,29 @@ class TestConfigFile:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        # "unrecognized arguments", or for cost's --n "ambiguous option".
-        assert "error: " in err and flag in err
+        # Prefix matching is off, so cost's --n is no abbreviation of
+        # --n-min or --n-max: every foreign flag is unrecognized.
+        assert "error: unrecognized arguments: " in err and flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--epoch", "1"],
+         ["eval", "--task", "setosa-vs-versicolor", "--out", "p.json"],
+         ["cost", "--n", "3"]],
+        ids=["train-epoch", "eval-out", "cost-n"],
+    )
+    def test_abbreviated_flag_is_an_argparse_error(self, capsys, monkeypatch, argv):
+        # Only a flag's full spelling is accepted: --epoch is not --epochs,
+        # --out is not --out-params, --n is not --n-min.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for function in ("load_iris", "train", "accuracy"):
+            monkeypatch.setattr(cli, function, no_work)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_eval_reads_a_config_file_shared_with_train(self, tmp_path, capsys, monkeypatch):
         # One file holds every option; eval reads its own five keys, skips

@@ -1,10 +1,18 @@
-"""Gate-count accounting: batched forward pass vs per-sample baseline."""
+"""Gate-count accounting: batched forward pass vs per-sample baseline,
+counted from the gate lists of `pass_schedule`, which the oracle runs."""
+
+import time
 
 import numpy as np
 import pytest
 
-from varq import cost_table, default_ansatz
+import oracles
+from oracles import GateOp
+from varq import AnsatzSpec, ParameterVector, cost_table, default_ansatz
+from varq.costmodel import pass_schedule
 from varq.errors import ConfigurationError
+from varq.loss import batched_loss
+from varq.qram import QramStore
 
 
 SPEC = default_ansatz(2, layers=4)
@@ -73,3 +81,84 @@ class TestCostTable:
             cost_table(3, 2, SPEC)
         with pytest.raises(ConfigurationError):
             cost_table(0, 4, SPEC)
+
+    def test_huge_layer_count_is_counted_without_listing_its_gates(self):
+        # The ansatz bucket is one layer times the layer count: 2^62 - 1
+        # layers, the most that fit in a signed 64-bit angle index at k = 2.
+        start = time.perf_counter()
+        spec = AnsatzSpec(2, 2**62 - 1)
+        count = spec.gate_count
+        rows = cost_table(1, 20, spec)
+        assert time.perf_counter() - start < 1.0
+        assert count == 3 * (2**62 - 1)
+        assert {row["ansatz_gates"] for row in rows} == {count}
+
+
+def gate_op(kind, a, b, angles, ancilla):
+    """One pass_schedule tuple as a GateOp: an RY on qubit a reads
+    angles[b], an H acts on a (= b) and a CSWAP swaps a and b when the
+    ancilla is 1."""
+    if kind == "RY":
+        return GateOp.ry(a, angles[b])
+    if kind == "CZ":
+        return GateOp.cz(a, b)
+    if kind == "H":
+        assert a == b
+        return GateOp.h(a)
+    assert kind == "CSWAP", kind
+    return GateOp.cswap(ancilla, a, b)
+
+
+class TestPassSchedule:
+    def test_pass_at_two_controls_names_every_gate(self):
+        # Data 0-1, controls 2-3, ancilla 4, label qubits 5-7.
+        assert pass_schedule(2, SPEC) == {
+            "hadamards": (("H", 2, 2), ("H", 3, 3)),
+            "qram_routing": (
+                ("ROUTE", 2, 0), ("ACTIVATE", 2, 0), ("ROUTE", 3, 1), ("ACTIVATE", 3, 1),
+            ),
+            "ansatz_gates": (("RY", 0, 0), ("RY", 1, 1), ("CZ", 0, 1)),
+            "swap_test_gates": (
+                ("H", 4, 4), ("CSWAP", 0, 5), ("CSWAP", 2, 6), ("CSWAP", 3, 7), ("H", 4, 4),
+            ),
+        }
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 4))
+    def test_hadamards_put_the_controls_in_uniform_superposition(self, k, n):
+        hadamards = pass_schedule(n, default_ansatz(k))["hadamards"]
+        ops = [gate_op(*gate, None, None) for gate in hadamards]
+        out = oracles.apply_gates_local(oracles.basis_state(k + n, 0), k + n, ops)
+        cells = [oracles.basis_state(k, 0)] * (1 << n)
+        assert np.max(np.abs(out - oracles.amplitude_placement(cells, n))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 4))
+    def test_ansatz_and_swap_test_run_gate_by_gate_match_batched_loss(self, k, n):
+        # The placed register, the ancilla and the label state, one gate at
+        # a time: the ansatz bucket once per layer, then the swap test.
+        rng = np.random.default_rng(1000 + 10 * k + n)
+        spec = default_ansatz(k, layers=2)
+        buckets = pass_schedule(n, spec)
+        (row,) = cost_table(n, n, spec)
+        ancilla = k + n
+        labels = (np.arange(1 << n) >= 1 << (n - 1)).astype(int)
+        for draw in (oracles.random_real_state, oracles.random_state):
+            block = np.array([draw(rng, k) for _ in range(1 << n)])
+            if draw is oracles.random_real_state:
+                block = block.real
+            theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
+            ops = [
+                gate_op(*gate, theta[layer * k : (layer + 1) * k], ancilla)
+                for layer in range(spec.layers)
+                for gate in buckets["ansatz_gates"]
+            ] + [gate_op(*gate, None, ancilla) for gate in buckets["swap_test_gates"]]
+            assert len(ops) == row["ansatz_gates"] + row["swap_test_gates"]
+            register = np.kron(
+                np.kron(oracles.amplitude_placement(block, n), [1.0, 0.0]),
+                oracles.label_state_vector(n),
+            )
+            out = oracles.apply_gates_local(register, k + 2 * n + 2, ops)
+            gate_level = 2.0 - 2.0 * oracles.probability(out, ancilla, 0)
+            store = QramStore(n, k, block, labels)
+            assert abs(gate_level - batched_loss(store, spec, ParameterVector(theta))) < 1e-12
