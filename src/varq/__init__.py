@@ -24,7 +24,6 @@ from .ansatz import (
     AnsatzSpec,
     ParameterVector,
     apply_ansatz,
-    default_ansatz,
     init_parameters,
 )
 from .costmodel import cost_table
@@ -93,7 +92,6 @@ __all__ = [
     "batched_loss",
     "build_store",
     "cost_table",
-    "default_ansatz",
     "default_data_path",
     "encode_dataset",
     "init_parameters",

@@ -159,11 +159,6 @@ class ParameterVector:
         return self.values.shape[0]
 
 
-def default_ansatz(k: int, layers: int = DEFAULT_LAYERS) -> AnsatzSpec:
-    """The RY-rotation / CZ-ring circuit on k qubits."""
-    return AnsatzSpec(k=k, layers=layers)
-
-
 def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVector:
     """Independent uniform angles in [0, 2*pi), reproducible from seed."""
     rng = np.random.default_rng(seed)

@@ -34,7 +34,7 @@ from .dataset import SPECIES, default_data_path, load_iris, make_task
 from .encoding import encode_dataset
 from .errors import ConfigurationError, OptimizationError, VarqError
 from .loss import EXACT, Shots
-from .trainer import CADENCES, TrainConfig, accuracy, train
+from .trainer import TrainConfig, accuracy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +45,6 @@ class Option(NamedTuple):
     kind: type  # int, float or str
     default: object
     help: str
-    choices: tuple[str, ...] | None = None
 
 
 # Every option, in --help order. A flag is "--" plus the name with "_"
@@ -57,7 +56,6 @@ OPTIONS = {
     "layers": Option(int, DEFAULT_LAYERS, "ansatz layers"),
     "epochs": Option(int, TrainConfig.epochs, "training epochs"),
     "lr": Option(float, TrainConfig.learning_rate, "gradient-descent step size"),
-    "cadence": Option(str, TrainConfig.update_cadence, "update cadence", CADENCES),
     "seed_split": Option(int, 0, "seed of the train/test split"),
     "seed_init": Option(int, 1, "seed of the initial angles"),
     "seed_batch": Option(int, 2, "seed of the per-epoch batch shuffle"),
@@ -182,13 +180,6 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _print_results_table(rows: list[tuple[str, str, float, float | None]]) -> None:
-    print(f"{'Class 0':<12} {'Class 1':<12} {'Training Acc.':>14} {'Testing Acc.':>14}")
-    for class0, class1, train_acc, test_acc in rows:
-        test_str = f"{test_acc:.3f}" if test_acc is not None else "n/a"
-        print(f"{class0:<12} {class1:<12} {train_acc:>14.3f} {test_str:>14}")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     start = time.perf_counter()
@@ -198,7 +189,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         n=opts["n"],
         epochs=opts["epochs"],
         learning_rate=opts["lr"],
-        update_cadence=opts["cadence"],
         seed=opts["seed_batch"],
         mode=mode,
     )
@@ -242,7 +232,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
 
-    _print_results_table([(task.class0, task.class1, final.train_accuracy, final.test_accuracy)])
+    test_str = f"{final.test_accuracy:.3f}" if final.test_accuracy is not None else "n/a"
+    print(f"{'Class 0':<12} {'Class 1':<12} {'Training Acc.':>14} {'Testing Acc.':>14}")
+    print(f"{task.class0:<12} {task.class1:<12} {final.train_accuracy:>14.3f} {test_str:>14}")
     print(
         f"wrote {metrics_path}, {summary_path}, {params_path} "
         f"({wall:.1f}s, {len(metrics)} epochs)"
@@ -283,9 +275,12 @@ def cmd_cost(args: argparse.Namespace) -> int:
     spec = AnsatzSpec(k=2, layers=opts["layers"])
     rows = cost_table(args.n_min, args.n_max, spec)
     cols = ["N", "hadamards", "qram_routing", "ansatz_gates", "swap_test_gates", "total", "sequential_baseline"]
-    print(" ".join(f"{c:>19}" for c in cols))
+    # Each column is as wide as its widest cell, and at least 19, the
+    # longest header: a row of huge counts still lines up under it.
+    widths = [max([19, *(len(str(row[c])) for row in rows)]) for c in cols]
+    print(" ".join(f"{c:>{w}}" for c, w in zip(cols, widths)))
     for row in rows:
-        print(" ".join(f"{row[c]:>19d}" for c in cols))
+        print(" ".join(f"{row[c]:>{w}d}" for c, w in zip(cols, widths)))
     return EXIT_OK
 
 
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in COMMANDS[command]:
             opt = OPTIONS[name]
             flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=opt.kind, choices=opt.choices, help=opt.help)
+            p.add_argument(flag, type=opt.kind, help=opt.help)
         p.set_defaults(func=func)
         return p
 

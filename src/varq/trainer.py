@@ -7,8 +7,7 @@ reads a batch only through its two class-mean states, so each epoch's
 (batches, 2, 2^k) class-mean array is one fancy index into the
 amplitude matrix and one `loss.class_means`; no batch is
 laid out as a qRAM store (`batched_loss` on a store is the one-batch
-form of the same loss). Updates happen after every batch ("per_batch",
-the default) or once per epoch on the mean gradient ("per_epoch").
+form of the same loss). Theta takes one step after every batch.
 
 A batch's loss and gradient come from one call,
 `loss.central_difference`, in both readout modes: one forward and one
@@ -42,7 +41,6 @@ from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, central_difference, class_means
 
-CADENCES = ("per_batch", "per_epoch")
 # Samples per stacked classification pass: bounds accuracy's working set.
 CLASSIFY_CHUNK = 1024
 
@@ -52,7 +50,6 @@ class TrainConfig:
     n: int = 2
     epochs: int = 100
     learning_rate: float = 0.05
-    update_cadence: str = "per_batch"
     seed: int = 0
     mode: str | Shots = EXACT
 
@@ -65,10 +62,6 @@ class TrainConfig:
         # +inf is allowed and ends the run as a divergence.
         if not self.learning_rate >= 0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.update_cadence not in CADENCES:
-            raise ConfigurationError(
-                f"update_cadence must be one of {CADENCES}, got {self.update_cadence!r}"
-            )
         if not (self.mode == EXACT or isinstance(self.mode, Shots)):
             raise ConfigurationError(f"mode must be 'exact' or Shots(...), got {self.mode!r}")
 
@@ -234,25 +227,18 @@ def train(
 
     # Shots mode draws one sub-seed per batch, deterministic in sequence.
     shots_rng = np.random.default_rng(config.mode.seed) if config.mode != EXACT else None
-    per_batch = config.update_cadence == "per_batch"
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(classes, config.n, config.seed, epoch)
         batch_means = class_means(encoded.amplitudes[rows])
         batch_losses = []
-        grad_sum = np.zeros(len(values))
         for means in batch_means:
             mode = EXACT
             if shots_rng is not None:
                 mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
             value, grad = central_difference(means, spec, values, mode)
             batch_losses.append(value)
-            if per_batch:
-                values = _step(values, grad, config.learning_rate, epoch)
-            else:
-                grad_sum += grad
-        if not per_batch:
-            values = _step(values, grad_sum / len(batch_means), config.learning_rate, epoch)
+            values = _step(values, grad, config.learning_rate, epoch)
         mean_loss = float(np.mean(batch_losses))
         if not np.isfinite(mean_loss):
             raise OptimizationError(f"training diverged at epoch {epoch}: loss {mean_loss}")
@@ -263,7 +249,7 @@ def train(
                 train_loss=mean_loss,
                 train_accuracy=_hit_rate(encoded, matrix),
                 test_accuracy=_hit_rate(tested, matrix),
-                steps=len(batch_means) if per_batch else 1,
+                steps=len(batch_means),
             )
         )
     return ParameterVector(values), metrics

@@ -373,11 +373,10 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
     b-th 2^(n-1) rows of each class. A batch's gradient is the parameter
     shift (rows[1::2] - rows[2::2]) / 2 of probe_row_losses(matrix_of,
     means, spec, theta, pi/2), one circuit matrix per probe angle, the one
-    package function used here. "per_batch" steps after every batch,
-    "per_epoch" once on the mean gradient. Accuracy applies the circuit
-    matrix of the gate list to each sample and calls it class 1 when
-    p(data qubit 0 = 1) >= 1/2. Returns the final angles and one (loss,
-    train accuracy, test accuracy) per epoch.
+    package function used here. Theta steps after every batch. Accuracy
+    applies the circuit matrix of the gate list to each sample and calls
+    it class 1 when p(data qubit 0 = 1) >= 1/2. Returns the final angles
+    and one (loss, train accuracy, test accuracy) per epoch.
     """
     half = 1 << (config.n - 1)
     theta = np.array(theta0, dtype=float)
@@ -386,7 +385,7 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
     for epoch in range(1, config.epochs + 1):
         rng = np.random.default_rng(config.seed + epoch)
         orders = [rows[rng.permutation(len(rows))] for rows in classes]
-        losses, grads = [], []
+        losses = []
         for b in range(min(len(rows) for rows in classes) // half):
             means = np.array(
                 [train_set.amplitudes[order[b * half : (b + 1) * half]].mean(axis=0)
@@ -395,11 +394,7 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
             rows = probe_row_losses(matrix_of, means, spec, theta, np.pi / 2)
             grad = (rows[1::2] - rows[2::2]) / 2.0
             losses.append(rows[0])
-            if config.update_cadence == "per_batch":
-                theta = theta - config.learning_rate * grad
-            grads.append(grad)
-        if config.update_cadence == "per_epoch":
-            theta = theta - config.learning_rate * np.mean(grads, axis=0)
+            theta = theta - config.learning_rate * grad
         matrix = circuit_matrix(spec.k, ansatz_gates(spec, theta, range(spec.k)))
 
         def accuracy(samples):

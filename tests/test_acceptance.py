@@ -14,13 +14,13 @@ import pytest
 
 import oracles
 from varq import (
+    AnsatzSpec,
     ParameterVector,
     StateVector,
     TrainConfig,
     apply_ansatz,
     build_store,
     cost_table,
-    default_ansatz,
     default_data_path,
     encode_dataset,
     init_parameters,
@@ -32,6 +32,7 @@ from varq import (
     swap_test,
     train,
 )
+from varq.ansatz import DEFAULT_LAYERS
 from varq.cli import main
 from varq.loss import EXACT, Shots, batched_loss
 from test_qram import random_samples
@@ -62,7 +63,7 @@ def iris_runs():
             task = make_task(records, class0, class1, seed=split_seed)
             train_set = encode_dataset(task.train)
             test_set = encode_dataset(task.test)
-            spec = default_ansatz(train_set[0].state.num_qubits)
+            spec = AnsatzSpec(train_set[0].state.num_qubits, DEFAULT_LAYERS)
             theta0 = init_parameters(spec, seed=1)
             config = TrainConfig(n=2, epochs=100, seed=2)
             _, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
@@ -98,7 +99,7 @@ def test_equal_steps_reach_criterion_1_band_at_every_n(n):
     records = load_iris(default_data_path())
     task = make_task(records, "virginica", "versicolor", seed=0)
     train_set, test_set = encode_dataset(task.train), encode_dataset(task.test)
-    spec = default_ansatz(train_set[0].state.num_qubits)
+    spec = AnsatzSpec(train_set[0].state.num_qubits, DEFAULT_LAYERS)
     config = TrainConfig(n=n, epochs=2000 // (40 >> (n - 1)), seed=2)
     _, metrics = train(
         train_set, test_set, spec, config, initial_theta=init_parameters(spec, seed=1)
@@ -170,7 +171,7 @@ def test_criterion_4_retrieval_state_correctness():
 
 def test_criterion_5_batching_identity():
     rng = np.random.default_rng(105)
-    spec = default_ansatz(2, layers=4)
+    spec = AnsatzSpec(2, 4)
     worst = 0.0
     for trial in range(100):
         n = 1 + trial % 2
@@ -192,7 +193,7 @@ def test_criterion_5_batching_identity():
 
 def test_criterion_6_gradient_epsilon_consistency():
     rng = np.random.default_rng(107)
-    spec = default_ansatz(2, layers=4)
+    spec = AnsatzSpec(2, 4)
     worst = 0.0
     for _ in range(20):
         store = build_store(random_samples(rng, 2, 2))
@@ -211,7 +212,7 @@ def test_criterion_6_gradient_epsilon_consistency():
 
 
 def test_criterion_7_cost_scaling():
-    spec = default_ansatz(2, layers=4)
+    spec = AnsatzSpec(2, 4)
     rows = cost_table(1, 12, spec)
     totals = [row["total"] for row in rows]
     increments = {b - a for a, b in zip(totals, totals[1:])}

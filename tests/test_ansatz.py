@@ -12,7 +12,6 @@ from varq import (
     StateVector,
     apply_ansatz,
     build_store,
-    default_ansatz,
     init_parameters,
     query_superposed,
 )
@@ -42,24 +41,24 @@ def assert_states_match_gate_reference(spec, num_qubits, data_qubits, rng):
 
 class TestAnsatzSpec:
     def test_single_qubit_single_layer(self):
-        spec = default_ansatz(1, layers=1)
+        spec = AnsatzSpec(1, 1)
         assert spec.parameter_count == 1
         assert spec.schedule == (("RY", 0, 0),)
         assert spec.gate_count == 1
 
     def test_two_qubits_three_layers(self):
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         assert spec.parameter_count == 6
         assert spec.schedule == (("RY", 0, 0), ("RY", 1, 1), ("CZ", 0, 1))
         assert spec.gate_count == 9
 
     def test_three_qubits_have_full_ring(self):
-        spec = default_ansatz(3, layers=1)
+        spec = AnsatzSpec(3, 1)
         ring = [(a, b) for kind, a, b in spec.schedule if kind == "CZ"]
         assert ring == [(0, 1), (1, 2), (2, 0)]
 
     def test_parameter_ordering_is_layer_major(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         ry = [(a, b) for kind, a, b in spec.schedule if kind == "RY"]
         assert ry == [(0, 0), (1, 1)]
         # The layer matrices read qubit q of layer l from angle l*k + q:
@@ -74,7 +73,7 @@ class TestAnsatzSpec:
         # Angle j is the number j, so an RY record's angle is its index. The
         # circuit is the one-layer schedule `layers` times, layer l reading
         # angle l*k + q where the schedule names angle q.
-        spec = default_ansatz(k, layers=layers)
+        spec = AnsatzSpec(k, layers)
         gates = oracles.ansatz_gates(spec, np.arange(spec.parameter_count), range(k))
         named = [
             ("RY", g.targets[0], int(g.angle)) if g.kind == "RY"
@@ -93,8 +92,8 @@ class TestAnsatzSpec:
     def test_gate_count_and_layer_plan_build_no_schedule(self, k, layers):
         # Both read the one-layer schedule, which does not grow with the
         # layer count: neither lists every gate.
-        spec = default_ansatz(k, layers=layers)
-        assert spec.schedule == default_ansatz(k, layers=1).schedule
+        spec = AnsatzSpec(k, layers)
+        assert spec.schedule == AnsatzSpec(k, 1).schedule
         gates = oracles.ansatz_gates(spec, np.zeros(spec.parameter_count), range(k))
         assert spec.gate_count == layers * len(spec.schedule) == len(gates)
         assert spec.layer_plan[0].shape == (k, layers, 1 << k, 1 << k)
@@ -107,12 +106,12 @@ class TestAnsatzSpec:
 
     def test_zero_angles_even_layers_pin_to_identity(self):
         # Two CZ per pair cancel, RY(0) is the identity rotation.
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         mat = dense_ansatz_matrix(spec, ParameterVector(np.zeros(4)), 2, (0, 1))
         assert_allclose(mat, np.eye(4), atol=1e-12)
 
     def test_zero_angles_odd_layers_pin_to_cz(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         mat = dense_ansatz_matrix(spec, ParameterVector(np.zeros(2)), 2, (0, 1))
         assert_allclose(mat, np.diag([1, 1, 1, -1]), atol=1e-12)
 
@@ -128,7 +127,7 @@ class TestParameterVector:
             ParameterVector([np.inf, 0.0])
 
     def test_wrong_length_rejected_at_operations(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         state = StateVector(2, oracles.basis_state(2, 0))
         with pytest.raises(ConfigurationError):
             apply_ansatz(spec, ParameterVector([0.1]), state, (0, 1))
@@ -138,14 +137,14 @@ class TestParameterVector:
 
 class TestInitParameters:
     def test_range_and_length(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta = init_parameters(spec, seed=0)
         assert len(theta) == 8
         assert np.all(theta.values >= 0)
         assert np.all(theta.values < 2 * np.pi)
 
     def test_seed_reproducibility(self):
-        spec = default_ansatz(3, layers=2)
+        spec = AnsatzSpec(3, 2)
         a = init_parameters(spec, seed=42)
         b = init_parameters(spec, seed=42)
         c = init_parameters(spec, seed=43)
@@ -160,7 +159,7 @@ class TestCircuitMatrix:
         # One spare qubit, before or after the data qubits, is the
         # identity environment.
         rng = np.random.default_rng(10 * k + layers)
-        spec = default_ansatz(k, layers=layers)
+        spec = AnsatzSpec(k, layers)
         assert_states_match_gate_reference(spec, k + 1, tuple(range(k)), rng)
         assert_states_match_gate_reference(spec, k + 1, tuple(range(1, k + 1)), rng)
 
@@ -168,13 +167,13 @@ class TestCircuitMatrix:
     def test_matches_gate_reference_on_non_leading_qubits(self, num_qubits, data_qubits):
         rng = np.random.default_rng(num_qubits)
         for layers in (1, 3):
-            spec = default_ansatz(2, layers=layers)
+            spec = AnsatzSpec(2, layers)
             assert_states_match_gate_reference(spec, num_qubits, data_qubits, rng)
 
 
 class TestApplyAnsatz:
     def test_bare_sample_matches_dense_oracle(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         for _ in range(10):
             theta = init_parameters(spec, seed=int(RNG.integers(1 << 30)))
             amps = oracles.random_state(RNG, 2)
@@ -183,7 +182,7 @@ class TestApplyAnsatz:
             assert_allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_projecting_controls_equals_per_sample_application(self):
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         theta = init_parameters(spec, seed=5)
         store = build_store(random_samples(RNG, 1, 2))
         batched = apply_ansatz(spec, theta, query_superposed(store), (0, 1))
@@ -193,7 +192,7 @@ class TestApplyAnsatz:
             assert_allclose(projected, single.amplitudes, atol=1e-10)
 
     def test_full_shift_by_two_pi_changes_only_global_phase(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = init_parameters(spec, seed=9)
         shifted_values = theta.values.copy()
         shifted_values[2] += 2 * np.pi
@@ -203,7 +202,7 @@ class TestApplyAnsatz:
         assert_allclose(abs(np.vdot(out_a.amplitudes, out_b.amplitudes)), 1.0, atol=1e-10)
 
     def test_control_measurements_unchanged(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta = init_parameters(spec, seed=21)
         store = build_store(random_samples(RNG, 2, 2))
         before = query_superposed(store)
@@ -216,13 +215,13 @@ class TestApplyAnsatz:
             )
 
     def test_wrong_qubit_count_rejected(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         theta = ParameterVector([0.0, 0.0])
         with pytest.raises(ConfigurationError):
             apply_ansatz(spec, theta, StateVector(3, oracles.basis_state(3, 0)), (0,))
 
     def test_works_on_non_contiguous_qubits(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = init_parameters(spec, seed=3)
         amps = oracles.random_state(RNG, 3)
         out = apply_ansatz(spec, theta, StateVector(3, amps), (0, 2))
@@ -230,7 +229,7 @@ class TestApplyAnsatz:
         assert_allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_preserves_real_amplitudes(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta = init_parameters(spec, seed=8)
         cell = oracles.random_real_state(RNG, 2)
         out = apply_ansatz(spec, theta, StateVector(2, cell), (0, 1))

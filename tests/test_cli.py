@@ -75,7 +75,6 @@ class TestTrainCommand:
             "--layers", str(echo["layers"]),
             "--epochs", str(echo["epochs"]),
             "--lr", str(echo["lr"]),
-            "--cadence", echo["cadence"],
             "--seed-split", str(echo["seed_split"]),
             "--seed-init", str(echo["seed_init"]),
             "--seed-batch", str(echo["seed_batch"]),
@@ -303,30 +302,43 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "extra, steps",
-        [([], 2000), (["--n", "4"], 500), (["--cadence", "per_epoch"], 100)],
-        ids=["defaults", "n-4", "per-epoch"],
+        [([], 2000), (["--n", "4"], 500)],
+        ids=["defaults", "n-4"],
     )
     def test_summary_counts_the_angle_updates(self, tmp_path, extra, steps):
-        # 40 training rows per class: 20 batches of 4 per epoch at n = 2, 5
-        # batches of 16 at n = 4, and one update per epoch per_epoch.
+        # 40 training rows per class: 20 batches of 4 per epoch at n = 2 and
+        # 5 batches of 16 at n = 4, one update per batch.
         assert run_train(tmp_path, extra=extra, epochs=100) == 0
         assert json.loads((tmp_path / "summary.json").read_text())["steps"] == steps
 
-    def test_retired_fd_eps_config_key_exits_2(self, tmp_path, capsys):
-        # The gradient has no step to choose: the key is unknown.
-        (tmp_path / "run.json").write_text(json.dumps({"fd_eps": 0.001}))
+    # Retired options: the gradient has no step to choose, and theta steps
+    # after every batch. Old config files and summary echoes naming them
+    # exit 2, and no command declares their flags. `template` and
+    # `decision_threshold` were config-only keys of one value.
+    RETIRED_FLAGS = [("fd_eps", 0.001), ("cadence", "per_epoch")]
+    RETIRED = RETIRED_FLAGS + [("template", "ry_cz_ring"), ("decision_threshold", 0.5)]
+
+    @pytest.mark.parametrize("key, value", RETIRED, ids=[key for key, _ in RETIRED])
+    def test_retired_config_key_exits_2(self, tmp_path, capsys, key, value):
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
         assert run_train(tmp_path, extra=["--config", str(tmp_path / "run.json")]) == 2
-        assert capsys.readouterr().err == "error: unknown config keys: ['fd_eps']\n"
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
-    def test_retired_fd_eps_flag_is_an_argparse_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "eval", "cost"])
+    @pytest.mark.parametrize(
+        "key, value", RETIRED_FLAGS, ids=[key for key, _ in RETIRED_FLAGS]
+    )
+    def test_retired_flag_is_an_argparse_error(self, capsys, key, value, command):
+        flag = "--" + key.replace("_", "-")
+        argv = {
+            "train": TRAIN_ARGS,
+            "eval": ["eval", "--task", "setosa-vs-versicolor", "--params", "params.json"],
+            "cost": ["cost"],
+        }[command]
         with pytest.raises(SystemExit) as excinfo:
-            run_train(tmp_path, extra=["--fd-eps", "0.001"])
+            main(argv + [flag, str(value)])
         assert excinfo.value.code == 2
-        assert "--fd-eps" in capsys.readouterr().err
-
-    def test_invalid_cadence_is_an_argparse_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_train(tmp_path, extra=["--cadence", "sometimes"])
+        assert flag in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -435,7 +447,6 @@ class TestConfigFile:
             "layers": 3,
             "epochs": 3,
             "lr": 0.2,
-            "cadence": "per_batch",
             "seed_split": 5,
             "seed_init": 1,
             "seed_batch": 2,
@@ -516,7 +527,7 @@ def malformed_config(rng, base, names):
         key = rng.choice(
             [
                 "template", "learning_rate", "seed", "Task", "fd-eps", "fd_eps",
-                "decision_threshold", "readout_qubit", "x" * rng.randint(1, 9),
+                "decision_threshold", "readout_qubit", "cadence", "x" * rng.randint(1, 9),
             ]
         )
         assert key not in cli.OPTIONS
@@ -748,10 +759,14 @@ class TestCostCommand:
         by_n = {row["N"]: row["sequential_baseline"] for row in rows}
         assert by_n[1024] / by_n[4] == 256
 
-    @pytest.mark.parametrize("layers", [1, 4, 300000])
+    @pytest.mark.parametrize("layers", [1, 4, 300000, 4611686018427387903])
     def test_every_row_matches_the_documented_formulas(self, capsys, layers):
-        # k = 2: each layer has two RYs and one CZ.
+        # k = 2: each layer has two RYs and one CZ. Each column is as wide
+        # as its widest cell, so the rows line up under the header even at
+        # 2^62 - 1 layers, where the baseline takes 26 digits.
         assert main(["cost", "--n-min", "1", "--n-max", "20", "--layers", str(layers)]) == 0
+        out = capsys.readouterr().out
+        assert len({len(line) for line in out.splitlines()}) == 1
         expected = []
         for n in range(1, 21):
             buckets = {
@@ -766,7 +781,7 @@ class TestCostCommand:
                 "total": sum(buckets.values()),
                 "sequential_baseline": 2**n * (1 + 3 * layers + 3),
             })
-        assert self.parse_rows(capsys.readouterr().out) == expected
+        assert self.parse_rows(out) == expected
 
     def test_default_range_is_1_to_12(self, capsys):
         assert main(["cost"]) == 0

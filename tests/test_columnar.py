@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from varq import (
+    AnsatzSpec,
     EncodedSample,
     StateVector,
     accuracy,
-    default_ansatz,
     default_data_path,
     encode_dataset,
     init_parameters,
     load_iris,
     make_task,
 )
+from varq.ansatz import DEFAULT_LAYERS
 
 TASKS = (("setosa", "versicolor"), ("virginica", "versicolor"), ("setosa", "virginica"))
 
@@ -53,7 +54,7 @@ def reference_split(path, class0, class1, seed, test_fraction=0.2):
 
 def check_against_reference(path, class0, class1, seed):
     task = make_task(load_iris(path), class0, class1, seed=seed)
-    spec = default_ansatz(2)
+    spec = AnsatzSpec(2, DEFAULT_LAYERS)
     theta = init_parameters(spec, seed=seed)
     for split, reference in zip((task.train, task.test), reference_split(path, class0, class1, seed)):
         features = np.array([f for f, _ in reference])

@@ -8,14 +8,15 @@ import pytest
 
 import oracles
 from oracles import GateOp
-from varq import AnsatzSpec, ParameterVector, cost_table, default_ansatz
+from varq import AnsatzSpec, ParameterVector, cost_table
+from varq.ansatz import DEFAULT_LAYERS
 from varq.costmodel import pass_schedule
 from varq.errors import ConfigurationError
 from varq.loss import batched_loss
 from varq.qram import QramStore
 
 
-SPEC = default_ansatz(2, layers=4)
+SPEC = AnsatzSpec(2, 4)
 ROWS = cost_table(1, 12, SPEC)
 
 
@@ -126,7 +127,7 @@ class TestPassSchedule:
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("k", range(1, 4))
     def test_hadamards_put_the_controls_in_uniform_superposition(self, k, n):
-        hadamards = pass_schedule(n, default_ansatz(k))["hadamards"]
+        hadamards = pass_schedule(n, AnsatzSpec(k, DEFAULT_LAYERS))["hadamards"]
         ops = [gate_op(*gate, None, None) for gate in hadamards]
         out = oracles.apply_gates_local(oracles.basis_state(k + n, 0), k + n, ops)
         cells = [oracles.basis_state(k, 0)] * (1 << n)
@@ -138,7 +139,7 @@ class TestPassSchedule:
         # The placed register, the ancilla and the label state, one gate at
         # a time: the ansatz bucket once per layer, then the swap test.
         rng = np.random.default_rng(1000 + 10 * k + n)
-        spec = default_ansatz(k, layers=2)
+        spec = AnsatzSpec(k, 2)
         buckets = pass_schedule(n, spec)
         (row,) = cost_table(n, n, spec)
         ancilla = k + n

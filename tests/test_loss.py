@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import oracles
 from oracles import GateOp
 from varq import (
+    AnsatzSpec,
     ConfigurationError,
     ParameterVector,
     Shots,
@@ -15,12 +16,11 @@ from varq import (
     batched_loss,
     build_store,
     cost_table,
-    default_ansatz,
     prepare_label_state,
     query_superposed,
     swap_test,
 )
-from varq.ansatz import circuit_matrix
+from varq.ansatz import DEFAULT_LAYERS, circuit_matrix
 from varq.loss import EXACT, _probe_rows, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
 
@@ -162,7 +162,8 @@ class TestSwapTest:
             swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 3, (1, 2), EXACT)
 
     def test_gate_count_is_affine_in_controls(self):
-        counts = {row["n"]: row["swap_test_gates"] for row in cost_table(1, 7, default_ansatz(2))}
+        rows = cost_table(1, 7, AnsatzSpec(2, DEFAULT_LAYERS))
+        counts = {row["n"]: row["swap_test_gates"] for row in rows}
         assert counts[2] == 5
         assert np.all(np.diff(list(counts.values())) == 1)
 
@@ -229,7 +230,7 @@ class TestShotsMode:
     @staticmethod
     def probe_case():
         rng = np.random.default_rng(23)
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
         exact = _probe_rows(means, spec, theta, True, EXACT)
@@ -257,7 +258,7 @@ class TestShotsMode:
 
 class TestBatchedLoss:
     def test_perfectly_aligned_store_has_zero_loss(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = ParameterVector(np.zeros(4))
         store = build_store(
             [sample_from_amps([1, 0, 0, 0], 0)] * 2
@@ -266,7 +267,7 @@ class TestBatchedLoss:
         assert_allclose(batched_loss(store, spec, theta), 0.0, atol=1e-10)
 
     def test_label_swapped_store_has_unit_loss(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = ParameterVector(np.zeros(4))
         store = build_store(
             [sample_from_amps([0, 0, 1, 0], 0)] * 2
@@ -275,7 +276,7 @@ class TestBatchedLoss:
         assert_allclose(batched_loss(store, spec, theta), 1.0, atol=1e-10)
 
     def test_matches_density_matrix_oracle_on_random_stores(self):
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         label_amps = oracles.label_state_vector(2)
         for _ in range(25):
             store = build_store(random_samples(RNG, 2, 2))
@@ -287,7 +288,7 @@ class TestBatchedLoss:
             assert_allclose(value, 1.0 - fidelity, atol=1e-10)
 
     def test_loss_stays_in_unit_interval(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         for _ in range(30):
             store = build_store(random_samples(RNG, int(RNG.integers(1, 4)), 2))
             value = batched_loss(store, spec, init_theta(spec))
@@ -309,7 +310,7 @@ class TestBatchedLoss:
     def test_single_data_qubit_loss_equals_mean_readout_error(self):
         # With one data qubit and two addresses the batched statistic
         # collapses to the average per-sample misread probability.
-        spec = default_ansatz(1, layers=3)
+        spec = AnsatzSpec(1, 3)
         store = build_store(
             [sample_from_amps([1, 0], 0), sample_from_amps([0, 1], 1)]
         )
@@ -327,7 +328,7 @@ class TestBatchedLoss:
         # class to map to one state and the two class terms to be equal.
         rng = np.random.default_rng(191)
         for k, n in ((1, 1), (2, 2), (3, 3), (2, 4)):
-            spec = default_ansatz(k, layers=2)
+            spec = AnsatzSpec(k, 2)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
             overlap = 1.0 - batched_loss(store, spec, theta)
@@ -342,13 +343,13 @@ class TestBatchedLoss:
             assert overlap <= np.mean(per_sample) + 1e-12
 
     def test_store_and_spec_width_must_agree(self):
-        spec = default_ansatz(1, layers=1)
+        spec = AnsatzSpec(1, 1)
         store = build_store(random_samples(RNG, 1, 2))
         with pytest.raises(ConfigurationError):
             batched_loss(store, spec, ParameterVector([0.0]))
 
     def test_unknown_mode_rejected(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         store = build_store(random_samples(RNG, 1, 2))
         with pytest.raises(ConfigurationError):
             batched_loss(store, spec, ParameterVector([0.0, 0.0]), mode="approximate")
@@ -369,7 +370,7 @@ class TestCentralDifference:
         # means, 1..6 layers.
         rng = np.random.default_rng(500 + k)
         for layers in range(1, 7):
-            spec = default_ansatz(k, layers=layers)
+            spec = AnsatzSpec(k, layers)
             theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
             real = rng.standard_normal((2, 1 << k))
             for means in (real, real + 1j * rng.standard_normal((2, 1 << k))):
@@ -382,7 +383,7 @@ class TestCentralDifference:
 
     def test_real_means_keep_the_gradient_real(self):
         rng = np.random.default_rng(47)
-        spec = default_ansatz(3, layers=2)
+        spec = AnsatzSpec(3, 2)
         means = rng.standard_normal((2, 8))
         loss, grad = central_difference(means, spec, rng.uniform(0, 6, 6))
         assert isinstance(loss, float) and grad.dtype == np.float64

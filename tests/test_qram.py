@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from varq import (
+    AnsatzSpec,
     EncodedSample,
     FeatureSet,
     QramError,
@@ -13,7 +14,6 @@ from varq import (
     StateVector,
     build_store,
     cost_table,
-    default_ansatz,
     encode_dataset,
     query_superposed,
 )
@@ -162,7 +162,7 @@ class TestQuerySuperposed:
 
 class TestQueryCost:
     def test_routing_ratio_between_1024_and_4_cells(self):
-        spec = default_ansatz(1, layers=1)
+        spec = AnsatzSpec(1, 1)
         big = build_store(random_samples(RNG, 10, 1))
         small = build_store(random_samples(RNG, 2, 1))
         (big_row,) = cost_table(big.n, big.n, spec)

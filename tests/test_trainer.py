@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import oracles
 import varq.ansatz
 from varq import (
+    AnsatzSpec,
     ConfigurationError,
     DataError,
     EncodedSet,
@@ -19,7 +20,6 @@ from varq import (
     apply_ansatz,
     batched_loss,
     build_store,
-    default_ansatz,
     default_data_path,
     encode_dataset,
     init_parameters,
@@ -30,13 +30,7 @@ from varq import (
 )
 from varq.ansatz import circuit_matrix
 from varq.loss import EXACT, _probe_rows, central_difference, class_means
-from varq.trainer import (
-    CADENCES,
-    CLASSIFY_CHUNK,
-    _batch_rows,
-    _class_rows,
-    _predict,
-)
+from varq.trainer import CLASSIFY_CHUNK, _batch_rows, _class_rows, _predict
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
@@ -82,7 +76,6 @@ class TestTrainConfig:
         assert config.n == 2
         assert config.epochs == 100
         assert config.learning_rate == 0.05
-        assert config.update_cadence == "per_batch"
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -98,10 +91,6 @@ class TestTrainConfig:
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=float("nan"))
-
-    def test_unknown_cadence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(update_cadence="per_sample")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -120,7 +109,7 @@ class TestNumericalGradient:
         assert_allclose(grad[0], 1.0, atol=1e-6)
 
     def test_two_epsilon_consistency_on_batched_loss(self):
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         store = build_store(random_samples(RNG, 2, 2))
         for seed in range(5):
             theta = init_parameters(spec, seed=seed)
@@ -130,7 +119,7 @@ class TestNumericalGradient:
             assert np.max(np.abs(g3 - g4)) < 1e-4
 
     def test_gradient_is_periodic_in_each_coordinate(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         store = build_store(random_samples(RNG, 1, 2))
         theta = init_parameters(spec, seed=2)
         loss_fn = lambda th: batched_loss(store, spec, th)
@@ -170,7 +159,7 @@ class TestStackedPass:
         if n <= 6:
             widths += (3,)
         for k in widths:
-            spec = default_ansatz(k, layers=4 if n <= 6 else 1)
+            spec = AnsatzSpec(k, 4 if n <= 6 else 1)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
             cells = list(store.block)
@@ -192,7 +181,7 @@ class TestStackedPass:
         # it on the class means, one probe row at a time.
         rng = np.random.default_rng(400 + k)
         for layers in range(1, 7):
-            spec = default_ansatz(k, layers=layers)
+            spec = AnsatzSpec(k, layers)
             theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
             probes = oracles.probe_angles(theta, np.pi / 2)
             for state in (oracles.random_real_state, oracles.random_state):
@@ -212,7 +201,7 @@ class TestStackedPass:
                 assert abs(unprobed[0] - rows[0]) < 1e-15
 
     def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
-        spec = default_ansatz(2, layers=20_000)
+        spec = AnsatzSpec(2, 20_000)
         store = build_store(random_samples(np.random.default_rng(17), 2, 2))
         theta = init_parameters(spec, seed=5)
         count = spec.parameter_count
@@ -229,9 +218,9 @@ class TestStackedPass:
 
     def test_non_finite_probe_loss_names_the_parameter(self, iris_task, monkeypatch):
         # The step that would apply a non-finite gradient names its first
-        # bad parameter, whichever mode produced it and in either cadence:
-        # the exact closed form, or a sampled probe row in shots mode.
-        spec = default_ansatz(2, layers=2)
+        # bad parameter, whichever mode produced it: the exact closed form,
+        # or a sampled probe row in shots mode.
+        spec = AnsatzSpec(2, 2)
         original = varq.trainer.central_difference
         read_out = varq.loss._read_out
 
@@ -250,14 +239,12 @@ class TestStackedPass:
         monkeypatch.setattr("varq.trainer.central_difference", poisoned)
         monkeypatch.setattr("varq.loss._read_out", poisoned_read_out)
         for mode in ("exact", Shots(64, seed=1)):
-            for cadence in CADENCES:
-                config = TrainConfig(epochs=1, update_cadence=cadence, mode=mode)
-                with pytest.raises(OptimizationError, match="parameter 1:"):
-                    train(*iris_task, spec, config)
+            with pytest.raises(OptimizationError, match="parameter 1:"):
+                train(*iris_task, spec, TrainConfig(epochs=1, mode=mode))
 
     def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
         rng = np.random.default_rng(31)
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         theta = init_parameters(spec, seed=4)
         ops = oracles.ansatz_gates(spec, theta, (0, 1))
         samples = [
@@ -275,13 +262,13 @@ class TestStackedPass:
         assert accuracy(samples, spec, theta) == hits / len(samples)
 
     def test_accuracy_rejects_a_sample_of_the_wrong_width(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([1, 0], 1)]
         with pytest.raises(ConfigurationError):
             accuracy(samples, spec, ParameterVector([0.0, 0.0]))
 
     def test_accuracy_rejects_theta_of_the_wrong_length(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([0, 0, 1, 0], 1)]
         for count in (1, 3):
             with pytest.raises(ConfigurationError, match="theta has shape"):
@@ -311,7 +298,7 @@ class TestMakeBatches:
 
         monkeypatch.setattr("varq.trainer.central_difference", spy)
         table = load_iris(default_data_path())
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         for class0, class1 in (
             ("setosa", "versicolor"), ("virginica", "versicolor"), ("setosa", "virginica")
         ):
@@ -371,14 +358,14 @@ class TestMakeBatches:
             _class_rows(np.array([0]), n=1)
         one_per_class = EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         with pytest.raises(DataError):
-            train(one_per_class, [], default_ansatz(1, layers=1), TrainConfig(n=2, epochs=1))
+            train(one_per_class, [], AnsatzSpec(1, 1), TrainConfig(n=2, epochs=1))
 
 
 class TestClassify:
     """Decisions as accuracy makes them: _predict on a stack of states."""
 
     def test_basis_state_with_identity_circuit(self):
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = ParameterVector(np.zeros(4))
         states = np.array([[0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
         assert predict(states, spec, theta).tolist() == [1, 0]
@@ -387,7 +374,7 @@ class TestClassify:
     def test_tie_breaks_toward_class_one(self):
         # Under the identity circuit, p(readout = 1) of exactly 1/2 is
         # class 1 and a state just below it is class 0.
-        spec = default_ansatz(2, layers=2)
+        spec = AnsatzSpec(2, 2)
         theta = ParameterVector(np.zeros(4))
         p = 0.5 - 1e-12
         states = np.array([[0.5, 0.5, 0.5, 0.5], np.sqrt([1 - p, 1 - p, p, p]) / np.sqrt(2)])
@@ -402,7 +389,7 @@ class TestClassify:
         assert accuracy(EncodedSet(states, [1, 0]), spec, theta) == 1.0
 
     def test_agrees_with_projector_oracle_decision(self):
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         for seed in range(10):
             theta = init_parameters(spec, seed=seed)
             amps = oracles.random_real_state(RNG, 2)
@@ -415,7 +402,7 @@ class TestClassify:
 
     def test_accuracy_builds_one_circuit_matrix_per_call(self, monkeypatch):
         rng = np.random.default_rng(37)
-        spec = default_ansatz(2, layers=3)
+        spec = AnsatzSpec(2, 3)
         theta = init_parameters(spec, seed=6)
         states = rng.standard_normal((2 * CLASSIFY_CHUNK + 1, 4))
         labels = rng.integers(0, 2, len(states))
@@ -433,14 +420,14 @@ class TestClassify:
         assert built == [(spec.parameter_count,)]
 
     def test_accuracy_of_empty_set_is_none(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         assert accuracy([], spec, ParameterVector([0.0, 0.0])) is None
 
 
 class TestTrain:
     def test_single_epoch_emits_single_metrics_row(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=1)
         theta, metrics = train(train_set, test_set, spec, config)
         assert len(metrics) == 1
@@ -449,7 +436,7 @@ class TestTrain:
 
     def test_zero_learning_rate_keeps_theta_and_metrics_constant(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
         config = TrainConfig(epochs=3, learning_rate=0.0)
         theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
@@ -459,7 +446,7 @@ class TestTrain:
 
     def test_exact_mode_is_deterministic(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
         theta0 = init_parameters(spec, seed=1)
         run_a = train(train_set, test_set, spec, config, initial_theta=theta0)
@@ -469,7 +456,7 @@ class TestTrain:
 
     def test_metrics_satisfy_range_invariants(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
         _, metrics = train(train_set, test_set, spec, config)
         for m in metrics:
@@ -479,7 +466,7 @@ class TestTrain:
 
     def test_final_accuracy_matches_recomputation_from_theta(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
         theta, metrics = train(train_set, test_set, spec, config)
         assert metrics[-1].train_accuracy == accuracy(train_set, spec, theta)
@@ -487,49 +474,32 @@ class TestTrain:
 
     def test_empty_test_set_reports_none(self, iris_task):
         train_set, _ = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=1)
         _, metrics = train(train_set, [], spec, config)
         assert metrics[0].test_accuracy is None
 
     def test_infinite_learning_rate_raises_optimization_error(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=1, learning_rate=float("inf"))
         with pytest.raises(OptimizationError, match="epoch 1"):
             train(train_set, test_set, spec, config)
 
     def test_empty_training_set_rejected(self):
-        spec = default_ansatz(2, layers=1)
+        spec = AnsatzSpec(2, 1)
         with pytest.raises(DataError):
             train([], [], spec, TrainConfig(epochs=1))
 
     def test_spec_and_data_width_must_agree(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(3, layers=2)
+        spec = AnsatzSpec(3, 2)
         with pytest.raises(ConfigurationError):
             train(train_set, test_set, spec, TrainConfig(epochs=1))
 
-    def test_per_epoch_cadence_descends_for_most_seeds(self, iris_task):
-        # Stochastic property: with a small step size the first epochs
-        # should not climb, for at least 9 of 10 initializations.
-        train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
-        descended = 0
-        for seed in range(10):
-            theta0 = init_parameters(spec, seed=seed)
-            config = TrainConfig(
-                epochs=5, learning_rate=0.01, update_cadence="per_epoch"
-            )
-            _, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
-            losses = [m.train_loss for m in metrics]
-            if all(b <= a + 1e-9 for a, b in zip(losses, losses[1:])):
-                descended += 1
-        assert descended >= 9
-
     def test_shots_mode_runs_and_differs_from_exact(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
         exact_cfg = TrainConfig(epochs=1)
         shots_cfg = TrainConfig(epochs=1, mode=Shots(256, seed=3))
@@ -541,7 +511,7 @@ class TestTrain:
     def test_shots_training_draws_one_sub_seed_per_batch(self, iris_task, monkeypatch):
         # Each batch reads all its probe rows in one mode, Shots(count, s),
         # with s the next scalar draw of default_rng(shots seed).
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         modes = []
         original = varq.trainer.central_difference
 
@@ -560,7 +530,7 @@ class TestTrain:
         # the complex path through the trainer must match the real one.
         train_set, test_set = iris_task
         phased = EncodedSet(1j * train_set.amplitudes, train_set.labels)
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
         theta_real, real = train(train_set, test_set, spec, config)
         theta_phased, phased_metrics = train(phased, test_set, spec, config)
@@ -572,7 +542,7 @@ class TestTrain:
     def test_training_builds_no_circuit_per_probe(self, iris_task, monkeypatch):
         # Every circuit the trainer builds is at theta itself: one set of
         # layer matrices per batch and one circuit matrix per epoch.
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         angle_shapes = []
         original = varq.ansatz.layer_matrices
 
@@ -586,9 +556,9 @@ class TestTrain:
         assert angle_shapes == [(spec.parameter_count,)] * (2 * 20 + 2)
 
     def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
-        # Exact mode takes the closed form in both cadences and builds no
-        # probe row; shots mode builds the 2P+1 rows once per batch.
-        spec = default_ansatz(2, layers=4)
+        # Exact mode takes the closed form and builds no probe row; shots
+        # mode builds the 2P+1 rows once per batch.
+        spec = AnsatzSpec(2, 4)
         built = []
         original = varq.loss._probe_rows
 
@@ -598,24 +568,22 @@ class TestTrain:
             return rows
 
         monkeypatch.setattr("varq.loss._probe_rows", spy)
-        for cadence in CADENCES:
-            train(*iris_task, spec, TrainConfig(epochs=2, update_cadence=cadence))
+        train(*iris_task, spec, TrainConfig(epochs=2))
         assert built == []
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(64, seed=1)))
         assert built == [(1 + 2 * spec.parameter_count,)] * (2 * 20)
 
-    @pytest.mark.parametrize("cadence", CADENCES)
     @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
-    def test_training_matches_a_probe_row_reference_loop(self, iris_task, cadence, phase):
+    def test_training_matches_a_probe_row_reference_loop(self, iris_task, phase):
         # The reference steps on (rows[1::2] - rows[2::2]) / 2 of probe rows
         # at pi/2 built from one circuit matrix per probe angle, and classifies
         # through the gate list; a global phase makes the data complex
         # without changing any overlap.
         train_set, test_set = iris_task
         train_set = EncodedSet(phase * train_set.amplitudes, train_set.labels)
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
-        config = TrainConfig(epochs=12, update_cadence=cadence, seed=2)
+        config = TrainConfig(epochs=12, seed=2)
         theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
         ref_theta, ref_metrics = oracles.probe_row_training(
             circuit_matrix, train_set, test_set, spec, theta0.values, config
@@ -628,7 +596,7 @@ class TestTrain:
 
     def test_shots_mode_is_reproducible_given_seed(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
         config = TrainConfig(epochs=2, mode=Shots(128, seed=9))
         run_a = train(train_set, test_set, spec, config, initial_theta=theta0)
@@ -638,7 +606,7 @@ class TestTrain:
 
     def test_wrong_initial_theta_length_rejected(self, iris_task):
         train_set, test_set = iris_task
-        spec = default_ansatz(2, layers=4)
+        spec = AnsatzSpec(2, 4)
         with pytest.raises(ConfigurationError):
             train(
                 train_set,
