@@ -22,10 +22,9 @@ layer's other rotations. So
     U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
 
 with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
-one forward sweep. `loss` pairs them with the swap test's readout
-projector for data qubit 0 (`AnsatzSpec.readout_projector`) swept back
-once through the G_l^T, in both readout modes: linear in the layer
-count.
+one forward sweep. `loss` pairs them with the rows of U's output that
+the swap test reads on data qubit 0, swept back once through the G_l^T,
+in both readout modes: linear in the layer count.
 """
 
 from __future__ import annotations
@@ -126,20 +125,6 @@ class AnsatzSpec:
         x = np.arange(1 << self.k)[None, :]
         return x ^ masks, np.where(x & masks, 1.0, -1.0)[:, :, None]
 
-    @cached_property
-    def readout_projector(self) -> np.ndarray:
-        """Lambda, the 0/1 map from the two class-mean outputs to the
-        amplitudes a swap test compares, with data qubit 0 as the readout.
-
-        The outputs are a (2^k, 2) array, class c in column c, and class c
-        is compared at readout bit c: a = Lambda . output sums entry
-        (x, c) into e, the other bits of x in order, where bit 0 of x (the
-        most significant) is c. So Lambda is the identity with its column
-        index split into (bit 0, the other bits). Shape (2^k, 2, 2^(k-1)).
-        """
-        dim = 1 << self.k
-        return np.eye(dim).reshape(dim, 2, -1)
-
 
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
@@ -161,6 +146,8 @@ class ParameterVector:
 
 def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVector:
     """Independent uniform angles in [0, 2*pi), reproducible from seed."""
+    if spec.parameter_count > np.iinfo(np.intp).max // 8:  # numpy's ValueError, not MemoryError
+        raise ConfigurationError(f"too many angles to allocate: layers={spec.layers} on {spec.k} qubits")
     rng = np.random.default_rng(seed)
     return ParameterVector(rng.uniform(0.0, 2.0 * np.pi, size=spec.parameter_count))
 

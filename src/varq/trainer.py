@@ -15,16 +15,16 @@ backward sweep over the layers at theta. Every trainable gate is an RY,
 so the central difference at the shift pi/2 is the exact gradient (the
 parameter-shift rule). Exact mode sweeps back the readout-paired output
 and reads that gradient in closed form. Shots mode sweeps back the
-readout projector for the 2P+1 probe rows (theta, then
-theta + pi/2 e_j and theta - pi/2 e_j for each j) and reads them with
-one binomial draw from the batch's one sub-seed. Shapes and the angle
-count are checked once, when `train` starts; the real or complex
-arithmetic follows the dtype `EncodedSet` chose for the data.
+identity for the 2P+1 probe rows (theta, then theta + pi/2 e_j and
+theta - pi/2 e_j for each j) and reads them with one binomial draw from
+the batch's one sub-seed. Shapes and the angle count are checked once,
+when `train` starts; the real or complex arithmetic follows the dtype
+`EncodedSet` chose for the data.
 
-Accuracy classifies samples through the circuit matrix, built once per
-epoch (and once per `accuracy` call), CLASSIFY_CHUNK samples per pass: a
-sample is class 1 when p(readout = 1) >= 1/2, the readout being data
-qubit 0, the qubit the swap test compares.
+Accuracy classifies a split with one product against the circuit
+matrix, built once per epoch (and once per `accuracy` call): a sample
+is class 1 when p(readout = 1) >= 1/2, the readout being data qubit 0,
+the qubit the swap test compares.
 Everything is deterministic for a fixed config and seed in exact mode.
 """
 
@@ -40,9 +40,6 @@ from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import EXACT, Shots, central_difference, class_means
-
-# Samples per stacked classification pass: bounds accuracy's working set.
-CLASSIFY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -136,28 +133,16 @@ def _batch_rows(
     )
 
 
-def _predict(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Class decisions for a stack of states, one per row of amplitudes,
-    under the circuit matrix (`ansatz.circuit_matrix`), in one stacked
-    pass: p(readout=1), the weight of the upper half of the output, at or
-    above 1/2 is class 1."""
-    out = matrix @ amplitudes[:, :, None]
-    ones = out.reshape(amplitudes.shape[0], 2, -1)[:, 1]
-    p_one = np.sum(np.abs(ones) ** 2, axis=1)
-    return (p_one >= 0.5).astype(int)
-
-
 def _hit_rate(encoded: EncodedSet, matrix: np.ndarray) -> float | None:
-    """Fraction of encoded classified correctly under matrix, in slices of
-    CLASSIFY_CHUNK rows; None for an empty set."""
+    """Fraction of encoded classified correctly under the circuit matrix
+    (`ansatz.circuit_matrix`); None for an empty set. The rows of matrix
+    from 2^(k-1) up carry readout bit 1, so one product gives the upper
+    half of every output, and p(readout = 1) >= 1/2 is class 1."""
     if not len(encoded):
         return None
-    hits = 0
-    for start in range(0, len(encoded), CLASSIFY_CHUNK):
-        rows = slice(start, start + CLASSIFY_CHUNK)
-        decisions = _predict(encoded.amplitudes[rows], matrix)
-        hits += int(np.count_nonzero(decisions == encoded.labels[rows]))
-    return hits / len(encoded)
+    ones = encoded.amplitudes @ matrix[len(matrix) // 2 :].T
+    p_one = np.sum(np.abs(ones) ** 2, axis=1)
+    return int(np.count_nonzero((p_one >= 0.5) == encoded.labels)) / len(encoded)
 
 
 def _check_width(encoded: EncodedSet, spec: AnsatzSpec) -> None:
@@ -174,9 +159,9 @@ def accuracy(
 ) -> float | None:
     """Fraction classified correctly; None for an empty sample list.
 
-    An EncodedSet is classified straight from its amplitude array, in
-    slices of CLASSIFY_CHUNK rows under one circuit matrix; any other
-    sequence is stacked first.
+    An EncodedSet is classified straight from its amplitude array, with
+    one product against one circuit matrix; any other sequence is
+    stacked first.
     """
     if not samples:
         return None

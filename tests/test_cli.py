@@ -269,10 +269,11 @@ class TestTrainCommand:
             (["--n", str(10**20)], None, "n="),
             (["--n", str(2**62)], None, "n="),
             (["--layers", str(2**62)], None, "layers="),
+            (["--layers", str(2**60)], None, "layers="),
         ],
         ids=[
             "seed-split", "seed-init", "seed-batch", "seed-shots", "config-seed", "shots-2^63",
-            "n-10^20", "n-2^62", "layers-2^62",
+            "n-10^20", "n-2^62", "layers-2^62", "layers-2^60",
         ],
     )
     def test_negative_seed_or_oversized_shot_count_exits_2(

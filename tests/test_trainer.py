@@ -30,7 +30,7 @@ from varq import (
 )
 from varq.ansatz import circuit_matrix
 from varq.loss import EXACT, _probe_rows, central_difference, class_means
-from varq.trainer import CLASSIFY_CHUNK, _batch_rows, _class_rows, _predict
+from varq.trainer import _batch_rows, _class_rows
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(23)
@@ -42,8 +42,9 @@ def batch_rows(labels, n, seed, epoch):
 
 
 def predict(states, spec, theta):
-    """Decisions as accuracy makes them, under the circuit matrix at theta."""
-    return _predict(states, circuit_matrix(spec, theta.values))
+    """Decisions as accuracy makes them: a row is class 1 when accuracy
+    scores it correct as a one-row set labelled 1."""
+    return np.array([int(accuracy(EncodedSet(row[None], [1]), spec, theta)) for row in states])
 
 
 def per_sample_batches(train_set, n, seed, epoch):
@@ -242,14 +243,14 @@ class TestStackedPass:
             with pytest.raises(OptimizationError, match="parameter 1:"):
                 train(*iris_task, spec, TrainConfig(epochs=1, mode=mode))
 
-    def test_accuracy_matches_per_sample_decisions_across_a_chunk_boundary(self):
+    def test_accuracy_matches_per_sample_gate_level_decisions(self):
         rng = np.random.default_rng(31)
         spec = AnsatzSpec(2, 3)
         theta = init_parameters(spec, seed=4)
         ops = oracles.ansatz_gates(spec, theta, (0, 1))
         samples = [
             sample_from_amps(oracles.random_real_state(rng, 2), int(rng.integers(2)))
-            for _ in range(CLASSIFY_CHUNK + 1)
+            for _ in range(1025)
         ]
         decisions = []
         for s in samples:
@@ -362,7 +363,7 @@ class TestMakeBatches:
 
 
 class TestClassify:
-    """Decisions as accuracy makes them: _predict on a stack of states."""
+    """Decisions as accuracy makes them, row by row and on a whole stack."""
 
     def test_basis_state_with_identity_circuit(self):
         spec = AnsatzSpec(2, 2)
@@ -404,7 +405,7 @@ class TestClassify:
         rng = np.random.default_rng(37)
         spec = AnsatzSpec(2, 3)
         theta = init_parameters(spec, seed=6)
-        states = rng.standard_normal((2 * CLASSIFY_CHUNK + 1, 4))
+        states = rng.standard_normal((2049, 4))
         labels = rng.integers(0, 2, len(states))
         built = []
         original = varq.trainer.circuit_matrix
