@@ -22,9 +22,9 @@ layer's other rotations. So
     U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
 
 with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
-one forward sweep. `loss` pairs them with the rows of U's output that
-the swap test reads on data qubit 0, swept back once through the G_l^T,
-in both readout modes: linear in the layer count.
+one forward sweep. `loss` builds every Q_l in one backward sweep from
+the last layer and reads Q_l J_q v_l on the rows the swap test compares
+on data qubit 0, in both readout modes: linear in the layer count.
 """
 
 from __future__ import annotations

@@ -44,15 +44,14 @@ where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
 
 Both modes read a batch from one kernel, `_readout_sweep`. Its forward
 sweep gives every J_q v_l and a = (U mu_0)[:half] + (U mu_1)[half:],
-half = 2^(k-1); its one backward sweep carries a start array back
-through the G_l^T. Started from the identity it gives every b_j: the
-2P+1 probe rows of `_probe_rows`, which shots mode reads out with one
-binomial draw per batch from one generator. Started from conj(a) in
-those slices it gives every <a, b_j>: exact mode (`central_difference`)
-builds no probe row. At the pi/2 shift both agree to 3e-16; the closed
-form is kept for speed, about 20 against 35 us per step at k = 2 and 4
-layers, so probe rows in both modes would add 2,000 x 15 us to a default
-Iris run, 30% of its training loop. Either way a batch is O(L k 4^k) work.
+half = 2^(k-1); its one backward sweep, in row form from the last layer,
+gives every suffix product Q_l and so every b_j. Shots mode reads the
+2P+1 probe overlaps, 1/4 |a|^2 and 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>),
+with one binomial draw per batch from one generator (`_probe_rows`).
+Exact mode (`central_difference`) reads the loss and the gradient from
+a and b_j in closed form and builds no probe row: probe rows would add
+about 2,000 x 15 us, some 30 ms, to a default Iris run. Either way a
+batch is O(L 8^k) work, for the products Q_l, and O(L 4^k) memory.
 """
 
 from __future__ import annotations
@@ -216,53 +215,47 @@ def class_means(blocks: np.ndarray) -> np.ndarray:
 
 
 def _readout_sweep(
-    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray, start: str | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """a = out[:half, 0] + out[half:, 1] (2^(k-1),), the amplitudes the
-    swap test compares, with out = U means.T and half = 2^(k-1), and,
-    unless start is None, J_q v_l summed against back_l for every angle,
-    (L, k, m), from one backward sweep back_l = G_l^T back_{l+1}. back_L
-    is the identity for start "rows", which gives every b_j (m = 2^(k-1)),
-    or conj(a) in out's slices for "inner", which gives <a, b_j> (m = 1).
+    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes the swap test compares, a = pair(U means.T)
+    (2^(k-1),), and b_j = pair(Q_l J_q v_l) for every angle j = l*k + q,
+    (P, 2^(k-1)), where pair(out) = out[:half, 0] + out[half:, 1] and
+    half = 2^(k-1). The suffix products Q_l = G_{L-1}...G_l come from one
+    backward sweep in row form, Q_l = Q_{l+1} G_l, from the last layer.
     Unchecked: means (2, 2^k), float64 or complex128.
     """
     layers = layer_matrices(spec, theta).astype(means.dtype, copy=False)
     entering = forward_sweep(layers, means.T)
+    suffix = layers.copy()
+    for layer in range(spec.layers - 2, -1, -1):
+        suffix[layer + 1].dot(layers[layer], out=suffix[layer])
     dim = 1 << spec.k
     half = dim // 2
-    paired = entering[-1, :half, 0] + entering[-1, half:, 1]
-    if start is None:
-        return paired, None
-    if start == "rows":
-        previous = np.eye(dim)
-    else:
-        previous = np.zeros((dim, 2), dtype=paired.dtype)
-        previous[:half, 0] = previous[half:, 1] = paired.conj()
-    back = np.empty((spec.layers,) + previous.shape, dtype=np.result_type(layers, previous))
-    transposed = layers.transpose(0, 2, 1)
-    for layer in range(spec.layers - 1, -1, -1):
-        previous = transposed[layer].dot(previous, out=back[layer])
+    # pair(Q_l w) sums w[x, c] Q_l[c * half + m, x] over x and c: one
+    # product of each w = J_q v_l, flattened, with Q_l regrouped to ((x, c), m).
+    regrouped = suffix.reshape(spec.layers, 2, half, dim).transpose(0, 3, 1, 2)
     terms = generator_terms(spec, entering).reshape(spec.layers, spec.k, 2 * dim)
-    return paired, np.matmul(terms, back.reshape(spec.layers, 2 * dim, -1))
+    shifts = np.matmul(terms, regrouped.reshape(spec.layers, 2 * dim, half))
+    return entering[-1, :half, 0] + entering[-1, half:, 1], shifts.reshape(-1, half)
 
 
-def _probe_rows(means, spec, theta, probed, mode) -> np.ndarray:
+def _probe_rows(means, spec, theta, mode) -> np.ndarray:
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
-    (P,) and, if probed, then at theta + pi/2 e_j and theta - pi/2 e_j for
-    j = 0..P-1. Probe j's overlap is 1/4 * ||c a +- s b_j||^2, with a and
-    b_j from one readout sweep (`_readout_sweep`) and c, s = cos(pi/4),
-    sin(pi/4), both 1/sqrt(2).
-    All rows are read out in one mode; |x|^2 is conj(x) x, so means may be
-    complex. Unchecked, like `_readout_sweep`.
+    (P,), then at theta + pi/2 e_j and theta - pi/2 e_j for j = 0..P-1.
+    With a and b_j from `_readout_sweep`, theta's overlap is 1/4 |a|^2
+    and probe j's state pairs to (a +- b_j) / sqrt(2), so its overlap is
+    1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>).
+    All rows are read out in one mode; means may be complex. Unchecked,
+    like `_readout_sweep`.
     """
-    paired, shifts = _readout_sweep(means, spec, theta, "rows" if probed else None)
-    rows = paired[None]
-    if probed:
-        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-        shift = s * shifts.reshape(spec.parameter_count, -1)
-        probes = np.stack([c * paired + shift, c * paired - shift], axis=1)
-        rows = np.concatenate([rows, probes.reshape(-1, len(paired))])
-    overlaps = 0.25 * np.einsum("ij,ij->i", rows.conj(), rows).real
+    paired, shifts = _readout_sweep(means, spec, theta)
+    norm = np.vdot(paired, paired).real
+    spread = norm + np.einsum("ij,ij->i", shifts.conj(), shifts).real
+    cross = 2.0 * shifts.dot(paired.conj()).real
+    overlaps = np.empty(2 * spec.parameter_count + 1)
+    overlaps[0] = 0.25 * norm
+    overlaps[1::2] = 0.125 * (spread + cross)
+    overlaps[2::2] = 0.125 * (spread - cross)
     p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
     return 1.0 - (2.0 * p_zero - 1.0)
 
@@ -275,18 +268,18 @@ def central_difference(
 ) -> tuple[float, np.ndarray]:
     """One batch's loss at theta and its gradient, the central difference
     at the shift pi/2: rows[0] and (rows[1::2] - rows[2::2]) / 2 of
-    _probe_rows(means, spec, theta, True, mode). Shots mode samples those
-    rows; exact mode builds none and reads the closed form, gradient j =
-    -1/4 Re <a, b_j>, from the sweep of conj(a). Nothing is
-    checked: means (2, 2^k), float64 or complex128, and a finite theta
-    (P,) are validated once per run by `trainer.train`.
+    _probe_rows(means, spec, theta, mode). Shots mode samples those rows;
+    exact mode builds none and reads the same sweep in closed form: loss
+    1 - 1/4 |a|^2, gradient j -1/4 Re <a, b_j>. Nothing is checked:
+    means (2, 2^k), float64 or complex128, and a finite theta (P,) are
+    validated once per run by `trainer.train`.
     """
     if mode != EXACT:
-        rows = _probe_rows(means, spec, theta, True, mode)
+        rows = _probe_rows(means, spec, theta, mode)
         return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
-    paired, inner = _readout_sweep(means, spec, theta, "inner")
+    paired, shifts = _readout_sweep(means, spec, theta)
     overlap = 0.25 * float(np.vdot(paired, paired).real)
-    return 1.0 - overlap, inner.real.reshape(-1) * -0.25
+    return 1.0 - overlap, shifts.dot(paired.conj()).real * -0.25
 
 
 def batched_loss(
@@ -303,4 +296,4 @@ def batched_loss(
         )
     spec.check_theta(theta.values)
     means = class_means(store.block)
-    return float(_probe_rows(means, spec, theta.values, False, mode)[0])
+    return float(_probe_rows(means, spec, theta.values, mode)[0])

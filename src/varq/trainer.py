@@ -13,13 +13,13 @@ A batch's loss and gradient come from one call,
 `loss.central_difference`, in both readout modes: one forward and one
 backward sweep over the layers at theta. Every trainable gate is an RY,
 so the central difference at the shift pi/2 is the exact gradient (the
-parameter-shift rule). Exact mode sweeps back the readout-paired output
-and reads that gradient in closed form. Shots mode sweeps back the
-identity for the 2P+1 probe rows (theta, then theta + pi/2 e_j and
-theta - pi/2 e_j for each j) and reads them with one binomial draw from
-the batch's one sub-seed. Shapes and the angle count are checked once,
-when `train` starts; the real or complex arithmetic follows the dtype
-`EncodedSet` chose for the data.
+parameter-shift rule). Both modes read the same sweep: the
+readout-paired output a and every shift direction b_j. Exact mode reads
+that gradient from them in closed form. Shots mode reads the 2P+1 probe
+rows (theta, then theta + pi/2 e_j and theta - pi/2 e_j for each j) from
+them with one binomial draw from the batch's one sub-seed. Shapes and
+the angle count are checked once, when `train` starts; the real or
+complex arithmetic follows the dtype `EncodedSet` chose for the data.
 
 Accuracy classifies a split with one product against the circuit
 matrix, built once per epoch (and once per `accuracy` call): a sample

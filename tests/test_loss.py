@@ -233,13 +233,13 @@ class TestShotsMode:
         spec = AnsatzSpec(2, 4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = _probe_rows(means, spec, theta, True, EXACT)
+        exact = _probe_rows(means, spec, theta, EXACT)
         return means, spec, theta, exact
 
     def test_shot_probe_rows_are_unbiased(self):
         means, spec, theta, exact = self.probe_case()
         rows = np.array(
-            [_probe_rows(means, spec, theta, True, Shots(4096, seed=s)) for s in range(1000)]
+            [_probe_rows(means, spec, theta, Shots(4096, seed=s)) for s in range(1000)]
         )
         # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
         p_zero = 1.0 - exact / 2.0
@@ -252,7 +252,7 @@ class TestShotsMode:
         p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
         for s in (0, 1, 17, 4242):
             hits = np.random.default_rng(s).binomial(4096, p_zero)
-            rows = _probe_rows(means, spec, theta, True, Shots(4096, seed=s))
+            rows = _probe_rows(means, spec, theta, Shots(4096, seed=s))
             assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
 
 
@@ -293,6 +293,24 @@ class TestBatchedLoss:
             store = build_store(random_samples(RNG, int(RNG.integers(1, 4)), 2))
             value = batched_loss(store, spec, init_theta(spec))
             assert -1e-10 <= value <= 1 + 1e-10
+
+    def test_shot_loss_is_row_zero_of_the_probe_rows(self):
+        rng = np.random.default_rng(29)
+        spec = AnsatzSpec(2, 4)
+        store = build_store(random_samples(rng, 2, 2))
+        theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+        means = class_means(store.block)
+        losses = []
+        for s in range(200):
+            value = batched_loss(store, spec, theta, Shots(4096, seed=s))
+            assert batched_loss(store, spec, theta, Shots(4096, seed=s)) == value
+            assert value == _probe_rows(means, spec, theta.values, Shots(4096, seed=s))[0]
+            losses.append(value)
+        exact = batched_loss(store, spec, theta)
+        # loss = 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
+        p_zero = 1.0 - exact / 2.0
+        stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 200)
+        assert abs(np.mean(losses) - exact) <= 4 * stderr
 
     def test_loss_decreases_as_fidelity_increases(self):
         label = prepare_label_state(1)

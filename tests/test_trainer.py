@@ -196,10 +196,9 @@ class TestStackedPass:
                 grouped = psi.reshape(len(probes), 2, 2, -1)
                 amps = grouped[:, 0, 0] + grouped[:, 1, 1]
                 expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=1)
-                rows = _probe_rows(means, spec, theta, True, EXACT)
+                rows = _probe_rows(means, spec, theta, EXACT)
                 assert np.max(np.abs(rows - expected)) < 1e-12
-                unprobed = _probe_rows(means, spec, theta, False, EXACT)
-                assert abs(unprobed[0] - rows[0]) < 1e-15
+                assert abs(batched_loss(store, spec, ParameterVector(theta)) - rows[0]) < 1e-15
 
     def test_twenty_thousand_layers_give_a_finite_loss_and_gradient(self):
         spec = AnsatzSpec(2, 20_000)
@@ -558,21 +557,31 @@ class TestTrain:
 
     def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
         # Exact mode takes the closed form and builds no probe row; shots
-        # mode builds the 2P+1 rows once per batch.
+        # mode builds the 2P+1 rows once per batch. Both modes run one
+        # readout sweep per batch.
         spec = AnsatzSpec(2, 4)
-        built = []
-        original = varq.loss._probe_rows
+        built, swept = [], []
+        original_rows = varq.loss._probe_rows
+        original_sweep = varq.loss._readout_sweep
 
-        def spy(*args):
-            rows = original(*args)
+        def rows_spy(*args):
+            rows = original_rows(*args)
             built.append(rows.shape)
             return rows
 
-        monkeypatch.setattr("varq.loss._probe_rows", spy)
+        def sweep_spy(*args):
+            swept.append(args[2].shape)
+            return original_sweep(*args)
+
+        monkeypatch.setattr("varq.loss._probe_rows", rows_spy)
+        monkeypatch.setattr("varq.loss._readout_sweep", sweep_spy)
         train(*iris_task, spec, TrainConfig(epochs=2))
         assert built == []
+        assert swept == [(spec.parameter_count,)] * (2 * 20)
+        swept.clear()
         train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(64, seed=1)))
         assert built == [(1 + 2 * spec.parameter_count,)] * (2 * 20)
+        assert swept == [(spec.parameter_count,)] * (2 * 20)
 
     @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
     def test_training_matches_a_probe_row_reference_loop(self, iris_task, phase):
