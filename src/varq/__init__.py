@@ -45,7 +45,6 @@ from .errors import (
 )
 from .loss import (
     EXACT,
-    LabelState,
     Shots,
     SwapTestResult,
     batched_loss,
@@ -77,7 +76,6 @@ __all__ = [
     "FeatureSet",
     "FeatureVector",
     "IrisTable",
-    "LabelState",
     "OptimizationError",
     "ParameterVector",
     "QramError",

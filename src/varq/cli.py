@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import __version__
 from .ansatz import DEFAULT_LAYERS, AnsatzSpec, ParameterVector, init_parameters
 from .costmodel import cost_table
-from .dataset import SPECIES, default_data_path, load_iris, make_task
+from .dataset import default_data_path, load_iris, make_task
 from .encoding import encode_dataset
 from .errors import ConfigurationError, OptimizationError, VarqError
 from .loss import EXACT, Shots
@@ -82,9 +82,6 @@ def _parse_task(task: str | None) -> tuple[str, str]:
         raise ConfigurationError(
             f"task must look like 'setosa-vs-versicolor', got {task!r}"
         )
-    for name in parts:
-        if name not in SPECIES:
-            raise ConfigurationError(f"unknown species {name!r} in task {task!r}")
     return parts[0], parts[1]
 
 

@@ -16,10 +16,11 @@ that probability in closed form:
 
     overlap = || (<label| (x) I_env) psi ||^2
 
-contracting the label with the compared qubits of the (k+n)-qubit output
-psi and summing over the remaining data qubits (`swap_test`). For a
-batch from a store this contraction sums each class's addresses into
-that class's mean state mu_c (2^k amplitudes), which gives
+contracting the label (`prepare_label_state`, a plain `StateVector`)
+with the compared qubits of the (k+n)-qubit output psi and summing over
+the remaining data qubits (`swap_test`, the explicit-state reference).
+For a batch from a store this contraction sums each class's addresses
+into that class's mean state mu_c (2^k amplitudes), which gives
 
     overlap = 1/4 * sum_e |(U mu_0)_{0,e} + (U mu_1)_{1,e}|^2
 
@@ -52,11 +53,11 @@ Exact mode (`central_difference`) reads the loss and the gradient from
 a and b_j in closed form and builds no probe row: probe rows would add
 about 2,000 x 15 us, some 30 ms, to a default Iris run. Either way a
 batch is O(L 8^k) work, for the products Q_l, and O(L 4^k) memory.
+Exact `batched_loss` needs only a, so it runs the forward sweep alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,17 +86,6 @@ class Shots:
             raise ConfigurationError(f"shot seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True, eq=False)
-class LabelState:
-    """Target state on 1+n qubits: data qubit 0 (MSB), then n controls."""
-
-    state: StateVector
-
-    @property
-    def n(self) -> int:
-        return self.state.num_qubits - 1
-
-
 @dataclass(frozen=True)
 class SwapTestResult:
     """Ancilla-zero probability and the overlap it encodes."""
@@ -108,13 +98,12 @@ class SwapTestResult:
         return 2.0 * self.p_zero - 1.0
 
 
-@functools.lru_cache(maxsize=None)
-def prepare_label_state(n: int) -> LabelState:
-    """Label state on 1+n qubits, amplitudes placed directly: weight
-    1/sqrt(2^n) on data bit 0 over the lower address half and on data
-    bit 1 over the upper half. This is the output of H on every control
-    followed by a CNOT from control 0 (the address MSB) to the data
-    qubit; the tests check it against that circuit."""
+def prepare_label_state(n: int) -> StateVector:
+    """Label state on 1+n qubits, data qubit 0 then n controls, new on
+    every call: weight 1/sqrt(2^n) on data bit 0 over the lower address
+    half and on data bit 1 over the upper half. It is the output of H on
+    every control then a CNOT from control 0 (the address MSB) to the
+    data qubit; the tests check it against that circuit."""
     if n < 1:
         raise ConfigurationError(f"label state needs n >= 1 control qubits, got {n}")
     size = 1 << n
@@ -123,7 +112,7 @@ def prepare_label_state(n: int) -> LabelState:
     scale = 1.0 / math.sqrt(size)
     amps[0:half] = scale            # data bit 0, addresses 0 .. half-1
     amps[size + half : 2 * size] = scale  # data bit 1, upper addresses
-    return LabelState(StateVector(n + 1, amps))
+    return StateVector(n + 1, amps)
 
 
 def _check_compared(
@@ -151,27 +140,6 @@ def _check_compared(
             raise ConfigurationError(f"control qubit {q} out of range for {num_qubits}-qubit state")
 
 
-def _p_zero(
-    psi: np.ndarray, label: LabelState, readout_qubit: int, control_qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Closed-form ancilla-zero probability for each row of psi (rows, 2^q).
-
-    The compared qubits (readout, then controls) become one axis of size
-    2^(n+1) and the other qubits the environment axis; contracting the
-    label over the first leaves one amplitude per environment index.
-    """
-    rows, dim = psi.shape
-    num_qubits = dim.bit_length() - 1
-    compared = (readout_qubit,) + control_qubits
-    env = [q for q in range(num_qubits) if q not in compared]
-    axes = [0] + [1 + q for q in compared] + [1 + q for q in env]
-    grouped = psi.reshape((rows,) + (2,) * num_qubits).transpose(axes)
-    grouped = grouped.reshape(rows, 1 << len(compared), 1 << len(env))
-    amps = label.state.amplitudes.conj() @ grouped
-    overlap = np.sum(np.abs(amps) ** 2, axis=1)
-    return 0.5 * (1.0 + overlap)
-
-
 def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
     """The reported p0 of each row: p0 itself in exact mode; in shots mode
     the hit frequency of Binomial(count, p0), every row from one
@@ -187,23 +155,32 @@ def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
 
 def swap_test(
     data_state: StateVector,
-    label: LabelState,
+    label: StateVector,
     readout_qubit: int,
     control_qubits: list[int] | tuple[int, ...],
     mode: str | Shots = EXACT,
 ) -> SwapTestResult:
-    """Ancilla swap test between the label state and the subsystem
-    (readout qubit + control qubits) of the data state.
+    """Ancilla swap test between the label state on 1+n qubits (from
+    `prepare_label_state`) and the subsystem (readout qubit + n control
+    qubits) of the data state.
 
     The readout qubit is paired with the label's data qubit and each
     control with its label counterpart, as the CSWAPs of the circuit
-    would pair them.
+    would pair them. The compared qubits become one axis of size
+    2^(n+1) and the other qubits the environment axis; contracting the
+    label over the first leaves one amplitude per environment index,
+    whose squared norm is the overlap.
     """
     control_qubits = tuple(control_qubits)
-    _check_compared(data_state.num_qubits, label.n, readout_qubit, control_qubits)
-    p_zero = _p_zero(data_state.amplitudes[None, :], label, readout_qubit, control_qubits)
+    num_qubits = data_state.num_qubits
+    _check_compared(num_qubits, label.num_qubits - 1, readout_qubit, control_qubits)
+    compared = (readout_qubit,) + control_qubits
+    env = tuple(q for q in range(num_qubits) if q not in compared)
+    grouped = data_state.amplitudes.reshape((2,) * num_qubits).transpose(compared + env)
+    amps = label.amplitudes.conj() @ grouped.reshape(1 << len(compared), 1 << len(env))
+    p_zero = 0.5 * (1.0 + np.sum(np.abs(amps) ** 2))
     shots = mode.count if isinstance(mode, Shots) else None
-    return SwapTestResult(p_zero=float(_read_out(p_zero, mode)[0]), shots=shots)
+    return SwapTestResult(p_zero=float(_read_out(p_zero, mode)), shots=shots)
 
 
 def class_means(blocks: np.ndarray) -> np.ndarray:
@@ -289,11 +266,18 @@ def batched_loss(
     mode: str | Shots = EXACT,
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
-    qubits, swap-test against the label state for the store's n."""
+    qubits, swap-test against the label state for the store's n. Exact
+    mode reads the forward sweep alone, shots mode row 0 of `_probe_rows`."""
     if store.k != spec.k:
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
     spec.check_theta(theta.values)
     means = class_means(store.block)
-    return float(_probe_rows(means, spec, theta.values, mode)[0])
+    if mode != EXACT:
+        return float(_probe_rows(means, spec, theta.values, mode)[0])
+    layers = layer_matrices(spec, theta.values).astype(means.dtype, copy=False)
+    out = forward_sweep(layers, means.T)[-1]
+    half = out.shape[0] // 2
+    paired = out[:half, 0] + out[half:, 1]
+    return 1.0 - 0.25 * float(np.vdot(paired, paired).real)

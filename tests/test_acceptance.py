@@ -136,7 +136,7 @@ def test_criterion_3_swap_test_matches_reduced_state_oracle():
         amps = oracles.random_state(rng, k + n)
         controls = tuple(range(k, k + n))
         got = swap_test(StateVector(k + n, amps), label, 0, controls, EXACT).p_zero
-        want = oracles.swap_test_p_zero(amps, k + n, 0, controls, label.state.amplitudes)
+        want = oracles.swap_test_p_zero(amps, k + n, 0, controls, label.amplitudes)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 30.0

@@ -122,8 +122,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
-    def test_unknown_species_exits_2(self, tmp_path):
+    def test_unknown_species_exits_2(self, tmp_path, capsys):
         assert run_train(tmp_path, task="setosa-vs-slugs") == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "slugs" in err
+
+    def test_iris_prefixed_task_trains_as_the_plain_task(self, tmp_path):
+        plain, prefixed = tmp_path / "plain", tmp_path / "prefixed"
+        plain.mkdir()
+        prefixed.mkdir()
+        assert run_train(plain) == 0
+        assert run_train(prefixed, task="Iris-setosa-vs-Iris-versicolor") == 0
+        summary = json.loads((prefixed / "summary.json").read_text())
+        assert summary["task"] == "setosa-vs-versicolor"
+        metrics = [(d / "metrics.jsonl").read_bytes() for d in (plain, prefixed)]
+        assert metrics[0] == metrics[1]
 
     def test_malformed_task_exits_2(self, tmp_path):
         assert run_train(tmp_path, task="setosa") == 2

@@ -20,6 +20,7 @@ from varq import (
     query_superposed,
     swap_test,
 )
+from varq import loss
 from varq.ansatz import DEFAULT_LAYERS, circuit_matrix
 from varq.loss import EXACT, _probe_rows, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
@@ -29,7 +30,7 @@ RNG = np.random.default_rng(19)
 
 def embedded_label_state(n):
     """The label state viewed as a data state with k=1 data qubit."""
-    return prepare_label_state(n).state
+    return prepare_label_state(n)
 
 
 def label_circuit_gates(n):
@@ -50,11 +51,11 @@ def init_theta_seeded(spec, seed):
 
 class TestPrepareLabelState:
     def test_single_control_gives_bell_state(self):
-        state = prepare_label_state(1).state
+        state = prepare_label_state(1)
         assert_allclose(state.amplitudes, [np.sqrt(0.5), 0, 0, np.sqrt(0.5)], atol=1e-15)
 
     def test_two_controls_give_half_amplitudes_on_matched_halves(self):
-        state = prepare_label_state(2).state
+        state = prepare_label_state(2)
         expected = np.zeros(8)
         expected[[0, 1, 6, 7]] = 0.5
         assert_allclose(state.amplitudes, expected, atol=1e-15)
@@ -62,24 +63,29 @@ class TestPrepareLabelState:
     def test_circuit_route_matches_closed_form(self):
         for n in range(1, 7):
             circuit = oracles.circuit_matrix(n + 1, label_circuit_gates(n))[:, 0]
-            assert_allclose(prepare_label_state(n).state.amplitudes, circuit, atol=1e-12)
+            assert_allclose(prepare_label_state(n).amplitudes, circuit, atol=1e-12)
 
     def test_matches_basis_sum_oracle(self):
         for n in range(1, 6):
             assert_allclose(
-                prepare_label_state(n).state.amplitudes,
+                prepare_label_state(n).amplitudes,
                 oracles.label_state_vector(n),
                 atol=1e-12,
             )
 
     def test_data_qubit_is_unbiased(self):
         for n in range(1, 6):
-            state = prepare_label_state(n).state
+            state = prepare_label_state(n)
             assert_allclose(oracles.probability(state.amplitudes, 0, 1), 0.5, atol=1e-12)
 
     def test_zero_controls_rejected(self):
         with pytest.raises(ConfigurationError):
             prepare_label_state(0)
+
+    def test_each_call_returns_its_own_amplitudes(self):
+        first = prepare_label_state(2)
+        first.amplitudes[0] = 5.0
+        assert_allclose(prepare_label_state(2).amplitudes, oracles.label_state_vector(2), atol=0)
 
     def test_circuit_gate_list_is_hadamards_then_one_cnot(self):
         gates = label_circuit_gates(3)
@@ -117,7 +123,7 @@ class TestSwapTest:
             controls = tuple(range(k, k + n))
             result = swap_test(StateVector(k + n, amps), label, 0, controls, EXACT)
             expected = oracles.swap_test_p_zero(
-                amps, k + n, 0, controls, label.state.amplitudes
+                amps, k + n, 0, controls, label.amplitudes
             )
             assert_allclose(result.p_zero, expected, atol=1e-10)
 
@@ -135,7 +141,7 @@ class TestSwapTest:
             label = prepare_label_state(n)
             got = swap_test(StateVector(k + n, amps), label, readout, controls, EXACT).p_zero
             want = oracles.swap_test_circuit_p_zero(
-                amps, k + n, readout, controls, label.state.amplitudes
+                amps, k + n, readout, controls, label.amplitudes
             )
             assert abs(got - want) < 1e-12
 
@@ -311,6 +317,23 @@ class TestBatchedLoss:
         p_zero = 1.0 - exact / 2.0
         stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 200)
         assert abs(np.mean(losses) - exact) <= 4 * stderr
+
+    def test_exact_loss_reads_the_forward_sweep_alone(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = []
+        for k, n in ((1, 1), (2, 2), (3, 1), (2, 4)):
+            spec = AnsatzSpec(k, 4)
+            store = build_store(random_samples(rng, n, k))
+            theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+            row = _probe_rows(class_means(store.block), spec, theta.values, EXACT)[0]
+            cases.append((store, spec, theta, row))
+
+        def no_backward_sweep(*args):
+            raise AssertionError("exact batched_loss ran _readout_sweep")
+
+        monkeypatch.setattr(loss, "_readout_sweep", no_backward_sweep)
+        for store, spec, theta, row in cases:
+            assert abs(batched_loss(store, spec, theta) - row) <= 1e-15
 
     def test_loss_decreases_as_fidelity_increases(self):
         label = prepare_label_state(1)
