@@ -14,7 +14,7 @@ each command reads its own keys and skips the rest unread. Flag values
 override config-file values, which override those defaults. Each
 artifact is written to a temporary file beside it and then moved into
 place. Exit codes: 0 success, 2 configuration or input error, 3
-optimization failure.
+optimization failure, 1 a stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -330,4 +330,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

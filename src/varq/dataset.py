@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
-import re
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
@@ -31,8 +32,6 @@ DATA_DIR_ENV = "VARQ_DATA_DIR"
 # One parsed row: the four features, then the raw species name. An object
 # field keeps names whole; a fixed-width string field would truncate them.
 _COLUMNS = np.dtype([("f", np.float64, 4), ("s", object)])
-# Line 1 with its end: LF, CRLF or a lone CR, as the row scan splits lines.
-_FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +125,21 @@ def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]
     return features, names
 
 
-def _read_columns(text: str) -> tuple[np.ndarray, list[str]] | None:
+def _lines(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _read_columns(lines: io.TextIOWrapper) -> tuple[np.ndarray, list[str]] | None:
     """Features and raw species names of an iris CSV, parsed by numpy's C
-    reader; None unless it reads every row and every feature is finite
-    and positive, so that _scan_rows would return the same.
+    reader; None unless it reads at least one row, every row, and every
+    feature is finite and positive, so that _scan_rows would return the same.
 
     The C reader splits fields and reads numbers as csv.reader and
     float() do, but refuses some input they accept (whitespace-only or
-    ",,,," lines, lone CR line ends, "5_1" or non-ASCII digits), and only
-    the row scan names a bad line.
+    ",,,," lines, "5_1" or non-ASCII digits), and only the row scan
+    names a bad line.
     """
-    first = _FIRST_LINE.match(text).group()
+    first = lines.readline()
     if '"' in first:
         return None  # a quoted line-1 cell may span lines
     cells = next(csv.reader([first]), [])
@@ -144,21 +147,21 @@ def _read_columns(text: str) -> tuple[np.ndarray, list[str]] | None:
         try:
             list(map(float, cells[:4]))
         except ValueError:
-            text = text[len(first) :]  # header row
+            first = ""  # header row: loadtxt skips an empty line
     elif not "".join(cells).strip():
-        text = text[len(first) :]  # blank row
-    if not text or text.isspace():
-        return None  # no rows: loadtxt would warn
+        first = ""  # blank row
     try:
-        table = np.loadtxt(
-            io.StringIO(text),
-            dtype=_COLUMNS,
-            delimiter=",",
-            comments=None,
-            quotechar='"',
-            ndmin=1,
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+            table = np.loadtxt(
+                itertools.chain([first], lines),
+                dtype=_COLUMNS,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=1,
+            )
+    except (ValueError, UserWarning):
         return None
     features = np.ascontiguousarray(table["f"])
     if not np.all(np.isfinite(features) & (features > 0)):
@@ -179,26 +182,16 @@ def load_iris(path: str | os.PathLike) -> IrisTable:
     """Parse an iris CSV: 4 numeric columns plus species, optional header.
 
     Species names match case-insensitively, with or without an "Iris-"
-    prefix. The file is read as UTF-8 text, less a leading byte-order
-    mark, and parsed by numpy's C reader; text that reader refuses or
-    whose values it cannot vouch for is scanned row by row instead. The
+    prefix. The path is read once, as UTF-8 less a leading byte-order
+    mark, and parsed by numpy's C reader; bytes that reader refuses or
+    whose values it cannot vouch for are scanned row by row instead. The
     first malformed row in file order raises DataError with its line
-    number, and so does a path that cannot be read as UTF-8 text.
+    number, and so do bytes that are not UTF-8 text.
     """
     path = Path(path)
     try:
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as f:
-                text = f.read()
-        except UnicodeDecodeError:
-            # Scan the stream, so a malformed row ahead of the undecodable
-            # bytes is still the error reported.
-            with open(path, newline="", encoding="utf-8-sig") as f:
-                features, names = _scan_rows(f, path)
-        else:
-            features, names = _read_columns(text) or _scan_rows(
-                io.StringIO(text, newline=""), path
-            )
+        data = path.read_bytes()
+        features, names = _read_columns(_lines(data)) or _scan_rows(_lines(data), path)
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
     except OSError as exc:

@@ -174,7 +174,8 @@ def accuracy(
 def _step(values: np.ndarray, grad: np.ndarray, rate: float, epoch: int) -> np.ndarray:
     """values - rate * grad, checked finite: a non-finite gradient is named
     by its first bad parameter, else the step itself diverged."""
-    values = values - rate * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values - rate * grad
     if not np.isfinite(values).all():
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:

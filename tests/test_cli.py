@@ -818,6 +818,50 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "sequential_baseline" in proc.stdout
 
+    def test_diverging_step_exits_3_with_one_line(self, tmp_path):
+        # The step overflows float64; numpy's warning must not reach stderr.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "varq", "train",
+                "--task", "setosa-vs-versicolor", "--lr", "1e308", "--epochs", "3",
+                "--out-metrics", str(tmp_path / "m.jsonl"),
+                "--out-summary", str(tmp_path / "s.json"),
+                "--out-params", str(tmp_path / "p.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("optimization error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, unbuffered):
+        # Buffered, the write fails in the final flush; unbuffered, in print.
+        params = tmp_path / "zeros.json"
+        params.write_text(json.dumps([0.0] * 8))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "varq", "eval",
+                    "--task", "setosa-vs-versicolor", "--params", str(params),
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def run_python(self, code, **env):
         """stdout of `python -c code` with varq importable and the thread
         variables given in env, OPENBLAS_NUM_THREADS unset otherwise."""

@@ -1,6 +1,8 @@
 """Iris ingestion, species normalization, and stratified splitting."""
 
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from varq import (
     load_iris,
     make_task,
 )
-from varq.dataset import DATA_DIR_ENV, SPECIES, _read_columns, _scan_rows, _species
+from varq.dataset import DATA_DIR_ENV, SPECIES, _lines, _read_columns, _scan_rows, _species
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,49 @@ ODD_TEXTS = {
 }
 
 
+def load_outcome(path):
+    """What load_iris returns for path: (feature bytes, species), or the
+    DataError message with the path written as PATH."""
+    try:
+        table = load_iris(path)
+    except DataError as exc:
+        return str(exc).replace(str(path), "PATH")
+    return table.features.tobytes(), table.species.tolist()
+
+
+def fifo_outcome(tmp_path, data):
+    """load_outcome of data written once to a named pipe. A reader that
+    opens the pipe again finds it empty, as it would a shell pipe."""
+    fifo = tmp_path / "iris.fifo"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        fifo.write_bytes(data)
+        while not done.wait(0.01):
+            try:  # meet a second open with an empty stream, not a hang
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has the pipe open
+                pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return load_outcome(fifo)
+    finally:
+        done.set()
+        writer.join()
+
+
+# Bytes the C reader does not serve, so the row scan must read them again:
+# from memory, since a pipe gives them only once.
+READ_ONCE = {
+    "quoted line 1": ('"5.1","3.5",1.4,0.2,"Iris-setosa"\n' + GOOD_ROW).encode(),
+    "bad row on line 12": (GOOD_ROW * 11 + "4.9,x,1.4,0.2,setosa\n" + GOOD_ROW).encode(),
+    "leading 0xff": b"\xff" + GOOD_ROW.encode(),
+}
+
+
 class TestReaders:
     """load_iris reads with numpy's C reader where it can and falls back
     to the row scan; the two must never disagree."""
@@ -224,10 +269,27 @@ class TestReaders:
 
     def test_c_reader_serves_the_packaged_file(self):
         # The row scan is the fallback, not the common path.
-        features, names = _read_columns(default_data_path().read_bytes().decode("utf-8-sig"))
+        features, names = _read_columns(_lines(default_data_path().read_bytes()))
         table = load_iris(default_data_path())
         assert features.tobytes() == table.features.tobytes()
         assert _species(names).tolist() == table.species.tolist()
+
+    def test_c_reader_serves_bulk_data(self):
+        # 2,000 rows as the benchmark writes its synthetic CSVs: a header,
+        # then features to two decimals, each at least 0.05.
+        rng = np.random.default_rng(1)
+        rows = np.maximum(rng.normal(5.0, 0.35, size=(2000, 4)), 0.05)
+        text = HEADER + "".join(",".join(f"{v:.2f}" for v in row) + ",setosa\n" for row in rows)
+        columns = _read_columns(_lines(text.encode()))
+        assert columns is not None
+        assert columns[0].shape == (2000, 4)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("data", READ_ONCE.values(), ids=READ_ONCE.keys())
+    def test_a_pipe_reads_as_a_regular_file(self, tmp_path, data):
+        regular = tmp_path / "iris.csv"
+        regular.write_bytes(data)
+        assert fifo_outcome(tmp_path, data) == load_outcome(regular)
 
     def test_bad_row_before_undecodable_bytes_is_reported(self, tmp_path):
         # The file is read as a stream up to the first error, so a bad row

@@ -479,12 +479,20 @@ class TestTrain:
         _, metrics = train(train_set, [], spec, config)
         assert metrics[0].test_accuracy is None
 
-    def test_infinite_learning_rate_raises_optimization_error(self, iris_task):
+    @pytest.mark.parametrize(
+        "rate, seed, init_seed, epochs",
+        # 1e308 overflows the step itself, which numpy would warn about.
+        [(float("inf"), 0, None, 1), (1e308, 2, 1, 3)],
+    )
+    def test_infinite_learning_rate_raises_optimization_error(
+        self, iris_task, rate, seed, init_seed, epochs
+    ):
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
-        config = TrainConfig(epochs=1, learning_rate=float("inf"))
-        with pytest.raises(OptimizationError, match="epoch 1"):
-            train(train_set, test_set, spec, config)
+        config = TrainConfig(epochs=epochs, learning_rate=rate, seed=seed)
+        theta0 = None if init_seed is None else init_parameters(spec, init_seed)
+        with pytest.raises(OptimizationError, match=f"epoch {epochs}"):
+            train(train_set, test_set, spec, config, initial_theta=theta0)
 
     def test_empty_training_set_rejected(self):
         spec = AnsatzSpec(2, 1)
