@@ -224,8 +224,9 @@ def make_task(
         raise DataError(f"test_fraction must be in [0, 1), got {test_fraction}")
 
     members = [np.flatnonzero(table.species == name) for name in (class0, class1)]
-    if not members[0].size or not members[1].size:
-        raise DataError(f"species missing from records: {class0} or {class1}")
+    missing = [name for name, rows in zip((class0, class1), members) if not rows.size]
+    if missing:
+        raise DataError(f"species missing from records: {' and '.join(missing)}")
     if members[0].size != members[1].size:
         raise DataError(
             f"unequal class counts: {members[0].size} {class0} vs "

@@ -17,8 +17,9 @@ that probability in closed form:
     overlap = || (<label| (x) I_env) psi ||^2
 
 contracting the label (`prepare_label_state`, a plain `StateVector`)
-with the compared qubits of the (k+n)-qubit output psi and summing over
-the remaining data qubits (`swap_test`, the explicit-state reference).
+with data qubit 0 and the n controls, the last n qubits of the
+(k+n)-qubit output psi as `query_superposed` lays it out, and summing
+over the other data qubits (`swap_test`, the explicit-state reference).
 For a batch from a store this contraction sums each class's addresses
 into that class's mean state mu_c (2^k amplitudes), which gives
 
@@ -43,17 +44,19 @@ parameter-shift rule (Mitarai et al., arXiv:1803.00745):
 where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
 (see `ansatz`); probe theta +- pi/2 e_j has overlap 1/8 * ||a +- b_j||^2.
 
-Both modes read a batch from one kernel, `_readout_sweep`. Its forward
-sweep gives every J_q v_l and a = (U mu_0)[:half] + (U mu_1)[half:],
-half = 2^(k-1); its one backward sweep, in row form from the last layer,
-gives every suffix product Q_l and so every b_j. Shots mode reads the
-2P+1 probe overlaps, 1/4 |a|^2 and 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>),
-with one binomial draw per batch from one generator (`_probe_rows`).
+Both modes read a batch's gradient from one kernel, `_readout_sweep`.
+Its forward sweep gives every J_q v_l and a = (U mu_0)[:half] +
+(U mu_1)[half:], half = 2^(k-1); its one backward sweep, in row form
+from the last layer, gives every suffix product Q_l and so every b_j.
+Shots mode reads the 2P+1 probe overlaps, 1/4 |a|^2 and
+1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), with one binomial draw per
+batch from one generator (`_probe_rows`).
 Exact mode (`central_difference`) reads the loss and the gradient from
 a and b_j in closed form and builds no probe row: probe rows would add
 about 2,000 x 15 us, some 30 ms, to a default Iris run. Either way a
 batch is O(L 8^k) work, for the products Q_l, and O(L 4^k) memory.
-Exact `batched_loss` needs only a, so it runs the forward sweep alone.
+`batched_loss` needs only a, so in both modes it runs the forward sweep
+alone, O(L 4^k) work; shots mode draws row 0 as `_probe_rows` would.
 """
 
 from __future__ import annotations
@@ -115,31 +118,6 @@ def prepare_label_state(n: int) -> StateVector:
     return StateVector(n + 1, amps)
 
 
-def _check_compared(
-    num_qubits: int, n: int, readout_qubit: int, control_qubits: tuple[int, ...]
-) -> None:
-    """Validate the qubits a swap test compares against an n-control label."""
-    if len(control_qubits) != n:
-        raise ConfigurationError(
-            f"label expects {n} control qubits, got {len(control_qubits)}"
-        )
-    k = num_qubits - n
-    if k < 1:
-        raise ConfigurationError(
-            f"data state has {num_qubits} qubits, too few for {n} controls plus a readout"
-        )
-    compared = (readout_qubit,) + control_qubits
-    if len(set(compared)) != len(compared):
-        raise ConfigurationError(f"readout/control qubits overlap: {compared}")
-    if not 0 <= readout_qubit < k:
-        raise ConfigurationError(
-            f"readout qubit {readout_qubit} is not a data qubit (data qubits are 0..{k - 1})"
-        )
-    for q in control_qubits:
-        if not 0 <= q < num_qubits:
-            raise ConfigurationError(f"control qubit {q} out of range for {num_qubits}-qubit state")
-
-
 def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
     """The reported p0 of each row: p0 itself in exact mode; in shots mode
     the hit frequency of Binomial(count, p0), every row from one
@@ -154,30 +132,28 @@ def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
 
 
 def swap_test(
-    data_state: StateVector,
-    label: StateVector,
-    readout_qubit: int,
-    control_qubits: list[int] | tuple[int, ...],
-    mode: str | Shots = EXACT,
+    data_state: StateVector, label: StateVector, mode: str | Shots = EXACT
 ) -> SwapTestResult:
     """Ancilla swap test between the label state on 1+n qubits (from
-    `prepare_label_state`) and the subsystem (readout qubit + n control
-    qubits) of the data state.
+    `prepare_label_state`) and the subsystem of the data state that
+    `query_superposed` lays out for it: data qubit 0, the readout, and
+    the last n qubits, the controls.
 
-    The readout qubit is paired with the label's data qubit and each
-    control with its label counterpart, as the CSWAPs of the circuit
-    would pair them. The compared qubits become one axis of size
-    2^(n+1) and the other qubits the environment axis; contracting the
-    label over the first leaves one amplitude per environment index,
-    whose squared norm is the overlap.
+    The readout is paired with the label's data qubit and each control
+    with its label counterpart, as the CSWAPs of the circuit would pair
+    them. The compared qubits become one axis of size 2^(n+1) and the
+    other data qubits the environment axis; contracting the label over
+    the first leaves one amplitude per environment index, whose squared
+    norm is the overlap.
     """
-    control_qubits = tuple(control_qubits)
-    num_qubits = data_state.num_qubits
-    _check_compared(num_qubits, label.num_qubits - 1, readout_qubit, control_qubits)
-    compared = (readout_qubit,) + control_qubits
-    env = tuple(q for q in range(num_qubits) if q not in compared)
-    grouped = data_state.amplitudes.reshape((2,) * num_qubits).transpose(compared + env)
-    amps = label.amplitudes.conj() @ grouped.reshape(1 << len(compared), 1 << len(env))
+    n = label.num_qubits - 1
+    k = data_state.num_qubits - n
+    if n < 0 or k < 1:
+        raise ConfigurationError(
+            f"{data_state.num_qubits}-qubit state too narrow for a {label.num_qubits}-qubit label"
+        )
+    grouped = data_state.amplitudes.reshape(2, 1 << (k - 1), 1 << n).transpose(0, 2, 1)
+    amps = label.amplitudes.conj() @ grouped.reshape(2 << n, 1 << (k - 1))
     p_zero = 0.5 * (1.0 + np.sum(np.abs(amps) ** 2))
     shots = mode.count if isinstance(mode, Shots) else None
     return SwapTestResult(p_zero=float(_read_out(p_zero, mode)), shots=shots)
@@ -266,18 +242,20 @@ def batched_loss(
     mode: str | Shots = EXACT,
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
-    qubits, swap-test against the label state for the store's n. Exact
-    mode reads the forward sweep alone, shots mode row 0 of `_probe_rows`."""
+    qubits, swap-test against the label state for the store's n. Both
+    modes read the forward sweep alone; shots mode draws the value that
+    row 0 of `_probe_rows` would."""
     if store.k != spec.k:
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
     spec.check_theta(theta.values)
     means = class_means(store.block)
-    if mode != EXACT:
-        return float(_probe_rows(means, spec, theta.values, mode)[0])
     layers = layer_matrices(spec, theta.values).astype(means.dtype, copy=False)
     out = forward_sweep(layers, means.T)[-1]
     half = out.shape[0] // 2
     paired = out[:half, 0] + out[half:, 1]
-    return 1.0 - 0.25 * float(np.vdot(paired, paired).real)
+    overlap = 0.25 * float(np.vdot(paired, paired).real)
+    if mode == EXACT:
+        return 1.0 - overlap
+    return float(1.0 - (2.0 * _read_out(0.5 * (1.0 + overlap), mode) - 1.0))

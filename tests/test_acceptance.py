@@ -135,7 +135,7 @@ def test_criterion_3_swap_test_matches_reduced_state_oracle():
         label = prepare_label_state(n)
         amps = oracles.random_state(rng, k + n)
         controls = tuple(range(k, k + n))
-        got = swap_test(StateVector(k + n, amps), label, 0, controls, EXACT).p_zero
+        got = swap_test(StateVector(k + n, amps), label, EXACT).p_zero
         want = oracles.swap_test_p_zero(amps, k + n, 0, controls, label.amplitudes)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -242,9 +242,9 @@ def test_criterion_8_shot_estimator_is_unbiased():
     for instance in range(10):
         amps = oracles.random_state(rng, 4)
         state = StateVector(4, amps)
-        exact = swap_test(state, label, 0, (2, 3), EXACT).p_zero
+        exact = swap_test(state, label, EXACT).p_zero
         estimates = [
-            swap_test(state, label, 0, (2, 3), Shots(4096, seed=1000 * instance + r)).p_zero
+            swap_test(state, label, Shots(4096, seed=1000 * instance + r)).p_zero
             for r in range(1000)
         ]
         tolerance = 3.0 * np.sqrt(exact * (1.0 - exact) / 4096.0)

@@ -383,6 +383,15 @@ class TestMakeTask:
         with pytest.raises(DataError):
             make_task(records, "setosa", "setosa", seed=0)
 
+    def test_missing_species_named_alone(self, tmp_path):
+        table = load_text(tmp_path, GOOD_ROW * 4)
+        with pytest.raises(DataError, match=r"records: versicolor$"):
+            make_task(table, "setosa", "versicolor", seed=0)
+        with pytest.raises(DataError, match=r"records: virginica$"):
+            make_task(table, "virginica", "setosa", seed=0)
+        with pytest.raises(DataError, match=r"records: virginica and versicolor$"):
+            make_task(table, "virginica", "versicolor", seed=0)
+
     def test_prefixed_names_accepted(self, records):
         task = make_task(records, "Iris-setosa", "Iris-versicolor", seed=0)
         assert task.class0 == "setosa"

@@ -98,9 +98,7 @@ class TestSwapTest:
     def test_identical_states_read_zero_with_certainty(self):
         for n in (1, 2, 3):
             label = prepare_label_state(n)
-            result = swap_test(
-                embedded_label_state(n), label, 0, tuple(range(1, n + 1)), EXACT
-            )
+            result = swap_test(embedded_label_state(n), label, EXACT)
             assert_allclose(result.p_zero, 1.0, atol=1e-10)
             assert_allclose(result.overlap, 1.0, atol=1e-10)
             assert result.shots is None
@@ -110,7 +108,7 @@ class TestSwapTest:
             label = prepare_label_state(n)
             flipped = StateVector(n + 1, oracles.apply_gates_local(
                 embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
-            result = swap_test(flipped, label, 0, tuple(range(1, n + 1)), EXACT)
+            result = swap_test(flipped, label, EXACT)
             assert_allclose(result.p_zero, 0.5, atol=1e-10)
             assert_allclose(result.overlap, 0.0, atol=1e-10)
 
@@ -121,51 +119,36 @@ class TestSwapTest:
             k = int(RNG.integers(1, 4))
             amps = oracles.random_state(RNG, k + n)
             controls = tuple(range(k, k + n))
-            result = swap_test(StateVector(k + n, amps), label, 0, controls, EXACT)
+            result = swap_test(StateVector(k + n, amps), label, EXACT)
             expected = oracles.swap_test_p_zero(
                 amps, k + n, 0, controls, label.amplitudes
             )
             assert_allclose(result.p_zero, expected, atol=1e-10)
 
     def test_closed_form_matches_cswap_circuit(self):
-        # Random widths, readouts and control placements, including
-        # controls interleaved with the data qubits.
+        # Random widths; readout data qubit 0, the n controls last.
         rng = np.random.default_rng(29)
         for _ in range(100):
             n = int(rng.integers(1, 4))
             k = int(rng.integers(1, 4))
             amps = oracles.random_state(rng, k + n)
-            readout = int(rng.integers(k))
-            others = [q for q in range(k + n) if q != readout]
-            controls = tuple(int(q) for q in rng.permutation(others)[:n])
+            controls = tuple(range(k, k + n))
             label = prepare_label_state(n)
-            got = swap_test(StateVector(k + n, amps), label, readout, controls, EXACT).p_zero
-            want = oracles.swap_test_circuit_p_zero(
-                amps, k + n, readout, controls, label.amplitudes
-            )
+            got = swap_test(StateVector(k + n, amps), label, EXACT).p_zero
+            want = oracles.swap_test_circuit_p_zero(amps, k + n, 0, controls, label.amplitudes)
             assert abs(got - want) < 1e-12
 
     def test_p_zero_never_below_half_in_exact_mode(self):
         label = prepare_label_state(2)
         for _ in range(50):
             amps = oracles.random_state(RNG, 4)
-            result = swap_test(StateVector(4, amps), label, 0, (2, 3), EXACT)
+            result = swap_test(StateVector(4, amps), label, EXACT)
             assert 0.5 - 1e-10 <= result.p_zero <= 1 + 1e-10
 
-    def test_control_count_mismatch_rejected(self):
+    def test_label_wider_than_state_rejected(self):
         label = prepare_label_state(2)
-        with pytest.raises(ConfigurationError):
-            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 0, (2,), EXACT)
-
-    def test_overlapping_qubit_sets_rejected(self):
-        label = prepare_label_state(2)
-        with pytest.raises(ConfigurationError):
-            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 2, (2, 3), EXACT)
-
-    def test_readout_must_be_a_data_qubit(self):
-        label = prepare_label_state(2)
-        with pytest.raises(ConfigurationError):
-            swap_test(StateVector(4, oracles.basis_state(4, 0)), label, 3, (1, 2), EXACT)
+        with pytest.raises(ConfigurationError, match="2-qubit state too narrow for a 3-qubit"):
+            swap_test(StateVector(2, oracles.basis_state(2, 0)), label, EXACT)
 
     def test_gate_count_is_affine_in_controls(self):
         rows = cost_table(1, 7, AnsatzSpec(2, DEFAULT_LAYERS))
@@ -188,9 +171,9 @@ class TestShotsMode:
     def test_same_seed_reproduces_estimate(self):
         label = prepare_label_state(1)
         state = embedded_label_state(1)
-        a = swap_test(state, label, 0, (1,), Shots(128, seed=4))
-        b = swap_test(state, label, 0, (1,), Shots(128, seed=4))
-        c = swap_test(state, label, 0, (1,), Shots(128, seed=5))
+        a = swap_test(state, label, Shots(128, seed=4))
+        b = swap_test(state, label, Shots(128, seed=4))
+        c = swap_test(state, label, Shots(128, seed=5))
         assert a.p_zero == b.p_zero
         assert a.shots == 128
         assert isinstance(c.p_zero, float)
@@ -198,7 +181,7 @@ class TestShotsMode:
     def test_estimate_is_an_empirical_frequency(self):
         label = prepare_label_state(1)
         amps = oracles.random_state(RNG, 3)
-        result = swap_test(StateVector(3, amps), label, 0, (2,), Shots(64, seed=0))
+        result = swap_test(StateVector(3, amps), label, Shots(64, seed=0))
         assert 0.0 <= result.p_zero <= 1.0
         assert round(result.p_zero * 64) == pytest.approx(result.p_zero * 64)
 
@@ -207,9 +190,9 @@ class TestShotsMode:
         label = prepare_label_state(1)
         amps = oracles.random_state(RNG, 3)
         state = StateVector(3, amps)
-        exact = swap_test(state, label, 0, (2,), EXACT).p_zero
+        exact = swap_test(state, label, EXACT).p_zero
         estimates = [
-            swap_test(state, label, 0, (2,), Shots(1024, seed=s)).p_zero
+            swap_test(state, label, Shots(1024, seed=s)).p_zero
             for s in range(1000)
         ]
         stderr = np.sqrt(exact * (1 - exact) / 1024)
@@ -218,20 +201,20 @@ class TestShotsMode:
     def test_huge_shot_count_needs_no_per_shot_memory(self):
         label = prepare_label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
-        exact = swap_test(state, label, 0, (2,), EXACT).p_zero
-        result = swap_test(state, label, 0, (2,), Shots(10**11, seed=0))
+        exact = swap_test(state, label, EXACT).p_zero
+        result = swap_test(state, label, Shots(10**11, seed=0))
         assert result.shots == 10**11
         assert abs(result.p_zero - exact) < 1e-4
-        largest = swap_test(state, label, 0, (2,), Shots(2**63 - 1, seed=0))
+        largest = swap_test(state, label, Shots(2**63 - 1, seed=0))
         assert abs(largest.p_zero - exact) < 1e-4
 
     def test_swap_test_reads_the_scalar_binomial_stream(self):
         label = prepare_label_state(2)
         state = StateVector(4, oracles.random_state(RNG, 4))
-        exact = swap_test(state, label, 0, (2, 3), EXACT).p_zero
+        exact = swap_test(state, label, EXACT).p_zero
         for s in range(100):
             expected = np.random.default_rng(s).binomial(4096, exact) / 4096
-            assert swap_test(state, label, 0, (2, 3), Shots(4096, seed=s)).p_zero == expected
+            assert swap_test(state, label, Shots(4096, seed=s)).p_zero == expected
 
     @staticmethod
     def probe_case():
@@ -318,22 +301,46 @@ class TestBatchedLoss:
         stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 200)
         assert abs(np.mean(losses) - exact) <= 4 * stderr
 
-    def test_exact_loss_reads_the_forward_sweep_alone(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [EXACT, Shots(4096, seed=7)], ids=["exact", "shots"])
+    def test_loss_reads_the_forward_sweep_alone(self, monkeypatch, mode):
         rng = np.random.default_rng(31)
         cases = []
         for k, n in ((1, 1), (2, 2), (3, 1), (2, 4)):
             spec = AnsatzSpec(k, 4)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
-            row = _probe_rows(class_means(store.block), spec, theta.values, EXACT)[0]
+            row = _probe_rows(class_means(store.block), spec, theta.values, mode)[0]
             cases.append((store, spec, theta, row))
 
         def no_backward_sweep(*args):
-            raise AssertionError("exact batched_loss ran _readout_sweep")
+            raise AssertionError("batched_loss ran _readout_sweep")
 
         monkeypatch.setattr(loss, "_readout_sweep", no_backward_sweep)
         for store, spec, theta, row in cases:
-            assert abs(batched_loss(store, spec, theta) - row) <= 1e-15
+            value = batched_loss(store, spec, theta, mode)
+            if mode == EXACT:
+                assert abs(value - row) <= 1e-15
+            else:
+                assert value == row
+
+    def test_matches_swap_test_on_the_query_circuit(self):
+        # The paper's path, query then ansatz then swap test, against the
+        # class-mean fast path.
+        rng = np.random.default_rng(37)
+        for trial in range(300):
+            k, n, layers = (int(v) for v in rng.integers(1, (4, 5, 5)))
+            spec = AnsatzSpec(k, layers)
+            samples = random_samples(rng, n, k)
+            if trial % 2:
+                samples = [
+                    sample_from_amps(oracles.random_state(rng, k), s.label) for s in samples
+                ]
+            store = build_store(samples)
+            assert store.block.dtype == (np.complex128 if trial % 2 else np.float64)
+            theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+            circuit = apply_ansatz(spec, theta, query_superposed(store), range(k))
+            paper = 1.0 - swap_test(circuit, prepare_label_state(n)).overlap
+            assert abs(batched_loss(store, spec, theta) - paper) <= 1e-12
 
     def test_loss_decreases_as_fidelity_increases(self):
         label = prepare_label_state(1)
@@ -341,7 +348,7 @@ class TestBatchedLoss:
         for angle in np.linspace(0.0, np.pi, 7):
             state = StateVector(2, oracles.apply_gates_local(
                 embedded_label_state(1).amplitudes, 2, [GateOp.ry(0, angle)]))
-            result = swap_test(state, label, 0, (1,), EXACT)
+            result = swap_test(state, label, EXACT)
             fidelities.append(result.overlap)
             losses.append(1.0 - result.overlap)
         order = np.argsort(fidelities)
