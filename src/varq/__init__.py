@@ -44,7 +44,6 @@ from .errors import (
     VarqError,
 )
 from .loss import (
-    EXACT,
     Shots,
     SwapTestResult,
     batched_loss,
@@ -68,7 +67,6 @@ __all__ = [
     "BinaryTask",
     "ConfigurationError",
     "DataError",
-    "EXACT",
     "EncodedSample",
     "EncodedSet",
     "EncodingError",

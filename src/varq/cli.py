@@ -33,7 +33,7 @@ from .costmodel import cost_table
 from .dataset import default_data_path, load_iris, make_task
 from .encoding import encode_dataset
 from .errors import ConfigurationError, OptimizationError, VarqError
-from .loss import EXACT, Shots
+from .loss import Shots
 from .trainer import TrainConfig, accuracy, train
 
 EXIT_OK = 0
@@ -181,13 +181,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     start = time.perf_counter()
     task, train_enc, test_enc, spec, data_path = _load_run(opts)
-    mode = EXACT if opts["shots"] is None else Shots(opts["shots"], opts["seed_shots"])
     config = TrainConfig(
         n=opts["n"],
         epochs=opts["epochs"],
         learning_rate=opts["lr"],
         seed=opts["seed_batch"],
-        mode=mode,
+        shots=None if opts["shots"] is None else Shots(opts["shots"], opts["seed_shots"]),
     )
     prepare_s = time.perf_counter() - start
     metrics_path, summary_path, params_path = _output_paths(opts)

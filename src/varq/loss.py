@@ -44,19 +44,20 @@ parameter-shift rule (Mitarai et al., arXiv:1803.00745):
 where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
 (see `ansatz`); probe theta +- pi/2 e_j has overlap 1/8 * ||a +- b_j||^2.
 
-Both modes read a batch's gradient from one kernel, `_readout_sweep`.
+Both readouts read a batch's gradient from one kernel, `_readout_sweep`.
 Its forward sweep gives every J_q v_l and a = (U mu_0)[:half] +
 (U mu_1)[half:], half = 2^(k-1); its one backward sweep, in row form
 from the last layer, gives every suffix product Q_l and so every b_j.
-Shots mode reads the 2P+1 probe overlaps, 1/4 |a|^2 and
-1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), with one binomial draw per
-batch from one generator (`_probe_rows`).
-Exact mode (`central_difference`) reads the loss and the gradient from
-a and b_j in closed form and builds no probe row: probe rows would add
-about 2,000 x 15 us, some 30 ms, to a default Iris run. Either way a
-batch is O(L 8^k) work, for the products Q_l, and O(L 4^k) memory.
-`batched_loss` needs only a, so in both modes it runs the forward sweep
-alone, O(L 4^k) work; shots mode draws row 0 as `_probe_rows` would.
+A sampled readout, shots=Shots(count, seed), reads the 2P+1 probe
+overlaps, 1/4 |a|^2 and 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), with
+one binomial draw per batch from one generator (`_probe_rows`).
+The exact readout, shots=None (`central_difference`), reads the loss and
+the gradient from a and b_j in closed form and builds no probe row:
+probe rows would add about 2,000 x 15 us, some 30 ms, to a default Iris
+run. Either way a batch is O(L 8^k) work, for the products Q_l, and
+O(L 4^k) memory. `batched_loss` needs only a, so either way it runs the
+forward sweep alone, O(L 4^k) work; a sampled readout draws row 0 as
+`_probe_rows` would.
 """
 
 from __future__ import annotations
@@ -71,21 +72,19 @@ from .errors import ConfigurationError
 from .qram import QramStore
 from .statevector import StateVector
 
-EXACT = "exact"
-
 
 @dataclass(frozen=True)
 class Shots:
-    """Sampled-readout mode: number of ancilla measurements and RNG seed."""
+    """Sampled readout: number of ancilla measurements and RNG seed."""
 
     count: int
-    seed: int | None = None
+    seed: int
 
     def __post_init__(self):
         # numpy's binomial draw takes a count below 2^63, its generators a seed >= 0.
         if not 1 <= self.count < 2**63:
             raise ConfigurationError(f"shot count must be in [1, 2^63), got {self.count}")
-        if self.seed is not None and self.seed < 0:
+        if self.seed < 0:
             raise ConfigurationError(f"shot seed must be >= 0, got {self.seed}")
 
 
@@ -118,21 +117,21 @@ def prepare_label_state(n: int) -> StateVector:
     return StateVector(n + 1, amps)
 
 
-def _read_out(p_zero: np.ndarray, mode: str | Shots) -> np.ndarray:
-    """The reported p0 of each row: p0 itself in exact mode; in shots mode
+def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
+    """The reported p0 of each row: p0 itself for shots=None; for a Shots
     the hit frequency of Binomial(count, p0), every row from one
     default_rng(seed) in one draw, O(1) memory in the shot count."""
-    if mode == EXACT:
+    if shots is None:
         return p_zero
-    if isinstance(mode, Shots):
+    if isinstance(shots, Shots):
         # Rounding can put p_zero a few ulps above 1.
-        hits = np.random.default_rng(mode.seed).binomial(mode.count, np.minimum(p_zero, 1.0))
-        return hits / mode.count
-    raise ConfigurationError(f"unknown swap-test mode {mode!r}")
+        hits = np.random.default_rng(shots.seed).binomial(shots.count, np.minimum(p_zero, 1.0))
+        return hits / shots.count
+    raise ConfigurationError(f"shots must be None or Shots(...), got {shots!r}")
 
 
 def swap_test(
-    data_state: StateVector, label: StateVector, mode: str | Shots = EXACT
+    data_state: StateVector, label: StateVector, shots: Shots | None = None
 ) -> SwapTestResult:
     """Ancilla swap test between the label state on 1+n qubits (from
     `prepare_label_state`) and the subsystem of the data state that
@@ -155,8 +154,8 @@ def swap_test(
     grouped = data_state.amplitudes.reshape(2, 1 << (k - 1), 1 << n).transpose(0, 2, 1)
     amps = label.amplitudes.conj() @ grouped.reshape(2 << n, 1 << (k - 1))
     p_zero = 0.5 * (1.0 + np.sum(np.abs(amps) ** 2))
-    shots = mode.count if isinstance(mode, Shots) else None
-    return SwapTestResult(p_zero=float(_read_out(p_zero, mode)), shots=shots)
+    count = shots.count if isinstance(shots, Shots) else None
+    return SwapTestResult(p_zero=float(_read_out(p_zero, shots)), shots=count)
 
 
 def class_means(blocks: np.ndarray) -> np.ndarray:
@@ -192,13 +191,13 @@ def _readout_sweep(
     return entering[-1, :half, 0] + entering[-1, half:, 1], shifts.reshape(-1, half)
 
 
-def _probe_rows(means, spec, theta, mode) -> np.ndarray:
+def _probe_rows(means, spec, theta, shots) -> np.ndarray:
     """1 - overlap for one batch, from its class means (2, 2^k), at theta
     (P,), then at theta + pi/2 e_j and theta - pi/2 e_j for j = 0..P-1.
     With a and b_j from `_readout_sweep`, theta's overlap is 1/4 |a|^2
     and probe j's state pairs to (a +- b_j) / sqrt(2), so its overlap is
     1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>).
-    All rows are read out in one mode; means may be complex. Unchecked,
+    All rows are read out alike; means may be complex. Unchecked,
     like `_readout_sweep`.
     """
     paired, shifts = _readout_sweep(means, spec, theta)
@@ -209,7 +208,7 @@ def _probe_rows(means, spec, theta, mode) -> np.ndarray:
     overlaps[0] = 0.25 * norm
     overlaps[1::2] = 0.125 * (spread + cross)
     overlaps[2::2] = 0.125 * (spread - cross)
-    p_zero = _read_out(0.5 * (1.0 + overlaps), mode)
+    p_zero = _read_out(0.5 * (1.0 + overlaps), shots)
     return 1.0 - (2.0 * p_zero - 1.0)
 
 
@@ -217,18 +216,18 @@ def central_difference(
     means: np.ndarray,
     spec: AnsatzSpec,
     theta: np.ndarray,
-    mode: str | Shots = EXACT,
+    shots: Shots | None = None,
 ) -> tuple[float, np.ndarray]:
     """One batch's loss at theta and its gradient, the central difference
     at the shift pi/2: rows[0] and (rows[1::2] - rows[2::2]) / 2 of
-    _probe_rows(means, spec, theta, mode). Shots mode samples those rows;
-    exact mode builds none and reads the same sweep in closed form: loss
+    _probe_rows(means, spec, theta, shots). A Shots samples those rows;
+    shots=None builds none and reads the same sweep in closed form: loss
     1 - 1/4 |a|^2, gradient j -1/4 Re <a, b_j>. Nothing is checked:
     means (2, 2^k), float64 or complex128, and a finite theta (P,) are
     validated once per run by `trainer.train`.
     """
-    if mode != EXACT:
-        rows = _probe_rows(means, spec, theta, mode)
+    if shots is not None:
+        rows = _probe_rows(means, spec, theta, shots)
         return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
     paired, shifts = _readout_sweep(means, spec, theta)
     overlap = 0.25 * float(np.vdot(paired, paired).real)
@@ -239,11 +238,11 @@ def batched_loss(
     store: QramStore,
     spec: AnsatzSpec,
     theta: ParameterVector,
-    mode: str | Shots = EXACT,
+    shots: Shots | None = None,
 ) -> float:
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n. Both
-    modes read the forward sweep alone; shots mode draws the value that
+    readouts read the forward sweep alone; a Shots draws the value that
     row 0 of `_probe_rows` would."""
     if store.k != spec.k:
         raise ConfigurationError(
@@ -256,6 +255,6 @@ def batched_loss(
     half = out.shape[0] // 2
     paired = out[:half, 0] + out[half:, 1]
     overlap = 0.25 * float(np.vdot(paired, paired).real)
-    if mode == EXACT:
+    if shots is None:
         return 1.0 - overlap
-    return float(1.0 - (2.0 * _read_out(0.5 * (1.0 + overlap), mode) - 1.0))
+    return float(1.0 - (2.0 * _read_out(0.5 * (1.0 + overlap), shots) - 1.0))

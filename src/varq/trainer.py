@@ -10,12 +10,12 @@ laid out as a qRAM store (`batched_loss` on a store is the one-batch
 form of the same loss). Theta takes one step after every batch.
 
 A batch's loss and gradient come from one call,
-`loss.central_difference`, in both readout modes: one forward and one
-backward sweep over the layers at theta. Every trainable gate is an RY,
-so the central difference at the shift pi/2 is the exact gradient (the
-parameter-shift rule). Both modes read the same sweep: the
-readout-paired output a and every shift direction b_j. Exact mode reads
-that gradient from them in closed form. Shots mode reads the 2P+1 probe
+`loss.central_difference`: one forward and one backward sweep over the
+layers at theta. Every trainable gate is an RY, so the central
+difference at the shift pi/2 is the exact gradient (the parameter-shift
+rule). Both readouts read the same sweep: the readout-paired output a
+and every shift direction b_j. The exact one (shots=None) reads that
+gradient from them in closed form. A sampled one reads the 2P+1 probe
 rows (theta, then theta + pi/2 e_j and theta - pi/2 e_j for each j) from
 them with one binomial draw from the batch's one sub-seed. Shapes and
 the angle count are checked once, when `train` starts; the real or
@@ -25,7 +25,7 @@ Accuracy classifies a split with one product against the circuit
 matrix, built once per epoch (and once per `accuracy` call): a sample
 is class 1 when p(readout = 1) >= 1/2, the readout being data qubit 0,
 the qubit the swap test compares.
-Everything is deterministic for a fixed config and seed in exact mode.
+Everything is deterministic for a fixed config and its seeds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
 from .encoding import EncodedSample, EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
-from .loss import EXACT, Shots, central_difference, class_means
+from .loss import Shots, central_difference, class_means
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     seed: int = 0
-    mode: str | Shots = EXACT
+    shots: Shots | None = None  # None means exact readout
 
     def __post_init__(self):
         if self.n < 1:
@@ -59,8 +59,8 @@ class TrainConfig:
         # +inf is allowed and ends the run as a divergence.
         if not self.learning_rate >= 0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (self.mode == EXACT or isinstance(self.mode, Shots)):
-            raise ConfigurationError(f"mode must be 'exact' or Shots(...), got {self.mode!r}")
+        if not (self.shots is None or isinstance(self.shots, Shots)):
+            raise ConfigurationError(f"shots must be None or Shots(...), got {self.shots!r}")
 
 
 @dataclass(frozen=True)
@@ -211,18 +211,17 @@ def train(
     classes = _class_rows(encoded.labels, config.n)
     values = theta.values
 
-    # Shots mode draws one sub-seed per batch, deterministic in sequence.
-    shots_rng = np.random.default_rng(config.mode.seed) if config.mode != EXACT else None
+    # A sampled readout draws one sub-seed per batch, deterministic in sequence.
+    shots_rng = None if config.shots is None else np.random.default_rng(config.shots.seed)
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(classes, config.n, config.seed, epoch)
         batch_means = class_means(encoded.amplitudes[rows])
         batch_losses = []
         for means in batch_means:
-            mode = EXACT
-            if shots_rng is not None:
-                mode = Shots(config.mode.count, int(shots_rng.integers(1 << 62)))
-            value, grad = central_difference(means, spec, values, mode)
+            shots = None if shots_rng is None else Shots(
+                config.shots.count, int(shots_rng.integers(1 << 62)))
+            value, grad = central_difference(means, spec, values, shots)
             batch_losses.append(value)
             values = _step(values, grad, config.learning_rate, epoch)
         mean_loss = float(np.mean(batch_losses))

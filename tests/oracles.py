@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from varq import IrisTable
+
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -408,3 +410,63 @@ def probe_row_training(matrix_of, train_set, test_set, spec, theta0, config):
 
         history.append((float(np.mean(losses)), accuracy(train_set), accuracy(test_set)))
     return theta, history
+
+
+def expected_batch_loss(amplitudes, labels, spec, theta, n):
+    """The batched loss in expectation over batches of h = 2^(n-1) rows per
+    class, each class's rows drawn uniformly without replacement:
+
+        E_n[loss] = L_centroid(theta) - 1/4 tr(A C_n)
+
+    With U the circuit matrix of the gate list, B = [P_0 U, P_1 U] keeps
+    the rows of U whose readout bit is 0, then those whose bit is 1, so a
+    batch's overlap is 1/4 m^H A m with A = B^H B and m = (mu_0; mu_1),
+    its two class means. E[m] is the pair of class centroids, whose loss
+    is L_centroid. Cov[m] = C_n is block-diagonal, one block per class of
+    M_c rows: Sigma_c / h * (M_c - h) / (M_c - 1), with Sigma_c the
+    class's population covariance of amplitudes.
+    """
+    amplitudes, labels = np.asarray(amplitudes), np.asarray(labels)
+    u = circuit_matrix(spec.k, ansatz_gates(spec, theta, range(spec.k)))
+    half = 1 << (spec.k - 1)
+    b = np.hstack([u[:half], u[half:]])
+    a = b.conj().T @ b
+    h = 1 << (n - 1)
+    dim = 1 << spec.k
+    centroid = np.zeros(2 * dim, dtype=complex)
+    cov = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for c in (0, 1):
+        rows = amplitudes[labels == c]
+        count = len(rows)
+        if not 1 <= h <= count:
+            raise ValueError(f"class {c} has {count} rows, a batch takes {h}")
+        block = slice(c * dim, (c + 1) * dim)
+        centroid[block] = rows.mean(axis=0)
+        if h < count:
+            dev = rows - centroid[block]
+            sigma = dev.T @ dev.conj() / count
+            cov[block, block] = sigma / h * (count - h) / (count - 1)
+    centroid_loss = 1.0 - 0.25 * np.vdot(centroid, a @ centroid).real
+    return float(centroid_loss - 0.25 * np.trace(a @ cov).real)
+
+
+SPECIES_MEANS = {
+    "setosa": (5.0, 3.4, 1.5, 0.25),
+    "versicolor": (5.9, 2.8, 4.3, 1.3),
+    "virginica": (6.6, 3.0, 5.6, 2.0),
+}
+
+
+def synthetic_iris(rows_per_species, seed):
+    """Iris-like rows with no file: for each species in SPECIES_MEANS order,
+    rows_per_species draws of four Gaussian features around its means with
+    sigma 0.35, clipped at 0.05, all from one default_rng(seed), then
+    rounded to the two decimals an Iris CSV holds. The recipe is that of
+    the benchmark's `perfbench/run.py::write_iris_csv`."""
+    rng = np.random.default_rng(seed)
+    features = []
+    for mean in SPECIES_MEANS.values():
+        draws = np.maximum(rng.normal(mean, 0.35, size=(rows_per_species, 4)), 0.05)
+        features += [[float(f"{v:.2f}") for v in row] for row in draws]
+    species = np.repeat(list(SPECIES_MEANS), rows_per_species)
+    return IrisTable(np.array(features).reshape(-1, 4), species)

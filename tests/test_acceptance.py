@@ -34,7 +34,7 @@ from varq import (
 )
 from varq.ansatz import DEFAULT_LAYERS
 from varq.cli import main
-from varq.loss import EXACT, Shots, batched_loss
+from varq.loss import Shots, batched_loss
 from test_qram import random_samples
 
 TASKS = (
@@ -135,7 +135,7 @@ def test_criterion_3_swap_test_matches_reduced_state_oracle():
         label = prepare_label_state(n)
         amps = oracles.random_state(rng, k + n)
         controls = tuple(range(k, k + n))
-        got = swap_test(StateVector(k + n, amps), label, EXACT).p_zero
+        got = swap_test(StateVector(k + n, amps), label).p_zero
         want = oracles.swap_test_p_zero(amps, k + n, 0, controls, label.amplitudes)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -242,7 +242,7 @@ def test_criterion_8_shot_estimator_is_unbiased():
     for instance in range(10):
         amps = oracles.random_state(rng, 4)
         state = StateVector(4, amps)
-        exact = swap_test(state, label, EXACT).p_zero
+        exact = swap_test(state, label).p_zero
         estimates = [
             swap_test(state, label, Shots(4096, seed=1000 * instance + r)).p_zero
             for r in range(1000)

@@ -1,5 +1,7 @@
 """Label-state preparation, swap test, and the batched fidelity loss."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from oracles import GateOp
 from varq import (
     AnsatzSpec,
     ConfigurationError,
+    EncodedSet,
     ParameterVector,
     Shots,
     StateVector,
@@ -22,7 +25,7 @@ from varq import (
 )
 from varq import loss
 from varq.ansatz import DEFAULT_LAYERS, circuit_matrix
-from varq.loss import EXACT, _probe_rows, central_difference, class_means
+from varq.loss import _probe_rows, central_difference, class_means
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -98,7 +101,7 @@ class TestSwapTest:
     def test_identical_states_read_zero_with_certainty(self):
         for n in (1, 2, 3):
             label = prepare_label_state(n)
-            result = swap_test(embedded_label_state(n), label, EXACT)
+            result = swap_test(embedded_label_state(n), label)
             assert_allclose(result.p_zero, 1.0, atol=1e-10)
             assert_allclose(result.overlap, 1.0, atol=1e-10)
             assert result.shots is None
@@ -108,7 +111,7 @@ class TestSwapTest:
             label = prepare_label_state(n)
             flipped = StateVector(n + 1, oracles.apply_gates_local(
                 embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
-            result = swap_test(flipped, label, EXACT)
+            result = swap_test(flipped, label)
             assert_allclose(result.p_zero, 0.5, atol=1e-10)
             assert_allclose(result.overlap, 0.0, atol=1e-10)
 
@@ -119,7 +122,7 @@ class TestSwapTest:
             k = int(RNG.integers(1, 4))
             amps = oracles.random_state(RNG, k + n)
             controls = tuple(range(k, k + n))
-            result = swap_test(StateVector(k + n, amps), label, EXACT)
+            result = swap_test(StateVector(k + n, amps), label)
             expected = oracles.swap_test_p_zero(
                 amps, k + n, 0, controls, label.amplitudes
             )
@@ -134,7 +137,7 @@ class TestSwapTest:
             amps = oracles.random_state(rng, k + n)
             controls = tuple(range(k, k + n))
             label = prepare_label_state(n)
-            got = swap_test(StateVector(k + n, amps), label, EXACT).p_zero
+            got = swap_test(StateVector(k + n, amps), label).p_zero
             want = oracles.swap_test_circuit_p_zero(amps, k + n, 0, controls, label.amplitudes)
             assert abs(got - want) < 1e-12
 
@@ -142,13 +145,13 @@ class TestSwapTest:
         label = prepare_label_state(2)
         for _ in range(50):
             amps = oracles.random_state(RNG, 4)
-            result = swap_test(StateVector(4, amps), label, EXACT)
+            result = swap_test(StateVector(4, amps), label)
             assert 0.5 - 1e-10 <= result.p_zero <= 1 + 1e-10
 
     def test_label_wider_than_state_rejected(self):
         label = prepare_label_state(2)
         with pytest.raises(ConfigurationError, match="2-qubit state too narrow for a 3-qubit"):
-            swap_test(StateVector(2, oracles.basis_state(2, 0)), label, EXACT)
+            swap_test(StateVector(2, oracles.basis_state(2, 0)), label)
 
     def test_gate_count_is_affine_in_controls(self):
         rows = cost_table(1, 7, AnsatzSpec(2, DEFAULT_LAYERS))
@@ -160,13 +163,18 @@ class TestSwapTest:
 class TestShotsMode:
     def test_shot_count_validated(self):
         with pytest.raises(ConfigurationError):
-            Shots(0)
+            Shots(0, seed=0)
         with pytest.raises(ConfigurationError):
-            Shots(-5)
+            Shots(-5, seed=0)
         with pytest.raises(ConfigurationError):
-            Shots(2**63)
+            Shots(2**63, seed=0)
         with pytest.raises(ConfigurationError):
             Shots(64, seed=-1)
+
+    def test_shot_seed_required(self):
+        # Every sampled readout names its seed, so it repeats byte for byte.
+        with pytest.raises(TypeError):
+            Shots(64)
 
     def test_same_seed_reproduces_estimate(self):
         label = prepare_label_state(1)
@@ -190,7 +198,7 @@ class TestShotsMode:
         label = prepare_label_state(1)
         amps = oracles.random_state(RNG, 3)
         state = StateVector(3, amps)
-        exact = swap_test(state, label, EXACT).p_zero
+        exact = swap_test(state, label).p_zero
         estimates = [
             swap_test(state, label, Shots(1024, seed=s)).p_zero
             for s in range(1000)
@@ -201,7 +209,7 @@ class TestShotsMode:
     def test_huge_shot_count_needs_no_per_shot_memory(self):
         label = prepare_label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
-        exact = swap_test(state, label, EXACT).p_zero
+        exact = swap_test(state, label).p_zero
         result = swap_test(state, label, Shots(10**11, seed=0))
         assert result.shots == 10**11
         assert abs(result.p_zero - exact) < 1e-4
@@ -211,7 +219,7 @@ class TestShotsMode:
     def test_swap_test_reads_the_scalar_binomial_stream(self):
         label = prepare_label_state(2)
         state = StateVector(4, oracles.random_state(RNG, 4))
-        exact = swap_test(state, label, EXACT).p_zero
+        exact = swap_test(state, label).p_zero
         for s in range(100):
             expected = np.random.default_rng(s).binomial(4096, exact) / 4096
             assert swap_test(state, label, Shots(4096, seed=s)).p_zero == expected
@@ -222,7 +230,7 @@ class TestShotsMode:
         spec = AnsatzSpec(2, 4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = _probe_rows(means, spec, theta, EXACT)
+        exact = _probe_rows(means, spec, theta, None)
         return means, spec, theta, exact
 
     def test_shot_probe_rows_are_unbiased(self):
@@ -301,15 +309,15 @@ class TestBatchedLoss:
         stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 200)
         assert abs(np.mean(losses) - exact) <= 4 * stderr
 
-    @pytest.mark.parametrize("mode", [EXACT, Shots(4096, seed=7)], ids=["exact", "shots"])
-    def test_loss_reads_the_forward_sweep_alone(self, monkeypatch, mode):
+    @pytest.mark.parametrize("shots", [None, Shots(4096, seed=7)], ids=["exact", "shots"])
+    def test_loss_reads_the_forward_sweep_alone(self, monkeypatch, shots):
         rng = np.random.default_rng(31)
         cases = []
         for k, n in ((1, 1), (2, 2), (3, 1), (2, 4)):
             spec = AnsatzSpec(k, 4)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
-            row = _probe_rows(class_means(store.block), spec, theta.values, mode)[0]
+            row = _probe_rows(class_means(store.block), spec, theta.values, shots)[0]
             cases.append((store, spec, theta, row))
 
         def no_backward_sweep(*args):
@@ -317,8 +325,8 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(loss, "_readout_sweep", no_backward_sweep)
         for store, spec, theta, row in cases:
-            value = batched_loss(store, spec, theta, mode)
-            if mode == EXACT:
+            value = batched_loss(store, spec, theta, shots)
+            if shots is None:
                 assert abs(value - row) <= 1e-15
             else:
                 assert value == row
@@ -348,7 +356,7 @@ class TestBatchedLoss:
         for angle in np.linspace(0.0, np.pi, 7):
             state = StateVector(2, oracles.apply_gates_local(
                 embedded_label_state(1).amplitudes, 2, [GateOp.ry(0, angle)]))
-            result = swap_test(state, label, EXACT)
+            result = swap_test(state, label)
             fidelities.append(result.overlap)
             losses.append(1.0 - result.overlap)
         order = np.argsort(fidelities)
@@ -400,7 +408,35 @@ class TestBatchedLoss:
         spec = AnsatzSpec(2, 1)
         store = build_store(random_samples(RNG, 1, 2))
         with pytest.raises(ConfigurationError):
-            batched_loss(store, spec, ParameterVector([0.0, 0.0]), mode="approximate")
+            batched_loss(store, spec, ParameterVector([0.0, 0.0]), shots="approximate")
+
+
+class TestExpectedBatchLoss:
+    @pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mean_over_every_batch_pair_is_the_closed_form(self, k, complex_amps):
+        # 4 rows per class: at n = 2 every pair of 2-row class subsets is one
+        # store, 6 x 6 in all, and train draws each with equal probability.
+        # n = 1 enumerates 4 x 4 stores; at n = 3 the one store holds both
+        # whole classes, the variance term is 0 and the centroid loss remains.
+        rng = np.random.default_rng(41 + k)
+        spec = AnsatzSpec(k, 3)
+        theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+        draw = oracles.random_state if complex_amps else oracles.random_real_state
+        amps = np.array([draw(rng, k) for _ in range(8)])
+        labels = np.repeat([0, 1], 4)
+        expected = {}
+        for n in (1, 2, 3):
+            subsets = list(itertools.combinations(range(4), 1 << (n - 1)))
+            losses = [
+                batched_loss(build_store(EncodedSet(amps[rows], labels[rows])), spec, theta)
+                for rows in (list(a) + [4 + i for i in b] for a in subsets for b in subsets)
+            ]
+            assert len(losses) == len(subsets) ** 2
+            expected[n] = oracles.expected_batch_loss(amps, labels, spec, theta, n)
+            assert abs(np.mean(losses) - expected[n]) <= 1e-12
+        # The variance term lowers the expected loss and shrinks as h grows.
+        assert expected[1] < expected[2] < expected[3]
 
 
 class TestCentralDifference:

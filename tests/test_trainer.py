@@ -29,7 +29,7 @@ from varq import (
     train,
 )
 from varq.ansatz import circuit_matrix
-from varq.loss import EXACT, _probe_rows, central_difference, class_means
+from varq.loss import _probe_rows, central_difference, class_means
 from varq.trainer import _batch_rows, _class_rows
 from test_qram import random_samples, sample_from_amps
 
@@ -95,7 +95,7 @@ class TestTrainConfig:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(mode="sampled")
+            TrainConfig(shots="sampled")
 
 
 class TestNumericalGradient:
@@ -196,7 +196,7 @@ class TestStackedPass:
                 grouped = psi.reshape(len(probes), 2, 2, -1)
                 amps = grouped[:, 0, 0] + grouped[:, 1, 1]
                 expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=1)
-                rows = _probe_rows(means, spec, theta, EXACT)
+                rows = _probe_rows(means, spec, theta, None)
                 assert np.max(np.abs(rows - expected)) < 1e-12
                 assert abs(batched_loss(store, spec, ParameterVector(theta)) - rows[0]) < 1e-15
 
@@ -218,29 +218,29 @@ class TestStackedPass:
 
     def test_non_finite_probe_loss_names_the_parameter(self, iris_task, monkeypatch):
         # The step that would apply a non-finite gradient names its first
-        # bad parameter, whichever mode produced it: the exact closed form,
-        # or a sampled probe row in shots mode.
+        # bad parameter, whichever readout produced it: the exact closed
+        # form, or a sampled probe row.
         spec = AnsatzSpec(2, 2)
         original = varq.trainer.central_difference
         read_out = varq.loss._read_out
 
-        def poisoned(means, spec, theta, mode):
-            if mode != "exact":
-                return original(means, spec, theta, mode)
+        def poisoned(means, spec, theta, shots):
+            if shots is not None:
+                return original(means, spec, theta, shots)
             grad = np.zeros(len(theta))
             grad[1:] = np.nan
             return 0.5, grad
 
-        def poisoned_read_out(p_zero, mode):
-            rows = read_out(p_zero, mode)
+        def poisoned_read_out(p_zero, shots):
+            rows = read_out(p_zero, shots)
             rows[3] = np.nan  # theta + pi/2 * e_1
             return rows
 
         monkeypatch.setattr("varq.trainer.central_difference", poisoned)
         monkeypatch.setattr("varq.loss._read_out", poisoned_read_out)
-        for mode in ("exact", Shots(64, seed=1)):
+        for shots in (None, Shots(64, seed=1)):
             with pytest.raises(OptimizationError, match="parameter 1:"):
-                train(*iris_task, spec, TrainConfig(epochs=1, mode=mode))
+                train(*iris_task, spec, TrainConfig(epochs=1, shots=shots))
 
     def test_accuracy_matches_per_sample_gate_level_decisions(self):
         rng = np.random.default_rng(31)
@@ -286,13 +286,38 @@ class TestMakeBatches:
         assert (train_set.labels[rows] == [0, 0, 1, 1]).all()
         assert len(np.unique(rows)) == rows.size
 
+    def test_mean_batch_loss_is_the_closed_form_expectation(self, iris_task):
+        # At fixed angles, the batch loss averaged over 2,000 seeded epochs
+        # of train's batches lies within 4 standard errors of
+        # oracles.expected_batch_loss, and the variance term of each n is
+        # told apart from that of every other n by more than 20.
+        train_set, _ = iris_task
+        spec = AnsatzSpec(2, 4)
+        theta = init_parameters(spec, seed=1).values
+        matrix = circuit_matrix(spec, theta)
+        expected = {
+            n: oracles.expected_batch_loss(train_set.amplitudes, train_set.labels, spec, theta, n)
+            for n in (1, 2, 3)
+        }
+        for n in expected:
+            epoch_means = []
+            for epoch in range(1, 2001):
+                rows = batch_rows(train_set.labels, n, seed=2, epoch=epoch)
+                out = class_means(train_set.amplitudes[rows]) @ matrix.T
+                paired = out[:, 0, :2] + out[:, 1, 2:]
+                epoch_means.append(np.mean(1.0 - 0.25 * np.sum(np.abs(paired) ** 2, axis=1)))
+            se = np.std(epoch_means, ddof=1) / np.sqrt(len(epoch_means))
+            gaps = {m: abs(np.mean(epoch_means) - value) for m, value in expected.items()}
+            assert gaps.pop(n) <= 4 * se
+            assert min(gaps.values()) > 20 * se
+
     def test_blocks_match_a_per_sample_reference(self, monkeypatch):
         # _batch_rows picks each batch's rows in the reference's order, and
         # every batch train scores, in order, has the class means of the
         # reference batch, to the bit.
         seen = []
 
-        def spy(means, spec, theta, mode):
+        def spy(means, spec, theta, shots):
             seen.append(means.copy())
             return 0.0, np.zeros(len(theta))
 
@@ -510,28 +535,28 @@ class TestTrain:
         spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
         exact_cfg = TrainConfig(epochs=1)
-        shots_cfg = TrainConfig(epochs=1, mode=Shots(256, seed=3))
+        shots_cfg = TrainConfig(epochs=1, shots=Shots(256, seed=3))
         _, exact_metrics = train(train_set, test_set, spec, exact_cfg, initial_theta=theta0)
         _, shots_metrics = train(train_set, test_set, spec, shots_cfg, initial_theta=theta0)
         assert shots_metrics[0].train_loss != exact_metrics[0].train_loss
         assert abs(shots_metrics[0].train_loss - exact_metrics[0].train_loss) < 0.2
 
     def test_shots_training_draws_one_sub_seed_per_batch(self, iris_task, monkeypatch):
-        # Each batch reads all its probe rows in one mode, Shots(count, s),
-        # with s the next scalar draw of default_rng(shots seed).
+        # Each batch reads all its probe rows with one Shots(count, s), with
+        # s the next scalar draw of default_rng(shots seed).
         spec = AnsatzSpec(2, 4)
-        modes = []
+        readouts = []
         original = varq.trainer.central_difference
 
-        def spy(means, spec, theta, mode):
-            modes.append(mode)
-            return original(means, spec, theta, mode)
+        def spy(means, spec, theta, shots):
+            readouts.append(shots)
+            return original(means, spec, theta, shots)
 
         monkeypatch.setattr("varq.trainer.central_difference", spy)
-        train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(256, seed=7)))
+        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(256, seed=7)))
         stream = np.random.default_rng(7)
-        assert len(modes) == 2 * 20
-        assert modes == [Shots(256, int(stream.integers(1 << 62))) for _ in modes]
+        assert len(readouts) == 2 * 20
+        assert readouts == [Shots(256, int(stream.integers(1 << 62))) for _ in readouts]
 
     def test_complex_training_data_trains_like_its_real_part(self, iris_task):
         # A global phase on every sample leaves every overlap unchanged, so
@@ -587,7 +612,7 @@ class TestTrain:
         assert built == []
         assert swept == [(spec.parameter_count,)] * (2 * 20)
         swept.clear()
-        train(*iris_task, spec, TrainConfig(epochs=2, mode=Shots(64, seed=1)))
+        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(64, seed=1)))
         assert built == [(1 + 2 * spec.parameter_count,)] * (2 * 20)
         assert swept == [(spec.parameter_count,)] * (2 * 20)
 
@@ -612,11 +637,34 @@ class TestTrain:
             assert abs(m.train_loss - loss) < 1e-12
             assert (m.train_accuracy, m.test_accuracy) == (train_acc, test_acc)
 
+    def test_batches_of_whole_classes_make_training_seed_free(self):
+        # At h = 2^(n-1) = M_c every batch holds each whole class, so the
+        # batch covariance C_n is 0 and the batch seed can move the angles
+        # by rounding alone. With two batches per class it steers them.
+        table = oracles.synthetic_iris(40, seed=1)
+        task = make_task(table, "virginica", "versicolor", seed=0)
+        train_set, test_set = encode_dataset(task.train), encode_dataset(task.test)
+        assert np.count_nonzero(train_set.labels == 0) == 32
+        spec = AnsatzSpec(2, 4)
+        theta0 = init_parameters(spec, seed=1)
+
+        def final_angles(n):
+            return [
+                train(train_set, test_set, spec, TrainConfig(n=n, epochs=300, seed=seed),
+                      initial_theta=theta0)[0].values
+                for seed in (2, 7, 11)
+            ]
+
+        whole = final_angles(6)
+        assert max(np.max(np.abs(angles - whole[0])) for angles in whole[1:]) <= 1e-12
+        halves = final_angles(5)
+        assert min(np.max(np.abs(angles - halves[0])) for angles in halves[1:]) > 1e-6
+
     def test_shots_mode_is_reproducible_given_seed(self, iris_task):
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         theta0 = init_parameters(spec, seed=1)
-        config = TrainConfig(epochs=2, mode=Shots(128, seed=9))
+        config = TrainConfig(epochs=2, shots=Shots(128, seed=9))
         run_a = train(train_set, test_set, spec, config, initial_theta=theta0)
         run_b = train(train_set, test_set, spec, config, initial_theta=theta0)
         assert np.array_equal(run_a[0].values, run_b[0].values)
