@@ -21,10 +21,11 @@ layer's other rotations. So
 
     U(theta + e e_j) mu = c U mu + s Q_l J_q v_l
 
-with Q_l = G_{L-1}...G_l. `generator_terms` gives every J_q v_l from
-one forward sweep. `loss` builds every Q_l in one backward sweep from
-the last layer and reads Q_l J_q v_l on the rows the swap test compares
-on data qubit 0, in both readout modes: linear in the layer count.
+with Q_l = G_{L-1}...G_l. `AnsatzSpec.generator_plan` writes each J_q
+as a signed bit flip. `loss` applies it to every v_l of one forward
+sweep, builds every Q_l in one backward sweep from the last layer, and
+reads Q_l J_q v_l on the rows the swap test compares on data qubit 0, in
+both readout modes: linear in the layer count.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class ParameterVector:
         return self.values.shape[0]
 
 
-def init_parameters(spec: AnsatzSpec, seed: int | None = None) -> ParameterVector:
+def init_parameters(spec: AnsatzSpec, seed: int) -> ParameterVector:
     """Independent uniform angles in [0, 2*pi), reproducible from seed."""
     if spec.parameter_count > np.iinfo(np.intp).max // 8:  # numpy's ValueError, not MemoryError
         raise ConfigurationError(f"too many angles to allocate: layers={spec.layers} on {spec.k} qubits")
@@ -180,13 +181,6 @@ def forward_sweep(layers: np.ndarray, states: np.ndarray) -> np.ndarray:
     for layer in range(len(layers)):
         previous = layers[layer].dot(previous, out=entering[layer + 1])
     return entering
-
-
-def generator_terms(spec: AnsatzSpec, entering: np.ndarray) -> np.ndarray:
-    """J_q v_l for every layer l and qubit q, (L, k, 2^k, m), from the
-    forward sweep's entering states: angle l*k + q's shift direction."""
-    flips, signs = spec.generator_plan
-    return entering[:-1].take(flips, axis=1) * signs
 
 
 def circuit_matrix(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:

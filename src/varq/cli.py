@@ -270,7 +270,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     spec = AnsatzSpec(k=2, layers=opts["layers"])
     rows = cost_table(args.n_min, args.n_max, spec)
-    cols = ["N", "hadamards", "qram_routing", "ansatz_gates", "swap_test_gates", "total", "sequential_baseline"]
+    cols = [c for c in rows[0] if c != "n"]
     # Each column is as wide as its widest cell, and at least 19, the
     # longest header: a row of huge counts still lines up under it.
     widths = [max([19, *(len(str(row[c])) for row in rows)]) for c in cols]

@@ -44,20 +44,20 @@ parameter-shift rule (Mitarai et al., arXiv:1803.00745):
 where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
 (see `ansatz`); probe theta +- pi/2 e_j has overlap 1/8 * ||a +- b_j||^2.
 
-Both readouts read a batch's gradient from one kernel, `_readout_sweep`.
-Its forward sweep gives every J_q v_l and a = (U mu_0)[:half] +
-(U mu_1)[half:], half = 2^(k-1); its one backward sweep, in row form
-from the last layer, gives every suffix product Q_l and so every b_j.
-A sampled readout, shots=Shots(count, seed), reads the 2P+1 probe
-overlaps, 1/4 |a|^2 and 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), with
-one binomial draw per batch from one generator (`_probe_rows`).
-The exact readout, shots=None (`central_difference`), reads the loss and
-the gradient from a and b_j in closed form and builds no probe row:
-probe rows would add about 2,000 x 15 us, some 30 ms, to a default Iris
-run. Either way a batch is O(L 8^k) work, for the products Q_l, and
-O(L 4^k) memory. `batched_loss` needs only a, so either way it runs the
-forward sweep alone, O(L 4^k) work; a sampled readout draws row 0 as
-`_probe_rows` would.
+Each batch formula is written once. `_forward` casts the layers to the
+means' dtype, runs the forward sweep and pairs its output into
+a = (U mu_0)[:half] + (U mu_1)[half:], half = 2^(k-1); `_readout_sweep`
+adds one backward sweep, in row form from the last layer, for every
+suffix product Q_l and so every b_j; `_readout_loss` reads 1 - overlap,
+exactly for shots=None, else from the p0 = (1 + overlap) / 2 that
+`_read_out` samples. `central_difference` reads a batch from one
+`_readout_sweep`: shots=None in closed form, building no probe row
+(probe rows would add about 2,000 x 15 us, some 30 ms, to a default
+Iris run); a Shots as the 2P+1 probe overlaps, 1/4 |a|^2 and
+1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), in one binomial draw. Either
+way a batch is O(L 8^k) work and O(L 4^k) memory. `batched_loss` needs
+only a, so it runs `_forward` alone, O(L 4^k) work, and a sampled
+readout draws row 0 of the probe rows.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, forward_sweep, generator_terms, layer_matrices
+from .ansatz import AnsatzSpec, ParameterVector, forward_sweep, layer_matrices
 from .errors import ConfigurationError
 from .qram import QramStore
 from .statevector import StateVector
@@ -81,11 +81,16 @@ class Shots:
     seed: int
 
     def __post_init__(self):
-        # numpy's binomial draw takes a count below 2^63, its generators a seed >= 0.
-        if not 1 <= self.count < 2**63:
+        # numpy's binomial draw takes a count below 2^63, its generators a
+        # seed >= 0; both are integers (Python or numpy), never a bool.
+        if not (_is_integer(self.count) and 1 <= self.count < 2**63):
             raise ConfigurationError(f"shot count must be in [1, 2^63), got {self.count}")
-        if self.seed < 0:
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"shot seed must be >= 0, got {self.seed}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -166,18 +171,25 @@ def class_means(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(*batches, 2, size // 2, dim).mean(axis=-2)
 
 
-def _readout_sweep(
-    means: np.ndarray, spec: AnsatzSpec, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes the swap test compares, a = pair(U means.T)
-    (2^(k-1),), and b_j = pair(Q_l J_q v_l) for every angle j = l*k + q,
-    (P, 2^(k-1)), where pair(out) = out[:half, 0] + out[half:, 1] and
-    half = 2^(k-1). The suffix products Q_l = G_{L-1}...G_l come from one
-    backward sweep in row form, Q_l = Q_{l+1} G_l, from the last layer.
-    Unchecked: means (2, 2^k), float64 or complex128.
-    """
+def _forward(means, spec, theta):
+    """The layer matrices G_l (L, 2^k, 2^k) cast to the means' dtype, the
+    forward sweep's states entering every layer (L + 1, 2^k, 2), and the
+    amplitudes the swap test compares, a = pair(U means.T) (2^(k-1),),
+    where pair(out) = out[:half, 0] + out[half:, 1] and half = 2^(k-1).
+    Unchecked: means (2, 2^k), float64 or complex128; theta (P,)."""
     layers = layer_matrices(spec, theta).astype(means.dtype, copy=False)
     entering = forward_sweep(layers, means.T)
+    half = 1 << (spec.k - 1)
+    return layers, entering, entering[-1, :half, 0] + entering[-1, half:, 1]
+
+
+def _readout_sweep(means, spec, theta):
+    """a from `_forward`, and b_j = pair(Q_l J_q v_l) for every angle
+    j = l*k + q, (P, 2^(k-1)). The suffix products Q_l = G_{L-1}...G_l
+    come from one backward sweep in row form, Q_l = Q_{l+1} G_l, from the
+    last layer. Unchecked, like `_forward`.
+    """
+    layers, entering, paired = _forward(means, spec, theta)
     suffix = layers.copy()
     for layer in range(spec.layers - 2, -1, -1):
         suffix[layer + 1].dot(layers[layer], out=suffix[layer])
@@ -186,30 +198,20 @@ def _readout_sweep(
     # pair(Q_l w) sums w[x, c] Q_l[c * half + m, x] over x and c: one
     # product of each w = J_q v_l, flattened, with Q_l regrouped to ((x, c), m).
     regrouped = suffix.reshape(spec.layers, 2, half, dim).transpose(0, 3, 1, 2)
-    terms = generator_terms(spec, entering).reshape(spec.layers, spec.k, 2 * dim)
+    # J_q v_l for every layer l and qubit q, angle l*k + q's shift direction.
+    flips, signs = spec.generator_plan
+    terms = (entering[:-1].take(flips, axis=1) * signs).reshape(spec.layers, spec.k, 2 * dim)
     shifts = np.matmul(terms, regrouped.reshape(spec.layers, 2 * dim, half))
-    return entering[-1, :half, 0] + entering[-1, half:, 1], shifts.reshape(-1, half)
+    return paired, shifts.reshape(-1, half)
 
 
-def _probe_rows(means, spec, theta, shots) -> np.ndarray:
-    """1 - overlap for one batch, from its class means (2, 2^k), at theta
-    (P,), then at theta + pi/2 e_j and theta - pi/2 e_j for j = 0..P-1.
-    With a and b_j from `_readout_sweep`, theta's overlap is 1/4 |a|^2
-    and probe j's state pairs to (a +- b_j) / sqrt(2), so its overlap is
-    1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>).
-    All rows are read out alike; means may be complex. Unchecked,
-    like `_readout_sweep`.
-    """
-    paired, shifts = _readout_sweep(means, spec, theta)
-    norm = np.vdot(paired, paired).real
-    spread = norm + np.einsum("ij,ij->i", shifts.conj(), shifts).real
-    cross = 2.0 * shifts.dot(paired.conj()).real
-    overlaps = np.empty(2 * spec.parameter_count + 1)
-    overlaps[0] = 0.25 * norm
-    overlaps[1::2] = 0.125 * (spread + cross)
-    overlaps[2::2] = 0.125 * (spread - cross)
-    p_zero = _read_out(0.5 * (1.0 + overlaps), shots)
-    return 1.0 - (2.0 * p_zero - 1.0)
+def _readout_loss(overlap, shots: Shots | None):
+    """1 - overlap as the readout reports it: exact for shots=None, else
+    from the sampled p0 = (1 + overlap) / 2 of `_read_out`. overlap is
+    one value or an array of rows."""
+    if shots is None:
+        return 1.0 - overlap
+    return 1.0 - (2.0 * _read_out(0.5 * (1.0 + overlap), shots) - 1.0)
 
 
 def central_difference(
@@ -219,19 +221,27 @@ def central_difference(
     shots: Shots | None = None,
 ) -> tuple[float, np.ndarray]:
     """One batch's loss at theta and its gradient, the central difference
-    at the shift pi/2: rows[0] and (rows[1::2] - rows[2::2]) / 2 of
-    _probe_rows(means, spec, theta, shots). A Shots samples those rows;
-    shots=None builds none and reads the same sweep in closed form: loss
-    1 - 1/4 |a|^2, gradient j -1/4 Re <a, b_j>. Nothing is checked:
-    means (2, 2^k), float64 or complex128, and a finite theta (P,) are
-    validated once per run by `trainer.train`.
+    at the shift pi/2, from one `_readout_sweep`. shots=None builds no
+    probe row: loss 1 - 1/4 |a|^2, gradient j -1/4 Re <a, b_j>. A Shots
+    samples the 2P+1 probe rows, theta then theta + pi/2 e_j and
+    theta - pi/2 e_j for each j, in one draw: loss rows[0], gradient
+    (rows[1::2] - rows[2::2]) / 2. Nothing is checked: means (2, 2^k),
+    float64 or complex128, and a finite theta (P,) are validated once
+    per run by `trainer.train`.
     """
-    if shots is not None:
-        rows = _probe_rows(means, spec, theta, shots)
-        return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
     paired, shifts = _readout_sweep(means, spec, theta)
-    overlap = 0.25 * float(np.vdot(paired, paired).real)
-    return 1.0 - overlap, shifts.dot(paired.conj()).real * -0.25
+    norm = np.vdot(paired, paired).real
+    dots = shifts.dot(paired.conj()).real
+    if shots is None:
+        return float(_readout_loss(0.25 * norm, None)), dots * -0.25
+    spread = norm + np.einsum("ij,ij->i", shifts.conj(), shifts).real
+    cross = 2.0 * dots
+    overlaps = np.empty(2 * spec.parameter_count + 1)
+    overlaps[0] = 0.25 * norm
+    overlaps[1::2] = 0.125 * (spread + cross)
+    overlaps[2::2] = 0.125 * (spread - cross)
+    rows = _readout_loss(overlaps, shots)
+    return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
 
 
 def batched_loss(
@@ -243,18 +253,11 @@ def batched_loss(
     """1 - overlap for one batch: retrieve, apply the ansatz to the data
     qubits, swap-test against the label state for the store's n. Both
     readouts read the forward sweep alone; a Shots draws the value that
-    row 0 of `_probe_rows` would."""
+    row 0 of `central_difference`'s probe rows would."""
     if store.k != spec.k:
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
     spec.check_theta(theta.values)
-    means = class_means(store.block)
-    layers = layer_matrices(spec, theta.values).astype(means.dtype, copy=False)
-    out = forward_sweep(layers, means.T)[-1]
-    half = out.shape[0] // 2
-    paired = out[:half, 0] + out[half:, 1]
-    overlap = 0.25 * float(np.vdot(paired, paired).real)
-    if shots is None:
-        return 1.0 - overlap
-    return float(1.0 - (2.0 * _read_out(0.5 * (1.0 + overlap), shots) - 1.0))
+    _, _, paired = _forward(class_means(store.block), spec, theta.values)
+    return float(_readout_loss(0.25 * np.vdot(paired, paired).real, shots))

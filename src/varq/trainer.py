@@ -14,10 +14,10 @@ A batch's loss and gradient come from one call,
 layers at theta. Every trainable gate is an RY, so the central
 difference at the shift pi/2 is the exact gradient (the parameter-shift
 rule). Both readouts read the same sweep: the readout-paired output a
-and every shift direction b_j. The exact one (shots=None) reads that
-gradient from them in closed form. A sampled one reads the 2P+1 probe
-rows (theta, then theta + pi/2 e_j and theta - pi/2 e_j for each j) from
-them with one binomial draw from the batch's one sub-seed. Shapes and
+and every shift direction b_j. The exact one (shots=None) reads the
+gradient from them in closed form, with no probe row. A sampled one
+builds the 2P+1 probe rows (theta, then theta +- pi/2 e_j for each j)
+from them with one binomial draw from the batch's one sub-seed. Shapes and
 the angle count are checked once, when `train` starts; the real or
 complex arithmetic follows the dtype `EncodedSet` chose for the data.
 

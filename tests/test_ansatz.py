@@ -151,6 +151,11 @@ class TestInitParameters:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    def test_seed_required(self):
+        # Every initial draw names its seed, so a run repeats byte for byte.
+        with pytest.raises(TypeError):
+            init_parameters(AnsatzSpec(2, 4))
+
 
 class TestCircuitMatrix:
     @pytest.mark.parametrize("layers", range(1, 4))

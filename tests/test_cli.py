@@ -797,6 +797,14 @@ class TestCostCommand:
             })
         assert self.parse_rows(out) == expected
 
+    def test_columns_are_the_cost_table_keys_in_row_order(self, capsys):
+        # Every cost_table key but n is a column, so a new bucket needs no
+        # edit of the CLI.
+        assert main(["cost", "--n-min", "3", "--n-max", "3"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split()
+        row = varq.cost_table(3, 3, varq.AnsatzSpec(2, 4))[0]
+        assert header == [column for column in row if column != "n"]
+
     def test_default_range_is_1_to_12(self, capsys):
         assert main(["cost"]) == 0
         rows = self.parse_rows(capsys.readouterr().out)

@@ -25,7 +25,7 @@ from varq import (
 )
 from varq import loss
 from varq.ansatz import DEFAULT_LAYERS, circuit_matrix
-from varq.loss import _probe_rows, central_difference, class_means
+from varq.loss import central_difference, class_means
 from test_qram import random_samples, sample_from_amps
 
 RNG = np.random.default_rng(19)
@@ -171,6 +171,20 @@ class TestShotsMode:
         with pytest.raises(ConfigurationError):
             Shots(64, seed=-1)
 
+    def test_shot_count_and_seed_are_integers(self):
+        # A float count would draw floor(count) trials and divide by count;
+        # a bool is not a count or a seed.
+        for count in (64.5, True):
+            with pytest.raises(ConfigurationError, match=r"^shot count must be in \[1, 2\^63\)"):
+                Shots(count, 1)
+        for seed in (1.5, True):
+            with pytest.raises(ConfigurationError, match=r"^shot seed must be >= 0"):
+                Shots(64, seed)
+        shots = Shots(np.int64(64), np.uint32(1))
+        label = prepare_label_state(1)
+        state = StateVector(3, oracles.random_state(RNG, 3))
+        assert swap_test(state, label, shots) == swap_test(state, label, Shots(64, 1))
+
     def test_shot_seed_required(self):
         # Every sampled readout names its seed, so it repeats byte for byte.
         with pytest.raises(TypeError):
@@ -230,27 +244,44 @@ class TestShotsMode:
         spec = AnsatzSpec(2, 4)
         means = class_means(build_store(random_samples(rng, 2, 2)).block)
         theta = rng.uniform(0, 2 * np.pi, spec.parameter_count)
-        exact = _probe_rows(means, spec, theta, None)
+        exact = oracles.probe_row_losses(circuit_matrix, means, spec, theta, np.pi / 2)
         return means, spec, theta, exact
 
-    def test_shot_probe_rows_are_unbiased(self):
+    def test_shot_loss_and_gradient_are_unbiased(self):
         means, spec, theta, exact = self.probe_case()
-        rows = np.array(
-            [_probe_rows(means, spec, theta, Shots(4096, seed=s)) for s in range(1000)]
-        )
-        # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
+        draws = [central_difference(means, spec, theta, Shots(4096, seed=s)) for s in range(1000)]
+        losses = np.array([value for value, _ in draws])
+        grads = np.array([grad for _, grad in draws])
+        # A row's loss is 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0),
+        # and gradient j is half the difference of rows 2j+1 and 2j+2.
         p_zero = 1.0 - exact / 2.0
-        stderr = 2.0 * np.sqrt(p_zero * (1.0 - p_zero) / 4096 / 1000)
-        assert rows.shape == (1000, 2 * spec.parameter_count + 1)
-        assert np.all(np.abs(rows.mean(axis=0) - exact) <= 3 * stderr)
+        row_var = 4.0 * p_zero * (1.0 - p_zero) / 4096
+        assert grads.shape == (1000, spec.parameter_count)
+        exact_loss, exact_grad = central_difference(means, spec, theta)
+        assert abs(losses.mean() - exact_loss) <= 3 * np.sqrt(row_var[0] / 1000)
+        grad_stderr = np.sqrt((row_var[1::2] + row_var[2::2]) / 4 / 1000)
+        assert np.all(np.abs(grads.mean(axis=0) - exact_grad) <= 3 * grad_stderr)
 
-    def test_shot_probe_rows_are_one_binomial_draw_in_row_order(self):
+    def test_shot_probe_rows_are_one_binomial_draw_in_row_order(self, monkeypatch):
         means, spec, theta, exact = self.probe_case()
-        p_zero = np.minimum(1.0 - exact / 2.0, 1.0)
+        read_out = loss._read_out
+        seen = []
+
+        def spy(p_zero, shots):
+            seen.append(p_zero.copy())
+            return read_out(p_zero, shots)
+
+        monkeypatch.setattr(loss, "_read_out", spy)
         for s in (0, 1, 17, 4242):
-            hits = np.random.default_rng(s).binomial(4096, p_zero)
-            rows = _probe_rows(means, spec, theta, Shots(4096, seed=s))
-            assert np.array_equal(rows, 1.0 - (2.0 * hits / 4096 - 1.0))
+            value, grad = central_difference(means, spec, theta, Shots(4096, seed=s))
+            p_zero = seen.pop()
+            assert p_zero.shape == (2 * spec.parameter_count + 1,)
+            assert np.max(np.abs(p_zero - (1.0 - exact / 2.0))) < 1e-12
+            hits = np.random.default_rng(s).binomial(4096, np.minimum(p_zero, 1.0))
+            rows = 1.0 - (2.0 * hits / 4096 - 1.0)
+            assert value == rows[0]
+            assert np.array_equal(grad, (rows[1::2] - rows[2::2]) / 2.0)
+        assert seen == []
 
 
 class TestBatchedLoss:
@@ -301,7 +332,7 @@ class TestBatchedLoss:
         for s in range(200):
             value = batched_loss(store, spec, theta, Shots(4096, seed=s))
             assert batched_loss(store, spec, theta, Shots(4096, seed=s)) == value
-            assert value == _probe_rows(means, spec, theta.values, Shots(4096, seed=s))[0]
+            assert value == central_difference(means, spec, theta.values, Shots(4096, seed=s))[0]
             losses.append(value)
         exact = batched_loss(store, spec, theta)
         # loss = 2 - 2 * (hits / 4096), hits ~ Binomial(4096, p0).
@@ -317,7 +348,7 @@ class TestBatchedLoss:
             spec = AnsatzSpec(k, 4)
             store = build_store(random_samples(rng, n, k))
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
-            row = _probe_rows(class_means(store.block), spec, theta.values, shots)[0]
+            row = central_difference(class_means(store.block), spec, theta.values, shots)[0]
             cases.append((store, spec, theta, row))
 
         def no_backward_sweep(*args):
@@ -325,11 +356,23 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(loss, "_readout_sweep", no_backward_sweep)
         for store, spec, theta, row in cases:
-            value = batched_loss(store, spec, theta, shots)
-            if shots is None:
-                assert abs(value - row) <= 1e-15
-            else:
-                assert value == row
+            assert batched_loss(store, spec, theta, shots) == row
+
+    def test_loss_is_the_central_difference_loss_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for k, n, state in itertools.product(
+            (1, 2, 3), (1, 2, 3), (oracles.random_real_state, oracles.random_state)
+        ):
+            spec = AnsatzSpec(k, 3)
+            half = 1 << (n - 1)
+            store = build_store(
+                [sample_from_amps(state(rng, k), c) for c in (0, 1) for _ in range(half)]
+            )
+            theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
+            means = class_means(store.block)
+            for shots in (None, *(Shots(4096, seed=s) for s in range(5))):
+                value = batched_loss(store, spec, theta, shots)
+                assert value == central_difference(means, spec, theta.values, shots)[0]
 
     def test_matches_swap_test_on_the_query_circuit(self):
         # The paper's path, query then ansatz then swap test, against the

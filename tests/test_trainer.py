@@ -29,7 +29,7 @@ from varq import (
     train,
 )
 from varq.ansatz import circuit_matrix
-from varq.loss import _probe_rows, central_difference, class_means
+from varq.loss import central_difference, class_means
 from varq.trainer import _batch_rows, _class_rows
 from test_qram import random_samples, sample_from_amps
 
@@ -177,9 +177,18 @@ class TestStackedPass:
             assert np.max(np.abs(grad - shift)) < 1e-12
 
     @pytest.mark.parametrize("k", range(1, 5))
-    def test_sweep_rows_match_a_stacked_pass_at_the_probe_angles(self, k):
+    def test_sweep_rows_match_a_stacked_pass_at_the_probe_angles(self, k, monkeypatch):
         # The reference multiplies out each probe's whole circuit and runs
-        # it on the class means, one probe row at a time.
+        # it on the class means, one probe row at a time. The rows are the
+        # p0 array a sampled readout hands to its one draw.
+        read_out = varq.loss._read_out
+        seen = []
+
+        def spy(p_zero, shots):
+            seen.append(p_zero.copy())
+            return read_out(p_zero, shots)
+
+        monkeypatch.setattr("varq.loss._read_out", spy)
         rng = np.random.default_rng(400 + k)
         for layers in range(1, 7):
             spec = AnsatzSpec(k, layers)
@@ -196,7 +205,9 @@ class TestStackedPass:
                 grouped = psi.reshape(len(probes), 2, 2, -1)
                 amps = grouped[:, 0, 0] + grouped[:, 1, 1]
                 expected = 1.0 - 0.25 * np.sum(np.abs(amps) ** 2, axis=1)
-                rows = _probe_rows(means, spec, theta, None)
+                central_difference(means, spec, theta, Shots(64, seed=0))
+                rows = 1.0 - (2.0 * seen.pop() - 1.0)
+                assert rows.shape == expected.shape
                 assert np.max(np.abs(rows - expected)) < 1e-12
                 assert abs(batched_loss(store, spec, ParameterVector(theta)) - rows[0]) < 1e-15
 
@@ -589,24 +600,23 @@ class TestTrain:
         assert angle_shapes == [(spec.parameter_count,)] * (2 * 20 + 2)
 
     def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
-        # Exact mode takes the closed form and builds no probe row; shots
-        # mode builds the 2P+1 rows once per batch. Both modes run one
+        # Exact mode takes the closed form and reads out no probe row; shots
+        # mode reads out the 2P+1 rows once per batch. Both modes run one
         # readout sweep per batch.
         spec = AnsatzSpec(2, 4)
         built, swept = [], []
-        original_rows = varq.loss._probe_rows
+        original_read_out = varq.loss._read_out
         original_sweep = varq.loss._readout_sweep
 
-        def rows_spy(*args):
-            rows = original_rows(*args)
-            built.append(rows.shape)
-            return rows
+        def read_out_spy(p_zero, shots):
+            built.append(p_zero.shape)
+            return original_read_out(p_zero, shots)
 
         def sweep_spy(*args):
             swept.append(args[2].shape)
             return original_sweep(*args)
 
-        monkeypatch.setattr("varq.loss._probe_rows", rows_spy)
+        monkeypatch.setattr("varq.loss._read_out", read_out_spy)
         monkeypatch.setattr("varq.loss._readout_sweep", sweep_spy)
         train(*iris_task, spec, TrainConfig(epochs=2))
         assert built == []
