@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EncodingError
+from .errors import EncodingError
 from .statevector import StateVector
 
 
@@ -105,22 +105,6 @@ class EncodedSet(_LabeledRows, Sequence):
         return EncodedSample(
             StateVector(self.num_qubits, self.amplitudes[index]), int(self.labels[index])
         )
-
-    @classmethod
-    def of(cls, samples: Sequence[EncodedSample]) -> "EncodedSet":
-        """samples as an EncodedSet: itself if it is one, else stacked.
-        All samples must span the same number of qubits."""
-        if isinstance(samples, cls):
-            return samples
-        if not samples:
-            return cls(np.zeros((0, 1)), [])
-        k = samples[0].state.num_qubits
-        for i, s in enumerate(samples):
-            if s.state.num_qubits != k:
-                raise ConfigurationError(
-                    f"sample {i} has {s.state.num_qubits} qubits, sample 0 has {k}"
-                )
-        return cls([s.state.amplitudes for s in samples], [s.label for s in samples])
 
 
 def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:

@@ -22,19 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodedSample, EncodedSet
-from .errors import ConfigurationError, QramError
+from .errors import QramError
 from .statevector import StateVector
 
 
 @dataclass(frozen=True, eq=False)
 class QramStore:
-    """Write-once store: row i of block is the sample at address i, with
-    labels[i] its class; classes are split by address halves."""
+    """Write-once store: row i of block is the sample at address i. The
+    address half is the class: label 0 below 2^(n-1), label 1 from there
+    up (`build_store` lays a batch out so)."""
 
     n: int
     k: int
     block: np.ndarray
-    labels: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
@@ -42,15 +42,6 @@ class QramStore:
         shape = (1 << self.n, 1 << self.k)
         if self.block.shape != shape:
             raise QramError(f"store block has shape {self.block.shape}, expected {shape}")
-        if self.labels.shape != shape[:1]:
-            raise QramError(f"store has {self.labels.shape} labels, expected {shape[:1]}")
-        wrong = np.flatnonzero(self.labels != (np.arange(shape[0]) >= shape[0] // 2))
-        if wrong.size:
-            addr = int(wrong[0])
-            raise QramError(
-                f"address {addr} holds a label-{self.labels[addr]} sample; "
-                f"lower half must be label 0, upper half label 1"
-            )
 
     @property
     def size(self) -> int:
@@ -62,23 +53,26 @@ def build_store(batch: Sequence[EncodedSample]) -> QramStore:
 
     The batch must have power-of-two size 2^n (n >= 1) with equally many
     samples of each class; input order is preserved within each class.
+    An EncodedSet is laid out from its arrays; any other sequence of
+    samples, all of one width, is stacked first.
     """
     size = len(batch)
     if size < 2 or size & (size - 1):
         raise QramError(f"batch size {size} is not a power of two >= 2")
-    try:
-        encoded = EncodedSet.of(batch)
-    except ConfigurationError as exc:
-        raise QramError(str(exc)) from None
+    encoded = batch
+    if not isinstance(encoded, EncodedSet):
+        k = batch[0].state.num_qubits
+        for i, s in enumerate(batch):
+            if s.state.num_qubits != k:
+                raise QramError(f"sample {i} has {s.state.num_qubits} qubits, sample 0 has {k}")
+        encoded = EncodedSet([s.state.amplitudes for s in batch], [s.label for s in batch])
     ones = int(np.count_nonzero(encoded.labels))
     if 2 * ones != size:
         raise QramError(
             f"unbalanced batch: {size - ones} label-0 vs {ones} label-1 samples"
         )
     order = np.argsort(encoded.labels, kind="stable")
-    return QramStore(
-        size.bit_length() - 1, encoded.num_qubits, encoded.amplitudes[order], encoded.labels[order]
-    )
+    return QramStore(size.bit_length() - 1, encoded.num_qubits, encoded.amplitudes[order])
 
 
 def query_superposed(store: QramStore) -> StateVector:

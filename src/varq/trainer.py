@@ -20,6 +20,8 @@ builds the 2P+1 probe rows (theta, then theta +- pi/2 e_j for each j)
 from them with one binomial draw from the batch's one sub-seed. Shapes and
 the angle count are checked once, when `train` starts; the real or
 complex arithmetic follows the dtype `EncodedSet` chose for the data.
+`train` and `accuracy` take EncodedSets. `train` draws no initial
+angles: the caller passes them, so they never depend on the batch seed.
 
 Accuracy classifies a split with one product against the circuit
 matrix, built once per epoch (and once per `accuracy` call): a sample
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix, init_parameters
-from .encoding import EncodedSample, EncodedSet
+from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix
+from .encoding import EncodedSet
 from .errors import ConfigurationError, DataError, OptimizationError
 from .loss import Shots, central_difference, class_means
 
@@ -47,7 +49,7 @@ class TrainConfig:
     n: int = 2
     epochs: int = 100
     learning_rate: float = 0.05
-    seed: int = 0
+    seed: int = 0  # per-epoch batch shuffle
     shots: Shots | None = None  # None means exact readout
 
     def __post_init__(self):
@@ -146,26 +148,20 @@ def _hit_rate(encoded: EncodedSet, matrix: np.ndarray) -> float | None:
 
 
 def _check_width(encoded: EncodedSet, spec: AnsatzSpec) -> None:
-    if len(encoded) and encoded.num_qubits != spec.k:
+    if encoded.num_qubits != spec.k:
         raise ConfigurationError(
             f"samples have {encoded.num_qubits} qubits, ansatz spans {spec.k}"
         )
 
 
 def accuracy(
-    samples: Sequence[EncodedSample],
+    encoded: EncodedSet,
     spec: AnsatzSpec,
     theta: ParameterVector,
 ) -> float | None:
-    """Fraction classified correctly; None for an empty sample list.
-
-    An EncodedSet is classified straight from its amplitude array, with
-    one product against one circuit matrix; any other sequence is
-    stacked first.
-    """
-    if not samples:
-        return None
-    encoded = EncodedSet.of(samples)
+    """Fraction of encoded classified correctly, straight from its
+    amplitude array with one product against one circuit matrix; None
+    for an empty set."""
     _check_width(encoded, spec)
     spec.check_theta(theta.values)
     return _hit_rate(encoded, circuit_matrix(spec, theta.values))
@@ -188,35 +184,30 @@ def _step(values: np.ndarray, grad: np.ndarray, rate: float, epoch: int) -> np.n
 
 
 def train(
-    train_set: Sequence[EncodedSample],
-    test_set: Sequence[EncodedSample],
+    train_set: EncodedSet,
+    test_set: EncodedSet,
     spec: AnsatzSpec,
     config: TrainConfig,
-    initial_theta: ParameterVector | None = None,
+    initial_theta: ParameterVector,
 ) -> tuple[ParameterVector, list[EpochMetrics]]:
-    """Optimize theta; returns the final angles and per-epoch metrics.
-
-    initial_theta lets the caller seed initialization independently of
-    the shuffle stream; by default theta is drawn from config.seed.
+    """Optimize theta from initial_theta; returns the final angles and
+    per-epoch metrics. There is no default initialization: the caller
+    draws initial_theta from a seed of its own, apart from config.seed.
     """
     if not train_set:
         raise DataError("empty training set")
-    theta = initial_theta if initial_theta is not None else init_parameters(spec, config.seed)
-    spec.check_theta(theta.values)
-
-    encoded = EncodedSet.of(train_set)
-    tested = EncodedSet.of(test_set)
-    _check_width(encoded, spec)
-    _check_width(tested, spec)
-    classes = _class_rows(encoded.labels, config.n)
-    values = theta.values
+    spec.check_theta(initial_theta.values)
+    _check_width(train_set, spec)
+    _check_width(test_set, spec)
+    classes = _class_rows(train_set.labels, config.n)
+    values = initial_theta.values
 
     # A sampled readout draws one sub-seed per batch, deterministic in sequence.
     shots_rng = None if config.shots is None else np.random.default_rng(config.shots.seed)
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         rows = _batch_rows(classes, config.n, config.seed, epoch)
-        batch_means = class_means(encoded.amplitudes[rows])
+        batch_means = class_means(train_set.amplitudes[rows])
         batch_losses = []
         for means in batch_means:
             shots = None if shots_rng is None else Shots(
@@ -232,8 +223,8 @@ def train(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=mean_loss,
-                train_accuracy=_hit_rate(encoded, matrix),
-                test_accuracy=_hit_rate(tested, matrix),
+                train_accuracy=_hit_rate(train_set, matrix),
+                test_accuracy=_hit_rate(test_set, matrix),
                 steps=len(batch_means),
             )
         )

@@ -13,8 +13,7 @@ import pytest
 
 from varq import (
     AnsatzSpec,
-    EncodedSample,
-    StateVector,
+    EncodedSet,
     accuracy,
     default_data_path,
     encode_dataset,
@@ -65,11 +64,8 @@ def check_against_reference(path, class0, class1, seed):
         encoded = encode_dataset(split)
         expected = [np.asarray(f) / np.linalg.norm(f) for f in features]
         assert np.max(np.abs(encoded.amplitudes - np.array(expected))) <= 1e-15
-        as_list = [
-            EncodedSample(StateVector(2, amps.astype(complex)), label)
-            for amps, label in zip(expected, labels)
-        ]
-        assert accuracy(encoded, spec, theta) == accuracy(as_list, spec, theta)
+        reference_set = EncodedSet(np.array(expected, dtype=complex), labels)
+        assert accuracy(encoded, spec, theta) == accuracy(reference_set, spec, theta)
 
 
 @pytest.mark.parametrize("seed", range(5))

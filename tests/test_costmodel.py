@@ -143,7 +143,6 @@ class TestPassSchedule:
         buckets = pass_schedule(n, spec)
         (row,) = cost_table(n, n, spec)
         ancilla = k + n
-        labels = (np.arange(1 << n) >= 1 << (n - 1)).astype(int)
         for draw in (oracles.random_real_state, oracles.random_state):
             block = np.array([draw(rng, k) for _ in range(1 << n)])
             if draw is oracles.random_real_state:
@@ -161,5 +160,5 @@ class TestPassSchedule:
             )
             out = oracles.apply_gates_local(register, k + 2 * n + 2, ops)
             gate_level = 2.0 - 2.0 * oracles.probability(out, ancilla, 0)
-            store = QramStore(n, k, block, labels)
+            store = QramStore(n, k, block)
             assert abs(gate_level - batched_loss(store, spec, ParameterVector(theta))) < 1e-12

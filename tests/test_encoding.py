@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varq import (
-    ConfigurationError,
     EncodedSample,
     EncodedSet,
     EncodingError,
@@ -205,9 +204,3 @@ class TestSets:
             FeatureSet(np.ones((2, 4)), [0, 0.5])
         with pytest.raises(EncodingError):
             EncodedSet(np.ones((2, 3)), [0, 1])
-
-    def test_encoded_list_with_mixed_widths_rejected(self):
-        samples = [encode_dataset([FeatureVector([1.0, 2.0], 0)])[0],
-                   encode_dataset([FeatureVector([1.0, 2.0, 3.0], 1)])[0]]
-        with pytest.raises(ConfigurationError, match="sample 1"):
-            EncodedSet.of(samples)

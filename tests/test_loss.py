@@ -417,7 +417,7 @@ class TestBatchedLoss:
             theta = init_theta_seeded(spec, seed)
             value = batched_loss(store, spec, theta)
             errors = []
-            for row, label in zip(store.block, store.labels):
+            for row, label in zip(store.block, np.repeat([0, 1], store.size // 2)):
                 out = apply_ansatz(spec, theta, StateVector(1, row), (0,))
                 errors.append(oracles.probability(out.amplitudes, 0, 1 - label))
             assert_allclose(value, np.mean(errors), atol=1e-10)
@@ -437,7 +437,7 @@ class TestBatchedLoss:
                     0,
                     int(label),
                 )
-                for row, label in zip(store.block, store.labels)
+                for row, label in zip(store.block, np.repeat([0, 1], store.size // 2))
             ]
             assert overlap <= np.mean(per_sample) + 1e-12
 

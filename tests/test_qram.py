@@ -9,6 +9,7 @@ from varq import (
     AnsatzSpec,
     EncodedSample,
     FeatureSet,
+    FeatureVector,
     QramError,
     QramStore,
     StateVector,
@@ -43,15 +44,16 @@ class TestBuildStore:
         assert store.n == 1
         assert store.k == 1
         assert np.array_equal(store.block, [s0.state.amplitudes, s1.state.amplitudes])
-        assert store.labels.tolist() == [0, 1]
+        # The address half is the class, whatever the input order.
+        assert np.array_equal(build_store([s1, s0]).block, store.block)
 
     def test_four_samples_two_per_class(self):
         batch = random_samples(RNG, 2, 2)
         shuffled = [batch[0], batch[2], batch[1], batch[3]]
         store = build_store(shuffled)
         assert store.n == 2
-        assert store.labels.tolist() == [0, 0, 1, 1]
-        # Input order is preserved within each class half.
+        # Label 0 fills the lower address half and label 1 the upper;
+        # input order is preserved within each class half.
         assert np.array_equal(store.block, [s.state.amplitudes for s in batch])
 
     def test_non_power_of_two_rejected(self):
@@ -80,6 +82,11 @@ class TestBuildStore:
         assert np.array_equal(from_list.block, from_set.block)
         phased = build_store([sample_from_amps(1j * s.state.amplitudes, s.label) for s in encoded])
         assert phased.block.dtype == np.complex128
+        # The list is stacked only when every sample has one width.
+        mixed = list(encoded)
+        mixed[5] = encode_dataset([FeatureVector([1.0, 2.0], encoded[5].label)])[0]
+        with pytest.raises(QramError, match="sample 5 has 1 qubits, sample 0 has 2"):
+            build_store(mixed)
 
     def test_mixed_qubit_counts_rejected(self):
         s0 = sample_from_amps([1, 0], 0)
@@ -87,25 +94,15 @@ class TestBuildStore:
         with pytest.raises(QramError):
             build_store([s0, s1])
 
-    def test_store_validates_class_partition(self):
-        block = np.array([[1, 0], [0, 1]], dtype=complex)
-        with pytest.raises(QramError, match="address 0 holds a label-1"):
-            QramStore(n=1, k=1, block=block, labels=np.array([1, 0]))
-        block = np.eye(4, 2, dtype=complex)
-        with pytest.raises(QramError, match="address 1 holds a label-1"):
-            QramStore(n=2, k=1, block=block, labels=np.array([0, 1, 1, 1]))
-
     def test_store_rejects_missing_cell(self):
         # A block one row short of 2^n has an address with no sample.
         with pytest.raises(QramError, match="shape"):
-            QramStore(n=1, k=1, block=np.array([[1, 0]], dtype=complex), labels=np.array([0, 1]))
+            QramStore(n=1, k=1, block=np.array([[1, 0]], dtype=complex))
 
     def test_store_rejects_a_block_of_the_wrong_width(self):
         block = np.eye(2, 4, dtype=complex)
         with pytest.raises(QramError, match="shape"):
-            QramStore(n=1, k=1, block=block, labels=np.array([0, 1]))
-        with pytest.raises(QramError, match="labels"):
-            QramStore(n=1, k=2, block=block, labels=np.array([0, 1, 1]))
+            QramStore(n=1, k=1, block=block)
 
 
 class TestQuerySuperposed:

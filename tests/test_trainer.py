@@ -41,6 +41,11 @@ def batch_rows(labels, n, seed, epoch):
     return _batch_rows(_class_rows(labels, n), n, seed, epoch)
 
 
+def empty_set(k=2):
+    """A split with no rows, 2^k amplitudes wide."""
+    return EncodedSet(np.zeros((0, 1 << k)), [])
+
+
 def predict(states, spec, theta):
     """Decisions as accuracy makes them: a row is class 1 when accuracy
     scores it correct as a one-row set labelled 1."""
@@ -251,7 +256,8 @@ class TestStackedPass:
         monkeypatch.setattr("varq.loss._read_out", poisoned_read_out)
         for shots in (None, Shots(64, seed=1)):
             with pytest.raises(OptimizationError, match="parameter 1:"):
-                train(*iris_task, spec, TrainConfig(epochs=1, shots=shots))
+                train(*iris_task, spec, TrainConfig(epochs=1, shots=shots),
+                      initial_theta=init_parameters(spec, 0))
 
     def test_accuracy_matches_per_sample_gate_level_decisions(self):
         rng = np.random.default_rng(31)
@@ -270,20 +276,23 @@ class TestStackedPass:
         stack = np.array([s.state.amplitudes for s in samples])
         assert predict(stack, spec, theta).tolist() == decisions
         hits = sum(d == s.label for d, s in zip(decisions, samples))
-        assert accuracy(samples, spec, theta) == hits / len(samples)
+        encoded = EncodedSet(stack, [s.label for s in samples])
+        assert accuracy(encoded, spec, theta) == hits / len(samples)
 
     def test_accuracy_rejects_a_sample_of_the_wrong_width(self):
+        # An empty split is as wide as its encoding, so its width is
+        # checked too.
         spec = AnsatzSpec(2, 1)
-        samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([1, 0], 1)]
-        with pytest.raises(ConfigurationError):
-            accuracy(samples, spec, ParameterVector([0.0, 0.0]))
+        for encoded in (EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1]), empty_set(k=1)):
+            with pytest.raises(ConfigurationError, match="samples have 1 qubits"):
+                accuracy(encoded, spec, ParameterVector([0.0, 0.0]))
 
     def test_accuracy_rejects_theta_of_the_wrong_length(self):
         spec = AnsatzSpec(2, 1)
-        samples = [sample_from_amps([1, 0, 0, 0], 0), sample_from_amps([0, 0, 1, 0], 1)]
+        encoded = EncodedSet([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], [0, 1])
         for count in (1, 3):
             with pytest.raises(ConfigurationError, match="theta has shape"):
-                accuracy(samples, spec, ParameterVector(np.zeros(count)))
+                accuracy(encoded, spec, ParameterVector(np.zeros(count)))
 
 
 class TestMakeBatches:
@@ -360,7 +369,8 @@ class TestMakeBatches:
                             for batch in reference
                         ]
                     seen.clear()
-                    train(train_set, [], spec, TrainConfig(n=n, epochs=3, seed=2))
+                    train(train_set, empty_set(), spec, TrainConfig(n=n, epochs=3, seed=2),
+                          initial_theta=init_parameters(spec, 2))
                     assert len(seen) == len(expected)
                     for got, means in zip(seen, expected):
                         assert np.array_equal(got, means)
@@ -394,7 +404,9 @@ class TestMakeBatches:
             _class_rows(np.array([0]), n=1)
         one_per_class = EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         with pytest.raises(DataError):
-            train(one_per_class, [], AnsatzSpec(1, 1), TrainConfig(n=2, epochs=1))
+            spec = AnsatzSpec(1, 1)
+            train(one_per_class, empty_set(k=1), spec, TrainConfig(n=2, epochs=1),
+                  initial_theta=init_parameters(spec, 0))
 
 
 class TestClassify:
@@ -457,7 +469,7 @@ class TestClassify:
 
     def test_accuracy_of_empty_set_is_none(self):
         spec = AnsatzSpec(2, 1)
-        assert accuracy([], spec, ParameterVector([0.0, 0.0])) is None
+        assert accuracy(empty_set(), spec, ParameterVector([0.0, 0.0])) is None
 
 
 class TestTrain:
@@ -465,7 +477,8 @@ class TestTrain:
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=1)
-        theta, metrics = train(train_set, test_set, spec, config)
+        theta0 = init_parameters(spec, config.seed)
+        theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
         assert len(metrics) == 1
         assert metrics[0].epoch == 1
         assert len(theta) == spec.parameter_count
@@ -494,7 +507,8 @@ class TestTrain:
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
-        _, metrics = train(train_set, test_set, spec, config)
+        theta0 = init_parameters(spec, config.seed)
+        _, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
         for m in metrics:
             assert -1e-10 <= m.train_loss <= 1 + 1e-10
             assert 0.0 <= m.train_accuracy <= 1.0
@@ -504,7 +518,8 @@ class TestTrain:
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
-        theta, metrics = train(train_set, test_set, spec, config)
+        theta0 = init_parameters(spec, config.seed)
+        theta, metrics = train(train_set, test_set, spec, config, initial_theta=theta0)
         assert metrics[-1].train_accuracy == accuracy(train_set, spec, theta)
         assert metrics[-1].test_accuracy == accuracy(test_set, spec, theta)
 
@@ -512,13 +527,14 @@ class TestTrain:
         train_set, _ = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=1)
-        _, metrics = train(train_set, [], spec, config)
+        theta0 = init_parameters(spec, config.seed)
+        _, metrics = train(train_set, empty_set(), spec, config, initial_theta=theta0)
         assert metrics[0].test_accuracy is None
 
     @pytest.mark.parametrize(
         "rate, seed, init_seed, epochs",
         # 1e308 overflows the step itself, which numpy would warn about.
-        [(float("inf"), 0, None, 1), (1e308, 2, 1, 3)],
+        [(float("inf"), 0, 0, 1), (1e308, 2, 1, 3)],
     )
     def test_infinite_learning_rate_raises_optimization_error(
         self, iris_task, rate, seed, init_seed, epochs
@@ -526,20 +542,22 @@ class TestTrain:
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=epochs, learning_rate=rate, seed=seed)
-        theta0 = None if init_seed is None else init_parameters(spec, init_seed)
+        theta0 = init_parameters(spec, init_seed)
         with pytest.raises(OptimizationError, match=f"epoch {epochs}"):
             train(train_set, test_set, spec, config, initial_theta=theta0)
 
     def test_empty_training_set_rejected(self):
         spec = AnsatzSpec(2, 1)
         with pytest.raises(DataError):
-            train([], [], spec, TrainConfig(epochs=1))
+            train(empty_set(), empty_set(), spec, TrainConfig(epochs=1),
+                  initial_theta=init_parameters(spec, 0))
 
     def test_spec_and_data_width_must_agree(self, iris_task):
         train_set, test_set = iris_task
         spec = AnsatzSpec(3, 2)
-        with pytest.raises(ConfigurationError):
-            train(train_set, test_set, spec, TrainConfig(epochs=1))
+        with pytest.raises(ConfigurationError, match="ansatz spans 3"):
+            train(train_set, test_set, spec, TrainConfig(epochs=1),
+                  initial_theta=init_parameters(spec, 0))
 
     def test_shots_mode_runs_and_differs_from_exact(self, iris_task):
         train_set, test_set = iris_task
@@ -564,7 +582,8 @@ class TestTrain:
             return original(means, spec, theta, shots)
 
         monkeypatch.setattr("varq.trainer.central_difference", spy)
-        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(256, seed=7)))
+        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(256, seed=7)),
+              initial_theta=init_parameters(spec, 0))
         stream = np.random.default_rng(7)
         assert len(readouts) == 2 * 20
         assert readouts == [Shots(256, int(stream.integers(1 << 62))) for _ in readouts]
@@ -576,8 +595,9 @@ class TestTrain:
         phased = EncodedSet(1j * train_set.amplitudes, train_set.labels)
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=2)
-        theta_real, real = train(train_set, test_set, spec, config)
-        theta_phased, phased_metrics = train(phased, test_set, spec, config)
+        theta0 = init_parameters(spec, config.seed)
+        theta_real, real = train(train_set, test_set, spec, config, initial_theta=theta0)
+        theta_phased, phased_metrics = train(phased, test_set, spec, config, initial_theta=theta0)
         assert_allclose(theta_phased.values, theta_real.values, atol=1e-10)
         for a, b in zip(real, phased_metrics):
             assert abs(a.train_loss - b.train_loss) < 1e-12
@@ -596,7 +616,7 @@ class TestTrain:
 
         monkeypatch.setattr(varq.ansatz, "layer_matrices", spy)
         monkeypatch.setattr(varq.loss, "layer_matrices", spy)
-        train(*iris_task, spec, TrainConfig(epochs=2))
+        train(*iris_task, spec, TrainConfig(epochs=2), initial_theta=init_parameters(spec, 0))
         assert angle_shapes == [(spec.parameter_count,)] * (2 * 20 + 2)
 
     def test_exact_training_reads_no_probe_rows(self, iris_task, monkeypatch):
@@ -618,11 +638,12 @@ class TestTrain:
 
         monkeypatch.setattr("varq.loss._read_out", read_out_spy)
         monkeypatch.setattr("varq.loss._readout_sweep", sweep_spy)
-        train(*iris_task, spec, TrainConfig(epochs=2))
+        theta0 = init_parameters(spec, 0)
+        train(*iris_task, spec, TrainConfig(epochs=2), initial_theta=theta0)
         assert built == []
         assert swept == [(spec.parameter_count,)] * (2 * 20)
         swept.clear()
-        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(64, seed=1)))
+        train(*iris_task, spec, TrainConfig(epochs=2, shots=Shots(64, seed=1)), initial_theta=theta0)
         assert built == [(1 + 2 * spec.parameter_count,)] * (2 * 20)
         assert swept == [(spec.parameter_count,)] * (2 * 20)
 
