@@ -10,6 +10,8 @@ from varq import (
     EncodingError,
     FeatureSet,
     FeatureVector,
+    QramError,
+    build_store,
     encode_dataset,
 )
 
@@ -204,3 +206,11 @@ class TestSets:
             FeatureSet(np.ones((2, 4)), [0, 0.5])
         with pytest.raises(EncodingError):
             EncodedSet(np.ones((2, 3)), [0, 1])
+
+    def test_encoded_list_with_mixed_widths_rejected(self):
+        # Encodings of different feature counts are never stacked into one
+        # store: build_store names the first sample of another width.
+        samples = [encode_dataset([FeatureVector([1.0, 2.0], 0)])[0],
+                   encode_dataset([FeatureVector([1.0, 2.0, 3.0], 1)])[0]]
+        with pytest.raises(QramError, match="sample 1"):
+            build_store(samples)

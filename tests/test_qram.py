@@ -8,6 +8,7 @@ import oracles
 from varq import (
     AnsatzSpec,
     EncodedSample,
+    EncodedSet,
     FeatureSet,
     FeatureVector,
     QramError,
@@ -93,6 +94,16 @@ class TestBuildStore:
         s1 = sample_from_amps([0, 0, 0, 1], 1)
         with pytest.raises(QramError):
             build_store([s0, s1])
+
+    def test_store_validates_class_partition(self):
+        # The address half is the class: build_store checks that the two
+        # classes fill equal halves, then sorts each into its own half.
+        features = FeatureSet(np.random.default_rng(43).uniform(-9, 9, (4, 4)), [1, 0, 1, 0])
+        encoded = encode_dataset(features)
+        store = build_store(encoded)
+        assert np.array_equal(store.block, encoded.amplitudes[[1, 3, 0, 2]])
+        with pytest.raises(QramError, match="unbalanced batch: 1 label-0 vs 3 label-1"):
+            build_store(EncodedSet(encoded.amplitudes, [1, 0, 1, 1]))
 
     def test_store_rejects_missing_cell(self):
         # A block one row short of 2^n has an address with no sample.

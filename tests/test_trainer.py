@@ -534,7 +534,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "rate, seed, init_seed, epochs",
         # 1e308 overflows the step itself, which numpy would warn about.
-        [(float("inf"), 0, 0, 1), (1e308, 2, 1, 3)],
+        # An init_seed of None draws the initial angles from the batch seed.
+        [(float("inf"), 0, None, 1), (1e308, 2, 1, 3)],
     )
     def test_infinite_learning_rate_raises_optimization_error(
         self, iris_task, rate, seed, init_seed, epochs
@@ -542,7 +543,7 @@ class TestTrain:
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
         config = TrainConfig(epochs=epochs, learning_rate=rate, seed=seed)
-        theta0 = init_parameters(spec, init_seed)
+        theta0 = init_parameters(spec, config.seed if init_seed is None else init_seed)
         with pytest.raises(OptimizationError, match=f"epoch {epochs}"):
             train(train_set, test_set, spec, config, initial_theta=theta0)
 
