@@ -51,7 +51,7 @@ class Option(NamedTuple):
 # turned into "-"; a config-file key is the name itself.
 OPTIONS = {
     "task": Option(str, None, "species pair, e.g. setosa-vs-versicolor"),
-    "data": Option(str, None, "iris CSV path (default: $VARQ_DATA_DIR or packaged copy)"),
+    "data": Option(str, None, "iris CSV path (default: the packaged copy)"),
     "n": Option(int, TrainConfig.n, "control qubits per batch (batch size 2^n)"),
     "layers": Option(int, DEFAULT_LAYERS, "ansatz layers"),
     "epochs": Option(int, TrainConfig.epochs, "training epochs"),

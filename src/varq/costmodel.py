@@ -41,8 +41,7 @@ def pass_schedule(n: int, spec: AnsatzSpec) -> dict[str, tuple[tuple[str, int, i
 
 def _bucket_sizes(n: int, spec: AnsatzSpec) -> dict[str, int]:
     sizes = {bucket: len(gates) for bucket, gates in pass_schedule(n, spec).items()}
-    sizes["ansatz_gates"] *= spec.layers
-    return sizes
+    return {**sizes, "ansatz_gates": spec.gate_count}
 
 
 def cost_table(n_min: int, n_max: int, spec: AnsatzSpec) -> list[dict[str, int]]:

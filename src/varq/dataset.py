@@ -27,8 +27,6 @@ from .errors import DataError
 
 SPECIES = ("setosa", "versicolor", "virginica")
 
-DATA_DIR_ENV = "VARQ_DATA_DIR"
-
 # One parsed row: the four features, then the raw species name. An object
 # field keeps names whole; a fixed-width string field would truncate them.
 _COLUMNS = np.dtype([("f", np.float64, 4), ("s", object)])
@@ -66,13 +64,9 @@ def _normalize_species(raw: str) -> str:
 
 
 def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
-    """Dataset path resolution: explicit argument, then $VARQ_DATA_DIR/iris.csv,
-    then the packaged copy."""
+    """The dataset path: the explicit argument, else the packaged copy."""
     if explicit is not None:
         return Path(explicit)
-    env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir:
-        return Path(env_dir) / "iris.csv"
     return Path(str(resources.files("varq").joinpath("data/iris.csv")))
 
 

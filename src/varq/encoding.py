@@ -86,7 +86,8 @@ class FeatureSet(_LabeledRows):
 class EncodedSet(_LabeledRows, Sequence):
     """Encoded samples as one (N, 2^k) amplitude array plus N labels. The
     array is complex128 only when some imaginary part is nonzero, else
-    float64, so real data stacked from complex128 StateVectors stays real."""
+    float64, so real data stacked from complex128 StateVectors stays real.
+    Every amplitude must be finite; the first row that is not is named."""
 
     def __init__(self, amplitudes, labels):
         amplitudes = np.asarray(amplitudes)
@@ -98,6 +99,9 @@ class EncodedSet(_LabeledRows, Sequence):
         width = amplitudes.shape[1]
         if width < 1 or width & (width - 1):
             raise EncodingError(f"amplitude rows must have power-of-two length, got {width}")
+        if not np.isfinite(amplitudes).all():
+            row = np.argwhere(~np.isfinite(amplitudes))[0, 0]
+            raise EncodingError(f"sample {row}: amplitudes contain non-finite entries")
         self.amplitudes = amplitudes
         self.num_qubits = width.bit_length() - 1
 

@@ -55,9 +55,9 @@ exactly for shots=None, else from the p0 = (1 + overlap) / 2 that
 (probe rows would add about 2,000 x 15 us, some 30 ms, to a default
 Iris run); a Shots as the 2P+1 probe overlaps, 1/4 |a|^2 and
 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), in one binomial draw. Either
-way a batch is O(L 8^k) work and O(L 4^k) memory. `batched_loss` needs
-only a, so it runs `_forward` alone, O(L 4^k) work, and a sampled
-readout draws row 0 of the probe rows.
+way a batch is O(L 8^k) work and O(L 4^k) memory. `batched_loss`, the
+exact loss of one stored batch, needs only a, so it runs `_forward`
+alone, O(L 4^k) work.
 """
 
 from __future__ import annotations
@@ -244,20 +244,15 @@ def central_difference(
     return float(rows[0]), (rows[1::2] - rows[2::2]) / 2.0
 
 
-def batched_loss(
-    store: QramStore,
-    spec: AnsatzSpec,
-    theta: ParameterVector,
-    shots: Shots | None = None,
-) -> float:
-    """1 - overlap for one batch: retrieve, apply the ansatz to the data
-    qubits, swap-test against the label state for the store's n. Both
-    readouts read the forward sweep alone; a Shots draws the value that
-    row 0 of `central_difference`'s probe rows would."""
+def batched_loss(store: QramStore, spec: AnsatzSpec, theta: ParameterVector) -> float:
+    """1 - overlap for one batch, read out exactly: retrieve, apply the
+    ansatz to the data qubits, swap-test against the label state for the
+    store's n. It reads the forward sweep alone, and its value is the
+    loss `central_difference` returns for shots=None."""
     if store.k != spec.k:
         raise ConfigurationError(
             f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
         )
     spec.check_theta(theta.values)
     _, _, paired = _forward(class_means(store.block), spec, theta.values)
-    return float(_readout_loss(0.25 * np.vdot(paired, paired).real, shots))
+    return float(_readout_loss(0.25 * np.vdot(paired, paired).real, None))

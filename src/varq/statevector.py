@@ -22,7 +22,8 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of `num_qubits` qubits as a length-2^n amplitude array."""
+    """Pure state of `num_qubits` qubits as a length-2^n array of finite
+    amplitudes."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -36,4 +37,6 @@ class StateVector:
                 f"amplitude array of length {amps.shape} does not match "
                 f"{self.num_qubits} qubits (expected {1 << self.num_qubits})"
             )
+        if not np.isfinite(amps).all():
+            raise ConfigurationError("amplitude array contains non-finite values")
         object.__setattr__(self, "amplitudes", amps)

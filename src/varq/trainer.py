@@ -194,8 +194,6 @@ def train(
     per-epoch metrics. There is no default initialization: the caller
     draws initial_theta from a seed of its own, apart from config.seed.
     """
-    if not train_set:
-        raise DataError("empty training set")
     spec.check_theta(initial_theta.values)
     _check_width(train_set, spec)
     _check_width(test_set, spec)
@@ -215,14 +213,11 @@ def train(
             value, grad = central_difference(means, spec, values, shots)
             batch_losses.append(value)
             values = _step(values, grad, config.learning_rate, epoch)
-        mean_loss = float(np.mean(batch_losses))
-        if not np.isfinite(mean_loss):
-            raise OptimizationError(f"training diverged at epoch {epoch}: loss {mean_loss}")
         matrix = circuit_matrix(spec, values)
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                train_loss=mean_loss,
+                train_loss=float(np.mean(batch_losses)),
                 train_accuracy=_hit_rate(train_set, matrix),
                 test_accuracy=_hit_rate(test_set, matrix),
                 steps=len(batch_means),

@@ -13,7 +13,7 @@ from varq import (
     load_iris,
     make_task,
 )
-from varq.dataset import DATA_DIR_ENV, SPECIES, _lines, _read_columns, _scan_rows, _species
+from varq.dataset import SPECIES, _lines, _read_columns, _scan_rows, _species
 
 
 @pytest.fixture(scope="module")
@@ -310,20 +310,18 @@ class TestReaders:
 
 
 class TestDefaultDataPath:
-    def test_explicit_path_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    def test_explicit_path_wins(self, tmp_path):
         explicit = tmp_path / "other.csv"
         assert default_data_path(explicit) == explicit
 
-    def test_env_dir_used_when_set(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        assert default_data_path() == tmp_path / "iris.csv"
-
-    def test_packaged_copy_is_the_fallback(self, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    def test_packaged_copy_is_the_fallback(self, tmp_path, monkeypatch):
+        # No environment variable redirects the default: a data directory
+        # named by VARQ_DATA_DIR, even a missing one, is not read.
+        monkeypatch.setenv("VARQ_DATA_DIR", str(tmp_path / "no-such-dir"))
         path = default_data_path()
         assert path.exists()
         assert path.name == "iris.csv"
+        assert tmp_path not in path.parents
 
 
 class TestMakeTask:

@@ -207,6 +207,13 @@ class TestSets:
         with pytest.raises(EncodingError):
             EncodedSet(np.ones((2, 3)), [0, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0), complex(0.5, np.inf)])
+    def test_non_finite_amplitudes_rejected_with_the_first_row(self, bad):
+        amps = np.full((6, 4), 0.5, dtype=type(bad))
+        amps[4, 0] = amps[2, 3] = bad
+        with pytest.raises(EncodingError, match=r"^sample 2: amplitudes contain non-finite"):
+            EncodedSet(amps, [0, 0, 0, 1, 1, 1])
+
     def test_encoded_list_with_mixed_widths_rejected(self):
         # Encodings of different feature counts are never stacked into one
         # store: build_store names the first sample of another width.

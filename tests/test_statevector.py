@@ -62,6 +62,13 @@ class TestStateVector:
         with pytest.raises(ConfigurationError):
             StateVector(2, np.ones(3, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amps = oracles.random_state(RNG, 2)
+        amps[3] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            StateVector(2, amps)
+
 
 class TestGateOp:
     def test_wrong_target_count_rejected(self):

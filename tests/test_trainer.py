@@ -16,6 +16,7 @@ from varq import (
     Shots,
     StateVector,
     TrainConfig,
+    VarqError,
     accuracy,
     apply_ansatz,
     batched_loss,
@@ -532,17 +533,20 @@ class TestTrain:
         assert metrics[0].test_accuracy is None
 
     @pytest.mark.parametrize(
-        "rate, seed, init_seed, epochs",
+        "rate, seed, init_seed, epochs, shots",
         # 1e308 overflows the step itself, which numpy would warn about.
         # An init_seed of None draws the initial angles from the batch seed.
-        [(float("inf"), 0, None, 1), (1e308, 2, 1, 3)],
+        # Both readouts stop at the first step that leaves theta non-finite.
+        [(float("inf"), 0, None, 1, None), (1e308, 2, 1, 3, None),
+         (float("inf"), 0, None, 1, Shots(64, 1))],
+        ids=["inf-0-None-1", "1e+308-2-1-3", "inf-0-None-1-shots"],
     )
     def test_infinite_learning_rate_raises_optimization_error(
-        self, iris_task, rate, seed, init_seed, epochs
+        self, iris_task, rate, seed, init_seed, epochs, shots
     ):
         train_set, test_set = iris_task
         spec = AnsatzSpec(2, 4)
-        config = TrainConfig(epochs=epochs, learning_rate=rate, seed=seed)
+        config = TrainConfig(epochs=epochs, learning_rate=rate, seed=seed, shots=shots)
         theta0 = init_parameters(spec, config.seed if init_seed is None else init_seed)
         with pytest.raises(OptimizationError, match=f"epoch {epochs}"):
             train(train_set, test_set, spec, config, initial_theta=theta0)
@@ -552,6 +556,19 @@ class TestTrain:
         with pytest.raises(DataError):
             train(empty_set(), empty_set(), spec, TrainConfig(epochs=1),
                   initial_theta=init_parameters(spec, 0))
+
+    def test_non_finite_data_is_refused_before_any_readout(self, iris_task):
+        # A NaN amplitude must stop with a VarqError, not numpy's ValueError
+        # from the binomial draw or a silent score from exact accuracy.
+        train_set, test_set = iris_task
+        spec = AnsatzSpec(2, 4)
+        amps = train_set.amplitudes.copy()
+        amps[7, 1] = np.nan
+        with pytest.raises(VarqError, match="sample 7"):
+            train(EncodedSet(amps, train_set.labels), test_set, spec,
+                  TrainConfig(epochs=1, shots=Shots(64, 1)), initial_theta=init_parameters(spec, 0))
+        with pytest.raises(VarqError, match="sample 7"):
+            accuracy(EncodedSet(amps, train_set.labels), spec, init_parameters(spec, 0))
 
     def test_spec_and_data_width_must_agree(self, iris_task):
         train_set, test_set = iris_task
