@@ -47,7 +47,6 @@ from .loss import (
     Shots,
     SwapTestResult,
     batched_loss,
-    prepare_label_state,
     swap_test,
 )
 from .qram import QramStore, build_store, query_superposed
@@ -94,7 +93,6 @@ __all__ = [
     "load_iris",
     "make_task",
     "numerical_gradient",
-    "prepare_label_state",
     "query_superposed",
     "swap_test",
     "train",

@@ -3,18 +3,20 @@
 `train` runs one experiment and writes three artifacts: a JSONL metrics
 file (one record per epoch), a JSON summary holding final accuracies and
 a complete config echo, and the final angles as a JSON array. `eval`
-recomputes accuracies from a saved angle file. `cost` prints the
-batched-vs-sequential cost table.
+recomputes accuracies from a saved angle file, whose length fixes the
+circuit depth. `cost` prints the batched-vs-sequential cost table.
 
 Every option's name, type, default and flag help is declared once, in
-OPTIONS. COMMANDS names the options each command reads and has flags
-for: `train` all of them, `eval` five, `cost` only `layers`. A config
-file may hold any OPTIONS key, so one file serves `train` and `eval`;
-each command reads its own keys and skips the rest unread. Flag values
-override config-file values, which override those defaults. Each
-artifact is written to a temporary file beside it and then moved into
-place. Exit codes: 0 success, 2 configuration or input error, 3
-optimization failure, 1 a stdout closed before the output was written.
+OPTIONS; the training defaults come from `TrainConfig`. COMMANDS names
+the options each command reads and has flags for: `train` all of them,
+`eval` four, `cost` only `layers`. A config file may hold any OPTIONS
+key, so one file serves `train` and `eval`; each command reads its own
+keys and skips the rest unread. Flag values override config-file values,
+which override those defaults. No artifact may name the run's config
+file or data file. Each artifact is written to a temporary file beside
+it and then moved into place. Exit codes: 0 success, 2 configuration or
+input error, 3 optimization failure, 1 a stdout closed before the output
+was written.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ OPTIONS = {
     "lr": Option(float, TrainConfig.learning_rate, "gradient-descent step size"),
     "seed_split": Option(int, 0, "seed of the train/test split"),
     "seed_init": Option(int, 1, "seed of the initial angles"),
-    "seed_batch": Option(int, 2, "seed of the per-epoch batch shuffle"),
+    "seed_batch": Option(int, TrainConfig.seed, "seed of the per-epoch batch shuffle"),
     "seed_shots": Option(int, 3, "seed of the shot sampling"),
-    "shots": Option(int, None, "ancilla shots per readout (default: exact)"),
+    "shots": Option(int, TrainConfig.shots, "ancilla shots per readout (default: exact)"),
     "out_metrics": Option(str, "metrics.jsonl", "per-epoch metrics file (JSON lines)"),
     "out_summary": Option(str, "summary.json", "run summary file"),
     "out_params": Option(str, "params.json", "final angles file"),
@@ -69,7 +71,7 @@ OPTIONS = {
 # The OPTIONS each command reads, in OPTIONS order: its flags and config keys.
 COMMANDS = {
     "train": tuple(OPTIONS),
-    "eval": ("task", "data", "layers", "seed_split", "out_params"),
+    "eval": ("task", "data", "seed_split", "out_params"),
     "cost": ("layers",),
 }
 
@@ -134,23 +136,23 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def _load_run(opts: dict):
-    """Load, split and encode the task's data, and the ansatz that scores it."""
+    """Load, split and encode the task's data; also the data's path."""
     class0, class1 = _parse_task(opts["task"])
     data_path = default_data_path(opts["data"])
     table = load_iris(data_path)
-    task = make_task(table, class0, class1, test_fraction=0.2, seed=opts["seed_split"])
-    train_enc = encode_dataset(task.train)
-    test_enc = encode_dataset(task.test)
-    spec = AnsatzSpec(k=train_enc.num_qubits, layers=opts["layers"])
-    return task, train_enc, test_enc, spec, str(data_path)
+    task = make_task(table, class0, class1, seed=opts["seed_split"])
+    return task, encode_dataset(task.train), encode_dataset(task.test), data_path
 
 
-def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
+def _output_paths(opts: dict, inputs: dict) -> tuple[Path, Path, Path]:
     """The three artifact paths, checked for writability before training.
 
     An existing path must be a regular file: the artifact is moved over
     it, and a FIFO or device there would become a plain file. No two may
-    name one file, or the later artifact would overwrite the earlier."""
+    name one file, or the later artifact would overwrite the earlier, and
+    none may name a file the run reads: inputs maps option names to
+    paths, None for an option not given."""
+    inputs = {name: Path(path) for name, path in inputs.items() if path is not None}
     paths = {}
     for key in ("out_metrics", "out_summary", "out_params"):
         path = Path(opts[key])
@@ -160,7 +162,7 @@ def _output_paths(opts: dict) -> tuple[Path, Path, Path]:
             raise ConfigurationError(f"option {key}: {path} is not a regular file")
         if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
             raise ConfigurationError(f"option {key}: {path} is not writable")
-        for other, seen in paths.items():
+        for other, seen in {**inputs, **paths}.items():
             if seen.resolve() == path.resolve():
                 raise ConfigurationError(f"options {other} and {key} name one file: {path}")
         paths[key] = path
@@ -180,7 +182,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     start = time.perf_counter()
-    task, train_enc, test_enc, spec, data_path = _load_run(opts)
+    task, train_enc, test_enc, data_path = _load_run(opts)
+    spec = AnsatzSpec(k=train_enc.num_qubits, layers=opts["layers"])
     config = TrainConfig(
         n=opts["n"],
         epochs=opts["epochs"],
@@ -189,7 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         shots=None if opts["shots"] is None else Shots(opts["shots"], opts["seed_shots"]),
     )
     prepare_s = time.perf_counter() - start
-    metrics_path, summary_path, params_path = _output_paths(opts)
+    inputs = {"config": args.config, "data": data_path}
+    metrics_path, summary_path, params_path = _output_paths(opts, inputs)
     theta0 = init_parameters(spec, opts["seed_init"])
 
     start = time.perf_counter()
@@ -224,7 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         # Seconds per phase: load + split + encode, training, and writing
         # metrics.jsonl and params.json (this file is written last).
         "timings": {"prepare_s": prepare_s, "train_s": wall, "write_s": write_s},
-        "config": {**opts, "data": data_path, "k": spec.k, "version": __version__},
+        "config": {**opts, "data": str(data_path), "k": spec.k, "version": __version__},
     }
     _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
 
@@ -240,14 +244,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    task, train_enc, test_enc, spec, _ = _load_run(opts)
+    task, train_enc, test_enc, _ = _load_run(opts)
 
     params_path = args.params or opts["out_params"]
     values = _read_json(params_path, "parameter file")
-    if not isinstance(values, list) or len(values) != spec.parameter_count:
+    # The data fixes k, so the file's length fixes the depth: k angles a layer.
+    k = train_enc.num_qubits
+    if not isinstance(values, list) or not values or len(values) % k:
         raise ConfigurationError(
             f"parameter file holds {len(values) if isinstance(values, list) else 'non-list'}"
-            f" values, ansatz needs {spec.parameter_count}"
+            f" values, ansatz needs a positive multiple of {k}"
         )
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigurationError(f"parameter file {params_path} must hold a list of numbers")
@@ -255,6 +261,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         theta = ParameterVector(values)
     except OverflowError:
         raise ConfigurationError(f"parameter file {params_path} holds a number too large for a float")
+    spec = AnsatzSpec(k, len(values) // k)
 
     report = {
         "task": f"{task.class0}-vs-{task.class1}",

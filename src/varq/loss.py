@@ -1,8 +1,11 @@
-"""Label-state preparation, swap-test overlap estimation, batched loss.
+"""Swap-test overlap estimation and the batched loss.
 
-The label state on 1+n qubits puts the class bit in perfect correlation
-with the address half: data qubit 0 for the lower 2^(n-1) addresses, 1
-for the upper half. Training minimizes
+The label state on 1+n qubits, data qubit 0 then the n controls, puts
+the class bit in perfect correlation with the address half: weight
+1/sqrt(2^n) on data bit 0 over the lower 2^(n-1) addresses and on data
+bit 1 over the upper half. It is the output of H on every control then a
+CNOT from control 0 (the address MSB) to the data qubit, and the tests
+build it. Training minimizes
 
     loss = 1 - overlap,   overlap = Tr(rho_sub |label><label|)
 
@@ -16,10 +19,9 @@ that probability in closed form:
 
     overlap = || (<label| (x) I_env) psi ||^2
 
-contracting the label (`prepare_label_state`, a plain `StateVector`)
-with data qubit 0 and the n controls, the last n qubits of the
-(k+n)-qubit output psi as `query_superposed` lays it out, and summing
-over the other data qubits (`swap_test`, the explicit-state reference).
+contracting the label with data qubit 0 and the n controls, the last n
+qubits of the (k+n)-qubit output psi as `query_superposed` lays it out,
+and summing over the other data qubits (`swap_test`, the explicit-state reference).
 For a batch from a store this contraction sums each class's addresses
 into that class's mean state mu_c (2^k amplitudes), which gives
 
@@ -62,7 +64,6 @@ alone, O(L 4^k) work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,23 +106,6 @@ class SwapTestResult:
         return 2.0 * self.p_zero - 1.0
 
 
-def prepare_label_state(n: int) -> StateVector:
-    """Label state on 1+n qubits, data qubit 0 then n controls, new on
-    every call: weight 1/sqrt(2^n) on data bit 0 over the lower address
-    half and on data bit 1 over the upper half. It is the output of H on
-    every control then a CNOT from control 0 (the address MSB) to the
-    data qubit; the tests check it against that circuit."""
-    if n < 1:
-        raise ConfigurationError(f"label state needs n >= 1 control qubits, got {n}")
-    size = 1 << n
-    half = size // 2
-    amps = np.zeros(2 * size, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(size)
-    amps[0:half] = scale            # data bit 0, addresses 0 .. half-1
-    amps[size + half : 2 * size] = scale  # data bit 1, upper addresses
-    return StateVector(n + 1, amps)
-
-
 def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
     """The reported p0 of each row: p0 itself for shots=None; for a Shots
     the hit frequency of Binomial(count, p0), every row from one
@@ -138,10 +122,12 @@ def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
 def swap_test(
     data_state: StateVector, label: StateVector, shots: Shots | None = None
 ) -> SwapTestResult:
-    """Ancilla swap test between the label state on 1+n qubits (from
-    `prepare_label_state`) and the subsystem of the data state that
+    """Ancilla swap test between a label state on 1+n qubits, data qubit
+    0 then the n controls, and the subsystem of the data state that
     `query_superposed` lays out for it: data qubit 0, the readout, and
-    the last n qubits, the controls.
+    the last n qubits, the controls. The loss's label has weight
+    1/sqrt(2^n) on data bit 0 over the lower address half and on data
+    bit 1 over the upper half.
 
     The readout is paired with the label's data qubit and each control
     with its label counterpart, as the CSWAPs of the circuit would pair

@@ -49,7 +49,7 @@ class TrainConfig:
     n: int = 2
     epochs: int = 100
     learning_rate: float = 0.05
-    seed: int = 0  # per-epoch batch shuffle
+    seed: int = 2  # per-epoch batch shuffle, varq train's --seed-batch default
     shots: Shots | None = None  # None means exact readout
 
     def __post_init__(self):

@@ -13,7 +13,19 @@ import numpy as np
 import pytest
 
 import varq
-from varq import cli, encode_dataset, load_iris, make_task
+from varq import (
+    AnsatzSpec,
+    ParameterVector,
+    TrainConfig,
+    accuracy,
+    cli,
+    default_data_path,
+    encode_dataset,
+    init_parameters,
+    load_iris,
+    make_task,
+    train,
+)
 from varq.cli import main
 
 TRAIN_ARGS = ["train", "--task", "setosa-vs-versicolor", "--epochs", "3"]
@@ -100,6 +112,26 @@ class TestTrainCommand:
         assert (first / "metrics.jsonl").read_bytes() == (
             second / "metrics.jsonl"
         ).read_bytes()
+
+    def test_default_run_matches_the_library_defaults(self, tmp_path):
+        # varq train's defaults are TrainConfig's: the library run on the
+        # same split and initial angles writes the same metrics bytes.
+        assert run_train(tmp_path) == 0
+        defaults = {name: option.default for name, option in cli.OPTIONS.items()}
+        task = make_task(
+            load_iris(default_data_path()), "setosa", "versicolor", seed=defaults["seed_split"]
+        )
+        train_set, test_set = encode_dataset(task.train), encode_dataset(task.test)
+        spec = AnsatzSpec(train_set.num_qubits, defaults["layers"])
+        theta0 = init_parameters(spec, defaults["seed_init"])
+        _, metrics = train(train_set, test_set, spec, TrainConfig(epochs=3), theta0)
+        rows = [
+            {"epoch": m.epoch, "loss": m.train_loss, "train_acc": m.train_accuracy,
+             "test_acc": m.test_accuracy}
+            for m in metrics
+        ]
+        expected = "".join(json.dumps(row) + "\n" for row in rows)
+        assert (tmp_path / "metrics.jsonl").read_text() == expected
 
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         code = run_train(tmp_path, extra=["--data", str(tmp_path / "absent.csv")])
@@ -191,6 +223,33 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {named.format(cwd=tmp_path)}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["config", "data", "packaged-data"])
+    def test_artifact_on_an_input_exits_2_and_leaves_it_unchanged(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        # Writing an artifact over the run's config file or data would
+        # destroy the inputs that reproduce it.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.chdir(tmp_path)
+        packaged = default_data_path()
+        Path("run.json").write_text(json.dumps({"task": "setosa-vs-versicolor", "epochs": 1}))
+        Path("mydata.csv").write_bytes(packaged.read_bytes())
+        extra, named, path = {
+            "config": (["--out-summary", "run.json"], "config and out_summary", Path("run.json")),
+            "data": (["--data", "mydata.csv", "--out-metrics", "mydata.csv"],
+                     "data and out_metrics", Path("mydata.csv")),
+            "packaged-data": (["--out-params", str(packaged)], "data and out_params", packaged),
+        }[case]
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        assert main(["train", "--config", "run.json", *extra]) == 2
+        assert capsys.readouterr().err == f"error: options {named} name one file: {path}\n"
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing
 
     @pytest.mark.parametrize(
         "make, is_kind", [(os.mkfifo, stat.S_ISFIFO), (os.mkdir, stat.S_ISDIR)],
@@ -451,8 +510,9 @@ class TestConfigFile:
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_eval_reads_a_config_file_shared_with_train(self, tmp_path, capsys, monkeypatch):
-        # One file holds every option; eval reads its own five keys, skips
-        # the training keys unread and builds no training config.
+        # One file holds every option; eval reads its own four keys, skips
+        # the training keys unread and builds no training config. Its
+        # parameter file's six angles fix the depth, the file's three layers.
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "task": "versicolor-vs-virginica",
@@ -567,7 +627,8 @@ def malformed_config(rng, base, names):
 
 
 def malformed_params(rng):
-    """One malformed parameter file for the 8-angle default ansatz."""
+    """One malformed parameter file for the 2-qubit Iris data, which
+    takes any positive even number of angles."""
     good = [rng.uniform(0.0, 6.0) for _ in range(8)]
     kind = rng.choice(["broken", "top-level", "length", "entry"])
     if kind == "broken":
@@ -575,7 +636,7 @@ def malformed_params(rng):
     if kind == "top-level":
         return json.dumps(rng.choice([{"theta": good}, 1.5, "x", None, [good]])).encode()
     if kind == "length":
-        return json.dumps([0.5] * rng.choice([0, 1, 7, 9, 16, 32])).encode()
+        return json.dumps([0.5] * rng.choice([0, 1, 7, 9, 15, 33])).encode()
     bad = list(good)
     bad[rng.randrange(8)] = rng.choice(
         ["0.5", "a", True, False, None, float("nan"), float("inf"), [0.5], {"x": 1}]
@@ -710,13 +771,46 @@ class TestEvalCommand:
         assert 0.0 <= report["train_acc"] <= 1.0
         assert 0.0 <= report["test_acc"] <= 1.0
 
-    def test_wrong_parameter_count_exits_2(self, tmp_path):
+    def test_wrong_parameter_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The 2-qubit data takes 2 angles a layer: 7 make no whole layer,
+        # and 0 no circuit.
+        def no_work(*args, **kwargs):
+            raise AssertionError("accuracy pass started")
+
+        monkeypatch.setattr(cli, "accuracy", no_work)
         params = tmp_path / "short.json"
-        params.write_text(json.dumps([0.0, 0.0]))
-        code = main(
-            ["eval", "--task", "setosa-vs-versicolor", "--params", str(params)]
-        )
-        assert code == 2
+        for count in (7, 0):
+            params.write_text(json.dumps([0.0] * count))
+            code = main(
+                ["eval", "--task", "setosa-vs-versicolor", "--params", str(params)]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: parameter file holds {count} values,"
+                " ansatz needs a positive multiple of 2\n"
+            )
+
+    def test_parameter_count_fixes_the_depth(self, tmp_path, capsys):
+        values = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 6).tolist()
+        params = tmp_path / "six.json"
+        params.write_text(json.dumps(values))
+        assert main(["eval", "--task", "setosa-vs-versicolor", "--params", str(params)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        task = make_task(load_iris(default_data_path()), "setosa", "versicolor", seed=0)
+        spec, theta = AnsatzSpec(2, 3), ParameterVector(values)
+        assert report["train_acc"] == accuracy(encode_dataset(task.train), spec, theta)
+        assert report["test_acc"] == accuracy(encode_dataset(task.test), spec, theta)
+
+    def test_reads_the_depth_a_train_run_chose(self, tmp_path, capsys):
+        assert run_train(tmp_path, extra=["--layers", "3"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(
+            ["eval", "--task", "setosa-vs-versicolor", "--params", str(tmp_path / "params.json")]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["train_acc"] == summary["final_train_acc"]
+        assert report["test_acc"] == summary["final_test_acc"]
 
     def test_non_numeric_parameters_exit_2(self, tmp_path, capsys):
         params = tmp_path / "strings.json"

@@ -44,6 +44,6 @@ def test_every_exported_function_has_a_caller_outside_the_package():
         name for name in varq.__all__
         if callable(getattr(varq, name)) and not isinstance(getattr(varq, name), type)
     ]
-    assert "prepare_label_state" in functions  # a plain function that returns a StateVector
+    assert "query_superposed" in functions  # a plain function that returns a StateVector
     used = set().union(*(identifiers(path) for path in CALLERS))
     assert sorted(name for name in functions if name not in used) == []

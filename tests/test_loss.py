@@ -1,4 +1,4 @@
-"""Label-state preparation, swap test, and the batched fidelity loss."""
+"""The label state, the swap test, and the batched fidelity loss."""
 
 import itertools
 
@@ -20,7 +20,6 @@ from varq import (
     batched_loss,
     build_store,
     cost_table,
-    prepare_label_state,
     query_superposed,
     swap_test,
 )
@@ -32,9 +31,15 @@ from test_qram import random_samples, sample_from_amps
 RNG = np.random.default_rng(19)
 
 
+def label_state(n):
+    """The label state on 1+n qubits, data qubit 0 then the n controls,
+    from the basis-sum oracle."""
+    return StateVector(n + 1, oracles.label_state_vector(n))
+
+
 def embedded_label_state(n):
     """The label state viewed as a data state with k=1 data qubit."""
-    return prepare_label_state(n)
+    return label_state(n)
 
 
 def label_circuit_gates(n):
@@ -54,12 +59,14 @@ def init_theta_seeded(spec, seed):
 
 
 class TestPrepareLabelState:
+    # The label state as the oracle builds it, against the circuit that
+    # prepares it: H on every control, then one CNOT.
     def test_single_control_gives_bell_state(self):
-        state = prepare_label_state(1)
+        state = label_state(1)
         assert_allclose(state.amplitudes, [np.sqrt(0.5), 0, 0, np.sqrt(0.5)], atol=1e-15)
 
     def test_two_controls_give_half_amplitudes_on_matched_halves(self):
-        state = prepare_label_state(2)
+        state = label_state(2)
         expected = np.zeros(8)
         expected[[0, 1, 6, 7]] = 0.5
         assert_allclose(state.amplitudes, expected, atol=1e-15)
@@ -67,29 +74,12 @@ class TestPrepareLabelState:
     def test_circuit_route_matches_closed_form(self):
         for n in range(1, 7):
             circuit = oracles.circuit_matrix(n + 1, label_circuit_gates(n))[:, 0]
-            assert_allclose(prepare_label_state(n).amplitudes, circuit, atol=1e-12)
-
-    def test_matches_basis_sum_oracle(self):
-        for n in range(1, 6):
-            assert_allclose(
-                prepare_label_state(n).amplitudes,
-                oracles.label_state_vector(n),
-                atol=1e-12,
-            )
+            assert_allclose(label_state(n).amplitudes, circuit, atol=1e-12)
 
     def test_data_qubit_is_unbiased(self):
         for n in range(1, 6):
-            state = prepare_label_state(n)
+            state = label_state(n)
             assert_allclose(oracles.probability(state.amplitudes, 0, 1), 0.5, atol=1e-12)
-
-    def test_zero_controls_rejected(self):
-        with pytest.raises(ConfigurationError):
-            prepare_label_state(0)
-
-    def test_each_call_returns_its_own_amplitudes(self):
-        first = prepare_label_state(2)
-        first.amplitudes[0] = 5.0
-        assert_allclose(prepare_label_state(2).amplitudes, oracles.label_state_vector(2), atol=0)
 
     def test_circuit_gate_list_is_hadamards_then_one_cnot(self):
         gates = label_circuit_gates(3)
@@ -101,7 +91,7 @@ class TestPrepareLabelState:
 class TestSwapTest:
     def test_identical_states_read_zero_with_certainty(self):
         for n in (1, 2, 3):
-            label = prepare_label_state(n)
+            label = label_state(n)
             result = swap_test(embedded_label_state(n), label)
             assert_allclose(result.p_zero, 1.0, atol=1e-10)
             assert_allclose(result.overlap, 1.0, atol=1e-10)
@@ -109,7 +99,7 @@ class TestSwapTest:
 
     def test_orthogonal_states_read_half(self):
         for n in (1, 2):
-            label = prepare_label_state(n)
+            label = label_state(n)
             flipped = StateVector(n + 1, oracles.apply_gates_local(
                 embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
             result = swap_test(flipped, label)
@@ -118,7 +108,7 @@ class TestSwapTest:
 
     def test_matches_reduced_state_oracle_on_random_inputs(self):
         n = 2
-        label = prepare_label_state(n)
+        label = label_state(n)
         for _ in range(200):
             k = int(RNG.integers(1, 4))
             amps = oracles.random_state(RNG, k + n)
@@ -137,20 +127,20 @@ class TestSwapTest:
             k = int(rng.integers(1, 4))
             amps = oracles.random_state(rng, k + n)
             controls = tuple(range(k, k + n))
-            label = prepare_label_state(n)
+            label = label_state(n)
             got = swap_test(StateVector(k + n, amps), label).p_zero
             want = oracles.swap_test_circuit_p_zero(amps, k + n, 0, controls, label.amplitudes)
             assert abs(got - want) < 1e-12
 
     def test_p_zero_never_below_half_in_exact_mode(self):
-        label = prepare_label_state(2)
+        label = label_state(2)
         for _ in range(50):
             amps = oracles.random_state(RNG, 4)
             result = swap_test(StateVector(4, amps), label)
             assert 0.5 - 1e-10 <= result.p_zero <= 1 + 1e-10
 
     def test_label_wider_than_state_rejected(self):
-        label = prepare_label_state(2)
+        label = label_state(2)
         with pytest.raises(ConfigurationError, match="2-qubit state too narrow for a 3-qubit"):
             swap_test(StateVector(2, oracles.basis_state(2, 0)), label)
 
@@ -182,7 +172,7 @@ class TestShotsMode:
             with pytest.raises(ConfigurationError, match=r"^shot seed must be >= 0"):
                 Shots(64, seed)
         shots = Shots(np.int64(64), np.uint32(1))
-        label = prepare_label_state(1)
+        label = label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
         assert swap_test(state, label, shots) == swap_test(state, label, Shots(64, 1))
 
@@ -192,7 +182,7 @@ class TestShotsMode:
             Shots(64)
 
     def test_unknown_mode_rejected(self):
-        label = prepare_label_state(1)
+        label = label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
         with pytest.raises(ConfigurationError, match="shots must be None or Shots"):
             swap_test(state, label, shots="approximate")
@@ -200,14 +190,14 @@ class TestShotsMode:
     def test_non_finite_state_never_reaches_the_sampled_readout(self):
         # The state is refused where it is built, so numpy's binomial draw
         # never sees a NaN p0.
-        label = prepare_label_state(1)
+        label = label_state(1)
         amps = oracles.random_state(RNG, 3)
         amps[5] = np.nan
         with pytest.raises(VarqError, match="non-finite"):
             swap_test(StateVector(3, amps), label, Shots(64, 1))
 
     def test_same_seed_reproduces_estimate(self):
-        label = prepare_label_state(1)
+        label = label_state(1)
         state = embedded_label_state(1)
         a = swap_test(state, label, Shots(128, seed=4))
         b = swap_test(state, label, Shots(128, seed=4))
@@ -217,7 +207,7 @@ class TestShotsMode:
         assert isinstance(c.p_zero, float)
 
     def test_estimate_is_an_empirical_frequency(self):
-        label = prepare_label_state(1)
+        label = label_state(1)
         amps = oracles.random_state(RNG, 3)
         result = swap_test(StateVector(3, amps), label, Shots(64, seed=0))
         assert 0.0 <= result.p_zero <= 1.0
@@ -225,7 +215,7 @@ class TestShotsMode:
 
     def test_estimator_is_unbiased_over_many_repetitions(self):
         # Statistical check: 1000 repetitions of a 1024-shot estimate.
-        label = prepare_label_state(1)
+        label = label_state(1)
         amps = oracles.random_state(RNG, 3)
         state = StateVector(3, amps)
         exact = swap_test(state, label).p_zero
@@ -237,7 +227,7 @@ class TestShotsMode:
         assert abs(np.mean(estimates) - exact) < 3 * stderr
 
     def test_huge_shot_count_needs_no_per_shot_memory(self):
-        label = prepare_label_state(1)
+        label = label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
         exact = swap_test(state, label).p_zero
         result = swap_test(state, label, Shots(10**11, seed=0))
@@ -247,7 +237,7 @@ class TestShotsMode:
         assert abs(largest.p_zero - exact) < 1e-4
 
     def test_swap_test_reads_the_scalar_binomial_stream(self):
-        label = prepare_label_state(2)
+        label = label_state(2)
         state = StateVector(4, oracles.random_state(RNG, 4))
         exact = swap_test(state, label).p_zero
         for s in range(100):
@@ -385,11 +375,11 @@ class TestBatchedLoss:
             assert store.block.dtype == (np.complex128 if trial % 2 else np.float64)
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
             circuit = apply_ansatz(spec, theta, query_superposed(store), range(k))
-            paper = 1.0 - swap_test(circuit, prepare_label_state(n)).overlap
+            paper = 1.0 - swap_test(circuit, label_state(n)).overlap
             assert abs(batched_loss(store, spec, theta) - paper) <= 1e-12
 
     def test_loss_decreases_as_fidelity_increases(self):
-        label = prepare_label_state(1)
+        label = label_state(1)
         losses, fidelities = [], []
         for angle in np.linspace(0.0, np.pi, 7):
             state = StateVector(2, oracles.apply_gates_local(
