@@ -45,7 +45,6 @@ from .errors import (
 )
 from .loss import (
     Shots,
-    SwapTestResult,
     batched_loss,
     swap_test,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "QramStore",
     "Shots",
     "StateVector",
-    "SwapTestResult",
     "TrainConfig",
     "VarqError",
     "accuracy",

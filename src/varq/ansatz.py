@@ -69,14 +69,15 @@ class AnsatzSpec:
         """Gates per application: every layer's schedule."""
         return self.layers * len(self.schedule)
 
-    def check_theta(self, theta: np.ndarray) -> None:
-        """Reject angles that are not a finite (P,) vector."""
-        if theta.shape != (self.parameter_count,):
+    def check(self, theta: ParameterVector, *widths: int) -> None:
+        """Reject a theta of other than P angles, and data of other than k qubits."""
+        if theta.values.shape != (self.parameter_count,):
             raise ConfigurationError(
-                f"theta has shape {theta.shape}, spec needs ({self.parameter_count},)"
+                f"theta has shape {theta.values.shape}, spec needs ({self.parameter_count},)"
             )
-        if not np.isfinite(theta).all():
-            raise ConfigurationError("parameter vector contains non-finite values")
+        for width in widths:
+            if width != self.k:
+                raise ConfigurationError(f"samples have {width} qubits, ansatz spans {self.k}")
 
     @cached_property
     def schedule(self) -> tuple[tuple[str, int, int], ...]:
@@ -129,16 +130,17 @@ class AnsatzSpec:
 
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
-    """Trainable rotation angles, radians."""
+    """Trainable rotation angles, radians: a finite, read-only float64 copy."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ConfigurationError(f"parameter vector must be 1-D, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("parameter vector contains non-finite values")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -205,9 +207,7 @@ def apply_ansatz(
     if len(set(data_qubits)) != len(data_qubits):
         raise ConfigurationError(f"repeated qubit index in {data_qubits}")
     k = len(data_qubits)
-    if k != spec.k:
-        raise ConfigurationError(f"ansatz spans {spec.k} qubits, got {k} data qubits")
-    spec.check_theta(theta.values)
+    spec.check(theta, k)
     matrix = circuit_matrix(spec, theta.values)
     # With the data qubits on the trailing axes, in ansatz order, the state
     # is a stack of 2^k-vectors, one per environment index, and one matmul

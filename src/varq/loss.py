@@ -21,7 +21,7 @@ that probability in closed form:
 
 contracting the label with data qubit 0 and the n controls, the last n
 qubits of the (k+n)-qubit output psi as `query_superposed` lays it out,
-and summing over the other data qubits (`swap_test`, the explicit-state reference).
+and summing over the other data qubits: `swap_test` returns that p0.
 For a batch from a store this contraction sums each class's addresses
 into that class's mean state mu_c (2^k amplitudes), which gives
 
@@ -94,18 +94,6 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SwapTestResult:
-    """Ancilla-zero probability and the overlap it encodes."""
-
-    p_zero: float
-    shots: int | None = None  # None means exact readout
-
-    @property
-    def overlap(self) -> float:
-        return 2.0 * self.p_zero - 1.0
-
-
 def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
     """The reported p0 of each row: p0 itself for shots=None; for a Shots
     the hit frequency of Binomial(count, p0), every row from one
@@ -121,7 +109,7 @@ def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
 
 def swap_test(
     data_state: StateVector, label: StateVector, shots: Shots | None = None
-) -> SwapTestResult:
+) -> float:
     """Ancilla swap test between a label state on 1+n qubits, data qubit
     0 then the n controls, and the subsystem of the data state that
     `query_superposed` lays out for it: data qubit 0, the readout, and
@@ -134,7 +122,8 @@ def swap_test(
     them. The compared qubits become one axis of size 2^(n+1) and the
     other data qubits the environment axis; contracting the label over
     the first leaves one amplitude per environment index, whose squared
-    norm is the overlap.
+    norm is the overlap. Returns the reported p0 = (1 + overlap) / 2:
+    exact for shots=None, else the hit frequency over shots.count.
     """
     n = label.num_qubits - 1
     k = data_state.num_qubits - n
@@ -145,8 +134,7 @@ def swap_test(
     grouped = data_state.amplitudes.reshape(2, 1 << (k - 1), 1 << n).transpose(0, 2, 1)
     amps = label.amplitudes.conj() @ grouped.reshape(2 << n, 1 << (k - 1))
     p_zero = 0.5 * (1.0 + np.sum(np.abs(amps) ** 2))
-    count = shots.count if isinstance(shots, Shots) else None
-    return SwapTestResult(p_zero=float(_read_out(p_zero, shots)), shots=count)
+    return float(_read_out(p_zero, shots))
 
 
 def class_means(blocks: np.ndarray) -> np.ndarray:
@@ -211,9 +199,9 @@ def central_difference(
     probe row: loss 1 - 1/4 |a|^2, gradient j -1/4 Re <a, b_j>. A Shots
     samples the 2P+1 probe rows, theta then theta + pi/2 e_j and
     theta - pi/2 e_j for each j, in one draw: loss rows[0], gradient
-    (rows[1::2] - rows[2::2]) / 2. Nothing is checked: means (2, 2^k),
-    float64 or complex128, and a finite theta (P,) are validated once
-    per run by `trainer.train`.
+    (rows[1::2] - rows[2::2]) / 2. Nothing is checked: means are (2, 2^k),
+    float64 or complex128; `train` checks theta's length once and keeps
+    it finite (`ParameterVector`, then `_step` after every step).
     """
     paired, shifts = _readout_sweep(means, spec, theta)
     norm = np.vdot(paired, paired).real
@@ -235,10 +223,6 @@ def batched_loss(store: QramStore, spec: AnsatzSpec, theta: ParameterVector) -> 
     ansatz to the data qubits, swap-test against the label state for the
     store's n. It reads the forward sweep alone, and its value is the
     loss `central_difference` returns for shots=None."""
-    if store.k != spec.k:
-        raise ConfigurationError(
-            f"store holds {store.k}-qubit samples but ansatz spans {spec.k} qubits"
-        )
-    spec.check_theta(theta.values)
+    spec.check(theta, store.k)
     _, _, paired = _forward(class_means(store.block), spec, theta.values)
     return float(_readout_loss(0.25 * np.vdot(paired, paired).real, None))

@@ -17,9 +17,9 @@ rule). Both readouts read the same sweep: the readout-paired output a
 and every shift direction b_j. The exact one (shots=None) reads the
 gradient from them in closed form, with no probe row. A sampled one
 builds the 2P+1 probe rows (theta, then theta +- pi/2 e_j for each j)
-from them with one binomial draw from the batch's one sub-seed. Shapes and
-the angle count are checked once, when `train` starts; the real or
-complex arithmetic follows the dtype `EncodedSet` chose for the data.
+from them with one binomial draw from the batch's one sub-seed. Angle
+count and widths are checked once, by `AnsatzSpec.check` when `train`
+starts; real or complex arithmetic follows the data's `EncodedSet` dtype.
 `train` and `accuracy` take EncodedSets. `train` draws no initial
 angles: the caller passes them, so they never depend on the batch seed.
 
@@ -147,13 +147,6 @@ def _hit_rate(encoded: EncodedSet, matrix: np.ndarray) -> float | None:
     return int(np.count_nonzero((p_one >= 0.5) == encoded.labels)) / len(encoded)
 
 
-def _check_width(encoded: EncodedSet, spec: AnsatzSpec) -> None:
-    if encoded.num_qubits != spec.k:
-        raise ConfigurationError(
-            f"samples have {encoded.num_qubits} qubits, ansatz spans {spec.k}"
-        )
-
-
 def accuracy(
     encoded: EncodedSet,
     spec: AnsatzSpec,
@@ -162,8 +155,7 @@ def accuracy(
     """Fraction of encoded classified correctly, straight from its
     amplitude array with one product against one circuit matrix; None
     for an empty set."""
-    _check_width(encoded, spec)
-    spec.check_theta(theta.values)
+    spec.check(theta, encoded.num_qubits)
     return _hit_rate(encoded, circuit_matrix(spec, theta.values))
 
 
@@ -194,9 +186,7 @@ def train(
     per-epoch metrics. There is no default initialization: the caller
     draws initial_theta from a seed of its own, apart from config.seed.
     """
-    spec.check_theta(initial_theta.values)
-    _check_width(train_set, spec)
-    _check_width(test_set, spec)
+    spec.check(initial_theta, train_set.num_qubits, test_set.num_qubits)
     classes = _class_rows(train_set.labels, config.n)
     values = initial_theta.values
 

@@ -8,12 +8,17 @@ import oracles
 from varq import (
     AnsatzSpec,
     ConfigurationError,
+    EncodedSet,
     ParameterVector,
     StateVector,
+    TrainConfig,
+    accuracy,
     apply_ansatz,
+    batched_loss,
     build_store,
     init_parameters,
     query_superposed,
+    train,
 )
 from test_qram import random_samples
 
@@ -126,11 +131,32 @@ class TestParameterVector:
         with pytest.raises(ConfigurationError):
             ParameterVector([np.inf, 0.0])
 
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([0.1, 0.2])
+        theta = ParameterVector(source)
+        with pytest.raises(ValueError):
+            theta.values[0] = 5.0
+        source[0] = np.nan
+        assert theta.values.tolist() == [0.1, 0.2]
+
     def test_wrong_length_rejected_at_operations(self):
+        # Every entry point that takes angles refuses too few and too many.
         spec = AnsatzSpec(2, 2)
         state = StateVector(2, oracles.basis_state(2, 0))
-        with pytest.raises(ConfigurationError):
-            apply_ansatz(spec, ParameterVector([0.1]), state, (0, 1))
+        encoded = EncodedSet(np.eye(4), [0, 0, 1, 1])
+        store = build_store(random_samples(np.random.default_rng(5), 1, 2))
+        operations = (
+            lambda theta: apply_ansatz(spec, theta, state, (0, 1)),
+            lambda theta: accuracy(encoded, spec, theta),
+            lambda theta: batched_loss(store, spec, theta),
+            lambda theta: train(encoded, encoded, spec, TrainConfig(n=1, epochs=1),
+                                initial_theta=theta),
+        )
+        for operation in operations:
+            for angles in ([0.1], [0.1] * 5):
+                with pytest.raises(ConfigurationError,
+                                   match=r"theta has shape \(\d,\), spec needs \(4,\)"):
+                    operation(ParameterVector(angles))
         with pytest.raises(ValueError):
             oracles.ansatz_gates(spec, ParameterVector([0.1]), (0, 1))
 
@@ -222,8 +248,11 @@ class TestApplyAnsatz:
     def test_wrong_qubit_count_rejected(self):
         spec = AnsatzSpec(2, 1)
         theta = ParameterVector([0.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            apply_ansatz(spec, theta, StateVector(3, oracles.basis_state(3, 0)), (0,))
+        state = StateVector(3, oracles.basis_state(3, 0))
+        for data_qubits in ((0,), (0, 1, 2)):
+            with pytest.raises(ConfigurationError,
+                               match=f"samples have {len(data_qubits)} qubits, ansatz spans 2"):
+                apply_ansatz(spec, theta, state, data_qubits)
 
     def test_works_on_non_contiguous_qubits(self):
         spec = AnsatzSpec(2, 2)

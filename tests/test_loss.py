@@ -92,19 +92,18 @@ class TestSwapTest:
     def test_identical_states_read_zero_with_certainty(self):
         for n in (1, 2, 3):
             label = label_state(n)
-            result = swap_test(embedded_label_state(n), label)
-            assert_allclose(result.p_zero, 1.0, atol=1e-10)
-            assert_allclose(result.overlap, 1.0, atol=1e-10)
-            assert result.shots is None
+            p = swap_test(embedded_label_state(n), label)
+            assert_allclose(p, 1.0, atol=1e-10)
+            assert_allclose(2 * p - 1, 1.0, atol=1e-10)
 
     def test_orthogonal_states_read_half(self):
         for n in (1, 2):
             label = label_state(n)
             flipped = StateVector(n + 1, oracles.apply_gates_local(
                 embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
-            result = swap_test(flipped, label)
-            assert_allclose(result.p_zero, 0.5, atol=1e-10)
-            assert_allclose(result.overlap, 0.0, atol=1e-10)
+            p = swap_test(flipped, label)
+            assert_allclose(p, 0.5, atol=1e-10)
+            assert_allclose(2 * p - 1, 0.0, atol=1e-10)
 
     def test_matches_reduced_state_oracle_on_random_inputs(self):
         n = 2
@@ -113,11 +112,11 @@ class TestSwapTest:
             k = int(RNG.integers(1, 4))
             amps = oracles.random_state(RNG, k + n)
             controls = tuple(range(k, k + n))
-            result = swap_test(StateVector(k + n, amps), label)
+            p = swap_test(StateVector(k + n, amps), label)
             expected = oracles.swap_test_p_zero(
                 amps, k + n, 0, controls, label.amplitudes
             )
-            assert_allclose(result.p_zero, expected, atol=1e-10)
+            assert_allclose(p, expected, atol=1e-10)
 
     def test_closed_form_matches_cswap_circuit(self):
         # Random widths; readout data qubit 0, the n controls last.
@@ -128,7 +127,7 @@ class TestSwapTest:
             amps = oracles.random_state(rng, k + n)
             controls = tuple(range(k, k + n))
             label = label_state(n)
-            got = swap_test(StateVector(k + n, amps), label).p_zero
+            got = swap_test(StateVector(k + n, amps), label)
             want = oracles.swap_test_circuit_p_zero(amps, k + n, 0, controls, label.amplitudes)
             assert abs(got - want) < 1e-12
 
@@ -136,8 +135,8 @@ class TestSwapTest:
         label = label_state(2)
         for _ in range(50):
             amps = oracles.random_state(RNG, 4)
-            result = swap_test(StateVector(4, amps), label)
-            assert 0.5 - 1e-10 <= result.p_zero <= 1 + 1e-10
+            p = swap_test(StateVector(4, amps), label)
+            assert 0.5 - 1e-10 <= p <= 1 + 1e-10
 
     def test_label_wider_than_state_rejected(self):
         label = label_state(2)
@@ -202,25 +201,24 @@ class TestShotsMode:
         a = swap_test(state, label, Shots(128, seed=4))
         b = swap_test(state, label, Shots(128, seed=4))
         c = swap_test(state, label, Shots(128, seed=5))
-        assert a.p_zero == b.p_zero
-        assert a.shots == 128
-        assert isinstance(c.p_zero, float)
+        assert a == b
+        assert isinstance(c, float)
 
     def test_estimate_is_an_empirical_frequency(self):
         label = label_state(1)
         amps = oracles.random_state(RNG, 3)
-        result = swap_test(StateVector(3, amps), label, Shots(64, seed=0))
-        assert 0.0 <= result.p_zero <= 1.0
-        assert round(result.p_zero * 64) == pytest.approx(result.p_zero * 64)
+        p = swap_test(StateVector(3, amps), label, Shots(64, seed=0))
+        assert 0.0 <= p <= 1.0
+        assert round(p * 64) == pytest.approx(p * 64)
 
     def test_estimator_is_unbiased_over_many_repetitions(self):
         # Statistical check: 1000 repetitions of a 1024-shot estimate.
         label = label_state(1)
         amps = oracles.random_state(RNG, 3)
         state = StateVector(3, amps)
-        exact = swap_test(state, label).p_zero
+        exact = swap_test(state, label)
         estimates = [
-            swap_test(state, label, Shots(1024, seed=s)).p_zero
+            swap_test(state, label, Shots(1024, seed=s))
             for s in range(1000)
         ]
         stderr = np.sqrt(exact * (1 - exact) / 1024)
@@ -229,20 +227,19 @@ class TestShotsMode:
     def test_huge_shot_count_needs_no_per_shot_memory(self):
         label = label_state(1)
         state = StateVector(3, oracles.random_state(RNG, 3))
-        exact = swap_test(state, label).p_zero
-        result = swap_test(state, label, Shots(10**11, seed=0))
-        assert result.shots == 10**11
-        assert abs(result.p_zero - exact) < 1e-4
+        exact = swap_test(state, label)
+        p = swap_test(state, label, Shots(10**11, seed=0))
+        assert abs(p - exact) < 1e-4
         largest = swap_test(state, label, Shots(2**63 - 1, seed=0))
-        assert abs(largest.p_zero - exact) < 1e-4
+        assert abs(largest - exact) < 1e-4
 
     def test_swap_test_reads_the_scalar_binomial_stream(self):
         label = label_state(2)
         state = StateVector(4, oracles.random_state(RNG, 4))
-        exact = swap_test(state, label).p_zero
+        exact = swap_test(state, label)
         for s in range(100):
             expected = np.random.default_rng(s).binomial(4096, exact) / 4096
-            assert swap_test(state, label, Shots(4096, seed=s)).p_zero == expected
+            assert swap_test(state, label, Shots(4096, seed=s)) == expected
 
     @staticmethod
     def probe_case():
@@ -375,7 +372,7 @@ class TestBatchedLoss:
             assert store.block.dtype == (np.complex128 if trial % 2 else np.float64)
             theta = ParameterVector(rng.uniform(0, 2 * np.pi, spec.parameter_count))
             circuit = apply_ansatz(spec, theta, query_superposed(store), range(k))
-            paper = 1.0 - swap_test(circuit, label_state(n)).overlap
+            paper = 1.0 - (2 * swap_test(circuit, label_state(n)) - 1)
             assert abs(batched_loss(store, spec, theta) - paper) <= 1e-12
 
     def test_loss_decreases_as_fidelity_increases(self):
@@ -384,9 +381,9 @@ class TestBatchedLoss:
         for angle in np.linspace(0.0, np.pi, 7):
             state = StateVector(2, oracles.apply_gates_local(
                 embedded_label_state(1).amplitudes, 2, [GateOp.ry(0, angle)]))
-            result = swap_test(state, label)
-            fidelities.append(result.overlap)
-            losses.append(1.0 - result.overlap)
+            p = swap_test(state, label)
+            fidelities.append(2 * p - 1)
+            losses.append(1.0 - (2 * p - 1))
         order = np.argsort(fidelities)
         assert np.all(np.diff(np.array(losses)[order]) <= 0)
         assert len(set(np.round(losses, 12))) == len(losses)
@@ -427,10 +424,11 @@ class TestBatchedLoss:
             assert overlap <= np.mean(per_sample) + 1e-12
 
     def test_store_and_spec_width_must_agree(self):
-        spec = AnsatzSpec(1, 1)
         store = build_store(random_samples(RNG, 1, 2))
-        with pytest.raises(ConfigurationError):
-            batched_loss(store, spec, ParameterVector([0.0]))
+        for k in (1, 3):
+            spec = AnsatzSpec(k, 1)
+            with pytest.raises(ConfigurationError, match=f"samples have 2 qubits, ansatz spans {k}"):
+                batched_loss(store, spec, ParameterVector(np.zeros(k)))
 
 
 class TestExpectedBatchLoss:

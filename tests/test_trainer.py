@@ -284,8 +284,10 @@ class TestStackedPass:
         # An empty split is as wide as its encoding, so its width is
         # checked too.
         spec = AnsatzSpec(2, 1)
-        for encoded in (EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1]), empty_set(k=1)):
-            with pytest.raises(ConfigurationError, match="samples have 1 qubits"):
+        for encoded in (EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1]), empty_set(k=1),
+                        EncodedSet(np.eye(8)[:2], [0, 1])):
+            with pytest.raises(ConfigurationError,
+                               match=f"samples have {encoded.num_qubits} qubits, ansatz spans 2"):
                 accuracy(encoded, spec, ParameterVector([0.0, 0.0]))
 
     def test_accuracy_rejects_theta_of_the_wrong_length(self):
@@ -575,6 +577,12 @@ class TestTrain:
         spec = AnsatzSpec(3, 2)
         with pytest.raises(ConfigurationError, match="ansatz spans 3"):
             train(train_set, test_set, spec, TrainConfig(epochs=1),
+                  initial_theta=init_parameters(spec, 0))
+        # A test split of another width is refused before any step, too.
+        spec = AnsatzSpec(2, 2)
+        wide = EncodedSet(np.eye(8)[:2], [0, 1])
+        with pytest.raises(ConfigurationError, match="samples have 3 qubits, ansatz spans 2"):
+            train(train_set, wide, spec, TrainConfig(epochs=1),
                   initial_theta=init_parameters(spec, 0))
 
     def test_shots_mode_runs_and_differs_from_exact(self, iris_task):
