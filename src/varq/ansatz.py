@@ -216,4 +216,4 @@ def apply_ansatz(
     trailing = range(num_qubits - k, num_qubits)
     psi = np.moveaxis(state.amplitudes.reshape((2,) * num_qubits), data_qubits, trailing)
     out = (matrix @ psi.reshape(-1, 1 << k, 1)).reshape(psi.shape)
-    return StateVector(num_qubits, np.moveaxis(out, trailing, data_qubits).reshape(-1))
+    return StateVector(np.moveaxis(out, trailing, data_qubits).reshape(-1))

@@ -224,7 +224,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_loss": final.train_loss,
         "epochs_run": len(metrics),
         "steps": sum(m.steps for m in metrics),
-        "wall_time_s": wall,
         # Seconds per phase: load + split + encode, training, and writing
         # metrics.jsonl and params.json (this file is written last).
         "timings": {"prepare_s": prepare_s, "train_s": wall, "write_s": write_s},

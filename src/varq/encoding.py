@@ -106,9 +106,7 @@ class EncodedSet(_LabeledRows, Sequence):
         self.num_qubits = width.bit_length() - 1
 
     def __getitem__(self, index: int) -> EncodedSample:
-        return EncodedSample(
-            StateVector(self.num_qubits, self.amplitudes[index]), int(self.labels[index])
-        )
+        return EncodedSample(StateVector(self.amplitudes[index]), int(self.labels[index]))
 
 
 def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:

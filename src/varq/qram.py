@@ -1,9 +1,9 @@
 """Simulated qRAM: class-partitioned sample store and batched retrieval.
 
-A store with n control qubits holds 2^n encoded samples as one
-(2^n, 2^k) amplitude block, row i at address i: label-0 samples in the
-lower address half and label-1 in the upper half. One query returns the
-address-correlated superposition
+A store holds 2^n encoded samples as one (2^n, 2^k) amplitude block,
+row i at address i, and reads its n control and k data qubits from
+that shape: label-0 samples in the lower address half and label-1 in
+the upper half. One query returns the address-correlated superposition
 
     (1/sqrt(2^n)) * sum_i |psi_i>|i>
 
@@ -28,24 +28,25 @@ from .statevector import StateVector
 
 @dataclass(frozen=True, eq=False)
 class QramStore:
-    """Write-once store: row i of block is the sample at address i. The
-    address half is the class: label 0 below 2^(n-1), label 1 from there
-    up (`build_store` lays a batch out so)."""
+    """Write-once (2^n, 2^k) block, whose shape fixes n and k: row i is
+    the sample at address i, label 0 below address 2^(n-1) and label 1
+    from there up (`build_store` lays a batch out so)."""
 
-    n: int
-    k: int
     block: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise QramError(f"store needs n >= 1 control qubits, got {self.n}")
-        shape = (1 << self.n, 1 << self.k)
-        if self.block.shape != shape:
-            raise QramError(f"store block has shape {self.block.shape}, expected {shape}")
+        shape = self.block.shape
+        rows, width = shape if len(shape) == 2 else (0, 0)
+        if rows < 2 or rows & (rows - 1) or width < 1 or width & (width - 1):
+            raise QramError(f"store block has shape {shape}, expected (2^n, 2^k) with n >= 1")
 
     @property
-    def size(self) -> int:
-        return 1 << self.n
+    def n(self) -> int:
+        return len(self.block).bit_length() - 1
+
+    @property
+    def k(self) -> int:
+        return self.block.shape[1].bit_length() - 1
 
 
 def build_store(batch: Sequence[EncodedSample]) -> QramStore:
@@ -72,12 +73,12 @@ def build_store(batch: Sequence[EncodedSample]) -> QramStore:
             f"unbalanced batch: {size - ones} label-0 vs {ones} label-1 samples"
         )
     order = np.argsort(encoded.labels, kind="stable")
-    return QramStore(size.bit_length() - 1, encoded.num_qubits, encoded.amplitudes[order])
+    return QramStore(encoded.amplitudes[order])
 
 
 def query_superposed(store: QramStore) -> StateVector:
     """One logical query: the (k+n)-qubit address-correlated superposition."""
     # Basis index is x * 2^n + i for data value x and address i: the
     # transposed block, flattened.
-    scale = 1.0 / math.sqrt(store.size)
-    return StateVector(store.k + store.n, (store.block.T * scale).reshape(-1))
+    scale = 1.0 / math.sqrt(len(store.block))
+    return StateVector((store.block.T * scale).reshape(-1))

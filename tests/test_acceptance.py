@@ -150,7 +150,7 @@ def test_criterion_3_swap_test_matches_reduced_state_oracle():
         label = label_state(n)
         amps = oracles.random_state(rng, k + n)
         controls = tuple(range(k, k + n))
-        got = swap_test(StateVector(k + n, amps), label)
+        got = swap_test(StateVector(amps), label)
         want = oracles.swap_test_p_zero(amps, k + n, 0, controls, label.amplitudes)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -195,7 +195,7 @@ def test_criterion_5_batching_identity():
         batched = apply_ansatz(spec, theta, query_superposed(store), (0, 1))
         for addr, row in enumerate(store.block):
             projected = oracles.project_controls(batched.amplitudes, 2, n, addr)
-            single = apply_ansatz(spec, theta, StateVector(2, row), (0, 1)).amplitudes
+            single = apply_ansatz(spec, theta, StateVector(row), (0, 1)).amplitudes
             worst = max(worst, np.max(np.abs(projected - single)))
     ok = worst < 1e-10
     report(
@@ -256,7 +256,7 @@ def test_criterion_8_shot_estimator_is_unbiased():
     worst_sigma = 0.0
     for instance in range(10):
         amps = oracles.random_state(rng, 4)
-        state = StateVector(4, amps)
+        state = StateVector(amps)
         exact = swap_test(state, label)
         estimates = [
             swap_test(state, label, Shots(4096, seed=1000 * instance + r))

@@ -37,9 +37,7 @@ def assert_states_match_gate_reference(spec, num_qubits, data_qubits, rng):
         amps = np.array([oracles.random_state(rng, num_qubits) for _ in range(rows)])
         ops = oracles.ansatz_gates(spec, theta, data_qubits)
         for state in amps:
-            out = apply_ansatz(
-                spec, ParameterVector(theta), StateVector(num_qubits, state), data_qubits
-            )
+            out = apply_ansatz(spec, ParameterVector(theta), StateVector(state), data_qubits)
             expected = oracles.apply_gates_local(state, num_qubits, ops)
             assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -142,7 +140,7 @@ class TestParameterVector:
     def test_wrong_length_rejected_at_operations(self):
         # Every entry point that takes angles refuses too few and too many.
         spec = AnsatzSpec(2, 2)
-        state = StateVector(2, oracles.basis_state(2, 0))
+        state = StateVector(oracles.basis_state(2, 0))
         encoded = EncodedSet(np.eye(4), [0, 0, 1, 1])
         store = build_store(random_samples(np.random.default_rng(5), 1, 2))
         operations = (
@@ -208,7 +206,7 @@ class TestApplyAnsatz:
         for _ in range(10):
             theta = init_parameters(spec, seed=int(RNG.integers(1 << 30)))
             amps = oracles.random_state(RNG, 2)
-            out = apply_ansatz(spec, theta, StateVector(2, amps), (0, 1))
+            out = apply_ansatz(spec, theta, StateVector(amps), (0, 1))
             expected = dense_ansatz_matrix(spec, theta, 2, (0, 1)) @ amps
             assert_allclose(out.amplitudes, expected, atol=1e-12)
 
@@ -219,7 +217,7 @@ class TestApplyAnsatz:
         batched = apply_ansatz(spec, theta, query_superposed(store), (0, 1))
         for addr, row in enumerate(store.block):
             projected = oracles.project_controls(batched.amplitudes, 2, 1, addr)
-            single = apply_ansatz(spec, theta, StateVector(2, row), (0, 1))
+            single = apply_ansatz(spec, theta, StateVector(row), (0, 1))
             assert_allclose(projected, single.amplitudes, atol=1e-10)
 
     def test_full_shift_by_two_pi_changes_only_global_phase(self):
@@ -228,8 +226,8 @@ class TestApplyAnsatz:
         shifted_values = theta.values.copy()
         shifted_values[2] += 2 * np.pi
         amps = oracles.random_state(RNG, 2)
-        out_a = apply_ansatz(spec, theta, StateVector(2, amps), (0, 1))
-        out_b = apply_ansatz(spec, ParameterVector(shifted_values), StateVector(2, amps), (0, 1))
+        out_a = apply_ansatz(spec, theta, StateVector(amps), (0, 1))
+        out_b = apply_ansatz(spec, ParameterVector(shifted_values), StateVector(amps), (0, 1))
         assert_allclose(abs(np.vdot(out_a.amplitudes, out_b.amplitudes)), 1.0, atol=1e-10)
 
     def test_control_measurements_unchanged(self):
@@ -248,7 +246,7 @@ class TestApplyAnsatz:
     def test_wrong_qubit_count_rejected(self):
         spec = AnsatzSpec(2, 1)
         theta = ParameterVector([0.0, 0.0])
-        state = StateVector(3, oracles.basis_state(3, 0))
+        state = StateVector(oracles.basis_state(3, 0))
         for data_qubits in ((0,), (0, 1, 2)):
             with pytest.raises(ConfigurationError,
                                match=f"samples have {len(data_qubits)} qubits, ansatz spans 2"):
@@ -258,7 +256,7 @@ class TestApplyAnsatz:
         spec = AnsatzSpec(2, 2)
         theta = init_parameters(spec, seed=3)
         amps = oracles.random_state(RNG, 3)
-        out = apply_ansatz(spec, theta, StateVector(3, amps), (0, 2))
+        out = apply_ansatz(spec, theta, StateVector(amps), (0, 2))
         expected = dense_ansatz_matrix(spec, theta, 3, (0, 2)) @ amps
         assert_allclose(out.amplitudes, expected, atol=1e-12)
 
@@ -266,5 +264,5 @@ class TestApplyAnsatz:
         spec = AnsatzSpec(2, 4)
         theta = init_parameters(spec, seed=8)
         cell = oracles.random_real_state(RNG, 2)
-        out = apply_ansatz(spec, theta, StateVector(2, cell), (0, 1))
+        out = apply_ansatz(spec, theta, StateVector(cell), (0, 1))
         assert_allclose(out.amplitudes.imag, 0.0, atol=1e-15)

@@ -160,5 +160,5 @@ class TestPassSchedule:
             )
             out = oracles.apply_gates_local(register, k + 2 * n + 2, ops)
             gate_level = 2.0 - 2.0 * oracles.probability(out, ancilla, 0)
-            store = QramStore(n, k, block)
+            store = QramStore(block)
             assert abs(gate_level - batched_loss(store, spec, ParameterVector(theta))) < 1e-12

@@ -34,7 +34,7 @@ RNG = np.random.default_rng(19)
 def label_state(n):
     """The label state on 1+n qubits, data qubit 0 then the n controls,
     from the basis-sum oracle."""
-    return StateVector(n + 1, oracles.label_state_vector(n))
+    return StateVector(oracles.label_state_vector(n))
 
 
 def embedded_label_state(n):
@@ -99,7 +99,7 @@ class TestSwapTest:
     def test_orthogonal_states_read_half(self):
         for n in (1, 2):
             label = label_state(n)
-            flipped = StateVector(n + 1, oracles.apply_gates_local(
+            flipped = StateVector(oracles.apply_gates_local(
                 embedded_label_state(n).amplitudes, n + 1, [GateOp.x(0)]))
             p = swap_test(flipped, label)
             assert_allclose(p, 0.5, atol=1e-10)
@@ -112,7 +112,7 @@ class TestSwapTest:
             k = int(RNG.integers(1, 4))
             amps = oracles.random_state(RNG, k + n)
             controls = tuple(range(k, k + n))
-            p = swap_test(StateVector(k + n, amps), label)
+            p = swap_test(StateVector(amps), label)
             expected = oracles.swap_test_p_zero(
                 amps, k + n, 0, controls, label.amplitudes
             )
@@ -127,7 +127,7 @@ class TestSwapTest:
             amps = oracles.random_state(rng, k + n)
             controls = tuple(range(k, k + n))
             label = label_state(n)
-            got = swap_test(StateVector(k + n, amps), label)
+            got = swap_test(StateVector(amps), label)
             want = oracles.swap_test_circuit_p_zero(amps, k + n, 0, controls, label.amplitudes)
             assert abs(got - want) < 1e-12
 
@@ -135,13 +135,13 @@ class TestSwapTest:
         label = label_state(2)
         for _ in range(50):
             amps = oracles.random_state(RNG, 4)
-            p = swap_test(StateVector(4, amps), label)
+            p = swap_test(StateVector(amps), label)
             assert 0.5 - 1e-10 <= p <= 1 + 1e-10
 
     def test_label_wider_than_state_rejected(self):
         label = label_state(2)
         with pytest.raises(ConfigurationError, match="2-qubit state too narrow for a 3-qubit"):
-            swap_test(StateVector(2, oracles.basis_state(2, 0)), label)
+            swap_test(StateVector(oracles.basis_state(2, 0)), label)
 
     def test_gate_count_is_affine_in_controls(self):
         rows = cost_table(1, 7, AnsatzSpec(2, DEFAULT_LAYERS))
@@ -172,7 +172,7 @@ class TestShotsMode:
                 Shots(64, seed)
         shots = Shots(np.int64(64), np.uint32(1))
         label = label_state(1)
-        state = StateVector(3, oracles.random_state(RNG, 3))
+        state = StateVector(oracles.random_state(RNG, 3))
         assert swap_test(state, label, shots) == swap_test(state, label, Shots(64, 1))
 
     def test_shot_seed_required(self):
@@ -182,7 +182,7 @@ class TestShotsMode:
 
     def test_unknown_mode_rejected(self):
         label = label_state(1)
-        state = StateVector(3, oracles.random_state(RNG, 3))
+        state = StateVector(oracles.random_state(RNG, 3))
         with pytest.raises(ConfigurationError, match="shots must be None or Shots"):
             swap_test(state, label, shots="approximate")
 
@@ -193,7 +193,7 @@ class TestShotsMode:
         amps = oracles.random_state(RNG, 3)
         amps[5] = np.nan
         with pytest.raises(VarqError, match="non-finite"):
-            swap_test(StateVector(3, amps), label, Shots(64, 1))
+            swap_test(StateVector(amps), label, Shots(64, 1))
 
     def test_same_seed_reproduces_estimate(self):
         label = label_state(1)
@@ -207,7 +207,7 @@ class TestShotsMode:
     def test_estimate_is_an_empirical_frequency(self):
         label = label_state(1)
         amps = oracles.random_state(RNG, 3)
-        p = swap_test(StateVector(3, amps), label, Shots(64, seed=0))
+        p = swap_test(StateVector(amps), label, Shots(64, seed=0))
         assert 0.0 <= p <= 1.0
         assert round(p * 64) == pytest.approx(p * 64)
 
@@ -215,7 +215,7 @@ class TestShotsMode:
         # Statistical check: 1000 repetitions of a 1024-shot estimate.
         label = label_state(1)
         amps = oracles.random_state(RNG, 3)
-        state = StateVector(3, amps)
+        state = StateVector(amps)
         exact = swap_test(state, label)
         estimates = [
             swap_test(state, label, Shots(1024, seed=s))
@@ -226,7 +226,7 @@ class TestShotsMode:
 
     def test_huge_shot_count_needs_no_per_shot_memory(self):
         label = label_state(1)
-        state = StateVector(3, oracles.random_state(RNG, 3))
+        state = StateVector(oracles.random_state(RNG, 3))
         exact = swap_test(state, label)
         p = swap_test(state, label, Shots(10**11, seed=0))
         assert abs(p - exact) < 1e-4
@@ -235,7 +235,7 @@ class TestShotsMode:
 
     def test_swap_test_reads_the_scalar_binomial_stream(self):
         label = label_state(2)
-        state = StateVector(4, oracles.random_state(RNG, 4))
+        state = StateVector(oracles.random_state(RNG, 4))
         exact = swap_test(state, label)
         for s in range(100):
             expected = np.random.default_rng(s).binomial(4096, exact) / 4096
@@ -379,7 +379,7 @@ class TestBatchedLoss:
         label = label_state(1)
         losses, fidelities = [], []
         for angle in np.linspace(0.0, np.pi, 7):
-            state = StateVector(2, oracles.apply_gates_local(
+            state = StateVector(oracles.apply_gates_local(
                 embedded_label_state(1).amplitudes, 2, [GateOp.ry(0, angle)]))
             p = swap_test(state, label)
             fidelities.append(2 * p - 1)
@@ -399,8 +399,8 @@ class TestBatchedLoss:
             theta = init_theta_seeded(spec, seed)
             value = batched_loss(store, spec, theta)
             errors = []
-            for row, label in zip(store.block, np.repeat([0, 1], store.size // 2)):
-                out = apply_ansatz(spec, theta, StateVector(1, row), (0,))
+            for row, label in zip(store.block, np.repeat([0, 1], len(store.block) // 2)):
+                out = apply_ansatz(spec, theta, StateVector(row), (0,))
                 errors.append(oracles.probability(out.amplitudes, 0, 1 - label))
             assert_allclose(value, np.mean(errors), atol=1e-10)
 
@@ -415,11 +415,11 @@ class TestBatchedLoss:
             overlap = 1.0 - batched_loss(store, spec, theta)
             per_sample = [
                 oracles.probability(
-                    apply_ansatz(spec, theta, StateVector(k, row), range(k)).amplitudes,
+                    apply_ansatz(spec, theta, StateVector(row), range(k)).amplitudes,
                     0,
                     int(label),
                 )
-                for row, label in zip(store.block, np.repeat([0, 1], store.size // 2))
+                for row, label in zip(store.block, np.repeat([0, 1], len(store.block) // 2))
             ]
             assert overlap <= np.mean(per_sample) + 1e-12
 

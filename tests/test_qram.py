@@ -25,7 +25,7 @@ RNG = np.random.default_rng(13)
 
 def sample_from_amps(amps, label):
     amps = np.asarray(amps, dtype=complex)
-    return EncodedSample(StateVector(len(amps).bit_length() - 1, amps), label)
+    return EncodedSample(StateVector(amps), label)
 
 
 def random_samples(rng, n, k):
@@ -106,14 +106,17 @@ class TestBuildStore:
             build_store(EncodedSet(encoded.amplitudes, [1, 0, 1, 1]))
 
     def test_store_rejects_missing_cell(self):
-        # A block one row short of 2^n has an address with no sample.
-        with pytest.raises(QramError, match="shape"):
-            QramStore(n=1, k=1, block=np.array([[1, 0]], dtype=complex))
+        # A block one row short of 2^n has an address with no sample, and
+        # one row needs no address qubit at all.
+        for rows in (1, 3):
+            with pytest.raises(QramError, match="shape"):
+                QramStore(np.eye(rows, 2, dtype=complex))
 
     def test_store_rejects_a_block_of_the_wrong_width(self):
-        block = np.eye(2, 4, dtype=complex)
-        with pytest.raises(QramError, match="shape"):
-            QramStore(n=1, k=1, block=block)
+        # Rows of 2^k amplitudes, one per address.
+        for block in (np.eye(2, 3, dtype=complex), np.ones(4, dtype=complex)):
+            with pytest.raises(QramError, match="shape"):
+                QramStore(block)
 
 
 class TestQuerySuperposed:

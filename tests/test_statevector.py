@@ -45,7 +45,7 @@ def inverse(gate):
 
 class TestStateVector:
     def test_zero_state(self):
-        s = StateVector(3, oracles.basis_state(3, 0))
+        s = StateVector(oracles.basis_state(3, 0))
         assert s.num_qubits == 3
         assert s.amplitudes[0] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
@@ -59,15 +59,17 @@ class TestStateVector:
             oracles.basis_state(2, 4)
 
     def test_length_must_match_qubit_count(self):
-        with pytest.raises(ConfigurationError):
-            StateVector(2, np.ones(3, dtype=complex))
+        # The length is 2^q for a count of q qubits, so it is a power of two.
+        for amps in (np.ones(0), np.ones(3), np.ones(6), np.eye(2)):
+            with pytest.raises(ConfigurationError):
+                StateVector(amps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0)])
     def test_non_finite_amplitudes_rejected(self, bad):
         amps = oracles.random_state(RNG, 2)
         amps[3] = bad
         with pytest.raises(ConfigurationError, match="non-finite"):
-            StateVector(2, amps)
+            StateVector(amps)
 
 
 class TestGateOp:

@@ -203,7 +203,7 @@ class TestStackedPass:
             for state in (oracles.random_real_state, oracles.random_state):
                 store = build_store([sample_from_amps(state(rng, k), c) for c in (0, 0, 1, 1)])
                 means = class_means(store.block)
-                stacked = StateVector(k + 1, means.reshape(-1))
+                stacked = StateVector(means.reshape(-1))
                 psi = np.array([
                     apply_ansatz(spec, ParameterVector(row), stacked, range(1, k + 1)).amplitudes
                     for row in probes
@@ -431,7 +431,7 @@ class TestClassify:
         states = np.array([[0.5, 0.5, 0.5, 0.5], np.sqrt([1 - p, 1 - p, p, p]) / np.sqrt(2)])
         p_one = [
             oracles.probability(
-                apply_ansatz(spec, theta, StateVector(2, row), (0, 1)).amplitudes, 0, 1
+                apply_ansatz(spec, theta, StateVector(row), (0, 1)).amplitudes, 0, 1
             )
             for row in states
         ]
