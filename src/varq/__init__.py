@@ -35,14 +35,7 @@ from .encoding import (
     FeatureVector,
     encode_dataset,
 )
-from .errors import (
-    ConfigurationError,
-    DataError,
-    EncodingError,
-    OptimizationError,
-    QramError,
-    VarqError,
-)
+from .errors import ConfigurationError, OptimizationError, VarqError
 from .loss import (
     Shots,
     batched_loss,
@@ -64,17 +57,14 @@ __all__ = [
     "AnsatzSpec",
     "BinaryTask",
     "ConfigurationError",
-    "DataError",
     "EncodedSample",
     "EncodedSet",
-    "EncodingError",
     "EpochMetrics",
     "FeatureSet",
     "FeatureVector",
     "IrisTable",
     "OptimizationError",
     "ParameterVector",
-    "QramError",
     "QramStore",
     "Shots",
     "StateVector",

@@ -54,11 +54,6 @@ class AnsatzSpec:
             raise ConfigurationError(f"ansatz needs k >= 1 data qubits, got {self.k}")
         if self.layers < 1:
             raise ConfigurationError(f"ansatz needs layers >= 1, got {self.layers}")
-        if self.parameter_count > np.iinfo(np.intp).max:
-            raise ConfigurationError(
-                f"ansatz needs at most {np.iinfo(np.intp).max} angles, "
-                f"got layers={self.layers} on {self.k} qubits"
-            )
 
     @property
     def parameter_count(self) -> int:

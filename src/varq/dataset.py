@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import FeatureSet
-from .errors import DataError
+from .errors import ConfigurationError
 
 SPECIES = ("setosa", "versicolor", "virginica")
 
@@ -55,12 +55,7 @@ class BinaryTask:
 
 
 def _normalize_species(raw: str) -> str:
-    name = raw.strip().lower()
-    if name.startswith("iris-"):
-        name = name[len("iris-") :]
-    elif name.startswith("iris_"):
-        name = name[len("iris_") :]
-    return name
+    return raw.strip().lower().removeprefix("iris-")
 
 
 def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
@@ -73,10 +68,11 @@ def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
 def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]:
     """Features and raw species names of an iris CSV, one row at a time.
 
-    The first malformed row in file order raises DataError with its line
-    number; a non-numeric line 1 of 5 cells is a header, and blank rows
-    are skipped. A row is numbered by its first file line, so a quoted
-    cell that spans lines does not shift the numbers of later rows.
+    The first malformed row in file order raises ConfigurationError with
+    its line number; a non-numeric line 1 of 5 cells is a header, and
+    blank rows are skipped. A row is numbered by its first file line, so
+    a quoted cell that spans lines does not shift the numbers of later
+    rows.
     """
     rows: list[tuple[float, float, float, float]] = []
     names: list[str] = []
@@ -108,14 +104,14 @@ def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]
     bad = np.flatnonzero(~np.all(np.isfinite(features) & (features > 0), axis=1))
     if bad.size:
         row = int(bad[0])
-        raise DataError(
+        raise ConfigurationError(
             f"{path}:{row_lines[row]}: iris features must be finite and positive, "
             f"got {features[row]}"
         )
     if problem is not None:
-        raise DataError(problem)
+        raise ConfigurationError(problem)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise ConfigurationError(f"{path}: no data rows")
     return features, names
 
 
@@ -179,19 +175,19 @@ def load_iris(path: str | os.PathLike) -> IrisTable:
     prefix. The path is read once, as UTF-8 less a leading byte-order
     mark, and parsed by numpy's C reader; bytes that reader refuses or
     whose values it cannot vouch for are scanned row by row instead. The
-    first malformed row in file order raises DataError with its line
-    number, and so do bytes that are not UTF-8 text.
+    first malformed row in file order raises ConfigurationError with its
+    line number, and so do bytes that are not UTF-8 text.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
         features, names = _read_columns(_lines(data)) or _scan_rows(_lines(data), path)
     except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}")
+        raise ConfigurationError(f"dataset file not found: {path}")
     except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc.strerror}")
+        raise ConfigurationError(f"cannot read dataset file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise DataError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
+        raise ConfigurationError(f"dataset file {path} is not UTF-8 text: {exc.reason}")
     return IrisTable(features, _species(names))
 
 
@@ -211,18 +207,18 @@ def make_task(
     class0, class1 = _normalize_species(class0), _normalize_species(class1)
     for name in (class0, class1):
         if name not in SPECIES:
-            raise DataError(f"unknown species {name!r}, expected one of {SPECIES}")
+            raise ConfigurationError(f"unknown species {name!r}, expected one of {SPECIES}")
     if class0 == class1:
-        raise DataError(f"task needs two distinct species, got {class0!r} twice")
+        raise ConfigurationError(f"task needs two distinct species, got {class0!r} twice")
     if not 0.0 <= test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in [0, 1), got {test_fraction}")
+        raise ConfigurationError(f"test_fraction must be in [0, 1), got {test_fraction}")
 
     members = [np.flatnonzero(table.species == name) for name in (class0, class1)]
     missing = [name for name, rows in zip((class0, class1), members) if not rows.size]
     if missing:
-        raise DataError(f"species missing from records: {' and '.join(missing)}")
+        raise ConfigurationError(f"species missing from records: {' and '.join(missing)}")
     if members[0].size != members[1].size:
-        raise DataError(
+        raise ConfigurationError(
             f"unequal class counts: {members[0].size} {class0} vs "
             f"{members[1].size} {class1}"
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingError
+from .errors import ConfigurationError
 from .statevector import StateVector
 
 
@@ -33,9 +33,9 @@ class FeatureVector:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.shape[0] < 1:
-            raise EncodingError(f"feature vector must be 1-D and nonempty, got shape {vals.shape}")
+            raise ConfigurationError(f"feature vector must be 1-D and nonempty, got shape {vals.shape}")
         if self.label not in (0, 1):
-            raise EncodingError(f"label must be 0 or 1, got {self.label}")
+            raise ConfigurationError(f"label must be 0 or 1, got {self.label}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -57,11 +57,11 @@ class _LabeledRows:
     def __init__(self, rows: np.ndarray, labels):
         labels = np.asarray(labels)
         if rows.ndim != 2 or labels.shape != rows.shape[:1]:
-            raise EncodingError(
+            raise ConfigurationError(
                 f"need a 2-D array with one label per row, got shapes {rows.shape} and {labels.shape}"
             )
         if not np.all((labels == 0) | (labels == 1)):
-            raise EncodingError("labels must be 0 or 1")
+            raise ConfigurationError("labels must be 0 or 1")
         self.labels = labels.astype(np.int64)
 
     def __len__(self) -> int:
@@ -75,7 +75,7 @@ class FeatureSet(_LabeledRows):
         values = np.asarray(values, dtype=np.float64)
         super().__init__(values, labels)
         if values.shape[1] < 1:
-            raise EncodingError(f"feature vectors must be nonempty, got shape {values.shape}")
+            raise ConfigurationError(f"feature vectors must be nonempty, got shape {values.shape}")
         self.values = values
 
     @property
@@ -98,10 +98,10 @@ class EncodedSet(_LabeledRows, Sequence):
         super().__init__(amplitudes, labels)
         width = amplitudes.shape[1]
         if width < 1 or width & (width - 1):
-            raise EncodingError(f"amplitude rows must have power-of-two length, got {width}")
+            raise ConfigurationError(f"amplitude rows must have power-of-two length, got {width}")
         if not np.isfinite(amplitudes).all():
             row = np.argwhere(~np.isfinite(amplitudes))[0, 0]
-            raise EncodingError(f"sample {row}: amplitudes contain non-finite entries")
+            raise ConfigurationError(f"sample {row}: amplitudes contain non-finite entries")
         self.amplitudes = amplitudes
         self.num_qubits = width.bit_length() - 1
 
@@ -118,7 +118,7 @@ def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:
         d = samples[0].dimension if samples else 1
         for i, x in enumerate(samples):
             if x.dimension != d:
-                raise EncodingError(f"sample {i} has dimension {x.dimension}, expected {d}")
+                raise ConfigurationError(f"sample {i} has dimension {x.dimension}, expected {d}")
         features = FeatureSet(
             np.reshape([x.values for x in samples], (-1, d)), [x.label for x in samples]
         )
@@ -135,8 +135,8 @@ def encode_dataset(samples: FeatureSet | Sequence[FeatureVector]) -> EncodedSet:
     if bad.size:
         i = int(bad[0])
         if not finite[i]:
-            raise EncodingError(f"sample {i}: feature vector contains non-finite entries")
-        raise EncodingError(f"sample {i}: all-zero feature vector cannot be amplitude-encoded")
+            raise ConfigurationError(f"sample {i}: feature vector contains non-finite entries")
+        raise ConfigurationError(f"sample {i}: all-zero feature vector cannot be amplitude-encoded")
     d = features.dimension
     amps = np.zeros((len(features), 1 << (d - 1).bit_length()))
     amps[:, :d] = values / norms[:, None]

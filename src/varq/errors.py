@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps OptimizationError to exit code 3 and every other VarqError
-to exit code 2 (configuration / input problems).
+A caller acts on two outcomes, so there are two leaf types: the input
+was refused (ConfigurationError, exit code 2 from the CLI) or training
+diverged (OptimizationError, exit code 3).
 """
 
 
@@ -10,20 +11,9 @@ class VarqError(Exception):
 
 
 class ConfigurationError(VarqError):
-    """Invalid indices, shapes, specs, or option values."""
-
-
-class EncodingError(VarqError):
-    """Feature vector cannot be amplitude-encoded."""
-
-
-class QramError(VarqError):
-    """Bad batch for store construction or an inconsistent store."""
-
-
-class DataError(VarqError):
-    """Dataset ingestion or task construction failure."""
+    """Refused input: a bad option, spec, shape, index, feature vector,
+    batch, store, dataset file or task. The CLI exits 2."""
 
 
 class OptimizationError(VarqError):
-    """Training produced non-finite losses or gradients."""
+    """Training produced non-finite losses or gradients. The CLI exits 3."""

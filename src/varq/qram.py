@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodedSample, EncodedSet
-from .errors import QramError
+from .errors import ConfigurationError
 from .statevector import StateVector
 
 
@@ -38,7 +38,7 @@ class QramStore:
         shape = self.block.shape
         rows, width = shape if len(shape) == 2 else (0, 0)
         if rows < 2 or rows & (rows - 1) or width < 1 or width & (width - 1):
-            raise QramError(f"store block has shape {shape}, expected (2^n, 2^k) with n >= 1")
+            raise ConfigurationError(f"store block has shape {shape}, expected (2^n, 2^k) with n >= 1")
 
     @property
     def n(self) -> int:
@@ -59,17 +59,17 @@ def build_store(batch: Sequence[EncodedSample]) -> QramStore:
     """
     size = len(batch)
     if size < 2 or size & (size - 1):
-        raise QramError(f"batch size {size} is not a power of two >= 2")
+        raise ConfigurationError(f"batch size {size} is not a power of two >= 2")
     encoded = batch
     if not isinstance(encoded, EncodedSet):
         k = batch[0].state.num_qubits
         for i, s in enumerate(batch):
             if s.state.num_qubits != k:
-                raise QramError(f"sample {i} has {s.state.num_qubits} qubits, sample 0 has {k}")
+                raise ConfigurationError(f"sample {i} has {s.state.num_qubits} qubits, sample 0 has {k}")
         encoded = EncodedSet([s.state.amplitudes for s in batch], [s.label for s in batch])
     ones = int(np.count_nonzero(encoded.labels))
     if 2 * ones != size:
-        raise QramError(
+        raise ConfigurationError(
             f"unbalanced batch: {size - ones} label-0 vs {ones} label-1 samples"
         )
     order = np.argsort(encoded.labels, kind="stable")

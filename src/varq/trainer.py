@@ -40,7 +40,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix
 from .encoding import EncodedSet
-from .errors import ConfigurationError, DataError, OptimizationError
+from .errors import ConfigurationError, OptimizationError
 from .loss import Shots, central_difference, class_means
 
 
@@ -110,7 +110,7 @@ def _class_rows(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # 2^(n-1) <= count exactly when n <= count.bit_length(); comparing
     # first keeps a huge n from building a huge integer.
     if n > min(len(index0), len(index1)).bit_length():
-        raise DataError(
+        raise ConfigurationError(
             f"need at least 2^{n - 1} samples per class for n={n}, "
             f"got {len(index0)} / {len(index1)}"
         )

@@ -129,6 +129,10 @@ class TestParameterVector:
         with pytest.raises(ConfigurationError):
             ParameterVector([np.inf, 0.0])
 
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"must be 1-D, got shape \(2, 2\)"):
+            ParameterVector(np.zeros((2, 2)))
+
     def test_values_are_a_read_only_copy(self):
         source = np.array([0.1, 0.2])
         theta = ParameterVector(source)
@@ -251,6 +255,11 @@ class TestApplyAnsatz:
             with pytest.raises(ConfigurationError,
                                match=f"samples have {len(data_qubits)} qubits, ansatz spans 2"):
                 apply_ansatz(spec, theta, state, data_qubits)
+        for data_qubits, bad in (((0, 3), 3), ((-1, 0), -1)):
+            with pytest.raises(ConfigurationError, match=f"qubit index {bad} out of range"):
+                apply_ansatz(spec, theta, state, data_qubits)
+        with pytest.raises(ConfigurationError, match=r"repeated qubit index in \(1, 1\)"):
+            apply_ansatz(spec, theta, state, (1, 1))
 
     def test_works_on_non_contiguous_qubits(self):
         spec = AnsatzSpec(2, 2)

@@ -170,8 +170,11 @@ class TestTrainCommand:
         metrics = [(d / "metrics.jsonl").read_bytes() for d in (plain, prefixed)]
         assert metrics[0] == metrics[1]
 
-    def test_malformed_task_exits_2(self, tmp_path):
+    def test_malformed_task_exits_2(self, tmp_path, capsys):
         assert run_train(tmp_path, task="setosa") == 2
+        assert main(["train", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: no task given; use --task CLASS0-vs-CLASS1"
 
     def test_infinite_learning_rate_exits_3(self, tmp_path, capsys):
         code = run_train(tmp_path, extra=["--lr", "inf"], epochs=1)
@@ -196,6 +199,19 @@ class TestTrainCommand:
         assert len(err.strip().splitlines()) == 1 and "absent" in err
         assert not (tmp_path / "summary.json").exists()
         assert not (tmp_path / "params.json").exists()
+        # A directory the run may not write to; os.access is stubbed, since
+        # a run as root may write anywhere.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: Path(path) != locked and access(path, mode)
+        )
+        code = run_train(tmp_path, extra=["--out-params", str(locked / "p.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: option out_params: {locked / 'p.json'} is not writable\n"
+        assert not (tmp_path / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize(
         "extra, named",
@@ -911,6 +927,22 @@ class TestCostCommand:
 
 
 class TestEntryPoints:
+    def test_two_error_types_have_two_exit_codes(self, capsys, monkeypatch):
+        # A caller acts on two outcomes: the input was refused (exit 2) or
+        # training diverged (exit 3). One error type each, and no others.
+        assert set(varq.VarqError.__subclasses__()) == {
+            varq.ConfigurationError, varq.OptimizationError
+        }
+        for error, code in ((varq.ConfigurationError, 2), (varq.OptimizationError, 3)):
+            assert error.__subclasses__() == []
+
+            def refuse(*args, **kwargs):
+                raise error("refused")
+
+            monkeypatch.setattr(cli, "cost_table", refuse)
+            assert main(["cost"]) == code
+        assert capsys.readouterr().err == "error: refused\noptimization error: refused\n"
+
     def test_module_invocation_smoke(self):
         proc = subprocess.run(
             [sys.executable, "-m", "varq", "cost", "--n-min", "1", "--n-max", "2"],

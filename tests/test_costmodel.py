@@ -84,15 +84,17 @@ class TestCostTable:
             cost_table(0, 4, SPEC)
 
     def test_huge_layer_count_is_counted_without_listing_its_gates(self):
-        # The ansatz bucket is one layer times the layer count: 2^62 - 1
-        # layers, the most that fit in a signed 64-bit angle index at k = 2.
-        start = time.perf_counter()
-        spec = AnsatzSpec(2, 2**62 - 1)
-        count = spec.gate_count
-        rows = cost_table(1, 20, spec)
-        assert time.perf_counter() - start < 1.0
-        assert count == 3 * (2**62 - 1)
-        assert {row["ansatz_gates"] for row in rows} == {count}
+        # The ansatz bucket is one layer times the layer count. 2^62 - 1
+        # layers are the most whose angles a signed 64-bit index reaches at
+        # k = 2; 2^62 layers are past it, and are counted all the same.
+        for layers in (2**62 - 1, 2**62):
+            start = time.perf_counter()
+            spec = AnsatzSpec(2, layers)
+            count = spec.gate_count
+            rows = cost_table(1, 20, spec)
+            assert time.perf_counter() - start < 1.0
+            assert count == 3 * layers
+            assert {row["ansatz_gates"] for row in rows} == {count}
 
 
 def gate_op(kind, a, b, angles, ancilla):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from varq import (
-    DataError,
+    ConfigurationError,
     default_data_path,
     load_iris,
     make_task,
@@ -37,13 +37,13 @@ class TestIrisRecord:
         assert table.species.tolist() == ["setosa"]
 
     def test_wrong_feature_count_rejected(self, tmp_path):
-        with pytest.raises(DataError, match=":1: expected 5 columns, got 3"):
+        with pytest.raises(ConfigurationError, match=":1: expected 5 columns, got 3"):
             load_text(tmp_path, "5.1,3.5,setosa\n")
 
     def test_non_positive_feature_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="finite and positive"):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
             load_text(tmp_path, "5.1,3.5,1.4,0.0,setosa\n")
-        with pytest.raises(DataError, match="finite and positive"):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
             load_text(tmp_path, "5.1,3.5,1.4,nan,setosa\n")
 
 
@@ -85,7 +85,7 @@ class TestLoadErrorLines:
         ],
     )
     def test_message_names_the_line(self, tmp_path, text, detail):
-        with pytest.raises(DataError) as info:
+        with pytest.raises(ConfigurationError) as info:
             load_text(tmp_path, text)
         assert str(info.value) == f"{tmp_path / 'iris.csv'}:{detail}"
 
@@ -121,23 +121,23 @@ class TestLoadIris:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "iris.csv"
         path.write_text("")
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match="no data rows"):
             load_iris(path)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "iris.csv"
         path.write_text("5.1,3.5,1.4,0.2,setosa\n5.0,oops,1.3,0.3,setosa\n")
-        with pytest.raises(DataError, match=":2"):
+        with pytest.raises(ConfigurationError, match=":2"):
             load_iris(path)
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "iris.csv"
         path.write_text("5.1,3.5,1.4,setosa\n")
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match=":1: expected 5 columns, got 4"):
             load_iris(path)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match="dataset file not found"):
             load_iris(tmp_path / "absent.csv")
 
     def test_blank_lines_are_ignored(self, tmp_path):
@@ -148,11 +148,11 @@ class TestLoadIris:
 
 def row_scan_outcome(path):
     """What the row scan alone returns for the file at path: (features,
-    species), or the DataError message."""
+    species), or the ConfigurationError message."""
     text = path.read_bytes().decode("utf-8-sig")
     try:
         features, names = _scan_rows(io.StringIO(text, newline=""), path)
-    except DataError as exc:
+    except ConfigurationError as exc:
         return str(exc)
     return features, _species(names)
 
@@ -201,10 +201,10 @@ ODD_TEXTS = {
 
 def load_outcome(path):
     """What load_iris returns for path: (feature bytes, species), or the
-    DataError message with the path written as PATH."""
+    ConfigurationError message with the path written as PATH."""
     try:
         table = load_iris(path)
-    except DataError as exc:
+    except ConfigurationError as exc:
         return str(exc).replace(str(path), "PATH")
     return table.features.tobytes(), table.species.tolist()
 
@@ -252,7 +252,7 @@ class TestReaders:
         path.write_text(text, encoding="utf-8", newline="")
         expected = row_scan_outcome(path)
         if isinstance(expected, str):
-            with pytest.raises(DataError) as info:
+            with pytest.raises(ConfigurationError) as info:
                 load_iris(path)
             assert str(info.value) == expected
             return
@@ -297,10 +297,10 @@ class TestReaders:
         path = tmp_path / "iris.csv"
         head = GOOD_ROW + "5.0,3.6,setosa\n" + GOOD_ROW * 1000
         path.write_bytes(head.encode() + b"\xff\n")
-        with pytest.raises(DataError, match=r":2: expected 5 columns, got 3$"):
+        with pytest.raises(ConfigurationError, match=r":2: expected 5 columns, got 3$"):
             load_iris(path)
         path.write_bytes(b"\xff" + head.encode())
-        with pytest.raises(DataError, match="is not UTF-8 text: invalid start byte"):
+        with pytest.raises(ConfigurationError, match="is not UTF-8 text: invalid start byte"):
             load_iris(path)
 
     def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
@@ -374,26 +374,31 @@ class TestMakeTask:
         assert len(a.test) == len(b.test) == 20
 
     def test_unknown_species_rejected(self, records):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match="unknown species 'sunflower'"):
             make_task(records, "setosa", "sunflower", seed=0)
 
     def test_same_species_twice_rejected(self, records):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match="two distinct species, got 'setosa' twice"):
             make_task(records, "setosa", "setosa", seed=0)
 
     def test_missing_species_named_alone(self, tmp_path):
         table = load_text(tmp_path, GOOD_ROW * 4)
-        with pytest.raises(DataError, match=r"records: versicolor$"):
+        with pytest.raises(ConfigurationError, match=r"records: versicolor$"):
             make_task(table, "setosa", "versicolor", seed=0)
-        with pytest.raises(DataError, match=r"records: virginica$"):
+        with pytest.raises(ConfigurationError, match=r"records: virginica$"):
             make_task(table, "virginica", "setosa", seed=0)
-        with pytest.raises(DataError, match=r"records: virginica and versicolor$"):
+        with pytest.raises(ConfigurationError, match=r"records: virginica and versicolor$"):
             make_task(table, "virginica", "versicolor", seed=0)
+
+    def test_unequal_class_counts_rejected(self, tmp_path):
+        table = load_text(tmp_path, GOOD_ROW * 4 + "7.0,3.2,4.7,1.4,versicolor\n")
+        with pytest.raises(ConfigurationError, match=r"counts: 4 setosa vs 1 versicolor$"):
+            make_task(table, "setosa", "versicolor", seed=0)
 
     def test_prefixed_names_accepted(self, records):
         task = make_task(records, "Iris-setosa", "Iris-versicolor", seed=0)
         assert task.class0 == "setosa"
 
     def test_bad_test_fraction_rejected(self, records):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match=r"test_fraction must be in \[0, 1\), got 1.5"):
             make_task(records, "setosa", "versicolor", test_fraction=1.5, seed=0)

@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varq import (
+    ConfigurationError,
     EncodedSample,
     EncodedSet,
-    EncodingError,
     FeatureSet,
     FeatureVector,
-    QramError,
     build_store,
     encode_dataset,
 )
@@ -25,13 +24,13 @@ class TestFeatureVector:
         assert x.label == 1
 
     def test_rejects_bad_label(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="label must be 0 or 1"):
             FeatureVector([1.0], 2)
 
     def test_rejects_empty_or_2d_values(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="must be 1-D and nonempty"):
             FeatureVector([], 0)
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="must be 1-D and nonempty"):
             FeatureVector([[1.0, 2.0]], 0)
 
 
@@ -57,13 +56,13 @@ class TestAmplitudeEncode:
         )
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="all-zero feature vector"):
             encode_dataset([FeatureVector([0.0, 0.0], 0)])
 
     def test_non_finite_entries_rejected(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="contains non-finite entries"):
             encode_dataset([FeatureVector([1.0, np.nan], 0)])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="contains non-finite entries"):
             encode_dataset([FeatureVector([np.inf, 1.0], 0)])
 
     def test_scale_invariance_exact_for_dyadic_scales(self):
@@ -136,7 +135,7 @@ class TestEncodeDataset:
             FeatureVector([1.0, 2.0], 0),
             FeatureVector([1.0, 2.0, 3.0], 1),
         ]
-        with pytest.raises(EncodingError, match="sample 1"):
+        with pytest.raises(ConfigurationError, match="sample 1"):
             encode_dataset(samples)
 
     def test_random_batch_all_normalized(self):
@@ -167,9 +166,9 @@ class TestEncodeDataset:
         samples = [FeatureVector(RNG.uniform(0.1, 9, 4), i % 2) for i in range(30)]
         samples[17] = FeatureVector(bad, 1)
         samples[23] = FeatureVector([0.0] * 4, 0)
-        with pytest.raises(EncodingError, match=f"^sample 17: .*{reason}"):
+        with pytest.raises(ConfigurationError, match=f"^sample 17: .*{reason}"):
             encode_dataset(samples)
-        with pytest.raises(EncodingError, match=f"^sample 17: .*{reason}"):
+        with pytest.raises(ConfigurationError, match=f"^sample 17: .*{reason}"):
             encode_dataset(FeatureSet([x.values for x in samples], [x.label for x in samples]))
 
 
@@ -194,24 +193,24 @@ class TestSets:
         )
 
     def test_bad_shapes_and_labels_rejected(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="one label per row"):
             FeatureSet(np.ones(4), [0])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="one label per row"):
             FeatureSet(np.ones((2, 4)), [0])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="feature vectors must be nonempty"):
             FeatureSet(np.ones((2, 0)), [0, 1])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="labels must be 0 or 1"):
             FeatureSet(np.ones((2, 4)), [0, 2])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="labels must be 0 or 1"):
             FeatureSet(np.ones((2, 4)), [0, 0.5])
-        with pytest.raises(EncodingError):
+        with pytest.raises(ConfigurationError, match="power-of-two length"):
             EncodedSet(np.ones((2, 3)), [0, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0), complex(0.5, np.inf)])
     def test_non_finite_amplitudes_rejected_with_the_first_row(self, bad):
         amps = np.full((6, 4), 0.5, dtype=type(bad))
         amps[4, 0] = amps[2, 3] = bad
-        with pytest.raises(EncodingError, match=r"^sample 2: amplitudes contain non-finite"):
+        with pytest.raises(ConfigurationError, match=r"^sample 2: amplitudes contain non-finite"):
             EncodedSet(amps, [0, 0, 0, 1, 1, 1])
 
     def test_encoded_list_with_mixed_widths_rejected(self):
@@ -219,5 +218,5 @@ class TestSets:
         # store: build_store names the first sample of another width.
         samples = [encode_dataset([FeatureVector([1.0, 2.0], 0)])[0],
                    encode_dataset([FeatureVector([1.0, 2.0, 3.0], 1)])[0]]
-        with pytest.raises(QramError, match="sample 1"):
+        with pytest.raises(ConfigurationError, match="sample 1"):
             build_store(samples)

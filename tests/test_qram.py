@@ -7,11 +7,11 @@ from numpy.testing import assert_allclose
 import oracles
 from varq import (
     AnsatzSpec,
+    ConfigurationError,
     EncodedSample,
     EncodedSet,
     FeatureSet,
     FeatureVector,
-    QramError,
     QramStore,
     StateVector,
     build_store,
@@ -59,17 +59,17 @@ class TestBuildStore:
 
     def test_non_power_of_two_rejected(self):
         batch = random_samples(RNG, 2, 2)
-        with pytest.raises(QramError):
+        with pytest.raises(ConfigurationError, match="batch size 3 is not a power of two"):
             build_store(batch[:3])
 
     def test_single_sample_rejected(self):
-        with pytest.raises(QramError):
+        with pytest.raises(ConfigurationError, match="batch size 1 is not a power of two"):
             build_store([sample_from_amps([1, 0], 0)])
 
     def test_unbalanced_classes_rejected(self):
         s0 = sample_from_amps([1, 0], 0)
         s0b = sample_from_amps([0, 1], 0)
-        with pytest.raises(QramError):
+        with pytest.raises(ConfigurationError, match="unbalanced batch: 2 label-0 vs 0 label-1"):
             build_store([s0, s0b])
 
     def test_a_list_of_real_samples_is_stored_as_float64(self):
@@ -86,13 +86,13 @@ class TestBuildStore:
         # The list is stacked only when every sample has one width.
         mixed = list(encoded)
         mixed[5] = encode_dataset([FeatureVector([1.0, 2.0], encoded[5].label)])[0]
-        with pytest.raises(QramError, match="sample 5 has 1 qubits, sample 0 has 2"):
+        with pytest.raises(ConfigurationError, match="sample 5 has 1 qubits, sample 0 has 2"):
             build_store(mixed)
 
     def test_mixed_qubit_counts_rejected(self):
         s0 = sample_from_amps([1, 0], 0)
         s1 = sample_from_amps([0, 0, 0, 1], 1)
-        with pytest.raises(QramError):
+        with pytest.raises(ConfigurationError, match="sample 1 has 2 qubits, sample 0 has 1"):
             build_store([s0, s1])
 
     def test_store_validates_class_partition(self):
@@ -102,20 +102,20 @@ class TestBuildStore:
         encoded = encode_dataset(features)
         store = build_store(encoded)
         assert np.array_equal(store.block, encoded.amplitudes[[1, 3, 0, 2]])
-        with pytest.raises(QramError, match="unbalanced batch: 1 label-0 vs 3 label-1"):
+        with pytest.raises(ConfigurationError, match="unbalanced batch: 1 label-0 vs 3 label-1"):
             build_store(EncodedSet(encoded.amplitudes, [1, 0, 1, 1]))
 
     def test_store_rejects_missing_cell(self):
         # A block one row short of 2^n has an address with no sample, and
         # one row needs no address qubit at all.
         for rows in (1, 3):
-            with pytest.raises(QramError, match="shape"):
+            with pytest.raises(ConfigurationError, match="shape"):
                 QramStore(np.eye(rows, 2, dtype=complex))
 
     def test_store_rejects_a_block_of_the_wrong_width(self):
         # Rows of 2^k amplitudes, one per address.
         for block in (np.eye(2, 3, dtype=complex), np.ones(4, dtype=complex)):
-            with pytest.raises(QramError, match="shape"):
+            with pytest.raises(ConfigurationError, match="shape"):
                 QramStore(block)
 
 

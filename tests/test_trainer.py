@@ -9,7 +9,6 @@ import varq.ansatz
 from varq import (
     AnsatzSpec,
     ConfigurationError,
-    DataError,
     EncodedSet,
     OptimizationError,
     ParameterVector,
@@ -403,10 +402,10 @@ class TestMakeBatches:
         assert len(np.unique(rows)) == 6
 
     def test_insufficient_class_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match=r"2\^0 samples per class for n=1, got 1 / 0"):
             _class_rows(np.array([0]), n=1)
         one_per_class = EncodedSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match=r"2\^1 samples per class for n=2, got 1 / 1"):
             spec = AnsatzSpec(1, 1)
             train(one_per_class, empty_set(k=1), spec, TrainConfig(n=2, epochs=1),
                   initial_theta=init_parameters(spec, 0))
@@ -555,7 +554,7 @@ class TestTrain:
 
     def test_empty_training_set_rejected(self):
         spec = AnsatzSpec(2, 1)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigurationError, match=r"2\^1 samples per class for n=2, got 0 / 0"):
             train(empty_set(), empty_set(), spec, TrainConfig(epochs=1),
                   initial_theta=init_parameters(spec, 0))
 
