@@ -17,7 +17,6 @@ import os
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +61,7 @@ def default_data_path(explicit: str | os.PathLike | None = None) -> Path:
     """The dataset path: the explicit argument, else the packaged copy."""
     if explicit is not None:
         return Path(explicit)
-    return Path(str(resources.files("varq").joinpath("data/iris.csv")))
+    return Path(__file__).with_name("data") / "iris.csv"
 
 
 def _scan_rows(lines: Iterable[str], path: Path) -> tuple[np.ndarray, list[str]]:

@@ -167,8 +167,8 @@ class TestTrainCommand:
         assert run_train(prefixed, task="Iris-setosa-vs-Iris-versicolor") == 0
         summary = json.loads((prefixed / "summary.json").read_text())
         assert summary["task"] == "setosa-vs-versicolor"
-        metrics = [(d / "metrics.jsonl").read_bytes() for d in (plain, prefixed)]
-        assert metrics[0] == metrics[1]
+        for name in ("metrics.jsonl", "params.json"):
+            assert (plain / name).read_bytes() == (prefixed / name).read_bytes(), name
 
     def test_malformed_task_exits_2(self, tmp_path, capsys):
         assert run_train(tmp_path, task="setosa") == 2
@@ -390,6 +390,25 @@ class TestTrainCommand:
         assert (summary["final_train_acc"], summary["final_test_acc"]) == (1.0, 1.0)
 
     @pytest.mark.parametrize(
+        "extra, epochs",
+        [
+            (["--layers", "200"], 1),
+            (["--layers", "200", "--shots", "64", "--seed-shots", "5"], 1),
+            (["--shots", "4096", "--seed-shots", "5"], 2),
+        ],
+        ids=["layers-200", "layers-200-shots-64", "shots-4096"],
+    )
+    def test_run_repeats_byte_for_byte(self, tmp_path, extra, epochs):
+        # Both readouts train a 200-layer circuit, whose gradient costs time
+        # linear in depth, and a seeded shots run writes the same bytes again.
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            assert run_train(run, extra=extra, epochs=epochs) == 0
+        for name in ("metrics.jsonl", "params.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
         "extra, steps",
         [([], 2000), (["--n", "4"], 500)],
         ids=["defaults", "n-4"],
@@ -562,6 +581,18 @@ class TestConfigFile:
         assert report["params"] == str(tmp_path / "p.json")
         assert report["train_acc"] == summary["final_train_acc"]
         assert report["test_acc"] == summary["final_test_acc"]
+
+    def test_null_shots_in_a_config_file_is_the_exact_readout(self, tmp_path):
+        # "shots": null is the default, not a refused value: the run writes
+        # what a run without shots writes.
+        exact, null = tmp_path / "exact", tmp_path / "null"
+        exact.mkdir()
+        null.mkdir()
+        (null / "run.json").write_text(json.dumps({"shots": None}))
+        assert run_train(exact) == 0
+        assert run_train(null, extra=["--config", str(null / "run.json")]) == 0
+        for name in ("metrics.jsonl", "params.json"):
+            assert (exact / name).read_bytes() == (null / name).read_bytes(), name
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -239,6 +239,9 @@ READ_ONCE = {
     "quoted line 1": ('"5.1","3.5",1.4,0.2,"Iris-setosa"\n' + GOOD_ROW).encode(),
     "bad row on line 12": (GOOD_ROW * 11 + "4.9,x,1.4,0.2,setosa\n" + GOOD_ROW).encode(),
     "leading 0xff": b"\xff" + GOOD_ROW.encode(),
+    "bad row after a quoted newline": (
+        GOOD_ROW + '4.9,3.0,1.4,0.2,"set\nosa"\n' + "4.9,x,1.4,0.2,setosa\n"
+    ).encode(),
 }
 
 
@@ -304,9 +307,15 @@ class TestReaders:
             load_iris(path)
 
     def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
-        table = load_text(tmp_path, "\ufeff5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,setosa\n")
+        text = "5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,setosa\n"
+        table = load_text(tmp_path, "\ufeff" + text)
         assert len(table) == 2
         assert table.features[0].tolist() == [5.1, 3.5, 1.4, 0.2]
+        # With CRLF line ends as well, the rows are those of the plain text.
+        plain = load_text(tmp_path, text)
+        table = load_text(tmp_path, "\ufeff" + text.replace("\n", "\r\n"))
+        assert table.features.tobytes() == plain.features.tobytes()
+        assert table.species.tolist() == plain.species.tolist()
 
 
 class TestDefaultDataPath:
