@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_seed, is_integer
 from .statevector import StateVector
 
 DEFAULT_LAYERS = 4
@@ -50,10 +50,10 @@ class AnsatzSpec:
     layers: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError(f"ansatz needs k >= 1 data qubits, got {self.k}")
-        if self.layers < 1:
-            raise ConfigurationError(f"ansatz needs layers >= 1, got {self.layers}")
+        if not (is_integer(self.k) and self.k >= 1):
+            raise ConfigurationError(f"ansatz needs an integer k >= 1 data qubits, got {self.k!r}")
+        if not (is_integer(self.layers) and self.layers >= 1):
+            raise ConfigurationError(f"ansatz needs an integer layers >= 1, got {self.layers!r}")
 
     @property
     def parameter_count(self) -> int:
@@ -144,6 +144,7 @@ class ParameterVector:
 
 def init_parameters(spec: AnsatzSpec, seed: int) -> ParameterVector:
     """Independent uniform angles in [0, 2*pi), reproducible from seed."""
+    check_seed(seed)
     if spec.parameter_count > np.iinfo(np.intp).max // 8:  # numpy's ValueError, not MemoryError
         raise ConfigurationError(f"too many angles to allocate: layers={spec.layers} on {spec.k} qubits")
     rng = np.random.default_rng(seed)

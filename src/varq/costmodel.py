@@ -10,7 +10,7 @@ change the affine coefficients.
 from __future__ import annotations
 
 from .ansatz import AnsatzSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 
 
 def pass_schedule(n: int, spec: AnsatzSpec) -> dict[str, tuple[tuple[str, int, int], ...]]:
@@ -49,9 +49,9 @@ def cost_table(n_min: int, n_max: int, spec: AnsatzSpec) -> list[dict[str, int]]
     four buckets of one batched pass over 2^n samples, their total, and
     the sequential baseline, which charges each of the 2^n samples one
     retrieval and the n = 0 pass."""
-    if not 1 <= n_min <= n_max <= 20:
+    if not (is_integer(n_min) and is_integer(n_max) and 1 <= n_min <= n_max <= 20):
         raise ConfigurationError(
-            f"control-qubit range must satisfy 1 <= min <= max <= 20, got {n_min}..{n_max}"
+            f"control-qubit range must be integers 1 <= min <= max <= 20, got {n_min!r}..{n_max!r}"
         )
     per_sample = 1 + sum(_bucket_sizes(0, spec).values())
     rows = []

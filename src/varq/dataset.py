@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import FeatureSet
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_seed
 
 SPECIES = ("setosa", "versicolor", "virginica")
 
@@ -211,6 +211,7 @@ def make_task(
         raise ConfigurationError(f"task needs two distinct species, got {class0!r} twice")
     if not 0.0 <= test_fraction < 1.0:
         raise ConfigurationError(f"test_fraction must be in [0, 1), got {test_fraction}")
+    check_seed(seed)
 
     members = [np.flatnonzero(table.species == name) for name in (class0, class1)]
     missing = [name for name, rows in zip((class0, class1), members) if not rows.size]

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types and the input rules shared across the package.
 
 A caller acts on two outcomes, so there are two leaf types: the input
 was refused (ConfigurationError, exit code 2 from the CLI) or training
 diverged (OptimizationError, exit code 3).
 """
+
+import numpy as np
 
 
 class VarqError(Exception):
@@ -17,3 +19,15 @@ class ConfigurationError(VarqError):
 
 class OptimizationError(VarqError):
     """Training produced non-finite losses or gradients. The CLI exits 3."""
+
+
+def is_integer(value) -> bool:
+    """The one rule for counts and seeds: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that numpy's generators would refuse, or that would
+    shift a derived stream below 0: anything but an integer >= 0."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigurationError(f"{name} must be an integer >= 0, got {seed!r}")

@@ -46,11 +46,12 @@ parameter-shift rule (Mitarai et al., arXiv:1803.00745):
 where a and b_j are the readout-paired amplitudes of U mu and Q_l J_q v_l
 (see `ansatz`); probe theta +- pi/2 e_j has overlap 1/8 * ||a +- b_j||^2.
 
-Each batch formula is written once. `_forward` casts the layers to the
-means' dtype, runs the forward sweep and pairs its output into
-a = (U mu_0)[:half] + (U mu_1)[half:], half = 2^(k-1); `_readout_sweep`
-adds one backward sweep, in row form from the last layer, for every
-suffix product Q_l and so every b_j; `_readout_loss` reads 1 - overlap,
+Each batch formula is written once, and `_readout_sweep` is the one
+reader of a batch: it casts the layers to the means' dtype, runs the
+forward sweep and pairs its output into
+a = (U mu_0)[:half] + (U mu_1)[half:], half = 2^(k-1), then runs one
+backward sweep, in row form from the last layer, for every suffix
+product Q_l and so every b_j. `_readout_loss` reads 1 - overlap,
 exactly for shots=None, else from the p0 = (1 + overlap) / 2 that
 `_read_out` samples. `central_difference` reads a batch from one
 `_readout_sweep`: shots=None in closed form, building no probe row
@@ -58,8 +59,8 @@ exactly for shots=None, else from the p0 = (1 + overlap) / 2 that
 Iris run); a Shots as the 2P+1 probe overlaps, 1/4 |a|^2 and
 1/8 (|a|^2 + |b_j|^2 +- 2 Re <a, b_j>), in one binomial draw. Either
 way a batch is O(L 8^k) work and O(L 4^k) memory. `batched_loss`, the
-exact loss of one stored batch, needs only a, so it runs `_forward`
-alone, O(L 4^k) work.
+exact loss of one stored batch, is `central_difference`'s loss on the
+store's class means.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzSpec, ParameterVector, forward_sweep, layer_matrices
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_seed, is_integer
 from .qram import QramStore
 from .statevector import StateVector
 
@@ -82,16 +83,10 @@ class Shots:
     seed: int
 
     def __post_init__(self):
-        # numpy's binomial draw takes a count below 2^63, its generators a
-        # seed >= 0; both are integers (Python or numpy), never a bool.
-        if not (_is_integer(self.count) and 1 <= self.count < 2**63):
+        # numpy's binomial draw takes an integer count below 2^63.
+        if not (is_integer(self.count) and 1 <= self.count < 2**63):
             raise ConfigurationError(f"shot count must be in [1, 2^63), got {self.count}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ConfigurationError(f"shot seed must be >= 0, got {self.seed}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        check_seed(self.seed, "shot seed")
 
 
 def _read_out(p_zero: np.ndarray, shots: Shots | None) -> np.ndarray:
@@ -145,30 +140,21 @@ def class_means(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(*batches, 2, size // 2, dim).mean(axis=-2)
 
 
-def _forward(means, spec, theta):
-    """The layer matrices G_l (L, 2^k, 2^k) cast to the means' dtype, the
-    forward sweep's states entering every layer (L + 1, 2^k, 2), and the
-    amplitudes the swap test compares, a = pair(U means.T) (2^(k-1),),
-    where pair(out) = out[:half, 0] + out[half:, 1] and half = 2^(k-1).
-    Unchecked: means (2, 2^k), float64 or complex128; theta (P,)."""
+def _readout_sweep(means, spec, theta):
+    """a = pair(U means.T) (2^(k-1),), the amplitudes the swap test
+    compares, with pair(out) = out[:half, 0] + out[half:, 1]; and
+    b_j = pair(Q_l J_q v_l) for every angle j = l*k + q, (P, 2^(k-1)), the
+    suffix products Q_l = G_{L-1}...G_l from one backward sweep in row
+    form, Q_l = Q_{l+1} G_l. Unchecked: means (2, 2^k), float64 or
+    complex128; theta (P,)."""
     layers = layer_matrices(spec, theta).astype(means.dtype, copy=False)
     entering = forward_sweep(layers, means.T)
-    half = 1 << (spec.k - 1)
-    return layers, entering, entering[-1, :half, 0] + entering[-1, half:, 1]
-
-
-def _readout_sweep(means, spec, theta):
-    """a from `_forward`, and b_j = pair(Q_l J_q v_l) for every angle
-    j = l*k + q, (P, 2^(k-1)). The suffix products Q_l = G_{L-1}...G_l
-    come from one backward sweep in row form, Q_l = Q_{l+1} G_l, from the
-    last layer. Unchecked, like `_forward`.
-    """
-    layers, entering, paired = _forward(means, spec, theta)
+    dim = 1 << spec.k
+    half = dim // 2
+    paired = entering[-1, :half, 0] + entering[-1, half:, 1]
     suffix = layers.copy()
     for layer in range(spec.layers - 2, -1, -1):
         suffix[layer + 1].dot(layers[layer], out=suffix[layer])
-    dim = 1 << spec.k
-    half = dim // 2
     # pair(Q_l w) sums w[x, c] Q_l[c * half + m, x] over x and c: one
     # product of each w = J_q v_l, flattened, with Q_l regrouped to ((x, c), m).
     regrouped = suffix.reshape(spec.layers, 2, half, dim).transpose(0, 3, 1, 2)
@@ -221,8 +207,7 @@ def central_difference(
 def batched_loss(store: QramStore, spec: AnsatzSpec, theta: ParameterVector) -> float:
     """1 - overlap for one batch, read out exactly: retrieve, apply the
     ansatz to the data qubits, swap-test against the label state for the
-    store's n. It reads the forward sweep alone, and its value is the
-    loss `central_difference` returns for shots=None."""
+    store's n. It is the loss `central_difference` returns for shots=None
+    on the store's class means."""
     spec.check(theta, store.k)
-    _, _, paired = _forward(class_means(store.block), spec, theta.values)
-    return float(_readout_loss(0.25 * np.vdot(paired, paired).real, None))
+    return central_difference(class_means(store.block), spec, theta.values)[0]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, ParameterVector, circuit_matrix
 from .encoding import EncodedSet
-from .errors import ConfigurationError, OptimizationError
+from .errors import ConfigurationError, OptimizationError, check_seed, is_integer
 from .loss import Shots, central_difference, class_means
 
 
@@ -53,10 +53,12 @@ class TrainConfig:
     shots: Shots | None = None  # None means exact readout
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if not (is_integer(self.n) and self.n >= 1):
+            raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
+        if not (is_integer(self.epochs) and self.epochs >= 1):
+            raise ConfigurationError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        # Epoch e shuffles with default_rng(seed + e): seed < 0 shifts or breaks it.
+        check_seed(self.seed)
         # 0 is allowed so the null-update sanity case stays constructible;
         # +inf is allowed and ends the run as a divergence.
         if not self.learning_rate >= 0:

@@ -107,6 +107,17 @@ class TestAnsatzSpec:
         with pytest.raises(ConfigurationError):
             AnsatzSpec(k=2, layers=0)
 
+    @pytest.mark.parametrize("k, layers, field", [
+        (2.0, 4, "k"), (True, 4, "k"), (2, 4.0, "layers"), (2, True, "layers"),
+    ])
+    def test_sizes_are_integers(self, k, layers, field):
+        # A float k breaks init_parameters' draw, and True counts as 1.
+        with pytest.raises(ConfigurationError, match=f"^ansatz needs an integer {field} >= 1"):
+            AnsatzSpec(k, layers)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert AnsatzSpec(np.int64(2), np.uint8(3)).parameter_count == 6
+
     def test_zero_angles_even_layers_pin_to_identity(self):
         # Two CZ per pair cancel, RY(0) is the identity rotation.
         spec = AnsatzSpec(2, 2)
@@ -183,6 +194,17 @@ class TestInitParameters:
         # Every initial draw names its seed, so a run repeats byte for byte.
         with pytest.raises(TypeError):
             init_parameters(AnsatzSpec(2, 4))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_is_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0"):
+            init_parameters(AnsatzSpec(2, 4), seed)
+
+    @pytest.mark.parametrize("seed", [2**70, np.uint64(2**63)])
+    def test_large_seeds_draw(self, seed):
+        spec = AnsatzSpec(2, 4)
+        expected = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 8)
+        assert np.array_equal(init_parameters(spec, seed).values, expected)
 
 
 class TestCircuitMatrix:

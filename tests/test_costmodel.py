@@ -83,6 +83,12 @@ class TestCostTable:
         with pytest.raises(ConfigurationError):
             cost_table(0, 4, SPEC)
 
+    @pytest.mark.parametrize("n_min, n_max", [(1.5, 3), (1, 3.0), (True, 3), (1, True)])
+    def test_range_ends_are_integers(self, n_min, n_max):
+        # A float end breaks range(), and True counts as 1.
+        with pytest.raises(ConfigurationError, match=r"^control-qubit range must be integers"):
+            cost_table(n_min, n_max, SPEC)
+
     def test_huge_layer_count_is_counted_without_listing_its_gates(self):
         # The ansatz bucket is one layer times the layer count. 2^62 - 1
         # layers are the most whose angles a signed 64-bit index reaches at

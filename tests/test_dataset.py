@@ -411,3 +411,8 @@ class TestMakeTask:
     def test_bad_test_fraction_rejected(self, records):
         with pytest.raises(ConfigurationError, match=r"test_fraction must be in \[0, 1\), got 1.5"):
             make_task(records, "setosa", "versicolor", test_fraction=1.5, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_is_an_integer_at_least_zero(self, records, seed):
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0"):
+            make_task(records, "setosa", "versicolor", seed=seed)

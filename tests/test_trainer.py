@@ -87,6 +87,30 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("n", 2.5, ">= 1"),
+        ("n", True, ">= 1"),
+        ("epochs", 2.5, ">= 1"),
+        ("epochs", True, ">= 1"),
+        ("seed", -1, ">= 0"),
+        ("seed", -2, ">= 0"),
+        ("seed", 1.5, ">= 0"),
+        ("seed", True, ">= 0"),
+    ])
+    def test_counts_and_seed_are_integers(self, field, value, rule):
+        # A float count breaks range() in train and True counts as 1. Epoch
+        # e shuffles with default_rng(seed + e), which a negative seed
+        # shifts (-1) or breaks (-2).
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer {rule}"):
+            TrainConfig(**{field: value})
+
+    def test_large_seed_trains(self, iris_task):
+        spec = AnsatzSpec(2, 1)
+        config = TrainConfig(epochs=1, seed=2**70)
+        theta, history = train(*iris_task, spec, config, init_parameters(spec, 2**70))
+        assert history[0].steps == 20 and np.isfinite(history[0].train_loss)
+        assert np.all(np.isfinite(theta.values))
+
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=-0.1)
